@@ -29,11 +29,13 @@ seed through ``derive_seed``/``keyed_rng`` key tuples.
 
 **Gluon sync protocol** — the static counterpart of
 ``GluonSyncChecker``, scoped to *clients* of the protocol.  The protocol
-engines themselves are exempt: ``repro/gluon/sync.py`` (the BSP fold)
-and ``repro/dgraph/async_engine.py`` (the bounded-staleness fold, whose
-capture-and-rebase discipline legally reads and writes mirrors outside
-``set_many`` flagging — its staleness is bounded dynamically by
-``GluonSyncChecker.note_async_step``), plus the analysis package.
+engines themselves are exempt: ``repro/gluon/sync.py`` (the one fold
+kernel and its BSP caller) and ``repro/dgraph/async_engine.py`` (the
+kernel's bounded-staleness caller: it owns no fold arithmetic, but its
+capture-and-rebase discipline and its read-my-writes landing legally
+read and write mirrors outside ``set_many`` flagging — its staleness is
+bounded dynamically by ``GluonSyncChecker.note_async_step``), plus the
+analysis package.
 
 - ``REPRO121`` *gluon-unflagged-write*: a write to a ``FieldSync``
   mirror (``field.arrays[...]``) in barrier-reaching code with no
@@ -92,9 +94,9 @@ def _is_analysis_module(path: str) -> bool:
 
 
 def _is_sync_engine(path: str) -> bool:
-    # Both fold engines implement the protocol REPRO121/122 police its
-    # *clients* for: the BSP fold, and the async engine whose bounded-
-    # staleness mirror reads/writes are legal by construction (checked
+    # Both implement the protocol REPRO121/122 police its *clients* for:
+    # the fold kernel, and the async engine, whose delta capture and
+    # landing read/write mirrors legally by construction (bounded
     # dynamically via GluonSyncChecker.note_async_step, not statically).
     p = _posix(path)
     return p.endswith("/gluon/sync.py") or p.endswith("/dgraph/async_engine.py")

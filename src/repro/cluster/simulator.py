@@ -8,6 +8,7 @@ from repro.cluster.faults import FaultReport
 from repro.cluster.metrics import ClusterMetrics, TimeBreakdown
 from repro.cluster.network import NetworkModel
 from repro.gluon.comm import SimulatedNetwork
+from repro.gluon.sync import RECOVERY_PHASE
 
 __all__ = ["DistributedRunReport"]
 
@@ -63,8 +64,8 @@ class DistributedRunReport:
         # Restore traffic (phases named "recovery:*") is a fault cost, not
         # steady-state communication — price it into the recovery bucket so
         # a fault-free run's communication_s is unchanged by this split.
-        regular = [r for r in network.phase_records if not r.name.startswith("recovery")]
-        restore = [r for r in network.phase_records if r.name.startswith("recovery")]
+        regular = [r for r in network.phase_records if not r.name.startswith(RECOVERY_PHASE)]
+        restore = [r for r in network.phase_records if r.name.startswith(RECOVERY_PHASE)]
         comm_s = model.total_time(regular)
         # Recovery = barrier stalls recorded per round (crash detection,
         # restore, replay) plus restore traffic and retransmission backoff.

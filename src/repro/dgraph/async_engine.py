@@ -5,11 +5,16 @@ clocks independently, up to a staleness bound ``s``: a host may start
 global round ``g`` only while ``g - folds_done <= s``, where
 ``folds_done`` equals the slowest host's completed-round clock (round
 ``r`` *folds* — reduce + broadcast — the moment every host has finished
-it).  ``s = 0`` therefore degrades to the lock-step BSP schedule, and the
-engine is built so that degradation is **bit-identical**: same kernels,
-same deltas, same combiner arithmetic in the same rotation order, same
-wire bytes and message sequence under every communication plan and fault
-schedule (pinned by ``tests/test_async_engine.py``).
+it).  ``s = 0`` therefore degrades to the lock-step BSP schedule, and that
+degradation is **bit-identical** by construction: the engines differ in
+*schedule*, not in the sync substrate.  A fold is a call of the same
+kernel the BSP loop calls (:meth:`repro.gluon.sync.GluonSynchronizer.fold`
+— owner routing, wire formulas, rotating combiner order, message
+sequence), handed this engine's contributions (deltas buffered at capture
+time) and *destination* (the canonical store, and a landing that
+preserves read-my-writes); crash recovery is the trainer's shared body
+reading the canonical store.  ``tests/test_async_engine.py`` pins the
+parity under every communication plan and fault schedule.
 
 Determinism story.  The interleaving is not discovered from wall-clock —
 it is *recorded*: :func:`build_interleaving` runs a virtual event loop
@@ -24,7 +29,7 @@ folds at a deterministic point of the recorded schedule.
 Mirror semantics.  Because hosts run ahead of the fold frontier, the
 canonical model can no longer be read off replica master blocks; the
 engine owns a dedicated canonical store (``trainer._canonical``) that
-only fold arithmetic mutates.  Replicas become bounded-staleness mirrors:
+only the fold kernel mutates.  Replicas become bounded-staleness mirrors:
 fold broadcasts and PullModel refreshes overwrite rows with canonical
 values *plus* the host's still-unfolded buffered deltas on those rows
 (read-my-writes), and per-(field, host) pending-stale sets — layered on
@@ -40,6 +45,7 @@ transient-fault injector sees the identical send sequence).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 import heapq
 import time
 from typing import TYPE_CHECKING, Callable
@@ -51,7 +57,6 @@ from repro.dgraph.engine import TrainingEngine, compensate_delta
 from repro.galois.do_all import do_all
 from repro.galois.worklist import OrderedByIntegerMetric
 from repro.gluon.bitvector import BitVector
-from repro.gluon.comm import VALUE_BYTES
 from repro.util.rng import keyed_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -348,7 +353,7 @@ class SSPTrainingEngine(TrainingEngine):
         # broadcast), so no phase records are emitted there.
         if trainer.plan.requires_access_sets:
             for fname in _FIELD_ORDER:
-                need: dict[int, np.ndarray] = {}
+                need = [_empty_ids()] * trainer.num_hosts
                 for ev, crash in steps:
                     if crash is not None:
                         continue
@@ -363,12 +368,8 @@ class SSPTrainingEngine(TrainingEngine):
                     if pending is None or not pending.size or not ids.size:
                         continue
                     rows = np.intersect1d(ids, pending, assume_unique=True)
-                    if rows.size:
-                        prev = need.get(ev.host)
-                        need[ev.host] = (
-                            rows if prev is None else np.union1d(prev, rows)
-                        )
-                if need:
+                    need[ev.host] = np.union1d(need[ev.host], rows)
+                if any(rows.size for rows in need):
                     self._refresh(trainer, run, fname, need)
 
         # Pop round work serially (shared caches), skipping crashed steps
@@ -491,21 +492,25 @@ class SSPTrainingEngine(TrainingEngine):
         captures: list[tuple],
         next_work: "RoundWork | None",
         inspect_s: float,
-        crashed: bool = False,
-        compute_s: float | None = None,
+        lost_s: float | None = None,
     ) -> None:
+        """Serial bookkeeping of one executed step.  ``lost_s`` marks a
+        crashed-and-replayed step: the modeled compute its doomed attempt
+        burned, charged instead of ``measured`` (the replay itself is
+        recovery time, and a dead host is no straggler sample)."""
         H = trainer.num_hosts
         e, s = divmod(g, trainer.sync_rounds)
-        factor = trainer._time_factor(e, s, host)
-        if compute_s is None:
+        if lost_s is None:
+            factor = trainer._time_factor(e, s, host)
             compute_s = measured * factor
-        run.round_array(run.compute_buf, g, H)[host] += compute_s
-        run.measured[(host, g)] = run.measured.get((host, g), 0.0) + compute_s
-        if not crashed:
             run.base_times.setdefault(g, []).append(
                 measured * trainer.host_speed_factors[host]
             )
-            run.slow_times.setdefault(g, []).append(measured * factor)
+            run.slow_times.setdefault(g, []).append(compute_s)
+        else:
+            compute_s = lost_s
+        run.round_array(run.compute_buf, g, H)[host] += compute_s
+        run.measured[(host, g)] = run.measured.get((host, g), 0.0) + compute_s
         run.pairs_buf[g] = run.pairs_buf.get(g, 0) + pairs
         for fname, (ids, delta, drift_base) in zip(_FIELD_ORDER, captures):
             run.contrib.setdefault((fname, g), {})[host] = (ids, delta, drift_base)
@@ -565,56 +570,23 @@ class SSPTrainingEngine(TrainingEngine):
         g: int,
         crash,
     ) -> None:
-        """Fail-stop recovery for one crashed step (BSP cost formulas).
+        """Fail-stop recovery for one crashed step.
 
-        The replica is restored from the canonical store — under SSP the
-        round checkpoint *is* the canonical state at the fold frontier —
-        plus the surviving masters' streamed blocks, then the lost chunk
-        replays on it.  Bytes and modeled times are exactly the BSP
-        recovery path's, so s=0 fault schedules stay bit-identical.
+        The trainer's shared recovery body runs with the canonical store
+        as the source of canonical rows — under SSP the round checkpoint
+        *is* the canonical state at the fold frontier, and a survivor's
+        base rows carry its own unfolded local view, which is not what
+        recovery must rebuild.  Bytes and modeled times are the BSP path's
+        by construction, so s=0 fault schedules stay bit-identical.
         """
-        S = trainer.sync_rounds
-        e, s = divmod(g, S)
-        config = trainer.fault_schedule.config
-        report = trainer.fault_report
-        state = trainer._async_state
-        report.crashes += 1
-        report.detect_s += config.detect_timeout_s
-
-        storage_bytes = 0
-        for fname, bounds in (
-            ("embedding", trainer.bounds),
-            ("training", trainer.bounds_out),
-        ):
-            field = trainer._fields[fname]
-            canon = trainer._canonical[fname]
-            lo, hi = int(bounds[host]), int(bounds[host + 1])
-            field.arrays[host][lo:hi] = canon[lo:hi]
-            field.bases[host][lo:hi] = canon[lo:hi]
-            storage_bytes += (hi - lo) * field.dim * VALUE_BYTES
-        report.checkpoint_restore_bytes += storage_bytes
-        storage_s = storage_bytes / config.restore_bandwidth_Bps
-
-        net_bytes = self._restore_from_canonical(trainer, "embedding", host)
-        net_bytes += self._restore_from_canonical(trainer, "training", host)
-        report.recovery_bytes += net_bytes
-        # The rebuilt replica is wholly canonical: nothing is stale, and
-        # the host's uncaptured in-round work is what the replay redoes.
-        for fname in _FIELD_ORDER:
-            state["pending_stale"].pop((fname, host), None)
-
-        work = trainer._pop_work(e, s, host)
-        emb_field = trainer._fields["embedding"]
-        out_field = trainer._fields["training"]
-        t0 = time.thread_time()
-        _loss, pairs = work.apply(
-            emb_field.arrays[host],
-            out_field.arrays[host],
-            run.lr_of[g],
-            trainer.params.batch_pairs,
-            compute_loss=trainer.compute_loss,
+        e, s = divmod(g, trainer.sync_rounds)
+        work, pairs, lost_s, recovery_s = trainer._recover_host(
+            e, s, crash, run.lr_of[g], trainer._canonical
         )
-        replay_measured = time.thread_time() - t0
+        # The rebuilt replica is wholly canonical: nothing is stale, and
+        # the host's uncaptured in-round work is what the replay redid.
+        for fname in _FIELD_ORDER:
+            trainer._async_state["pending_stale"].pop((fname, host), None)
         captures = self._capture(trainer, host, work)
 
         next_work = None
@@ -629,129 +601,46 @@ class SSPTrainingEngine(TrainingEngine):
                     next_work = trainer._build_work(*nxt, host)
                 inspect_s = time.thread_time() - t0
 
-        own_factor = trainer._time_factor(e, s, host)
-        crashed_hosts = {
-            cev.host for cev in trainer.fault_schedule.crashes_at(e, s)
-        }
-        survivors = [
-            h for h in range(trainer.num_hosts) if h not in crashed_hosts
-        ]
-        if survivors:
-            replay_s = (
-                replay_measured
-                * max(trainer._time_factor(e, s, sv) for sv in survivors)
-                / len(survivors)
-            )
-        else:
-            replay_s = replay_measured * own_factor
-        report.replay_s += replay_s
-        report.restore_s += storage_s
-        recovery_s = config.detect_timeout_s + storage_s + replay_s
         run.round_array(run.recovery_buf, g, trainer.num_hosts)[host] += recovery_s
         run.recovery_spans.append((host, g, recovery_s))
         self._post_step(
-            trainer, run, host, g, work, replay_measured, pairs, captures,
-            next_work, inspect_s, crashed=True,
-            compute_s=crash.loss_fraction * replay_measured * own_factor,
+            trainer, run, host, g, work, 0.0, pairs, captures,
+            next_work, inspect_s, lost_s=lost_s,
         )
-
-    def _restore_from_canonical(
-        self, trainer: "GraphWord2Vec", fname: str, host: int
-    ) -> int:
-        """Stream surviving masters' canonical blocks to ``host``.
-
-        Mirrors :meth:`~repro.gluon.sync.GluonSynchronizer.restore_host`
-        byte-for-byte, but reads the canonical store instead of replica
-        bases: under SSP a survivor's base rows carry its own unfolded
-        local view, which is not what recovery must rebuild.
-        """
-        field = trainer._fields[fname]
-        sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        bounds = sync.bounds
-        network = trainer.network
-        canon = trainer._canonical[fname]
-        dim = field.dim
-        with network.phase(f"recovery:{fname}") as record:
-            for m in range(trainer.num_hosts):
-                if m == host:
-                    continue
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                rows = hi - lo
-                if rows == 0:
-                    continue
-                network.send(
-                    m, host, rows * dim * VALUE_BYTES,
-                    payload=(np.arange(lo, hi, dtype=np.int64), canon[lo:hi].copy()),
-                )
-            for _src, (ids, vals) in network.drain(host):
-                field.arrays[host][ids] = vals
-                field.bases[host][ids] = vals
-        if sync.checker is not None:
-            sync.checker.after_restore(field, host)
-        return record.total_bytes
 
     def _refresh(
         self,
         trainer: "GraphWord2Vec",
         run: _RunState,
         fname: str,
-        need: dict[int, np.ndarray],
+        need: list[np.ndarray],
     ) -> None:
-        """Pull stale rows a wave is about to access (PullModel, s>0).
+        """Pull the stale rows ``need[h]`` a wave is about to access
+        (PullModel, s>0).
 
-        The same request/reply wire math as the plan's pull phases, under
-        dedicated ``refresh-request:``/``refresh:`` phase names so the
+        The fold kernel's request → broadcast half with nothing changed at
+        any master — so the plan ships exactly the requested rows — under
+        dedicated ``refresh-request:``/``refresh:`` phase names, so the
         report's byte breakdown shows staleness traffic separately.
         """
-        field = trainer._fields[fname]
-        sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        bounds = sync.bounds
-        plan = trainer.plan
-        network = trainer.network
-        canon = trainer._canonical[fname]
-        state = trainer._async_state
-        dim = field.dim
         H = trainer.num_hosts
-        hosts = sorted(need)
-        with network.phase(f"refresh-request:{fname}"):
-            for h in hosts:
-                acc = need[h]
-                owner = np.searchsorted(bounds, acc, side="right") - 1
-                for m in range(H):
-                    if m == h:
-                        continue
-                    ids = acc[owner == m]
-                    wire = plan.request_wire_bytes(len(ids))
-                    if wire > 0:
-                        network.send(h, m, wire, payload=ids)
-            for m in range(H):
-                network.drain(m)
-        with network.phase(f"refresh:{fname}"):
-            for m in range(H):
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                for h in hosts:
-                    if h == m:
-                        continue
-                    acc = need[h]
-                    ids = acc[(acc >= lo) & (acc < hi)]
-                    _ids, wire = plan.broadcast_selection(
-                        _empty_ids(), hi - lo, ids, dim
-                    )
-                    if wire > 0:
-                        network.send(m, h, wire, payload=(ids, canon[ids].copy()))
-            for h in hosts:
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in network.drain(h):
-                    if len(ids):
-                        self._apply_values(trainer, run, fname, h, ids, vals)
-                        got.append(ids)
-                if got:
-                    received = np.unique(np.concatenate(got))
-                    pending = state["pending_stale"].get((fname, h))
-                    if pending is not None:
-                        state["pending_stale"][(fname, h)] = np.setdiff1d(
-                            pending, received, assume_unique=True
-                        )
+        sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
+        pending = trainer._async_state["pending_stale"]
+        _request, _broadcast, received = sync.broadcast(
+            trainer._fields[fname].dim,
+            trainer.plan,
+            [_empty_ids()] * H,
+            need,
+            [trainer._canonical[fname]] * H,
+            partial(self._apply_values, trainer, run, fname),
+            request_phase=f"refresh-request:{fname}",
+            broadcast_phase=f"refresh:{fname}",
+        )
+        for h, got in enumerate(received):
+            if got.size:
+                pending[(fname, h)] = np.setdiff1d(
+                    pending[(fname, h)], got, assume_unique=True
+                )
 
     def _apply_values(
         self,
@@ -772,16 +661,11 @@ class SSPTrainingEngine(TrainingEngine):
         plain BSP broadcast overwrite, bit for bit.
         """
         field = trainer._fields[fname]
-        arr = field.arrays[host]
-        base = field.bases[host]
         adjust = self._pending_adjustment(run, fname, host, ids, field.dim)
-        if adjust is None:
-            arr[ids] = vals
-            base[ids] = vals
-        else:
-            merged = (np.asarray(vals, dtype=np.float64) + adjust).astype(arr.dtype)
-            arr[ids] = merged
-            base[ids] = merged
+        if adjust is not None:
+            dtype = field.arrays[host].dtype
+            vals = (np.asarray(vals, dtype=np.float64) + adjust).astype(dtype)
+        field.land(host, ids, vals)
 
     def _pending_adjustment(
         self, run: _RunState, fname: str, host: int, ids: np.ndarray, dim: int
@@ -894,38 +778,33 @@ class SSPTrainingEngine(TrainingEngine):
     ) -> None:
         """Fold round ``g``'s buffered deltas for one field into canon.
 
-        Mirrors :meth:`~repro.gluon.sync.GluonSynchronizer.sync_replicated`
-        phase-for-phase and byte-for-byte — same owner routing, same wire
-        formulas, same rotating inductive combiner order (``fold_offset``
-        = the global round, as the trainer passes it) — but reduces into
-        the canonical store instead of master replica rows, because under
-        SSP a master's replica also carries its own not-yet-folded local
-        work.  At s=0 replica rows equal canon on every touched row, so
-        each phase's payloads and writes are bit-identical to BSP's.
+        Delay compensation, then the shared kernel
+        (:meth:`~repro.gluon.sync.GluonSynchronizer.fold`) with this
+        engine's destination, then the staleness ledgers.  The kernel
+        reduces into the canonical store instead of master replica rows —
+        under SSP a master's replica also carries its own not-yet-folded
+        local work — and lands values through :meth:`_apply_values`
+        (read-my-writes).  ``fold_offset`` is the global round, as the BSP
+        loop passes it.  At s=0 no delta is pending at a fold and replica
+        rows equal canon on every touched row, so the BSP caller
+        (``sync_replicated``) and this one feed the kernel the same
+        contributions and destination values: bit-identity needs no
+        mirrored code.
         """
         field = trainer._fields[fname]
         sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        bounds = sync.bounds
         plan = trainer.plan
-        network = trainer.network
-        combiner = trainer.combiner
         canon = trainer._canonical[fname]
         state = trainer._async_state
-        dim = field.dim
-        dtype = field.arrays[0].dtype
         H = trainer.num_hosts
         lam = self.delay_compensation
 
-        contribs_in = run.contrib.pop((fname, g), {})
+        # Every host finished round g, so every host has an entry.
+        contribs = run.contrib.pop((fname, g))
         touched: list[np.ndarray] = []
         deltas: list[np.ndarray] = []
         for h in range(H):
-            entry = contribs_in.get(h)
-            if entry is None:
-                touched.append(_empty_ids())
-                deltas.append(np.empty((0, dim)))
-                continue
-            ids, delta, drift_base = entry
+            ids, delta, drift_base = contribs[h]
             if lam > 0 and ids.size:
                 # Drift = how far canon moved since this delta was
                 # captured; zero exactly when the contribution is fresh.
@@ -934,104 +813,17 @@ class SSPTrainingEngine(TrainingEngine):
             touched.append(ids)
             deltas.append(delta)
 
-        # -- reduce phase: buffered deltas -> canonical masters ---------------
-        with network.phase(f"reduce:{fname}"):
-            for h in range(H):
-                t, d = touched[h], deltas[h]
-                owner = np.searchsorted(bounds, t, side="right") - 1
-                for m in range(H):
-                    if m == h:
-                        continue
-                    sel = owner == m
-                    ids = t[sel]
-                    block = int(bounds[m + 1] - bounds[m])
-                    wire = plan.reduce_wire_bytes(len(ids), dim, block)
-                    if wire > 0:
-                        network.send(h, m, wire, payload=(ids, d[sel]))
-
-            changed_per_master: list[np.ndarray] = []
-            for m in range(H):
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                contribs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                own_sel = (touched[m] >= lo) & (touched[m] < hi)
-                contribs[m] = (touched[m][own_sel], deltas[m][own_sel])
-                for src, payload in network.drain(m):
-                    contribs[src] = payload
-                all_ids = [
-                    contribs[src][0] for src in sorted(contribs)
-                    if len(contribs[src][0])
-                ]
-                if not all_ids:
-                    changed_per_master.append(_empty_ids())
-                    continue
-                union = np.unique(np.concatenate(all_ids))
-                cstate = combiner.create(len(union), dim)
-                for src in sorted(contribs, key=lambda h: (h - g) % H):
-                    ids, vals = contribs[src]
-                    if len(ids) == 0:
-                        continue
-                    rows = np.searchsorted(union, ids)
-                    cstate.accumulate(rows, vals)
-                combined = cstate.result()
-                canonical = canon[union].astype(np.float64) + combined
-                new_vals = canonical.astype(dtype)
-                canon[union] = new_vals
-                self._apply_values(trainer, run, fname, m, union, new_vals)
-                changed_per_master.append(union)
-
-        # -- pull-request phase (PullModel only) ------------------------------
-        accessed_next: list[np.ndarray] | None = None
+        accessed_next = None
         if plan.requires_access_sets:
             accessed_next = [
-                np.asarray(
-                    state["next_access"].get((fname, h), _empty_ids()),
-                    dtype=np.int64,
-                )
-                for h in range(H)
+                state["next_access"].get((fname, h), _empty_ids()) for h in range(H)
             ]
-            with network.phase(f"request:{fname}"):
-                for h in range(H):
-                    acc = accessed_next[h]
-                    owner = np.searchsorted(bounds, acc, side="right") - 1
-                    for m in range(H):
-                        if m == h:
-                            continue
-                        ids = acc[owner == m]
-                        wire = plan.request_wire_bytes(len(ids))
-                        if wire > 0:
-                            network.send(h, m, wire, payload=ids)
-                for m in range(H):
-                    network.drain(m)
-
-        # -- broadcast phase: canon -> mirrors --------------------------------
-        with network.phase(f"broadcast:{fname}"):
-            for m in range(H):
-                lo, hi = int(bounds[m]), int(bounds[m + 1])
-                changed = changed_per_master[m]
-                for h in range(H):
-                    if h == m:
-                        continue
-                    accessed = None
-                    if accessed_next is not None:
-                        acc = accessed_next[h]
-                        accessed = acc[(acc >= lo) & (acc < hi)]
-                    ids, wire = plan.broadcast_selection(
-                        changed, hi - lo, accessed, dim
-                    )
-                    if wire > 0:
-                        network.send(
-                            m, h, wire, payload=(ids, canon[ids].copy())
-                        )
-            received_per_host: list[np.ndarray] = []
-            for h in range(H):
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in network.drain(h):
-                    if len(ids):
-                        self._apply_values(trainer, run, fname, h, ids, vals)
-                        got.append(ids)
-                received_per_host.append(
-                    np.unique(np.concatenate(got)) if got else _empty_ids()
-                )
+        result = sync.fold(
+            field, touched, deltas, trainer.combiner, plan,
+            canonical=[canon] * H,
+            land=partial(self._apply_values, trainer, run, fname),
+            accessed_next=accessed_next, fold_offset=g,
+        )
 
         # PullModel staleness ledger: rows whose canon changed this fold
         # that a mirror did not receive are now pending-stale for it;
@@ -1039,17 +831,14 @@ class SSPTrainingEngine(TrainingEngine):
         # ascending over disjoint ascending blocks, so the concatenation
         # is already sorted.
         if plan.requires_access_sets:
-            nonempty = [c for c in changed_per_master if c.size]
-            changed_all = (
-                np.concatenate(nonempty) if nonempty else _empty_ids()
-            )
+            changed_all = np.concatenate(result.changed_per_master)
             for h in range(H):
-                lo, hi = int(bounds[h]), int(bounds[h + 1])
+                lo, hi = int(sync.bounds[h]), int(sync.bounds[h + 1])
                 foreign = changed_all[(changed_all < lo) | (changed_all >= hi)]
                 pending = state["pending_stale"].get((fname, h), _empty_ids())
                 pending = np.union1d(pending, foreign)
                 pending = np.setdiff1d(
-                    pending, received_per_host[h], assume_unique=True
+                    pending, result.received_per_host[h], assume_unique=True
                 )
                 state["pending_stale"][(fname, h)] = pending
 

@@ -2,13 +2,19 @@
 
 Two synchronization modes cover the library's needs:
 
-- :meth:`GluonSynchronizer.sync_replicated` — the GraphWord2Vec mode.  The
-  model (one or more ``(N, dim)`` label arrays) is replicated on all hosts;
-  each sync round, mirrors ship their accumulated *deltas* (current − base)
-  to the node's master, the master folds them with a
-  :class:`~repro.core.combiners.GradientCombiner` (model combiner, averaging,
-  sum, ...) on top of the canonical value, and new canonical values are
-  broadcast back according to a :class:`~repro.gluon.plans.CommPlan`.
+- :meth:`GluonSynchronizer.fold` — the GraphWord2Vec mode.  The model (one
+  or more ``(N, dim)`` label arrays) is replicated on all hosts; each sync
+  round, mirrors ship their accumulated *deltas* to the node's master, the
+  master folds them with a :class:`~repro.core.combiners.GradientCombiner`
+  (model combiner, averaging, sum, ...) on top of the canonical value, and
+  new canonical values are broadcast back according to a
+  :class:`~repro.gluon.plans.CommPlan`.  This one kernel serves every
+  training engine: the caller hands it the contributions and the
+  *destination* (where canonical rows live, how they land on a replica).
+  :meth:`GluonSynchronizer.sync_replicated` is the BSP caller — deltas are
+  current − base, canonical rows live in the masters' bases; the SSP engine
+  (:mod:`repro.dgraph.async_engine`) is the other, folding buffered deltas
+  into its canonical store.
 - :meth:`GluonSynchronizer.sync_value` — the classic graph-analytics mode
   used by the apps in :mod:`repro.dgraph.apps`.  Mirrors send their label
   *values*; masters reduce them with an elementwise operator (min for sssp,
@@ -33,7 +39,17 @@ from repro.gluon.comm import ID_BYTES, VALUE_BYTES, PhaseRecord, SimulatedNetwor
 from repro.gluon.partitioner import Partition
 from repro.gluon.plans import CommPlan
 
-__all__ = ["FieldSync", "GluonSynchronizer", "ReplicatedSyncResult", "ValueSyncResult"]
+__all__ = [
+    "RECOVERY_PHASE",
+    "FieldSync",
+    "GluonSynchronizer",
+    "ReplicatedSyncResult",
+    "ValueSyncResult",
+]
+
+#: Phase-name prefix of crash-restore traffic (``recovery:{field}``); the
+#: run report prices these records into recovery time, not communication.
+RECOVERY_PHASE = "recovery"
 
 
 @dataclass
@@ -68,6 +84,12 @@ class FieldSync:
         """Record current replica values as the new delta baseline."""
         for base, arr in zip(self.bases, self.arrays):
             np.copyto(base, arr)
+
+    def land(self, host: int, ids: np.ndarray | slice, vals: np.ndarray) -> None:
+        """Overwrite rows of ``host``'s replica *and* delta base with
+        canonical ``vals``: the rows hold no unreduced work afterwards."""
+        self.arrays[host][ids] = vals
+        self.bases[host][ids] = vals
 
 
 @dataclass
@@ -157,10 +179,71 @@ class GluonSynchronizer:
         """One reduce+broadcast round for a replicated field.
 
         ``updated[h]`` flags the nodes host ``h`` wrote since its base
-        snapshot.  ``accessed_next[h]`` (sorted global ids) is required by
-        plans with :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
-        Bit vectors are *not* cleared and bases are *not* re-snapshotted here
-        — the trainer owns round boundaries (it may sync several fields).
+        snapshot; their deltas (current − base) are the contributions
+        handed to :meth:`fold`, with the delta bases as the canonical view
+        (a master's base rows hold the last folded values) and the plain
+        replica+base overwrite as the landing.  Bit vectors are *not*
+        cleared and bases are *not* re-snapshotted here — the trainer owns
+        round boundaries (it may sync several fields).
+        """
+        H = self.num_hosts
+        if len(updated) != H:
+            raise ValueError(f"need {H} updated bit-vectors, got {len(updated)}")
+        for part in self.partitions:
+            if part.num_local != field.num_nodes:
+                raise ValueError(
+                    "sync_replicated requires fully replicated partitions "
+                    f"(host {part.host} has {part.num_local} of {field.num_nodes} nodes)"
+                )
+        if self.checker is not None:
+            # Validate writes-vs-flags while replicas are still untouched.
+            self.checker.before_replicated(field, self.bounds, updated)
+
+        touched = [bits.indices() for bits in updated]
+        deltas = [
+            arr[t].astype(np.float64) - base[t].astype(np.float64)
+            for arr, base, t in zip(field.arrays, field.bases, touched)
+        ]
+        result = self.fold(
+            field, touched, deltas, combiner, plan,
+            canonical=field.bases, land=field.land,
+            accessed_next=accessed_next, fold_offset=fold_offset,
+        )
+        if self.checker is not None:
+            self.checker.after_replicated(
+                field,
+                self.bounds,
+                plan,
+                updated,
+                result.changed_per_master,
+                result.received_per_host,
+                accessed_next,
+            )
+        return result
+
+    def fold(
+        self,
+        field: FieldSync,
+        touched: Sequence[np.ndarray],
+        deltas: Sequence[np.ndarray],
+        combiner: GradientCombiner,
+        plan: CommPlan,
+        canonical: Sequence[np.ndarray],
+        land: Callable[[int, np.ndarray, np.ndarray], None],
+        accessed_next: Sequence[np.ndarray] | None = None,
+        fold_offset: int = 0,
+    ) -> ReplicatedSyncResult:
+        """The fold kernel: reduce → combine → (pull-request) → broadcast.
+
+        Host ``h`` contributes float64 ``deltas[h]`` on the sorted global
+        ids ``touched[h]``.  The *destination* is the caller's:
+        ``canonical[m]`` is the array master ``m``'s canonical rows are
+        read from and written to (only rows of block ``m`` are touched),
+        and ``land(h, ids, vals)`` puts canonical values on host ``h``'s
+        replica — a master's freshly folded rows and every broadcast a
+        mirror receives alike.  ``accessed_next[h]`` (sorted global ids) is
+        required by plans with
+        :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
 
         ``fold_offset`` rotates the (order-dependent) inductive fold of
         contributions: host ``fold_offset % H`` is folded first this round.
@@ -169,40 +252,30 @@ class GluonSynchronizer:
         benchmark quantifies the effect).
         """
         H = self.num_hosts
-        if len(updated) != H:
-            raise ValueError(f"need {H} updated bit-vectors, got {len(updated)}")
-        if plan.requires_access_sets and accessed_next is None:
-            raise ValueError(f"plan {plan.name} requires access sets")
-        for part in self.partitions:
-            if part.num_local != field.num_nodes:
+        if plan.requires_access_sets:
+            if accessed_next is None:
+                raise ValueError(f"plan {plan.name} requires access sets")
+            if len(accessed_next) != H:
                 raise ValueError(
-                    "sync_replicated requires fully replicated partitions "
-                    f"(host {part.host} has {part.num_local} of {field.num_nodes} nodes)"
+                    f"accessed_next needs one access set per host ({H}), "
+                    f"got {len(accessed_next)}"
                 )
         dim = field.dim
-        dtype = field.arrays[0].dtype
+        dtype = canonical[0].dtype
 
-        if self.checker is not None:
-            # Validate writes-vs-flags while replicas are still untouched.
-            self.checker.before_replicated(field, self.bounds, updated)
-
-        touched = [updated[h].indices() for h in range(H)]
-        deltas = [
-            (field.arrays[h][touched[h]].astype(np.float64) -
-             field.bases[h][touched[h]].astype(np.float64))
-            for h in range(H)
-        ]
-
-        # -- reduce phase: mirrors -> masters ---------------------------------
         with self.network.phase(f"reduce:{field.name}") as reduce_record:
+            # The master's own local delta participates exactly like a
+            # mirror's; it just never crosses the wire.
+            own: list[tuple[np.ndarray, np.ndarray]] = []
             for h in range(H):
                 t, d = touched[h], deltas[h]
                 owner = np.searchsorted(self.bounds, t, side="right") - 1
                 for m in range(H):
-                    if m == h:
-                        continue
                     sel = owner == m
                     ids = t[sel]
+                    if m == h:
+                        own.append((ids, d[sel]))
+                        continue
                     block = int(self.bounds[m + 1] - self.bounds[m])
                     wire = plan.reduce_wire_bytes(len(ids), dim, block)
                     if wire > 0:
@@ -210,110 +283,28 @@ class GluonSynchronizer:
 
             changed_per_master: list[np.ndarray] = []
             for m in range(H):
-                lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
-                # Gather contributions in ascending host order: the master's
-                # own local delta participates exactly like a mirror's.
-                contribs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                own_sel = (touched[m] >= lo) & (touched[m] < hi)
-                contribs[m] = (touched[m][own_sel], deltas[m][own_sel])
-                for src, payload in self.network.drain(m):
-                    contribs[src] = payload
-                all_ids = [
-                    contribs[src][0] for src in sorted(contribs)
-                    if len(contribs[src][0])
-                ]
-                if not all_ids:
+                contribs = dict(self.network.drain(m))
+                contribs[m] = own[m]
+                srcs = [src for src in sorted(contribs) if len(contribs[src][0])]
+                if not srcs:
                     changed_per_master.append(np.empty(0, dtype=np.int64))
                     continue
-                union = np.unique(np.concatenate(all_ids))
+                union = np.unique(np.concatenate([contribs[src][0] for src in srcs]))
                 state = combiner.create(len(union), dim)
-                for src in sorted(contribs, key=lambda h: (h - fold_offset) % H):
+                for src in sorted(srcs, key=lambda h: (h - fold_offset) % H):
                     ids, vals = contribs[src]
-                    if len(ids) == 0:
-                        continue
-                    rows = np.searchsorted(union, ids)
-                    state.accumulate(rows, vals)
-                combined = state.result()
-                canonical = field.bases[m][union].astype(np.float64) + combined
-                field.arrays[m][union] = canonical.astype(dtype)
+                    state.accumulate(np.searchsorted(union, ids), vals)
+                folded = canonical[m][union].astype(np.float64) + state.result()
+                new_vals = folded.astype(dtype)
+                canonical[m][union] = new_vals
+                land(m, union, new_vals)
                 changed_per_master.append(union)
 
-        # -- pull-request phase (PullModel only) ------------------------------
-        request_record: PhaseRecord | None = None
-        if plan.requires_access_sets:
-            assert accessed_next is not None
-            with self.network.phase(f"request:{field.name}") as request_record:
-                for h in range(H):
-                    acc = np.asarray(accessed_next[h], dtype=np.int64)
-                    owner = np.searchsorted(self.bounds, acc, side="right") - 1
-                    for m in range(H):
-                        if m == h:
-                            continue
-                        ids = acc[owner == m]
-                        wire = plan.request_wire_bytes(len(ids))
-                        if wire > 0:
-                            self.network.send(h, m, wire, payload=ids)
-                # Masters consume the requests (content == accessed_next,
-                # which the broadcast below re-derives; drain keeps inboxes
-                # and the data/accounting paths consistent).
-                for m in range(H):
-                    self.network.drain(m)
-
-        # -- broadcast phase: masters -> mirrors ------------------------------
-        with self.network.phase(f"broadcast:{field.name}") as broadcast_record:
-            for m in range(H):
-                lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
-                changed = changed_per_master[m]
-                for h in range(H):
-                    if h == m:
-                        continue
-                    accessed = None
-                    if plan.requires_access_sets:
-                        acc = np.asarray(accessed_next[h], dtype=np.int64)  # type: ignore[index]
-                        accessed = acc[(acc >= lo) & (acc < hi)]
-                    ids, wire = plan.broadcast_selection(
-                        changed, hi - lo, accessed, dim
-                    )
-                    if wire > 0:
-                        self.network.send(
-                            m, h, wire, payload=(ids, field.arrays[m][ids].copy())
-                        )
-            received_per_host: list[np.ndarray] = []
-            for h in range(H):
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in self.network.drain(h):
-                    if len(ids):
-                        field.arrays[h][ids] = vals
-                        got.append(ids)
-                received_per_host.append(
-                    np.unique(np.concatenate(got)) if got else np.empty(0, np.int64)
-                )
-
-        # Repair the delta baselines: after the sync every overwritten replica
-        # row and every master row holds a canonical value, which is the new
-        # reference the next round's deltas are measured against.  Rows a
-        # plan chose not to refresh (PullModel) keep their old base — they
-        # will be refreshed (and re-based) before the host may touch them.
-        for h in range(H):
-            ids = received_per_host[h]
-            if len(ids):
-                field.bases[h][ids] = field.arrays[h][ids]
-        for m in range(H):
-            ids = changed_per_master[m]
-            if len(ids):
-                field.bases[m][ids] = field.arrays[m][ids]
-
-        if self.checker is not None:
-            self.checker.after_replicated(
-                field,
-                self.bounds,
-                plan,
-                updated,
-                changed_per_master,
-                received_per_host,
-                accessed_next,
-            )
-
+        request_record, broadcast_record, received_per_host = self.broadcast(
+            dim, plan, changed_per_master, accessed_next, canonical, land,
+            request_phase=f"request:{field.name}",
+            broadcast_phase=f"broadcast:{field.name}",
+        )
         return ReplicatedSyncResult(
             field=field.name,
             changed_per_master=changed_per_master,
@@ -323,44 +314,112 @@ class GluonSynchronizer:
             received_per_host=received_per_host,
         )
 
+    def broadcast(
+        self,
+        dim: int,
+        plan: CommPlan,
+        changed_per_master: Sequence[np.ndarray],
+        accessed: Sequence[np.ndarray] | None,
+        canonical: Sequence[np.ndarray],
+        land: Callable[[int, np.ndarray, np.ndarray], None],
+        request_phase: str,
+        broadcast_phase: str,
+    ) -> tuple[PhaseRecord | None, PhaseRecord, list[np.ndarray]]:
+        """The kernel's second half: (pull-request) → broadcast.
+
+        Under an access-set plan every host first routes the ids it wants
+        (``accessed[h]``) to their owning masters; then each master ships
+        the rows ``plan`` selects — out of ``changed_per_master[m]`` and the
+        requests — from ``canonical[m]``, and receivers ``land`` them.
+        Returns the request record (``None`` without access sets), the
+        broadcast record, and per host the global ids that landed.
+        """
+        H = self.num_hosts
+        # wanted[h][m]: the rows of master m's block host h asked for.
+        wanted: list[list[np.ndarray]] | None = None
+        request_record: PhaseRecord | None = None
+        if plan.requires_access_sets:
+            wanted = []
+            with self.network.phase(request_phase) as request_record:
+                for h in range(H):
+                    acc = np.asarray(accessed[h], dtype=np.int64)  # type: ignore[index]
+                    owner = np.searchsorted(self.bounds, acc, side="right") - 1
+                    wanted.append([acc[owner == m] for m in range(H)])
+                    for m in range(H):
+                        if m == h:
+                            continue
+                        wire = plan.request_wire_bytes(len(wanted[h][m]))
+                        if wire > 0:
+                            self.network.send(h, m, wire, payload=wanted[h][m])
+                # Masters consume the requests (content == ``wanted``, which
+                # the broadcast below reads directly; drain keeps inboxes
+                # and the data/accounting paths consistent).
+                for m in range(H):
+                    self.network.drain(m)
+
+        with self.network.phase(broadcast_phase) as broadcast_record:
+            for m in range(H):
+                block = int(self.bounds[m + 1] - self.bounds[m])
+                for h in range(H):
+                    if h == m:
+                        continue
+                    ids, wire = plan.broadcast_selection(
+                        changed_per_master[m],
+                        block,
+                        None if wanted is None else wanted[h][m],
+                        dim,
+                    )
+                    if wire > 0:
+                        self.network.send(
+                            m, h, wire, payload=(ids, canonical[m][ids].copy())
+                        )
+            received_per_host: list[np.ndarray] = []
+            for h in range(H):
+                got: list[np.ndarray] = []
+                for _src, (ids, vals) in self.network.drain(h):
+                    if len(ids):
+                        land(h, ids, vals)
+                        got.append(ids)
+                received_per_host.append(
+                    np.unique(np.concatenate(got)) if got else np.empty(0, np.int64)
+                )
+        return request_record, broadcast_record, received_per_host
+
     # ------------------------------------------------------------------
     # Crash recovery (fault injection)
     # ------------------------------------------------------------------
-    def restore_host(self, field: FieldSync, host: int, phase: str = "recovery") -> int:
+    def restore_host(
+        self, field: FieldSync, host: int, canonical: Sequence[np.ndarray]
+    ) -> int:
         """Rebuild ``host``'s replica of ``field`` after a fail-stop crash.
 
-        Every surviving master streams its full canonical block to the
-        recovering host.  Masters read from their delta *bases*, which hold
-        the canonical values of the last completed round (bases of master
-        rows are only rewritten by the post-sync repair), so the transfer is
-        correct even while survivors are mid-round.  Blocks are contiguous,
-        so ids stay implicit on the wire.  The recovering host's own master
-        block is not touched — the caller restores it from the round
-        checkpoint (stable storage), which is the only surviving copy.
+        Every surviving master ``m`` streams its full block of
+        ``canonical[m]`` — the same canonical view :meth:`fold` takes, so
+        the values are those of the last completed fold even while
+        survivors are mid-round — to the recovering host.  Blocks are
+        contiguous, so ids stay implicit on the wire.  The recovering
+        host's own master block is not touched — the caller restores it
+        from stable storage, which is the only surviving copy.
 
-        Returns the wire bytes charged to the ``{phase}:{field}`` records.
+        Returns the wire bytes charged to the ``recovery:{field}`` record.
         """
         if not 0 <= host < self.num_hosts:
             raise ValueError(f"host {host} out of range [0, {self.num_hosts})")
-        dim = field.dim
-        with self.network.phase(f"{phase}:{field.name}") as record:
+        with self.network.phase(f"{RECOVERY_PHASE}:{field.name}") as record:
             for m in range(self.num_hosts):
                 if m == host:
                     continue
                 lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
-                rows = hi - lo
-                if rows == 0:
+                if hi == lo:
                     continue
-                wire = rows * dim * VALUE_BYTES
                 self.network.send(
                     m,
                     host,
-                    wire,
-                    payload=(np.arange(lo, hi, dtype=np.int64), field.bases[m][lo:hi].copy()),
+                    (hi - lo) * field.dim * VALUE_BYTES,
+                    payload=(np.arange(lo, hi, dtype=np.int64), canonical[m][lo:hi].copy()),
                 )
             for _src, (ids, vals) in self.network.drain(host):
-                field.arrays[host][ids] = vals
-                field.bases[host][ids] = vals
+                field.land(host, ids, vals)
         if self.checker is not None:
             self.checker.after_restore(field, host)
         return record.total_bytes

@@ -679,95 +679,108 @@ class GraphWord2Vec:
         updated_emb: list[BitVector],
         updated_out: list[BitVector],
     ) -> int:
-        """Fail-stop recovery for round ``(epoch, s)``; returns pairs replayed.
-
-        Per crashed host: (1) the barrier times out and declares it dead;
-        (2) its replacement restores its own master block from the round
-        checkpoint (stable storage) and every surviving master's block over
-        the network; (3) the lost worklist chunk is replayed on the restored
-        replica.  Replicas hold canonical values at round boundaries under
-        every plan and work generation is a pure function of the seed tree,
-        so the replayed updates are bit-identical to the lost ones.  The
-        modeled recovery time redistributes the replay across the surviving
-        hosts (values come from the sequential execution, wall-clock from
-        the concurrency model, as everywhere in this simulation).
-        """
-        assert self._round_checkpoint is not None and self.fault_report is not None
-        config = self.fault_schedule.config
-        report = self.fault_report
+        """BSP fail-stop recovery for round ``(epoch, s)``; returns pairs
+        replayed.  The round checkpoint is the canonical state: replicas
+        hold canonical values at round boundaries under every plan, so the
+        replayed updates are bit-identical to the lost ones."""
+        assert self._round_checkpoint is not None
         ckpt = self._round_checkpoint
-        emb_field = self._fields["embedding"]
-        out_field = self._fields["training"]
-        crashed = {ev.host for ev in crashes}
-        survivors = [h for h in range(self.num_hosts) if h not in crashed]
+        canonical = {"embedding": ckpt.embedding, "training": ckpt.training}
         pairs_replayed = 0
-
         for ev in crashes:
-            h = ev.host
-            report.crashes += 1
-            report.detect_s += config.detect_timeout_s
-
-            # (2a) own master block from the checkpoint — the only copy
-            # that survives the crash.
-            storage_bytes = 0
-            for field_obj, ckpt_arr, bounds in (
-                (emb_field, ckpt.embedding, self.bounds),
-                (out_field, ckpt.training, self.bounds_out),
-            ):
-                lo, hi = int(bounds[h]), int(bounds[h + 1])
-                field_obj.arrays[h][lo:hi] = ckpt_arr[lo:hi]
-                field_obj.bases[h][lo:hi] = ckpt_arr[lo:hi]
-                storage_bytes += (hi - lo) * field_obj.dim * VALUE_BYTES
-            report.checkpoint_restore_bytes += storage_bytes
-            storage_s = storage_bytes / config.restore_bandwidth_Bps
-
-            # (2b) surviving masters stream their canonical blocks (the
-            # recovery phases are priced into recovery time, not regular
-            # communication, by the report builder).
-            net_bytes = self._sync_emb.restore_host(emb_field, h)
-            net_bytes += self._sync_out.restore_host(out_field, h)
-            report.recovery_bytes += net_bytes
-
-            # (3) replay the lost chunk on the restored canonical replica
-            # (thread_time, like the compute phase: recovery cost must not
-            # depend on what else shares the simulator's cores).
-            work = self._pop_work(epoch, s, h)
-            start = time.thread_time()
-            _loss, pairs = work.apply(
-                emb_field.arrays[h],
-                out_field.arrays[h],
-                lr,
-                self.params.batch_pairs,
-                compute_loss=self.compute_loss,
+            work, pairs, lost_s, recovery_s = self._recover_host(
+                epoch, s, ev, lr, canonical
             )
-            replay_measured = time.thread_time() - start
             pairs_replayed += pairs
             if work.embedding_access.size:
-                updated_emb[h].set_many(work.embedding_access)
+                updated_emb[ev.host].set_many(work.embedding_access)
             if work.output_access.size:
-                updated_out[h].set_many(work.output_access)
-
-            # Timing: the doomed attempt burned part of the round's compute
-            # on the dead host; the replay is redistributed across the
-            # survivors (or runs on the restarted host when there are none).
-            own_factor = self._time_factor(epoch, s, h)
-            self.metrics.record_compute(
-                h, ev.loss_fraction * replay_measured * own_factor
-            )
-            if survivors:
-                replay_s = (
-                    replay_measured
-                    * max(self._time_factor(epoch, s, sv) for sv in survivors)
-                    / len(survivors)
-                )
-            else:
-                replay_s = replay_measured * own_factor
-            report.replay_s += replay_s
-            report.restore_s += storage_s
-            self.metrics.record_recovery(
-                h, config.detect_timeout_s + storage_s + replay_s
-            )
+                updated_out[ev.host].set_many(work.output_access)
+            self.metrics.record_compute(ev.host, lost_s)
+            self.metrics.record_recovery(ev.host, recovery_s)
         return pairs_replayed
+
+    def _recover_host(
+        self,
+        epoch: int,
+        s: int,
+        crash,
+        lr: float,
+        canonical: dict[str, np.ndarray],
+    ) -> tuple[RoundWork, int, float, float]:
+        """Fail-stop recovery of one crashed host, shared by both engines.
+
+        (1) The barrier times out and declares the host dead; (2) its
+        replacement restores its own master block from stable storage and
+        every surviving master's block over the network; (3) the lost
+        worklist chunk is replayed on the restored replica (work generation
+        is a pure function of the seed tree, so the replay redoes exactly
+        the lost updates).  ``canonical[field]`` holds the canonical rows
+        both restores read — the only thing the engines differ in: BSP
+        passes its round checkpoint, SSP its canonical store.
+
+        Returns ``(work, pairs, lost_compute_s, recovery_s)``: the replayed
+        work, the modeled compute the doomed attempt burned on the dead
+        host, and the modeled detect + restore + replay stall.  The replay
+        is redistributed across the survivors (values come from the
+        sequential execution, wall-clock from the concurrency model, as
+        everywhere in this simulation).
+        """
+        assert self.fault_schedule is not None and self.fault_report is not None
+        config = self.fault_schedule.config
+        report = self.fault_report
+        h = crash.host
+        report.crashes += 1
+        report.detect_s += config.detect_timeout_s
+
+        # (2) own block from stable storage — the only copy that survives
+        # the crash — then the survivors' blocks (the recovery phases are
+        # priced into recovery time, not regular communication, by the
+        # report builder).
+        storage_bytes = net_bytes = 0
+        for name, sync in (("embedding", self._sync_emb), ("training", self._sync_out)):
+            field_obj = self._fields[name]
+            canon = canonical[name]
+            block = master_block_slice(sync.bounds, h)
+            field_obj.land(h, block, canon[block])
+            storage_bytes += (block.stop - block.start) * field_obj.dim * VALUE_BYTES
+            net_bytes += sync.restore_host(field_obj, h, [canon] * self.num_hosts)
+        report.checkpoint_restore_bytes += storage_bytes
+        report.recovery_bytes += net_bytes
+        storage_s = storage_bytes / config.restore_bandwidth_Bps
+
+        # (3) replay (thread_time, like the compute phase: recovery cost
+        # must not depend on what else shares the simulator's cores).
+        work = self._pop_work(epoch, s, h)
+        start = time.thread_time()
+        _loss, pairs = work.apply(
+            self._fields["embedding"].arrays[h],
+            self._fields["training"].arrays[h],
+            lr,
+            self.params.batch_pairs,
+            compute_loss=self.compute_loss,
+        )
+        replay_measured = time.thread_time() - start
+
+        own_factor = self._time_factor(epoch, s, h)
+        crashed = {ev.host for ev in self.fault_schedule.crashes_at(epoch, s)}
+        survivors = [sv for sv in range(self.num_hosts) if sv not in crashed]
+        if survivors:
+            replay_s = (
+                replay_measured
+                * max(self._time_factor(epoch, s, sv) for sv in survivors)
+                / len(survivors)
+            )
+        else:
+            replay_s = replay_measured * own_factor
+        report.replay_s += replay_s
+        report.restore_s += storage_s
+        return (
+            work,
+            pairs,
+            crash.loss_fraction * replay_measured * own_factor,
+            config.detect_timeout_s + storage_s + replay_s,
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing

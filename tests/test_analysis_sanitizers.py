@@ -270,7 +270,7 @@ class TestGluonSyncChecker:
         checker = GluonSyncChecker()
         sync, field = make_sync(checker=checker)
         checker._stale[("f", 1)] = np.array([3], dtype=np.int64)
-        sync.restore_host(field, 1)
+        sync.restore_host(field, 1, field.bases)
         assert checker._stale[("f", 1)].size == 0
         checker._stale[("f", 0)] = np.array([5], dtype=np.int64)
         checker.reset_state()

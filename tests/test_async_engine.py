@@ -27,6 +27,7 @@ from repro.dgraph.engine import (
     compensate_delta,
     resolve_training_engine,
 )
+from repro.gluon.sync import GluonSynchronizer
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.params import Word2VecParams
@@ -206,6 +207,46 @@ def test_ssp_zero_is_bitwise_bsp(plan, fault_key, workers):
         plan=plan, fault_key=fault_key, workers=workers, engine="async", staleness=0
     ).train()
     assert fingerprint(ssp) == bsp_fingerprint(plan, fault_key)
+
+
+# ----------------------------------------------------------------------
+# One fold kernel under both engines
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("plan", ["opt", "pull"])
+@pytest.mark.parametrize(
+    "engine_kw",
+    [
+        {"engine": "bsp"},
+        {"engine": "async", "staleness": 0},
+        {"engine": "async", "staleness": 2},
+    ],
+    ids=["bsp", "ssp0", "ssp2"],
+)
+def test_every_fold_goes_through_the_one_kernel(monkeypatch, plan, engine_kw):
+    spans = []  # per kernel call: the phase-record index range it emitted
+    kernel = GluonSynchronizer.fold
+
+    def counted(self, *args, **kwargs):
+        lo = len(self.network.phase_records)
+        result = kernel(self, *args, **kwargs)
+        spans.append(range(lo, len(self.network.phase_records)))
+        return result
+
+    monkeypatch.setattr(GluonSynchronizer, "fold", counted)
+    trainer = make(plan=plan, **engine_kw)
+    trainer.train()
+
+    # One kernel call per field per fold ...
+    assert len(spans) == 2 * trainer.sync_rounds * PARAMS.epochs
+    # ... and no reduce/broadcast phase anywhere else.
+    inside = {i for span in spans for i in span}
+    kinds = [r.name.split(":")[0] for r in trainer.network.phase_records]
+    assert {kinds.count("reduce"), kinds.count("broadcast")} == {len(spans)}
+    assert [
+        kind
+        for i, kind in enumerate(kinds)
+        if i not in inside and kind in ("reduce", "request", "broadcast")
+    ] == []
 
 
 # ----------------------------------------------------------------------

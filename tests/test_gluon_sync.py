@@ -146,6 +146,21 @@ class TestReplicatedSync:
         # Host 1 does not access node 0 next round: replica stays stale.
         assert np.allclose(field.arrays[1][0], stale_before)
 
+    def test_short_accessed_next_is_rejected_up_front(self):
+        _, net, sync, field = make_replicated(V=8, D=2, H=3)
+        field.arrays[0][6] += 3.0
+        upd = [BitVector(8) for _ in range(3)]
+        upd[0].set(6)
+        before = [a.copy() for a in field.arrays]
+        with pytest.raises(ValueError, match="accessed_next"):
+            sync.sync_replicated(
+                field, upd, get_combiner("mc"), get_plan("pull"),
+                accessed_next=[np.array([6]), np.empty(0, dtype=np.int64)],
+            )
+        # Rejected before any phase ran: no traffic, replicas untouched.
+        assert net.phase_records == [] and net.total_bytes == 0
+        assert all(np.array_equal(a, b) for a, b in zip(field.arrays, before))
+
     def test_wrong_updated_count(self):
         _, _, sync, field = make_replicated()
         with pytest.raises(ValueError, match="bit-vectors"):
