@@ -23,9 +23,9 @@ fields are modeled from measured per-step compute and carry measurement
 noise, which the 0.8 gate leaves margin for (uninterrupted ratio ~0.68).
 """
 
-import json
 from pathlib import Path
 
+from repro.bench import merge_bench_row
 from repro.cluster.faults import FaultConfig
 from repro.eval.analogy import evaluate_analogies
 from repro.experiments import datasets, harness
@@ -48,14 +48,6 @@ STRAGGLER = FaultConfig(straggler_prob=0.4, straggler_factor=(4.0, 6.0))
 HEADLINE_MAX_SPEED_RATIO = 0.8
 #: ... at no more than this much final analogy accuracy given up.
 HEADLINE_ACCURACY_TOLERANCE = 0.05
-
-
-def _merge_into_bench_json(key, row):
-    payload = {}
-    if OUT_PATH.exists():
-        payload = json.loads(OUT_PATH.read_text())
-    payload[key] = row
-    OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _curve(corpus, questions, params, *, staleness=None, faults=None):
@@ -152,8 +144,8 @@ def test_async_convergence_vs_wallclock(once):
         "max_speed_ratio": HEADLINE_MAX_SPEED_RATIO,
         "accuracy_tolerance": HEADLINE_ACCURACY_TOLERANCE,
     }
-    _merge_into_bench_json(
-        "train:async-convergence", {"headline": headline, "curves": curves}
+    merge_bench_row(
+        OUT_PATH, "train:async-convergence", {"headline": headline, "curves": curves}
     )
     print(
         f"  headline (uninterrupted, stragglers): SSP(s=2) "

@@ -1,6 +1,6 @@
 """The recall-vs-QPS frontier: IVF / int8 / PQ against brute force.
 
-Runs :func:`repro.serve.loadgen.sweep_frontier` at serving scale
+Runs :func:`repro.serve.frontier.sweep_frontier` at serving scale
 (vocab 10^5) and at the small CI smoke configuration, records both into
 ``BENCH_serve.json`` (keys ``frontier`` and ``frontier_smoke``, next to
 the latency rows), and asserts the headline claim of the ANN work: at
@@ -13,10 +13,10 @@ via ``python -m repro serve-bench --frontier --check-floors`` and fails
 if any point regresses below its recorded floor.
 """
 
-import json
 from pathlib import Path
 
-from repro.serve.loadgen import FrontierConfig, check_frontier_floors, sweep_frontier
+from repro.bench import merge_bench_row
+from repro.serve.frontier import FrontierConfig, check_frontier_floors, sweep_frontier
 
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
@@ -39,14 +39,6 @@ FULL_CONFIG = FrontierConfig(
 SMOKE_CONFIG = FrontierConfig()
 
 
-def _merge_into_bench_json(key, payload):
-    merged = {}
-    if OUT_PATH.exists():
-        merged = json.loads(OUT_PATH.read_text())
-    merged[key] = payload
-    OUT_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 def _print_points(payload):
     for point in payload["points"]:
         print(
@@ -58,7 +50,7 @@ def _print_points(payload):
 
 def test_frontier_full_scale(once):
     payload = once(sweep_frontier, FULL_CONFIG)
-    _merge_into_bench_json("frontier", payload)
+    merge_bench_row(OUT_PATH, "frontier", payload)
     print(f"\nfrontier (vocab={FULL_CONFIG.vocab_size}):")
     _print_points(payload)
 
@@ -84,7 +76,7 @@ def test_frontier_full_scale(once):
 
 def test_frontier_smoke_records_floors(once):
     payload = once(sweep_frontier, SMOKE_CONFIG)
-    _merge_into_bench_json("frontier_smoke", payload)
+    merge_bench_row(OUT_PATH, "frontier_smoke", payload)
     print(f"\nfrontier smoke (vocab={SMOKE_CONFIG.vocab_size}):")
     _print_points(payload)
     # The payload must hold its own floors (so a fresh identical run will

@@ -7,15 +7,15 @@ at the repo root, and asserts the batched top-k parity contract (batched
 search is bit-identical to one-query-at-a-time search).
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.bench import merge_bench_row
 from repro.serve.engine import QueryEngine
 from repro.serve.index import ExactIndex, LSHIndex, recall_at_k
-from repro.serve.loadgen import LoadConfig, run_load
+from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, run_load
 from repro.serve.store import EmbeddingStore
 from repro.util.rng import keyed_rng
 
@@ -34,45 +34,36 @@ def store():
 def _bench_index(store, label, index, once):
     config = LoadConfig(num_queries=NUM_QUERIES, k=K, seed=11)
     engine = QueryEngine(index, max_batch=64, cache_size=512)
-    report = once(run_load, engine, config, index_label=label)
-    latency = report.latency_percentiles_ms()
+    recorded = once(run_load, engine, config, index_label=label).bench_row()
     return {
         "index": label,
         "vocab_size": V,
         "dim": D,
         "num_queries": NUM_QUERIES,
         "k": K,
-        "throughput_qps": report.throughput_qps,
-        "latency_ms": latency,
-        "cache_hit_rate": report.cache_hit_rate,
-        "answers_sha256": report.answers_sha256,
+        **{
+            key: recorded[key]
+            for key in ("throughput_qps", "latency_ms", "cache_hit_rate", "answers_sha256")
+        },
     }
-
-
-def _merge_into_bench_json(row):
-    payload = {}
-    if OUT_PATH.exists():
-        payload = json.loads(OUT_PATH.read_text())
-    payload[row["index"]] = row
-    OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_serve_exact_latency(store, once):
     row = _bench_index(store, "exact", ExactIndex(store), once)
-    _merge_into_bench_json(row)
-    print(f"\nexact: {row['throughput_qps']:,.0f} qps, p99 {row['latency_ms']['p99']:.3f} ms")
+    merge_bench_row(OUT_PATH, "exact", row)
+    print(f"\nexact: {row['throughput_qps']:,.0f} qps, p99 {row['latency_ms']['p99_ms']:.3f} ms")
 
 
 def test_serve_lsh_latency(store, once):
     lsh = LSHIndex(store, seed=11)
-    sample = store.matrix[keyed_rng(11, 0x524340).choice(V, 128)]
+    sample = store.matrix[keyed_rng(11, RECALL_DOMAIN).choice(V, 128)]
     recall = recall_at_k(lsh, ExactIndex(store), sample, k=K)
     row = _bench_index(store, "lsh", lsh, once)
     row["recall_at_k"] = recall
-    _merge_into_bench_json(row)
+    merge_bench_row(OUT_PATH, "lsh", row)
     print(
         f"\nlsh: {row['throughput_qps']:,.0f} qps, "
-        f"p99 {row['latency_ms']['p99']:.3f} ms, recall@{K} {recall:.3f}"
+        f"p99 {row['latency_ms']['p99_ms']:.3f} ms, recall@{K} {recall:.3f}"
     )
 
 

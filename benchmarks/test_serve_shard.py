@@ -9,13 +9,12 @@ scatter-gather overhead stays within an order of magnitude of the exact
 pass (QPS floor at 0.2x).
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
-
 import pytest
 
+from repro.bench import merge_bench_row
 from repro.serve.engine import QueryEngine
 from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.shard import ShardedEngine, ShardedIndex
@@ -33,14 +32,6 @@ SHARDS, REPLICAS = 4, 2
 def store():
     matrix = keyed_rng(3, 0x42454E43).normal(size=(V, D)).astype(np.float32)
     return EmbeddingStore(matrix, [f"tok{i:05d}" for i in range(V)])
-
-
-def _merge_into_bench_json(row):
-    payload = {}
-    if OUT_PATH.exists():
-        payload = json.loads(OUT_PATH.read_text())
-    payload[row["index"]] = row
-    OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def test_serve_sharded_latency(store, once):
@@ -63,7 +54,9 @@ def test_serve_sharded_latency(store, once):
     assert report.cache_hits == ref_report.cache_hits
     assert report.batch_sizes == ref_report.batch_sizes
 
-    latency = report.latency_percentiles_ms()
+    recorded = report.bench_row()
+    qps = recorded["throughput_qps"]
+    ref_qps = ref_report.bench_row()["throughput_qps"]
     row = {
         "index": label,
         "vocab_size": V,
@@ -74,20 +67,19 @@ def test_serve_sharded_latency(store, once):
         "replicas": REPLICAS,
         "block_rows": index.plan.block_rows,
         "recall_at_k": 1.0,
-        "throughput_qps": report.throughput_qps,
-        "exact_throughput_qps": ref_report.throughput_qps,
-        "latency_ms": latency,
+        "throughput_qps": qps,
+        "exact_throughput_qps": ref_qps,
+        "latency_ms": recorded["latency_ms"],
         "cache_hit_rate": report.cache_hit_rate,
         "answers_sha256": report.answers_sha256,
         "replica_load": report.extras.get("replica_load"),
     }
-    _merge_into_bench_json(row)
+    merge_bench_row(OUT_PATH, label, row)
     print(
-        f"\n{label}: {report.throughput_qps:,.0f} qps "
-        f"(exact-grid {ref_report.throughput_qps:,.0f}), "
-        f"p99 {latency['p99']:.3f} ms"
+        f"\n{label}: {qps:,.0f} qps (exact-grid {ref_qps:,.0f}), "
+        f"p99 {recorded['latency_ms']['p99_ms']:.3f} ms"
     )
     # Scatter-gather overhead floor: the sharded tier serves the same V
     # rows through S sub-searches + a merge; anything below 0.2x the
     # single-host pass means the fan-out cost regressed structurally.
-    assert report.throughput_qps >= 0.2 * ref_report.throughput_qps
+    assert qps >= 0.2 * ref_qps

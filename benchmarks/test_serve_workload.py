@@ -9,9 +9,9 @@ composition, cache accounting, answer/stream hashes) is bit-identical
 between ``workers=1`` and ``workers=4``.
 """
 
-import json
 from pathlib import Path
 
+from repro.bench import merge_bench_row
 from repro.serve.workload import WorkloadSpec, run_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -19,18 +19,10 @@ OUT_PATH = REPO_ROOT / "BENCH_serve.json"
 SPEC_PATH = REPO_ROOT / "benchmarks" / "workloads" / "smoke.json"
 
 
-def _merge_into_bench_json(key, row):
-    payload = {}
-    if OUT_PATH.exists():
-        payload = json.loads(OUT_PATH.read_text())
-    payload[key] = row
-    OUT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def test_workload_smoke_slo_gate(once):
     spec = WorkloadSpec.from_file(SPEC_PATH)
     report = once(run_workload, spec, workers=1)
-    _merge_into_bench_json(f"workload:{spec.name}", report.bench_row())
+    merge_bench_row(OUT_PATH, f"workload:{spec.name}", report.bench_row())
     print(f"\n{report.summary()}")
     for verdict in report.verdicts:
         print(verdict.summary())

@@ -4,7 +4,7 @@
 Trains a small model, freezes it into an :class:`EmbeddingStore`, round-trips
 the store through the on-disk format, compares the exact and LSH indexes on
 recall and latency, then drives the batched ``QueryEngine`` with the
-deterministic load generator and prints the ``ServeReport``.
+deterministic load generator and prints the run reports.
 
 Run:  python examples/serve_embeddings.py
 """
@@ -21,11 +21,11 @@ from repro.serve import (
     LSHIndex,
     LoadConfig,
     QueryEngine,
+    format_reports,
     recall_at_k,
     run_load,
 )
 from repro.util.rng import keyed_rng
-from repro.util.tables import format_table
 from repro.w2v.shared_memory import SharedMemoryWord2Vec
 
 
@@ -60,18 +60,11 @@ def main() -> None:
     print(f"LSH(bits={lsh.bits}, tables={lsh.tables}) recall@10 = {recall:.3f}")
 
     config = LoadConfig(num_queries=384, k=10, seed=11)
-    rows = []
     reports = {}
     for label, index in (("exact", exact), ("lsh", lsh)):
         engine = QueryEngine(index, max_batch=32, cache_size=128)
-        report = run_load(engine, config, index_label=label)
-        reports[label] = report
-        latency = report.latency_percentiles_ms()
-        rows.append(
-            [label, f"{report.throughput_qps:,.0f}", latency["p50"],
-             latency["p99"], f"{report.cache_hit_rate:.1%}"]
-        )
-    print(format_table(["index", "qps", "p50 ms", "p99 ms", "cache"], rows))
+        reports[label] = run_load(engine, config, index_label=label)
+    print(format_reports(list(reports.values())))
 
     # 4. The modeled half of a report is a pure function of the seed:
     #    run the same load again on a fresh engine with a different

@@ -37,7 +37,7 @@ from repro.serve import (
     LSHIndex,
     LoadConfig,
     QueryEngine,
-    ServeReport,
+    WorkloadReport,
     run_load,
 )
 from repro.text import (
@@ -84,7 +84,7 @@ __all__ = [
     "LSHIndex",
     "QueryEngine",
     "LoadConfig",
-    "ServeReport",
+    "WorkloadReport",
     "run_load",
     "__version__",
 ]

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lsh-tables", type=int, default=6)
     serve.add_argument("--lsh-probes", type=int, default=24)
     serve.add_argument("--json", type=Path, metavar="FILE",
-                       help="write the ServeReports (or frontier payload) as JSON")
+                       help="write the run reports (or frontier payload) as JSON")
     serve.add_argument("--trace", type=Path, metavar="FILE",
                        help="write Chrome-trace events (chrome://tracing)")
     frontier = serve.add_argument_group(
@@ -482,13 +482,36 @@ def _cmd_serve_frontier(args) -> int:
     return 0
 
 
-def _cmd_serve_workload(args) -> int:
-    import dataclasses
+def _emit_reports(args, reports, title: str, **header) -> None:
+    """Print the table and summaries of ``reports``; write --json/--trace
+    (``header`` entries lead the JSON payload)."""
     import json
 
+    from repro.serve import format_reports
+
+    print(format_reports(reports, title=title))
+    for report in reports:
+        print(report.summary())
+    if args.json is not None:
+        payload = {**header, "reports": [report.as_dict() for report in reports]}
+        args.json.write_text(json.dumps(payload, indent=2))
+        print(f"reports written to {args.json}")
+    if args.trace is not None:
+        events = [
+            event
+            for tid, report in enumerate(reports)
+            for event in report.chrome_trace_events(tid)
+        ]
+        args.trace.write_text(json.dumps({"traceEvents": events}))
+        print(f"trace written to {args.trace}")
+
+
+def _cmd_serve_workload(args) -> int:
+    import dataclasses
+
+    from repro.bench import merge_bench_row
     from repro.serve import WorkloadSpec, run_workload
     from repro.serve.workload.slo import format_verdicts
-    from repro.util.tables import format_table
 
     try:
         spec = WorkloadSpec.from_file(args.workload)
@@ -506,53 +529,20 @@ def _cmd_serve_workload(args) -> int:
         print(f"error: cannot run workload {spec.name}: {exc}", file=sys.stderr)
         return 2
 
-    rows = []
-    for name in report.tenant_names:
-        tenant = report.tenant_measured[name]
-        rows.append([
-            name,
-            tenant["qos"],
-            report.tenant_counts[name],
-            tenant["queries"],
-            float(tenant["qps"]),
-            tenant["p50_ms"],
-            tenant["p99_ms"],
-        ])
-    aggregate = report.aggregate_measured
-    rows.append([
-        "aggregate", "-", report.num_queries, aggregate["queries"],
-        float(aggregate["qps"]), aggregate["p50_ms"], aggregate["p99_ms"],
-    ])
-    print(
-        format_table(
-            ["tenant", "qos", "queries", "measured", "qps", "p50 ms", "p99 ms"],
-            rows,
-            title=(
-                f"serve-bench workload · {spec.name} · backend {spec.backend} "
-                f"({spec.mode} loop) · seed {spec.seed}"
-            ),
-        )
+    _emit_reports(
+        args,
+        [report],
+        title=(
+            f"serve-bench workload · {spec.name} · backend {spec.backend} "
+            f"({spec.mode} loop) · seed {spec.seed}"
+        ),
     )
-    print(report.summary())
     if report.verdicts:
         print(format_verdicts(report.verdicts))
     else:
         print("no SLO rules in spec — nothing to gate on")
-
-    payload = {}
-    if args.bench_json.exists():
-        payload = json.loads(args.bench_json.read_text())
-    payload[f"workload:{spec.name}"] = report.bench_row()
-    args.bench_json.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    merge_bench_row(args.bench_json, f"workload:{spec.name}", report.bench_row())
     print(f"workload row merged into {args.bench_json}")
-    if args.json is not None:
-        args.json.write_text(report.to_json())
-        print(f"report written to {args.json}")
-    if args.trace is not None:
-        args.trace.write_text(report.trace_json())
-        print(f"trace written to {args.trace}")
     if not report.slo_pass:
         failed = sum(1 for verdict in report.verdicts if not verdict.passed)
         print(f"error: {failed} SLO verdict(s) failed", file=sys.stderr)
@@ -561,8 +551,6 @@ def _cmd_serve_workload(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    import json
-
     if args.workload is not None:
         return _cmd_serve_workload(args)
     if args.frontier:
@@ -574,6 +562,7 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.experiments import datasets
     from repro.serve import (
+        RECALL_DOMAIN,
         EmbeddingStore,
         ExactIndex,
         LSHIndex,
@@ -583,7 +572,6 @@ def _cmd_serve_bench(args) -> int:
         run_load,
     )
     from repro.util.rng import keyed_rng
-    from repro.util.tables import format_table
     from repro.w2v.model import Word2VecModel
 
     corpus, _ = datasets.load(args.dataset)
@@ -609,7 +597,7 @@ def _cmd_serve_bench(args) -> int:
     lsh = LSHIndex(
         store, tables=args.lsh_tables, probes=args.lsh_probes, seed=args.seed
     )
-    sample_rng = keyed_rng(args.seed, 0x524340)  # recall-sample stream
+    sample_rng = keyed_rng(args.seed, RECALL_DOMAIN)
     sample = store.matrix[sample_rng.choice(len(store), min(128, len(store)))]
     recall = recall_at_k(lsh, exact, sample, k=args.k)
     print(
@@ -669,47 +657,17 @@ def _cmd_serve_bench(args) -> int:
             f"replicas bit-match the single-host reference "
             f"(sha256 {sharded_report.answers_sha256[:16]}…)"
         )
-        reports.append(sharded_report)
+        reports += [sharded_report, reference_report]
 
-    rows = []
-    for report in reports:
-        latency = report.latency_percentiles_ms()
-        rows.append(
-            [
-                report.index_label,
-                report.num_queries,
-                float(report.throughput_qps),
-                latency["p50"],
-                latency["p95"],
-                latency["p99"],
-                f"{report.cache_hit_rate:.1%}",
-            ]
-        )
-    print(
-        format_table(
-            ["index", "queries", "qps", "p50 ms", "p95 ms", "p99 ms", "cache hits"],
-            rows,
-            title=f"serve-bench · {args.dataset} · seed {args.seed}",
-        )
+    _emit_reports(
+        args,
+        reports,
+        title=f"serve-bench · {args.dataset} · seed {args.seed}",
+        dataset=args.dataset,
+        recall_at_k=recall,
+        shards=args.shards,
+        replicas=args.replicas,
     )
-    for report in reports:
-        print(report.summary())
-    if args.json is not None:
-        payload = {
-            "dataset": args.dataset,
-            "recall_at_k": recall,
-            "shards": args.shards,
-            "replicas": args.replicas,
-            "reports": [r.as_dict() for r in reports],
-        }
-        args.json.write_text(json.dumps(payload, indent=2))
-        print(f"reports written to {args.json}")
-    if args.trace is not None:
-        events = [
-            e for tid, r in enumerate(reports) for e in r.chrome_trace_events(tid)
-        ]
-        args.trace.write_text(json.dumps({"traceEvents": events}))
-        print(f"trace written to {args.trace}")
     return 0
 
 

@@ -27,19 +27,20 @@ serves nearest-neighbor queries over it at scale:
   :class:`ExactIndex`, with load-aware replica routing, fault-schedule
   driven failover, and hot-swappable store generations carrying sha256
   answer fingerprints (:class:`ShardedEngine`),
-- :mod:`repro.serve.loadgen` — a seed-deterministic load generator
-  (Zipf query mix, fixed arrival schedule) emitting a
-  :class:`ServeReport` (throughput, latency percentiles, cache hit rate)
-  as JSON and Chrome-trace events, plus the recall-vs-QPS frontier sweep
+- :mod:`repro.serve.workload` — the one load harness: backend plugins
+  over the one ``search(queries, k)`` surface, seeded arrival processes
+  (Poisson, diurnal, bursts, staged ramps), open- and closed-loop load,
+  per-tenant Zipf/vocab/QoS mixes, warm-up vs measurement windows, and
+  SLO rules whose pass/fail verdicts land in ``BENCH_serve.json`` and
+  gate CI (:class:`WorkloadSpec`, :func:`run_workload`); every run
+  yields one :class:`WorkloadReport` (modeled core, measured
+  throughput/percentiles, JSON and Chrome-trace export),
+- :mod:`repro.serve.loadgen` — :func:`run_load`, the classic
+  single-stream run (Zipf query mix, Poisson arrivals) spelled as a
+  single-tenant :class:`WorkloadSpec` over a caller-built engine,
+- :mod:`repro.serve.frontier` — the recall-vs-QPS frontier sweep
   (:class:`FrontierConfig`, :func:`sweep_frontier`) CI uses to hold the
-  ANN indexes to recorded recall floors,
-- :mod:`repro.serve.workload` — the multi-tenant workload harness:
-  backend plugins over the one ``search(queries, k)`` surface, seeded
-  arrival processes (Poisson, diurnal, bursts, staged ramps), open- and
-  closed-loop load, per-tenant Zipf/vocab/QoS mixes, warm-up vs
-  measurement windows, and SLO rules whose pass/fail verdicts land in
-  ``BENCH_serve.json`` and gate CI
-  (:class:`WorkloadSpec`, :func:`run_workload`).
+  ANN indexes to recorded recall floors.
 
 Everything modeled (query answers, batch composition, cache accounting)
 is a pure function of the seed; only measured wall-clock fields
@@ -49,16 +50,13 @@ is a pure function of the seed; only measured wall-clock fields
 from repro.serve.engine import CacheStats, EngineStats, LRUCache, QueryEngine
 from repro.serve.index import ExactIndex, Index, LSHIndex, recall_at_k
 from repro.serve.ivf import IVFIndex, default_nlist, kmeans
-from repro.serve.loadgen import (
+from repro.serve.frontier import (
     FrontierConfig,
-    LoadConfig,
-    ServeReport,
     check_frontier_floors,
-    clustered_matrix,
     frontier_store,
-    run_load,
     sweep_frontier,
 )
+from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, run_load
 from repro.serve.quant import Int8Store, PQStore, open_codes
 from repro.serve.shard import (
     ShardedEngine,
@@ -76,6 +74,8 @@ from repro.serve.workload import (
     WorkloadSpec,
     available_backends,
     build_backend,
+    clustered_matrix,
+    format_reports,
     register_backend,
     run_workload,
 )
@@ -101,7 +101,7 @@ __all__ = [
     "ShardedIndex",
     "ShardedEngine",
     "LoadConfig",
-    "ServeReport",
+    "RECALL_DOMAIN",
     "run_load",
     "FrontierConfig",
     "clustered_matrix",
@@ -111,6 +111,7 @@ __all__ = [
     "WorkloadSpec",
     "WorkloadReport",
     "run_workload",
+    "format_reports",
     "build_backend",
     "register_backend",
     "available_backends",

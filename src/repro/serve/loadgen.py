@@ -1,64 +1,38 @@
-"""Seed-deterministic load generation and the serving report.
+"""The classic single-stream load run, as a workload spec.
 
 :func:`run_load` drives a :class:`~repro.serve.engine.QueryEngine` with a
-reproducible workload: a Zipf-distributed query mix over the store's rows
-(rank = row id + 1, exponent configurable — heavy-tail traffic like real
-query logs) and a fixed arrival schedule (exponential inter-arrival gaps
-at a modeled QPS).  Both streams derive from the config seed via
-:func:`repro.util.rng.keyed_rng`, so the *modeled* side of a run — which
-words are asked, how the stream chops into batches, which lookups hit the
-cache, and every answer — is a pure function of ``(seed, config, engine
-knobs)`` and is bit-identical for any ``workers`` setting.
-
-The resulting :class:`ServeReport` separates that modeled core (exposed
-by :meth:`ServeReport.modeled`, what determinism tests pin) from measured
-wall-clock fields (throughput, p50/p95/p99 latency), and exports as JSON
-(:meth:`ServeReport.to_json`) and as Chrome-trace events
-(:meth:`ServeReport.chrome_trace_events`) alongside the trainer's
-:mod:`repro.cluster.trace` output.
-
-The single-stream assumptions this module once baked in (one tenant, one
-fixed exponential schedule) now live behind
-:mod:`repro.serve.workload` — multi-tenant mixes, richer arrival
-processes, open/closed-loop modes, and SLO verdicts — with
-:func:`generate_queries` and the arrival schedule delegating to that API
-bit-compatibly.
+Zipf-distributed query mix over the store's rows (rank = row id + 1,
+exponent configurable — heavy-tail traffic like real query logs) arriving
+on a Poisson schedule at a modeled QPS.  It is not a second harness: a
+:class:`LoadConfig` is shorthand for the single-tenant, open-loop,
+no-warm-up, no-batching-horizon
+:class:`~repro.serve.workload.spec.WorkloadSpec`, and the run *is*
+:func:`~repro.serve.workload.runner.run_workload` on the caller's engine,
+so the report, its modeled/measured split, the answers fingerprint and
+the Chrome trace are the workload harness' own
+(:class:`~repro.serve.workload.runner.WorkloadReport`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-import hashlib
-import json
+from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from repro.galois.timers import StatTimer
 from repro.serve.engine import QueryEngine
-from repro.util.rng import DEFAULT_SEED, keyed_rng
+from repro.serve.workload.arrivals import PoissonArrivals
+from repro.serve.workload.runner import WorkloadReport, run_workload
+from repro.serve.workload.spec import WorkloadSpec
+from repro.serve.workload.tenants import TenantMix
+from repro.util.rng import DEFAULT_SEED
 
-__all__ = [
-    "LoadConfig",
-    "ServeReport",
-    "generate_queries",
-    "run_load",
-    "FrontierConfig",
-    "clustered_matrix",
-    "frontier_store",
-    "sweep_frontier",
-    "check_frontier_floors",
-]
+__all__ = ["LoadConfig", "RECALL_DOMAIN", "generate_queries", "run_load"]
 
-#: Domain tags keeping the load generator's RNG streams disjoint from
-#: every other consumer of the same root seed.  The query-mix ("QRM",
-#: 0x51524D) and arrival-schedule ("ARV", 0x415256) domains moved to
-#: :mod:`repro.serve.workload` (tenants.py / arrivals.py) when the
-#: single fixed stream was generalized; the delegating functions below
-#: stay bit-compatible.
-_CLUSTER_DOMAIN = 0x434C53  # "CLS" — synthetic clustered matrix
-_RECALL_DOMAIN = 0x524340  # "RC@" — frontier recall sample
-
-_US = 1e6
+#: Domain tag of the seed-deterministic uniform row sample that recall@k
+#: is measured on (``keyed_rng(seed, RECALL_DOMAIN)``) — one stream for
+#: the frontier sweep, ``serve-bench`` and the latency benchmark.
+RECALL_DOMAIN = 0x524340  # "RC@"
 
 
 @dataclass(frozen=True)
@@ -67,7 +41,7 @@ class LoadConfig:
 
     ``zipf_exponent`` shapes the popularity skew (1.0-1.3 matches web
     query logs); ``arrival_qps`` is the *modeled* offered rate that
-    timestamps the Chrome trace — execution itself is closed-loop.
+    timestamps the Chrome trace — submission never waits on the wall clock.
     """
 
     num_queries: int = 512
@@ -77,8 +51,7 @@ class LoadConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        # num_queries == 0 is a legal degenerate run: the report has an
-        # empty stream, zero throughput and all-zero percentiles.
+        # num_queries == 0 is a legal degenerate run (see WorkloadSpec).
         if self.num_queries < 0:
             raise ValueError(
                 f"num_queries must be non-negative, got {self.num_queries}"
@@ -96,527 +69,42 @@ class LoadConfig:
 def generate_queries(vocab_size: int, config: LoadConfig) -> np.ndarray:
     """The deterministic query-id stream for ``config`` (Zipf over rows).
 
-    Delegates to the workload harness' tenant machinery as the
-    degenerate single-tenant mix over the full vocabulary — the stream
-    is **bit-identical** to the pre-workload formulation (same rng
-    domain, same single ``choice`` draw), which the regression tests pin
-    against the answer hashes recorded in ``BENCH_serve.json``.
+    The degenerate single-tenant mix over the full vocabulary — the
+    stream :func:`run_load` submits, **bit-identical** to the
+    pre-workload formulation (same rng domain, same single ``choice``
+    draw), which the regression tests pin against the answer hashes
+    recorded in ``BENCH_serve.json``.
     """
-    from repro.serve.workload.tenants import TenantMix
-
-    if vocab_size <= 0:
-        raise ValueError(f"vocab_size must be positive, got {vocab_size}")
     mix = TenantMix.single(zipf_exponent=config.zipf_exponent)
     _, ids = mix.query_stream(vocab_size, config.num_queries, config.seed)
     return ids
-
-
-def _arrival_times_us(config: LoadConfig) -> np.ndarray:
-    """Modeled arrival timestamps (microseconds), fixed by the seed.
-
-    The fixed exponential schedule is now one arrival process among
-    several (:mod:`repro.serve.workload.arrivals`); the Poisson process
-    reproduces the legacy stream bit-for-bit for the same seed.
-    """
-    from repro.serve.workload.arrivals import PoissonArrivals, arrival_times_us
-
-    return arrival_times_us(
-        PoissonArrivals(config.arrival_qps), config.num_queries, config.seed
-    )
-
-
-@dataclass
-class ServeReport:
-    """What one load run asked, answered, and cost.
-
-    Modeled fields (everything :meth:`modeled` returns) are bit-stable
-    across runs with the same seed and engine configuration, regardless
-    of executor width; measured fields (``total_seconds``, throughput,
-    latency percentiles) are real wall-clock and vary run to run.
-    """
-
-    index_label: str
-    num_queries: int
-    k: int
-    seed: int
-    batch_sizes: list[int]
-    batch_seconds: list[float]
-    batch_arrival_us: list[float]
-    cache_hits: int
-    cache_misses: int
-    cache_evictions: int
-    answers_sha256: str
-    total_seconds: float
-    max_batch: int
-    search_block: int
-    extras: dict = field(default_factory=dict)
-
-    # -- derived -----------------------------------------------------------
-    @property
-    def throughput_qps(self) -> float:
-        return self.num_queries / self.total_seconds if self.total_seconds > 0 else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    def batch_size_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for size in self.batch_sizes:
-            hist[size] = hist.get(size, 0) + 1
-        return dict(sorted(hist.items()))
-
-    def _per_query_seconds(self) -> np.ndarray:
-        return np.repeat(
-            np.asarray(self.batch_seconds, dtype=np.float64),
-            np.asarray(self.batch_sizes, dtype=np.int64),
-        )
-
-    def latency_percentiles_ms(self) -> dict[str, float]:
-        """p50/p95/p99 of per-query service time (its batch's latency)."""
-        per_query = self._per_query_seconds()
-        if per_query.size == 0:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        p50, p95, p99 = np.percentile(per_query, [50, 95, 99]) * 1e3
-        return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
-
-    def modeled(self) -> dict:
-        """The deterministic core: identical for identical seeds/configs."""
-        return {
-            "index": self.index_label,
-            "num_queries": self.num_queries,
-            "k": self.k,
-            "seed": self.seed,
-            "max_batch": self.max_batch,
-            "search_block": self.search_block,
-            "batch_sizes": list(self.batch_sizes),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "answers_sha256": self.answers_sha256,
-        }
-
-    # -- export ------------------------------------------------------------
-    def as_dict(self) -> dict:
-        latency = self.latency_percentiles_ms()
-        return {
-            "modeled": self.modeled(),
-            "measured": {
-                "total_seconds": self.total_seconds,
-                "throughput_qps": self.throughput_qps,
-                "latency_ms": latency,
-                "batch_seconds": list(self.batch_seconds),
-            },
-            "cache_hit_rate": self.cache_hit_rate,
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in self.batch_size_histogram().items()
-            },
-            "extras": dict(self.extras),
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
-    def chrome_trace_events(self, tid: int = 0) -> list[dict]:
-        """Complete 'X' events, one per batch, on a dedicated engine row.
-
-        Timestamps come from the *modeled* arrival schedule (the batch's
-        first query), durations from measured batch latency — the same
-        convention as :mod:`repro.cluster.trace`, where modeled and
-        measured time share a timeline.  ``tid`` picks the row, so
-        several reports can merge into one trace.
-        """
-        events: list[dict] = []
-        for index, (size, seconds, arrival) in enumerate(
-            zip(self.batch_sizes, self.batch_seconds, self.batch_arrival_us)
-        ):
-            events.append(
-                {
-                    "name": f"batch {index}",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": tid,
-                    "ts": float(arrival),
-                    "dur": float(seconds) * _US,
-                    "cat": "serve",
-                    "args": {"queries": int(size), "index": self.index_label},
-                }
-            )
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "args": {"name": f"serve engine ({self.index_label})"},
-            }
-        )
-        return events
-
-    def trace_json(self) -> str:
-        return json.dumps({"traceEvents": self.chrome_trace_events()})
-
-    def summary(self) -> str:
-        latency = self.latency_percentiles_ms()
-        return (
-            f"{self.index_label}: {self.num_queries} queries, "
-            f"{self.throughput_qps:,.0f} qps, "
-            f"p50 {latency['p50']:.3f}ms p95 {latency['p95']:.3f}ms "
-            f"p99 {latency['p99']:.3f}ms, "
-            f"cache hit rate {self.cache_hit_rate:.1%}"
-        )
-
-
-def _fingerprint(words: list[str], results: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    from repro.serve.shard import fingerprint_update
-
-    digest = hashlib.sha256()
-    for word, (ids, scores) in zip(words, results):
-        fingerprint_update(digest, word, ids, scores)
-    return digest.hexdigest()
 
 
 def run_load(
     engine: QueryEngine,
     config: LoadConfig | None = None,
     index_label: str = "index",
-) -> ServeReport:
+) -> WorkloadReport:
     """Drive ``engine`` with the workload of ``config``; report the run.
 
     Queries already sitting in the engine's buffer are flushed first and
-    the stats reset, so the report covers exactly this run (a stale
-    pending query would otherwise skew the first batch's size and walk
-    the arrival cursor past the schedule).  Queries are submitted in
-    schedule order (the engine's ``max_batch`` chops them into batches)
-    and a final flush drains the tail.
+    the stats reset, so the report covers exactly this run.  Queries are
+    submitted in schedule order, only the engine's ``max_batch`` chops
+    them into batches (no batching horizon), and a final flush drains
+    the tail.  ``index_label`` names the backend in the report.
     """
     config = config or LoadConfig()
-    store = engine.index.store
-    query_ids = generate_queries(len(store), config)
-    words = [store.word_of(int(i)) for i in query_ids]
-    arrivals = _arrival_times_us(config)
-
-    if engine.pending:
-        engine.flush()
-    engine.reset_stats()
-    wall = StatTimer("serve.load")
-    with wall:
-        tickets = [engine.submit(word, config.k) for word in words]
-        engine.flush()
-    results = [t.result for t in tickets]
-
-    stats = engine.stats
-    # The modeled arrival of each batch is its first query's timestamp.
-    batch_arrivals: list[float] = []
-    cursor = 0
-    for size in stats.batch_sizes:
-        batch_arrivals.append(float(arrivals[min(cursor, len(arrivals) - 1)]))
-        cursor += size
-    extras: dict = {}
-    serve_extras = getattr(engine, "serve_extras", None)
-    if callable(serve_extras):
-        extras.update(serve_extras())
-    return ServeReport(
-        index_label=index_label,
+    spec = WorkloadSpec(
+        name="load",
+        backend=index_label,
+        store=None,
         num_queries=config.num_queries,
         k=config.k,
         seed=config.seed,
-        batch_sizes=list(stats.batch_sizes),
-        batch_seconds=list(stats.batch_seconds),
-        batch_arrival_us=batch_arrivals,
-        cache_hits=stats.cache.hits,
-        cache_misses=stats.cache.misses,
-        cache_evictions=stats.cache.evictions,
-        answers_sha256=_fingerprint(words, results),
-        total_seconds=wall.total,
+        arrivals=PoissonArrivals(config.arrival_qps),
+        flush_horizon_us=math.inf,
+        tenants=TenantMix.single(zipf_exponent=config.zipf_exponent),
         max_batch=engine.max_batch,
-        search_block=engine.search_block,
-        extras=extras,
+        cache_size=engine.cache.capacity,
     )
-
-
-# ----------------------------------------------------------------------
-# Recall-vs-QPS frontier
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FrontierConfig:
-    """One frontier sweep: the synthetic store, the workload, the points.
-
-    The store is a seed-deterministic *clustered* Gaussian matrix
-    (:func:`clustered_matrix`): rows are family centers plus noise, the
-    serving-scale analogue of the synthetic corpus' word families, which
-    is the geometry trained embeddings actually have (and the reason IVF
-    cells pay off).  ``nprobes`` are the IVF sweep points; ``quant_nprobes``
-    picks which of them are repeated through the int8 and PQ code variants.
-    The defaults are the **CI smoke configuration** — small enough to run
-    in seconds, recorded in ``BENCH_serve.json`` next to the full-scale
-    frontier so `serve-bench --frontier --check-floors` can re-verify the
-    recall floors deterministically.
-    """
-
-    vocab_size: int = 8000
-    dim: int = 32
-    clusters: int = 160
-    spread: float = 0.35
-    num_queries: int = 512
-    recall_queries: int = 128
-    k: int = 10
-    batch: int = 64
-    seed: int = DEFAULT_SEED
-    nlist: int | None = None
-    nprobes: tuple[int, ...] = (1, 2, 4, 8, 16)
-    quant_nprobes: tuple[int, ...] = (8, 16)
-    pq_m: int = 8
-    pq_bits: int = 8
-    include_lsh: bool = True
-
-    def __post_init__(self) -> None:
-        if self.vocab_size <= 0:
-            raise ValueError(f"vocab_size must be positive, got {self.vocab_size}")
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if not 1 <= self.clusters <= self.vocab_size:
-            raise ValueError(
-                f"clusters must be in [1, {self.vocab_size}], got {self.clusters}"
-            )
-        if self.spread <= 0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
-        for name in ("num_queries", "recall_queries", "k", "batch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.nprobes or any(p <= 0 for p in self.nprobes):
-            raise ValueError(f"nprobes must be positive, got {self.nprobes}")
-        if any(p <= 0 for p in self.quant_nprobes):
-            raise ValueError(f"quant_nprobes must be positive, got {self.quant_nprobes}")
-
-    def as_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["nprobes"] = list(self.nprobes)
-        out["quant_nprobes"] = list(self.quant_nprobes)
-        return out
-
-
-def clustered_matrix(
-    vocab_size: int,
-    dim: int,
-    clusters: int,
-    spread: float = 0.35,
-    seed: int = DEFAULT_SEED,
-) -> np.ndarray:
-    """A seed-deterministic family-structured embedding matrix.
-
-    ``clusters`` unit-norm centers are drawn, every row picks a center
-    uniformly and adds ``spread``-scaled Gaussian noise — the same
-    center-plus-variation geometry the synthetic corpus plants through
-    word families, at vocabularies far beyond what a training run can
-    reach in-process.  Smaller ``spread`` means tighter families (easier
-    ANN); ``spread`` around 0.3-0.4 matches the within-family cosines of
-    models trained on the presets.
-    """
-    if not 1 <= clusters <= vocab_size:
-        raise ValueError(f"clusters must be in [1, {vocab_size}], got {clusters}")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
-    rng = keyed_rng(seed, _CLUSTER_DOMAIN, vocab_size, dim, clusters)
-    centers = rng.normal(size=(clusters, dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    assignment = rng.integers(0, clusters, size=vocab_size)
-    noise = rng.normal(scale=spread / np.sqrt(dim), size=(vocab_size, dim))
-    return (centers[assignment] + noise).astype(np.float32)
-
-
-def frontier_store(config: FrontierConfig):
-    """The :class:`~repro.serve.store.EmbeddingStore` a sweep runs over."""
-    from repro.serve.store import EmbeddingStore
-
-    matrix = clustered_matrix(
-        config.vocab_size, config.dim, config.clusters, config.spread, config.seed
-    )
-    width = len(str(config.vocab_size - 1))
-    return EmbeddingStore(matrix, [f"tok{i:0{width}d}" for i in range(config.vocab_size)])
-
-
-def _recall_floor(recall: float) -> float:
-    """The regression floor recorded for a measured recall: 0.05 headroom
-    (absorbs BLAS/numpy low-order drift across environments), floored at 0."""
-    return max(0.0, round(recall - 0.05, 3))
-
-
-def _measure_point(index, queries: np.ndarray, k: int, batch: int) -> dict:
-    """Measured QPS and per-batch latency for one index on one stream."""
-    batch_seconds: list[float] = []
-    timer = StatTimer("serve.frontier")
-    for start in range(0, queries.shape[0], batch):
-        timer.start()
-        index.search(queries[start : start + batch], k)
-        batch_seconds.append(timer.stop())
-    qps = queries.shape[0] / timer.total if timer.total > 0 else 0.0
-    per_query_ms = 1e3 * np.asarray(batch_seconds) / batch
-    return {
-        "qps": float(qps),
-        "p50_batch_ms": float(np.percentile(np.asarray(batch_seconds) * 1e3, 50)),
-        "p50_query_ms": float(np.percentile(per_query_ms, 50)),
-    }
-
-
-def sweep_frontier(config: FrontierConfig | None = None, store=None) -> dict:
-    """Measure the recall-vs-QPS frontier; returns the JSON-ready payload.
-
-    Points: brute-force exact (the recall=1 anchor), LSH at its defaults,
-    IVF with float32 residual rescoring at every ``config.nprobes``, and
-    IVF over the int8 / PQ code variants at ``config.quant_nprobes``.
-    Recall@k is computed against the exact index on a seed-deterministic
-    uniform row sample; QPS runs the Zipf query stream of
-    :func:`generate_queries` through ``index.search`` in fixed
-    ``config.batch``-row batches (raw index throughput — no result cache,
-    so the numbers compare index work, not cache hit rates).  Each point
-    carries a ``recall_floor`` 0.05 below its measured recall; CI re-runs
-    the sweep and fails if any point sinks below its recorded floor
-    (:func:`check_frontier_floors`).
-    """
-    from repro.serve.index import ExactIndex, LSHIndex, recall_at_k
-    from repro.serve.ivf import IVFIndex, default_nlist
-    from repro.serve.quant import Int8Store, PQStore
-
-    config = config or FrontierConfig()
-    if store is None:
-        store = frontier_store(config)
-    V = len(store)
-    query_ids = generate_queries(V, LoadConfig(
-        num_queries=config.num_queries, k=config.k, seed=config.seed
-    ))
-    queries = store.matrix[query_ids]
-    recall_rng = keyed_rng(config.seed, _RECALL_DOMAIN)
-    recall_queries = store.matrix[
-        recall_rng.choice(V, size=min(config.recall_queries, V), replace=False)
-    ]
-    exact = ExactIndex(store)
-    exact_ids, _ = exact.search(recall_queries, config.k)
-
-    def recall_against_exact(index) -> float:
-        approx_ids, _ = index.search(recall_queries, config.k)
-        hits = total = 0
-        for row in range(exact_ids.shape[0]):
-            truth = set(int(i) for i in exact_ids[row] if i >= 0)
-            got = set(int(i) for i in approx_ids[row] if i >= 0)
-            hits += len(truth & got)
-            total += len(truth)
-        return hits / total if total else 1.0
-
-    points: list[dict] = []
-
-    def add_point(label: str, family: str, index, params: dict,
-                  build_seconds: float, memory_bytes: int) -> None:
-        recall = 1.0 if family == "exact" else recall_against_exact(index)
-        measured = _measure_point(index, queries, config.k, config.batch)
-        points.append({
-            "label": label,
-            "family": family,
-            "params": params,
-            "recall_at_k": float(recall),
-            "recall_floor": _recall_floor(recall),
-            "build_seconds": float(build_seconds),
-            "memory_bytes": int(memory_bytes),
-            **measured,
-        })
-
-    add_point("exact", "exact", exact, {}, 0.0, store.normalized().nbytes)
-
-    if config.include_lsh:
-        timer = StatTimer("serve.frontier.build")
-        with timer:
-            lsh = LSHIndex(store, seed=config.seed)
-        add_point(
-            "lsh", "lsh", lsh,
-            {"bits": lsh.bits, "tables": lsh.tables, "probes": lsh.probes},
-            timer.total, store.normalized().nbytes,
-        )
-
-    nlist = config.nlist or default_nlist(V)
-    timer = StatTimer("serve.frontier.build")
-    with timer:
-        ivf = IVFIndex(store, nlist=nlist, nprobe=1, seed=config.seed)
-    ivf_build = timer.total
-    float_bytes = store.normalized().nbytes + ivf.centroids.nbytes
-    for nprobe in config.nprobes:
-        ivf.nprobe = min(nprobe, nlist)
-        add_point(
-            f"ivf-f32(nprobe={nprobe})", "ivf", ivf,
-            {"nlist": nlist, "nprobe": nprobe, "rescoring": "float32"},
-            ivf_build, float_bytes,
-        )
-
-    if config.quant_nprobes:
-        timer = StatTimer("serve.frontier.build")
-        with timer:
-            int8 = Int8Store.build(store)
-            ivf8 = IVFIndex(
-                store, nlist=nlist, nprobe=1, seed=config.seed,
-                codes=int8, centroids=ivf.centroids,
-            )
-        int8_build = ivf_build + timer.total
-        for nprobe in config.quant_nprobes:
-            ivf8.nprobe = min(nprobe, nlist)
-            add_point(
-                f"ivf-int8(nprobe={nprobe})", "ivf-int8", ivf8,
-                {"nlist": nlist, "nprobe": nprobe, "rescoring": "int8"},
-                int8_build, int8.memory_bytes() + ivf.centroids.nbytes,
-            )
-        timer = StatTimer("serve.frontier.build")
-        with timer:
-            pq = PQStore.build(
-                store, m=config.pq_m, bits=config.pq_bits, seed=config.seed
-            )
-            ivfpq = IVFIndex(
-                store, nlist=nlist, nprobe=1, seed=config.seed,
-                codes=pq, centroids=ivf.centroids,
-            )
-        pq_build = ivf_build + timer.total
-        pq_label = f"pq{config.pq_m}x{config.pq_bits}"
-        for nprobe in config.quant_nprobes:
-            ivfpq.nprobe = min(nprobe, nlist)
-            add_point(
-                f"ivf-{pq_label}(nprobe={nprobe})", "ivf-pq", ivfpq,
-                {
-                    "nlist": nlist, "nprobe": nprobe, "rescoring": pq_label,
-                    "reconstruction_bound": pq.reconstruction_bound(),
-                },
-                pq_build, pq.memory_bytes() + ivf.centroids.nbytes,
-            )
-
-    return {"config": config.as_dict(), "k": config.k, "points": points}
-
-
-def check_frontier_floors(fresh: dict, recorded: dict) -> list[str]:
-    """Compare a fresh sweep against recorded floors; returns violations.
-
-    The recorded payload's points are matched by label.  A config
-    mismatch, a recorded point missing from the fresh sweep, or a fresh
-    recall@k below a recorded ``recall_floor`` each produce one message;
-    an empty list means the frontier holds.
-    """
-    violations: list[str] = []
-    if fresh.get("config") != recorded.get("config"):
-        return [
-            "frontier config mismatch: sweep ran "
-            f"{fresh.get('config')} but floors were recorded for "
-            f"{recorded.get('config')}"
-        ]
-    fresh_by_label = {p["label"]: p for p in fresh.get("points", [])}
-    for point in recorded.get("points", []):
-        label = point["label"]
-        floor = point.get("recall_floor")
-        if floor is None:
-            continue
-        got = fresh_by_label.get(label)
-        if got is None:
-            violations.append(f"{label}: point missing from fresh sweep")
-            continue
-        if got["recall_at_k"] < floor:
-            violations.append(
-                f"{label}: recall@k {got['recall_at_k']:.3f} fell below "
-                f"recorded floor {floor:.3f}"
-            )
-    return violations
+    return run_workload(spec, store=engine.index.store, engine=engine)

@@ -38,7 +38,7 @@ store (e.g. a training checkpoint resumed past more rounds) *without
 draining*: queries already submitted but not yet flushed are answered by
 the new generation; none are dropped.  Each generation keeps a running
 sha256 fingerprint of every ``(word, ids, scores)`` answer it served —
-the per-generation analogue of ``ServeReport.answers_sha256`` — so a
+the per-generation analogue of ``WorkloadReport.answers_sha256`` — so a
 hot swap is observable as a deterministic fingerprint change.
 """
 
@@ -220,7 +220,7 @@ def fingerprint_update(
 ) -> None:
     """Fold one answered query into a sha256 running digest.
 
-    The byte layout matches ``ServeReport.answers_sha256`` — word bytes,
+    The byte layout matches ``WorkloadReport.answers_sha256`` — word bytes,
     a NUL, int64 ids, float32 scores — so a single-generation load run's
     generation fingerprint equals the report fingerprint.
     """
@@ -453,7 +453,7 @@ class ShardedIndex:
 
     # -- reporting ---------------------------------------------------------
     def serve_extras(self) -> dict:
-        """JSON-ready sharding facts for ``ServeReport.extras``."""
+        """JSON-ready sharding facts for ``WorkloadReport.extras``."""
         extras = {
             "plan": self.plan.as_dict(),
             "generation": self._generation.number,
@@ -482,7 +482,7 @@ class ShardedEngine(QueryEngine):
 
     - every flushed answer is folded into the *serving* generation's
       sha256 fingerprint (arrival order — the same stream order
-      ``ServeReport.answers_sha256`` hashes), and
+      ``WorkloadReport.answers_sha256`` hashes), and
     - :meth:`promote` swaps the result cache for an empty one (preserving
       the live :class:`~repro.serve.engine.CacheStats` object, so the
       engine's stats alias stays intact) — a hot swap must never serve a

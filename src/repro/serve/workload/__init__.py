@@ -1,8 +1,9 @@
-"""Multi-tenant workload harness with SLO verdicts.
+"""The serving tier's one load harness: workload specs, one report, SLO verdicts.
 
-The load-generation subsystem grown out of ``repro.serve.loadgen``'s
-single Zipf stream (the llm-load-test shape: plugin backends, simulated
-users, SLO-oriented reporting):
+Every load run goes through :func:`run_workload` and yields a
+:class:`WorkloadReport` (the llm-load-test shape: plugin backends,
+simulated users, SLO-oriented reporting); ``repro.serve.loadgen.run_load``
+is the single-tenant Poisson special case, spelled as a spec:
 
 - :mod:`~repro.serve.workload.plugins` — named backend builders over the
   one ``search(queries, k)`` surface: ``exact``, ``lsh``, ``ivf``,
@@ -16,10 +17,13 @@ users, SLO-oriented reporting):
 - :mod:`~repro.serve.workload.slo` — SLO rules (``p99 < X ms at Y
   QPS``, per-tenant and aggregate) evaluating to pass/fail verdicts,
 - :mod:`~repro.serve.workload.spec` — the JSON workload document
-  (:class:`WorkloadSpec`) the CLI consumes,
+  (:class:`WorkloadSpec`) the CLI consumes, and the synthetic clustered
+  store (:class:`StoreSpec`, :func:`clustered_matrix`) it serves over,
 - :mod:`~repro.serve.workload.runner` — :func:`run_workload`, driving a
   backend in open- or closed-loop mode with warm-up vs measurement
-  windows and emitting a :class:`WorkloadReport`.
+  windows and emitting a :class:`WorkloadReport` (the answers
+  fingerprint, percentiles, JSON and Chrome-trace export live here and
+  nowhere else).
 
 The determinism contract is the serving tier's: everything modeled
 (query stream, batch composition, cache accounting, answers) is a pure
@@ -43,7 +47,7 @@ from repro.serve.workload.plugins import (
     build_backend,
     register_backend,
 )
-from repro.serve.workload.runner import WorkloadReport, run_workload
+from repro.serve.workload.runner import WorkloadReport, format_reports, run_workload
 from repro.serve.workload.slo import (
     SLORule,
     SLOVerdict,
@@ -51,7 +55,7 @@ from repro.serve.workload.slo import (
     evaluate_slos,
     format_verdicts,
 )
-from repro.serve.workload.spec import StoreSpec, WorkloadSpec
+from repro.serve.workload.spec import StoreSpec, WorkloadSpec, clustered_matrix
 from repro.serve.workload.tenants import QOS_CLASSES, TenantMix, TenantSpec
 
 __all__ = [
@@ -76,7 +80,9 @@ __all__ = [
     "all_pass",
     "format_verdicts",
     "StoreSpec",
+    "clustered_matrix",
     "WorkloadSpec",
     "WorkloadReport",
     "run_workload",
+    "format_reports",
 ]

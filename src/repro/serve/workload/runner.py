@@ -17,8 +17,10 @@ The PR-3/PR-4 determinism contract carries over unchanged:
   :meth:`WorkloadReport.modeled` is bit-stable across runs and invariant
   to ``workers=`` / ``REPRO_WORKERS``.
 - **Measured** — per-batch wall-clock latency, aggregate and per-tenant
-  percentiles over the measurement window, and throughput vary run to
-  run; they are what SLO verdicts judge.
+  percentiles over the measurement window, and throughput (``qps``:
+  measurement-window queries over that window's summed batch service
+  seconds, the one definition every table, bench row and SLO reads)
+  vary run to run; they are what SLO verdicts judge.
 
 Open-loop batching: a query joins the pending buffer at its modeled
 arrival; the buffer flushes when ``max_batch`` fills (the engine's own
@@ -51,8 +53,9 @@ from repro.serve.workload.slo import (
     evaluate_slos,
 )
 from repro.serve.workload.spec import WorkloadSpec
+from repro.util.tables import format_table
 
-__all__ = ["WorkloadReport", "run_workload"]
+__all__ = ["WorkloadReport", "run_workload", "format_reports"]
 
 _US = 1e6
 
@@ -224,7 +227,14 @@ class WorkloadReport:
         }
 
     def chrome_trace_events(self, tid: int = 0) -> list[dict]:
-        """Complete 'X' events per batch on one engine row (see loadgen)."""
+        """Complete 'X' events, one per batch, on a dedicated engine row.
+
+        Timestamps come from the *modeled* arrival schedule (the batch's
+        first query), durations from measured batch latency — the same
+        convention as :mod:`repro.cluster.trace`, where modeled and
+        measured time share a timeline.  ``tid`` picks the row, so
+        several reports can merge into one trace.
+        """
         events: list[dict] = []
         for index, (size, seconds, arrival) in enumerate(
             zip(self.batch_sizes, self.batch_seconds, self.batch_arrival_us)
@@ -268,10 +278,42 @@ class WorkloadReport:
             f"workload {self.name} [{self.backend}/{self.mode}]: "
             f"{self.num_queries} queries ({self.warmup_queries} warm-up), "
             f"{aggregate.get('qps', 0.0):,.0f} qps, "
+            f"p50 {aggregate.get('p50_ms', 0.0):.3f}ms "
+            f"p95 {aggregate.get('p95_ms', 0.0):.3f}ms "
             f"p99 {aggregate.get('p99_ms', 0.0):.3f}ms, "
             f"cache hit rate {self.cache_hit_rate:.1%}, "
             f"SLOs {passed}/{len(self.verdicts)} pass"
         )
+
+
+def format_reports(reports: list[WorkloadReport], title: str | None = None) -> str:
+    """One table over ``reports``: a row per tenant of every multi-tenant
+    run (``backend/tenant``), then each run's aggregate row (``backend``)."""
+
+    def row(scope, qos, queries, stats, cache):
+        return [
+            scope, qos, queries, stats["queries"], float(stats["qps"]),
+            stats["p50_ms"], stats["p95_ms"], stats["p99_ms"], cache,
+        ]
+
+    rows = []
+    for report in reports:
+        if len(report.tenant_names) > 1:
+            rows.extend(
+                row(f"{report.backend}/{name}", report.tenant_qos[name],
+                    report.tenant_counts[name], report.tenant_measured[name], "-")
+                for name in report.tenant_names
+            )
+        rows.append(
+            row(report.backend, "-", report.num_queries,
+                report.aggregate_measured, f"{report.cache_hit_rate:.1%}")
+        )
+    return format_table(
+        ["scope", "qos", "queries", "measured", "qps", "p50 ms", "p95 ms",
+         "p99 ms", "cache hits"],
+        rows,
+        title=title,
+    )
 
 
 def _drive_open(engine, words, ks, arrivals, warmup: int, horizon_us: float):

@@ -27,14 +27,19 @@ The JSON shape mirrors the dataclasses::
     }
 
 ``mode: "closed"`` replaces ``arrivals`` with ``ramp``, a list of
-``{"concurrency": C, "queries": N}`` stages.
+``{"concurrency": C, "queries": N}`` stages.  Open mode also takes
+``flush_horizon_us`` (the modeled batching timeout); ``null`` means no
+horizon — only ``max_batch`` flushes — and is ``float("inf")`` in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload.arrivals import (
@@ -45,16 +50,47 @@ from repro.serve.workload.arrivals import (
 )
 from repro.serve.workload.slo import SLORule
 from repro.serve.workload.tenants import TenantMix
-from repro.util.rng import DEFAULT_SEED
+from repro.util.rng import DEFAULT_SEED, keyed_rng
 
-__all__ = ["StoreSpec", "WorkloadSpec", "MODES"]
+__all__ = ["StoreSpec", "WorkloadSpec", "MODES", "clustered_matrix"]
 
 MODES = ("open", "closed")
+
+_CLUSTER_DOMAIN = 0x434C53  # "CLS" — synthetic clustered matrix
+
+
+def clustered_matrix(
+    vocab_size: int,
+    dim: int,
+    clusters: int,
+    spread: float = 0.35,
+    seed: int = DEFAULT_SEED,
+) -> np.ndarray:
+    """A seed-deterministic family-structured embedding matrix.
+
+    ``clusters`` unit-norm centers are drawn, every row picks a center
+    uniformly and adds ``spread``-scaled Gaussian noise — the same
+    center-plus-variation geometry the synthetic corpus plants through
+    word families, at vocabularies far beyond what a training run can
+    reach in-process.  Smaller ``spread`` means tighter families (easier
+    ANN); ``spread`` around 0.3-0.4 matches the within-family cosines of
+    models trained on the presets.
+    """
+    if not 1 <= clusters <= vocab_size:
+        raise ValueError(f"clusters must be in [1, {vocab_size}], got {clusters}")
+    if spread <= 0:
+        raise ValueError(f"spread must be positive, got {spread}")
+    rng = keyed_rng(seed, _CLUSTER_DOMAIN, vocab_size, dim, clusters)
+    centers = rng.normal(size=(clusters, dim))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    assignment = rng.integers(0, clusters, size=vocab_size)
+    noise = rng.normal(scale=spread / np.sqrt(dim), size=(vocab_size, dim))
+    return (centers[assignment] + noise).astype(np.float32)
 
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """A synthetic clustered store (see ``repro.serve.loadgen.clustered_matrix``).
+    """A synthetic clustered store (rows from :func:`clustered_matrix`).
 
     Family-structured Gaussian rows — the geometry trained embeddings
     have — at any vocabulary size, built deterministically from the
@@ -79,8 +115,6 @@ class StoreSpec:
             raise ValueError(f"spread must be positive, got {self.spread}")
 
     def build(self, seed: int) -> EmbeddingStore:
-        from repro.serve.loadgen import clustered_matrix
-
         matrix = clustered_matrix(
             self.vocab_size, self.dim, self.clusters, self.spread, seed
         )
@@ -130,18 +164,20 @@ class WorkloadSpec:
             raise ValueError("workload name must be non-empty")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.num_queries <= 0:
+        # num_queries == 0 is a legal degenerate run: the report has an
+        # empty stream, zero throughput and all-zero percentiles.
+        if self.num_queries < 0:
             raise ValueError(
-                f"num_queries must be positive, got {self.num_queries}"
+                f"num_queries must be non-negative, got {self.num_queries}"
             )
-        if not 0 <= self.warmup_queries < self.num_queries:
+        if not 0 <= self.warmup_queries < max(self.num_queries, 1):
             raise ValueError(
                 f"warmup_queries must be in [0, {self.num_queries}), got "
                 f"{self.warmup_queries}"
             )
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.flush_horizon_us < 0:
+        if not self.flush_horizon_us >= 0:  # also rejects NaN
             raise ValueError(
                 f"flush_horizon_us must be non-negative, got {self.flush_horizon_us}"
             )
@@ -172,7 +208,10 @@ class WorkloadSpec:
             out["store"] = self.store.as_dict()
         if self.mode == "open":
             out["arrivals"] = self.arrivals.as_dict()
-            out["flush_horizon_us"] = self.flush_horizon_us
+            # No horizon (only max_batch flushes) is JSON null, not Infinity.
+            out["flush_horizon_us"] = (
+                None if math.isinf(self.flush_horizon_us) else self.flush_horizon_us
+            )
         else:
             out["ramp"] = [stage.as_dict() for stage in self.ramp]
         return out
@@ -184,6 +223,8 @@ class WorkloadSpec:
     def from_dict(cls, data: dict) -> "WorkloadSpec":
         spec = dict(data)
         kwargs: dict = {}
+        if spec.get("flush_horizon_us", 0.0) is None:
+            spec["flush_horizon_us"] = math.inf
         if "store" in spec:
             store = spec.pop("store")
             kwargs["store"] = None if store is None else StoreSpec.from_dict(store)

@@ -1,6 +1,5 @@
-"""Small shared utilities: seeded RNG management, table rendering, logging."""
+"""Small shared utilities: seeded RNG management, table rendering."""
 
-from repro.util.logging import get_logger
 from repro.util.rng import SeedSequenceTree, default_rng, spawn_rngs
 from repro.util.tables import format_table, format_row
 
@@ -10,5 +9,4 @@ __all__ = [
     "spawn_rngs",
     "format_table",
     "format_row",
-    "get_logger",
 ]

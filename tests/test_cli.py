@@ -197,11 +197,13 @@ class TestCommands:
         payload = json.loads(json_path.read_text())
         assert payload["dataset"] == "tiny-sim"
         assert 0.0 <= payload["recall_at_k"] <= 1.0
-        labels = {r["modeled"]["index"] for r in payload["reports"]}
+        labels = {r["modeled"]["backend"] for r in payload["reports"]}
         assert labels == {"exact", "lsh"}
         for report in payload["reports"]:
             assert report["modeled"]["num_queries"] == 64
-            assert set(report["measured"]["latency_ms"]) == {"p50", "p95", "p99"}
+            assert {"qps", "p50_ms", "p95_ms", "p99_ms"} <= set(
+                report["measured"]["aggregate"]
+            )
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
 

@@ -6,9 +6,9 @@ import pytest
 from repro.serve.engine import QueryEngine
 from repro.serve.index import ExactIndex, Index, recall_at_k
 from repro.serve.ivf import IVFIndex, assign_cells, default_nlist, kmeans
-from repro.serve.loadgen import clustered_matrix
 from repro.serve.quant import Int8Store, PQStore
 from repro.serve.store import EmbeddingStore
+from repro.serve.workload.spec import clustered_matrix
 from repro.util.rng import keyed_rng
 
 

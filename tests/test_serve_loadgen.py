@@ -1,4 +1,4 @@
-"""Load generator and ServeReport: determinism, export formats."""
+"""run_load as a single-tenant workload spec: determinism, export formats."""
 
 import json
 
@@ -9,6 +9,7 @@ from repro.serve.engine import QueryEngine
 from repro.serve.index import ExactIndex, LSHIndex
 from repro.serve.loadgen import LoadConfig, generate_queries, run_load
 from repro.serve.store import EmbeddingStore
+from repro.serve.workload import PoissonArrivals, TenantMix, WorkloadSpec, run_workload
 from repro.util.rng import default_rng
 
 
@@ -70,10 +71,52 @@ class TestRunLoad:
         assert len(report.batch_arrival_us) == len(report.batch_sizes)
         assert report.cache_hits + report.cache_misses == 100
         assert 0.0 <= report.cache_hit_rate <= 1.0
-        assert report.throughput_qps > 0
         assert len(report.answers_sha256) == 64
-        latency = report.latency_percentiles_ms()
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
+        measured = report.aggregate_measured
+        assert measured["queries"] == 100 and report.warmup_batches == 0
+        assert measured["qps"] == pytest.approx(100 / sum(report.batch_seconds))
+        assert measured["p50_ms"] <= measured["p95_ms"] <= measured["p99_ms"]
+        assert report.tenant_counts == {"default": 100}
+        assert report.backend == "exact" and report.mode == "open"
+
+    def test_is_the_equivalent_workload_spec_by_construction(self):
+        """run_load is run_workload on the single-tenant Poisson open-loop
+        spec with no warm-up and no batching horizon — same modeled core,
+        same trace up to measured durations."""
+        store = make_store()
+        config = LoadConfig(
+            num_queries=150, k=5, zipf_exponent=1.3, arrival_qps=750.0, seed=21
+        )
+        spec = WorkloadSpec(
+            name="load",
+            backend="lsh",
+            store=None,
+            mode="open",
+            num_queries=150,
+            warmup_queries=0,
+            k=5,
+            seed=21,
+            arrivals=PoissonArrivals(qps=750.0),
+            flush_horizon_us=float("inf"),
+            tenants=TenantMix.single(zipf_exponent=1.3),
+            max_batch=16,
+            cache_size=32,
+        )
+
+        def engine():
+            return QueryEngine(LSHIndex(store, seed=5), max_batch=16, cache_size=32)
+
+        loaded = run_load(engine(), config, index_label="lsh")
+        explicit = run_workload(spec, store=store, engine=engine())
+        assert loaded.modeled() == explicit.modeled()
+        assert loaded.spec_dict == explicit.spec_dict == spec.as_dict()
+
+        def modeled_events(report):
+            events = report.chrome_trace_events(tid=1)
+            assert all("dur" in e for e in events if e["ph"] == "X")
+            return [{k: v for k, v in e.items() if k != "dur"} for e in events]
+
+        assert modeled_events(loaded) == modeled_events(explicit)
 
     def test_modeled_identical_across_runs_and_workers(self):
         store = make_store()
@@ -152,14 +195,13 @@ class TestRunLoad:
         assert report.batch_arrival_us == []
         assert report.cache_hits == 0 and report.cache_misses == 0
         assert report.cache_hit_rate == 0.0
-        assert report.throughput_qps == 0.0
-        assert report.latency_percentiles_ms() == {
-            "p50": 0.0, "p95": 0.0, "p99": 0.0
-        }
+        measured = report.aggregate_measured
+        assert measured["qps"] == 0.0
+        assert (measured["p50_ms"], measured["p95_ms"], measured["p99_ms"]) == (0, 0, 0)
         assert len(report.answers_sha256) == 64
         payload = json.loads(report.to_json())
-        assert payload["batch_size_histogram"] == {}
-        assert "serve" in report.trace_json()
+        assert payload["modeled"]["batch_sizes"] == []
+        assert [e["ph"] for e in report.chrome_trace_events()] == ["M"]
 
     def test_single_batch_run(self):
         """The whole stream fits one flush: one batch, one arrival stamp."""
@@ -169,8 +211,8 @@ class TestRunLoad:
         assert report.batch_sizes == [16]
         assert len(report.batch_seconds) == 1
         assert len(report.batch_arrival_us) == 1
-        latency = report.latency_percentiles_ms()
-        assert latency["p50"] == latency["p99"]  # every query shares the batch
+        measured = report.aggregate_measured
+        assert measured["p50_ms"] == measured["p99_ms"]  # every query shares the batch
 
 
 class TestExport:
@@ -181,26 +223,25 @@ class TestExport:
         return run_load(engine, LoadConfig(num_queries=64, seed=6), index_label="exact")
 
     def test_json_round_trip(self, report):
-        payload = json.loads(report.to_json())
-        assert payload["modeled"]["answers_sha256"] == report.answers_sha256
-        assert payload["measured"]["throughput_qps"] == pytest.approx(
-            report.throughput_qps
-        )
-        assert set(payload["measured"]["latency_ms"]) == {"p50", "p95", "p99"}
+        # parse_constant fires on Infinity/NaN, which are not JSON.
+        payload = json.loads(report.to_json(), parse_constant=pytest.fail)
+        assert payload["modeled"] == report.modeled()
+        assert payload["measured"]["aggregate"] == report.aggregate_measured
+        assert {"qps", "p50_ms", "p95_ms", "p99_ms"} <= set(report.aggregate_measured)
         assert payload["cache_hit_rate"] == pytest.approx(report.cache_hit_rate)
-        sizes = {int(k): v for k, v in payload["batch_size_histogram"].items()}
-        assert sum(size * count for size, count in sizes.items()) == 64
+        assert payload["spec"]["flush_horizon_us"] is None  # no batching horizon
+        assert sum(payload["modeled"]["batch_sizes"]) == 64
 
     def test_chrome_trace_events(self, report):
         events = report.chrome_trace_events(tid=3)
         complete = [e for e in events if e["ph"] == "X"]
         meta = [e for e in events if e["ph"] == "M"]
         assert len(complete) == len(report.batch_sizes)
-        assert all(e["tid"] == 3 and e["cat"] == "serve" for e in complete)
+        assert all(e["tid"] == 3 and e["cat"] == "workload" for e in complete)
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in complete)
         arrivals = [e["ts"] for e in complete]
         assert arrivals == sorted(arrivals)
-        assert meta[0]["args"]["name"].startswith("serve engine")
+        assert meta[0]["args"]["name"] == "workload load (exact)"
         json.dumps({"traceEvents": events})  # serializable as-is
 
     def test_trace_json(self, report):

@@ -502,6 +502,14 @@ class TestWorkloadSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="warmup_queries"):
             WorkloadSpec(num_queries=10, warmup_queries=10)
+        with pytest.raises(ValueError, match="warmup_queries"):
+            WorkloadSpec(num_queries=0, warmup_queries=1)
+        with pytest.raises(ValueError, match="num_queries"):
+            WorkloadSpec(num_queries=-1)
+        with pytest.raises(ValueError, match="k must be positive"):
+            WorkloadSpec(k=0)
+        with pytest.raises(ValueError, match="flush_horizon_us"):
+            WorkloadSpec(flush_horizon_us=float("nan"))
         with pytest.raises(ValueError, match="mode"):
             WorkloadSpec(mode="ajar")
         with pytest.raises(ValueError, match="bad workload spec"):
@@ -588,6 +596,42 @@ class TestRunner:
         # Warm-up forces a boundary at 8; afterwards only max_batch flushes.
         assert report.batch_sizes == [8, 16, 16, 16, 8]
         assert report.warmup_batches == 1
+
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    def test_zero_query_run_is_well_defined(self, mode):
+        """num_queries=0 is a legal degenerate run, as it is for LoadConfig."""
+        import dataclasses
+
+        spec = dataclasses.replace(
+            OPEN_SPEC, mode=mode, num_queries=0, warmup_queries=0
+        )
+        assert WorkloadSpec.from_json(spec.to_json()) == spec
+        report = run_workload(spec)
+        assert report.batch_sizes == [] and report.batch_arrival_us == []
+        assert report.warmup_batches == 0
+        assert report.tenant_counts == {"gold": 0, "std": 0, "bulk": 0}
+        assert report.aggregate_measured == {
+            "queries": 0, "qps": 0.0, "cache_hit_rate": 0.0,
+            "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0,
+        }
+        assert len(report.answers_sha256) == 64 and len(report.stream_sha256) == 64
+        assert not report.slo_pass  # "queries >= 1" fails on an empty window
+        assert json.loads(report.to_json())["modeled"] == report.modeled()
+
+    def test_no_horizon_is_json_null_not_infinity(self):
+        import dataclasses
+
+        spec = dataclasses.replace(
+            OPEN_SPEC, num_queries=64, warmup_queries=8, flush_horizon_us=float("inf")
+        )
+        # parse_constant fires on Infinity/NaN, which are not JSON.
+        parsed = json.loads(spec.to_json(), parse_constant=pytest.fail)
+        assert parsed["flush_horizon_us"] is None
+        assert WorkloadSpec.from_json(spec.to_json()) == spec
+        report = run_workload(spec)
+        json.loads(report.to_json(), parse_constant=pytest.fail)
+        # Only the warm-up boundary and max_batch ever flush.
+        assert report.batch_sizes == [8, 16, 16, 16, 8]
 
     def test_closed_loop_wave_structure(self):
         spec = WorkloadSpec(
