@@ -6,9 +6,13 @@ pair generation, alias-table sampling, bit-vector bulk ops, the gradient
 combiners, and one full replicated sync round.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
+from repro.bench import merge_bench_row
 from repro.core.combiners import get_combiner
 from repro.gluon.bitvector import BitVector
 from repro.gluon.comm import SimulatedNetwork
@@ -17,6 +21,8 @@ from repro.gluon.plans import get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.negative_sampling import UnigramTable
 from repro.w2v.sgd import TrainingBatch, generate_pairs, sgns_update
+
+OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_train.json"
 
 RNG = np.random.default_rng(0)
 V, D, B, K = 2000, 64, 512, 10
@@ -39,6 +45,21 @@ def test_micro_sgns_update(benchmark):
     trn = RNG.normal(size=(V, D)).astype(np.float32)
     batch = make_batch()
     benchmark(sgns_update, emb, trn, batch, 0.025)
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
+    stats = benchmark.stats.stats
+    merge_bench_row(
+        OUT_PATH,
+        "kernel:sgns",
+        {
+            "ns_per_pair_median": round(stats.median / B * 1e9, 1),
+            "ns_per_pair_min": round(stats.min / B * 1e9, 1),
+            "rounds": stats.rounds,
+            "shapes": {"vocab": V, "dim": D, "pairs": B, "negatives": K},
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    )
 
 
 def test_micro_generate_pairs(benchmark):

@@ -316,7 +316,9 @@ class GluonSyncChecker:
     output synchronizers may share one instance; state is keyed by field
     name).  The checker observes ``sync_replicated`` entry and exit plus
     ``restore_host``, and — for the BSP value-mode loop — per-round
-    outcomes through :meth:`observe_bsp_round`.
+    outcomes through :meth:`observe_bsp_round`.  It doubles as the
+    divergence sentinel: rows a replicated sync leaves non-finite are a
+    finding naming the round, field and host.
     """
 
     name = "gluon"
@@ -480,8 +482,13 @@ class GluonSyncChecker:
         changed_per_master: Sequence[np.ndarray],
         received_per_host: Sequence[np.ndarray],
         accessed_next: Sequence[np.ndarray] | None,
+        sync_round: int,
     ) -> None:
-        """Exit hook: audit the broadcast and roll the stale/residual state."""
+        """Exit hook: audit the broadcast and roll the stale/residual state.
+
+        ``sync_round`` is the caller's ``fold_offset`` — the trainer's global
+        round — and is only used to name the round in a finding.
+        """
         name = field_sync.name
         changed_all = _concat_sorted(changed_per_master)  # blocks disjoint => unique
         emitted = 0
@@ -510,6 +517,21 @@ class GluonSyncChecker:
             block = master_block_slice(bounds, h)
             flagged = updated[h].indices()
             rebased = np.union1d(recv, np.asarray(changed_per_master[h], dtype=np.int64))
+            # Divergence sentinel: the rows this fold wrote on host h.
+            broken = rebased[~np.isfinite(field_sync.arrays[h][rebased]).all(axis=1)]
+            if broken.size and emitted < _MAX_FINDINGS_PER_CHECK:
+                emitted += 1
+                self.findings.append(
+                    SanitizeFinding(
+                        self.name,
+                        "non-finite",
+                        f"field {name!r}: the sync of round {sync_round} left rows "
+                        f"{_sample(broken)} ({broken.size} total) non-finite on "
+                        f"host {h} (training diverged)",
+                        {"field": name, "round": sync_round, "host": h,
+                         "rows": _sample(broken)},
+                    )
+                )
             residual = self._residual.get((name, h), _empty_ids())
             residual = np.setdiff1d(np.union1d(residual, flagged), rebased)
             self._residual[(name, h)] = residual

@@ -27,7 +27,7 @@ from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
 from repro.w2v.sgd import (
     TrainingBatch,
-    apply_training_batch,
+    apply_in_slices,
     build_training_batch,
     sample_negatives,
     sgns_update,
@@ -166,12 +166,9 @@ class GensimStyleWord2Vec:
         for epoch in range(params.epochs):
             lr = params.learning_rate_for_epoch(epoch)
             batch = self._materialize_epoch(epoch)
-            apply_training_batch(
-                self.model.embedding,
-                self.model.training,
-                batch,
-                lr,
-                self.job_pairs,
+            emb, trn = self.model.embedding, self.model.training
+            apply_in_slices(
+                batch, self.job_pairs, lambda piece: sgns_update(emb, trn, piece, lr)
             )
             if epoch_callback is not None:
                 epoch_callback(epoch, self.model)

@@ -39,6 +39,7 @@ from repro.text.negative_sampling import UnigramTable
 from repro.util.rng import SeedSequenceTree
 from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
+from repro.w2v.scatter import scatter_sub, sparse_update
 from repro.w2v.sgd import TrainingBatch, build_training_batch
 
 __all__ = ["VerticalPartitionWord2Vec"]
@@ -112,7 +113,7 @@ class VerticalPartitionWord2Vec:
         for h in range(self.num_hosts):
             e = self._emb_slices[h][batch.inputs]  # (B, d_h)
             t = self._trn_slices[h][targets]  # (B, K1, d_h)
-            partials.append(np.einsum("bd,bkd->bk", e, t, dtype=np.float64))
+            partials.append(np.matmul(t, e[:, :, None], dtype=np.float64)[:, :, 0])
 
         # Allreduce of the scores: each host contributes its partial matrix
         # and receives the sum (ring allreduce: ~2 messages per host).
@@ -138,16 +139,9 @@ class VerticalPartitionWord2Vec:
         for h in range(self.num_hosts):
             e = self._emb_slices[h][batch.inputs]
             t = self._trn_slices[h][targets]
-            grad_e = np.einsum("bk,bkd->bd", g, t)
-            grad_t = g[:, :, None] * e[:, None, :]
-            np.subtract.at(
-                self._emb_slices[h], batch.inputs, grad_e.astype(np.float32)
-            )
-            np.subtract.at(
-                self._trn_slices[h],
-                targets.ravel(),
-                grad_t.reshape(-1, t.shape[2]).astype(np.float32),
-            )
+            grad_e = np.matmul(g[:, None, :], t)[:, 0, :]
+            sparse_update(self._trn_slices[h], targets, g, e)
+            scatter_sub(self._emb_slices[h], batch.inputs, grad_e)
         self.batches_processed += 1
 
     # ------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from repro.text.synthetic import RelationFamily
 from repro.text.vocab import Vocabulary
@@ -104,6 +103,9 @@ def evaluate_similarity(
             cos.append(float(va @ vb))
     if len(gold) < 3:
         raise ValueError(f"only {len(gold)} usable pairs; need >= 3")
+    # scipy.stats costs 0.4 s to import; only this call needs it.
+    from scipy.stats import spearmanr
+
     rho, _p = spearmanr(gold, cos)
     return float(rho)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
 __all__ = ["RunStatistics", "repeat_runs"]
 
@@ -55,6 +54,9 @@ def repeat_runs(
     mean = float(values.mean())
     std = float(values.std(ddof=1))
     stderr = std / np.sqrt(n)
+    # scipy.stats costs 0.4 s to import; only this call needs it.
+    from scipy.stats import t as student_t
+
     half_width = float(student_t.ppf(0.975, df=n - 1) * stderr)
     return RunStatistics(
         values=tuple(float(v) for v in values),

@@ -218,6 +218,7 @@ class GluonSynchronizer:
                 result.changed_per_master,
                 result.received_per_host,
                 accessed_next,
+                fold_offset,
             )
         return result
 

@@ -20,6 +20,7 @@ from scipy.special import expit
 from repro.text.negative_sampling import UnigramTable
 from repro.w2v.hs import hs_update
 from repro.w2v.huffman import HuffmanTree
+from repro.w2v.scatter import scatter_sub, sparse_update
 from repro.w2v.sgd import sample_negatives, subsample_sentence
 
 __all__ = ["CbowBatch", "build_cbow_batch", "cbow_ns_update", "cbow_hs_update"]
@@ -133,7 +134,8 @@ def _context_means(embedding: np.ndarray, batch: CbowBatch) -> np.ndarray:
     """Per-example mean of context embeddings (word2vec.c's neu1)."""
     B, D = len(batch), embedding.shape[1]
     h = np.zeros((B, D), dtype=np.float64)
-    np.add.at(h, batch.context_segments, embedding[batch.context_rows])
+    # h starts at zero, so subtracting the negated rows is their exact sum.
+    scatter_sub(h, batch.context_segments, -embedding[batch.context_rows])
     h /= batch.context_counts[:, None]
     return h.astype(embedding.dtype)
 
@@ -153,7 +155,7 @@ def cbow_ns_update(
     h = _context_means(embedding, batch)  # (B, D)
     targets = np.concatenate([batch.centers[:, None], batch.negatives], axis=1)
     t = training[targets]  # (B, K+1, D)
-    scores = np.einsum("bd,bkd->bk", h, t)
+    scores = np.matmul(t, h[:, :, None])[:, :, 0]
     sig = expit(scores)
     grad_scale = sig.copy()
     grad_scale[:, 0] -= 1.0
@@ -161,19 +163,10 @@ def cbow_ns_update(
         grad_scale[:, 1:] *= batch.negative_mask
     g = grad_scale * lr
 
-    grad_h = np.einsum("bk,bkd->bd", g, t)  # (B, D) — word2vec.c's neu1e
-    grad_t = g[:, :, None] * h[:, None, :]
+    grad_h = np.matmul(g[:, None, :], t)[:, 0, :]  # (B, D) — word2vec.c's neu1e
+    sparse_update(training, targets, g, h)
     # Every context row receives the full input gradient (word2vec.c).
-    np.subtract.at(
-        embedding,
-        batch.context_rows,
-        grad_h[batch.context_segments].astype(embedding.dtype),
-    )
-    np.subtract.at(
-        training,
-        targets.ravel(),
-        grad_t.reshape(-1, training.shape[1]).astype(training.dtype),
-    )
+    scatter_sub(embedding, batch.context_rows, grad_h[batch.context_segments])
     if not compute_loss:
         return 0.0
     pos = np.maximum(sig[:, 0], _MIN_PROB)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from repro.w2v.huffman import HuffmanTree
+from repro.w2v.scatter import scatter_sub, sparse_update
 
 __all__ = ["hs_update", "hs_pairs_access"]
 
@@ -70,27 +71,20 @@ def hs_update(
 
     e = embedding[inputs] if input_vectors is None else input_vectors  # (B, D)
     t = hs_output[points]  # (B, L, D)
-    scores = np.einsum("bd,bld->bl", e, t)
+    scores = np.matmul(t, e[:, :, None])[:, :, 0]
     sig = expit(scores)
     labels = 1.0 - codes
     g = (sig - labels) * mask * lr  # (B, L)
 
-    grad_e = np.einsum("bl,bld->bd", g, t)
-    grad_t = g[:, :, None] * e[:, None, :]
+    grad_e = np.matmul(g[:, None, :], t)[:, 0, :]
+    sparse_update(hs_output, points, g, e)
     if input_vectors is None:
-        np.subtract.at(embedding, inputs, grad_e.astype(embedding.dtype))
+        scatter_sub(embedding, inputs, grad_e)
     else:
         if input_scatter is None:
             raise ValueError("input_vectors requires input_scatter")
         segments, rows = input_scatter
-        np.subtract.at(
-            embedding, rows, grad_e[segments].astype(embedding.dtype)
-        )
-    np.subtract.at(
-        hs_output,
-        points.ravel(),
-        grad_t.reshape(-1, hs_output.shape[1]).astype(hs_output.dtype),
-    )
+        scatter_sub(embedding, rows, grad_e[segments])
 
     if not compute_loss:
         return 0.0

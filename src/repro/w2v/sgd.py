@@ -16,20 +16,23 @@ Follows word2vec.c's training schedule:
       σ = sigmoid(e · t_j);  g_j = (σ_j − y_j)·α
       e −= Σ_j g_j t_j;      t_j −= g_j e
 
-Updates are applied in batches with scatter-add (``np.subtract.at``):
-gradients in a batch are computed against the model at batch start, the
-vectorized equivalent of the intra-host Hogwild the paper uses (racy,
-slightly stale, empirically benign for sparse updates — §2.3).
+Updates are applied one slice at a time as two sparse-times-dense products
+(:mod:`repro.w2v.scatter`): gradients in a slice are computed against the
+model at slice start and duplicate rows accumulate, the vectorized
+equivalent of the intra-host Hogwild the paper uses (racy, slightly stale,
+empirically benign for sparse updates — §2.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 from repro.text.negative_sampling import UnigramTable
+from repro.w2v.scatter import scatter_sub, sparse_update
 
 __all__ = [
     "TrainingBatch",
@@ -38,7 +41,7 @@ __all__ = [
     "sample_negatives",
     "build_training_batch",
     "sgns_update",
-    "apply_training_batch",
+    "apply_in_slices",
 ]
 
 # Loss clamp: -log of a probability never reports more than this per term
@@ -202,7 +205,7 @@ def sgns_update(
     learning_rate: float,
     compute_loss: bool = False,
 ) -> float:
-    """One scatter-add SGD step over ``batch``; returns summed loss (or 0).
+    """One SGD step over ``batch``; returns summed loss (or 0).
 
     Gradients are evaluated against the arrays' state at entry; duplicate
     rows within the batch accumulate (Hogwild-style batched application).
@@ -214,7 +217,7 @@ def sgns_update(
     e = embedding[batch.inputs]  # (B, D)
     targets = np.concatenate([batch.outputs[:, None], batch.negatives], axis=1)
     t = training[targets]  # (B, K+1, D)
-    scores = np.einsum("bd,bkd->bk", e, t)
+    scores = np.matmul(t, e[:, :, None])[:, :, 0]
     sig = expit(scores)
     # labels: column 0 positive; masked-out negatives get zero gradient.
     grad_scale = sig.copy()
@@ -223,14 +226,9 @@ def sgns_update(
         grad_scale[:, 1:] *= batch.negative_mask
     g = grad_scale * lr  # (B, K+1)
 
-    grad_e = np.einsum("bk,bkd->bd", g, t)
-    grad_t = g[:, :, None] * e[:, None, :]
-    np.subtract.at(embedding, batch.inputs, grad_e.astype(embedding.dtype))
-    np.subtract.at(
-        training,
-        targets.ravel(),
-        grad_t.reshape(-1, training.shape[1]).astype(training.dtype),
-    )
+    grad_e = np.matmul(g[:, None, :], t)[:, 0, :]
+    sparse_update(training, targets, g, e)
+    scatter_sub(embedding, batch.inputs, grad_e)
 
     if not compute_loss:
         return 0.0
@@ -242,22 +240,17 @@ def sgns_update(
     return float(loss)
 
 
-def apply_training_batch(
-    embedding: np.ndarray,
-    training: np.ndarray,
-    batch: TrainingBatch,
-    learning_rate: float,
-    batch_pairs: int,
-    compute_loss: bool = False,
-) -> tuple[float, int]:
-    """Apply ``batch`` in ``batch_pairs``-sized slices; (loss, pairs) totals."""
+def apply_in_slices(batch, batch_pairs: int, update: Callable) -> tuple[float, int]:
+    """Feed ``batch`` to ``update(piece) -> loss`` in ``batch_pairs``-sized slices.
+
+    The one Hogwild slice loop: every kernel sees the model as the previous
+    slice left it.  ``batch`` is any batch type with ``len`` and ``slice``;
+    returns (summed loss, examples).
+    """
     if batch_pairs < 1:
         raise ValueError(f"batch_pairs must be >= 1, got {batch_pairs}")
     total_loss = 0.0
-    B = len(batch)
-    for start in range(0, B, batch_pairs):
-        piece = batch.slice(start, min(start + batch_pairs, B))
-        total_loss += sgns_update(
-            embedding, training, piece, learning_rate, compute_loss=compute_loss
-        )
-    return total_loss, B
+    n = len(batch)
+    for start in range(0, n, batch_pairs):
+        total_loss += update(batch.slice(start, min(start + batch_pairs, n)))
+    return total_loss, n

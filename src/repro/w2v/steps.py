@@ -24,7 +24,7 @@ from repro.w2v.cbow import CbowBatch, build_cbow_batch, cbow_hs_update, cbow_ns_
 from repro.w2v.hs import hs_pairs_access, hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.params import Word2VecParams
-from repro.w2v.sgd import TrainingBatch, build_training_batch, sgns_update
+from repro.w2v.sgd import TrainingBatch, apply_in_slices, build_training_batch, sgns_update
 
 __all__ = ["RoundWork", "build_round_work", "output_rows_for"]
 
@@ -63,32 +63,21 @@ class RoundWork:
         compute_loss: bool = False,
     ) -> tuple[float, int]:
         """Run the kernel in ``batch_pairs``-sized Hogwild slices."""
-        if batch_pairs < 1:
-            raise ValueError(f"batch_pairs must be >= 1, got {batch_pairs}")
-        total_loss = 0.0
-        n = len(self.batch)
-        for start in range(0, n, batch_pairs):
-            piece = self.batch.slice(start, min(start + batch_pairs, n))
-            if self.kind == "sg-ns":
-                total_loss += sgns_update(
-                    embedding, output, piece, learning_rate, compute_loss
-                )
-            elif self.kind == "sg-hs":
-                total_loss += hs_update(
-                    embedding, output, piece.inputs, piece.outputs,
-                    self.tree, learning_rate, compute_loss,
-                )
-            elif self.kind == "cbow-ns":
-                total_loss += cbow_ns_update(
-                    embedding, output, piece, learning_rate, compute_loss
-                )
-            elif self.kind == "cbow-hs":
-                total_loss += cbow_hs_update(
-                    embedding, output, piece, self.tree, learning_rate, compute_loss
-                )
-            else:  # pragma: no cover - constructor controls kinds
-                raise AssertionError(f"unknown work kind {self.kind}")
-        return total_loss, n
+        kernels = {
+            "sg-ns": lambda piece: sgns_update(
+                embedding, output, piece, learning_rate, compute_loss
+            ),
+            "sg-hs": lambda piece: hs_update(
+                embedding, output, piece.inputs, piece.outputs, self.tree, learning_rate, compute_loss
+            ),
+            "cbow-ns": lambda piece: cbow_ns_update(
+                embedding, output, piece, learning_rate, compute_loss
+            ),
+            "cbow-hs": lambda piece: cbow_hs_update(
+                embedding, output, piece, self.tree, learning_rate, compute_loss
+            ),
+        }
+        return apply_in_slices(self.batch, batch_pairs, kernels[self.kind])
 
 
 def build_round_work(

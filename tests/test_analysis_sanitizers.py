@@ -362,6 +362,39 @@ class TestTrainerIntegration:
         with pytest.raises(SanitizeError, match="dropped-write"):
             trainer.train(until_round=1)
 
+    def test_divergence_is_reported_at_the_round_it_broke(self, corpus):
+        """SUM of 8 hosts' updates at a blow-up rate (Fig 6): non-finite rows
+        are a finding naming round, field and host — without sanitize the
+        same run trains through the NaNs silently."""
+        params = PARAMS.with_(learning_rate=40.0, epochs=4)
+        # workers=1: np.errstate is per thread, pool threads would warn.
+        options = dict(num_hosts=8, combiner="sum", seed=3, sync_rounds_per_epoch=4, workers=1)
+        with np.errstate(all="ignore"):
+            silent = GraphWord2Vec(corpus, params, sanitize=False, **options).train()
+            assert not np.isfinite(silent.model.embedding).all()
+            trainer = GraphWord2Vec(corpus, params, sanitize=True, **options)
+            with pytest.raises(SanitizeError, match="non-finite") as raised:
+                trainer.train()
+        finding = next(f for f in raised.value.findings if f.kind == "non-finite")
+        assert finding.details["field"] in ("embedding", "training")
+        assert 0 <= finding.details["host"] < 8
+        # Reported at the sync that produced it, not at the end of training.
+        assert finding.details["round"] == trainer.metrics.num_rounds - 1 < 15
+        assert len(finding.details["rows"]) > 0
+
+        # A run resumed from round 3 names the trainer's round, not the
+        # number of syncs this process has seen.
+        donor = GraphWord2Vec(corpus, params, sanitize=True, **options)
+        with np.errstate(all="ignore"):
+            donor.train(until_round=3)
+            resumed = GraphWord2Vec(corpus, params, sanitize=True, **options)
+            resumed.load_checkpoint(donor.save_checkpoint())
+            with pytest.raises(SanitizeError, match="non-finite") as raised:
+                resumed.train()
+        again = next(f for f in raised.value.findings if f.kind == "non-finite")
+        assert again.details == finding.details
+        assert resumed.metrics.num_rounds < trainer.metrics.num_rounds
+
     def test_checkpoint_resume_resets_checker_state(self, corpus):
         donor = GraphWord2Vec(corpus, PARAMS, num_hosts=2, seed=5, sanitize=True)
         donor.train(until_round=2)

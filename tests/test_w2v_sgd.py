@@ -6,7 +6,7 @@ from scipy.special import expit
 from repro.text.negative_sampling import UnigramTable
 from repro.w2v.sgd import (
     TrainingBatch,
-    apply_training_batch,
+    apply_in_slices,
     build_training_batch,
     generate_pairs,
     sample_negatives,
@@ -214,15 +214,15 @@ class TestBatchHelpers:
         batch = make_batch(
             rng.integers(0, 10, 7), rng.integers(0, 10, 7), rng.integers(0, 10, (7, 2))
         )
-        _loss, pairs = apply_training_batch(emb, trn, batch, 0.01, batch_pairs=3)
+        _loss, pairs = apply_in_slices(
+            batch, 3, lambda piece: sgns_update(emb, trn, piece, 0.01)
+        )
         assert pairs == 7
 
     def test_apply_invalid_batch_pairs(self):
         batch = make_batch([0], [0], [[0]])
         with pytest.raises(ValueError):
-            apply_training_batch(
-                np.zeros((1, 2), np.float32), np.zeros((1, 2), np.float32), batch, 0.1, 0
-            )
+            apply_in_slices(batch, 0, lambda piece: 0.0)
 
     def test_build_training_batch_shapes(self):
         table = UnigramTable(np.ones(20))
