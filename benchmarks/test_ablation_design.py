@@ -27,17 +27,16 @@ def test_ablation_fold_order_rotation(once):
         trainer = GraphWord2Vec(corpus, params, num_hosts=8, seed=7)
         if not rotate:
             # Freeze the fold offset at zero by patching the round counter
-            # contribution out (ablation-only knob).  Both fields share one
-            # synchronizer under negative sampling.
-            original = trainer._sync_emb.sync_replicated
+            # contribution out of the fold kernel (ablation-only knob).
+            # Both fields share one synchronizer under negative sampling.
+            original = trainer._sync_emb.fold
 
             def fixed(*args, **kwargs):
                 kwargs["fold_offset"] = 0
                 return original(*args, **kwargs)
 
-            trainer._sync_emb.sync_replicated = fixed
-            if trainer._sync_out is not trainer._sync_emb:
-                trainer._sync_out.sync_replicated = fixed
+            trainer._sync_emb.fold = fixed
+            assert trainer._sync_out is trainer._sync_emb
         model = trainer.train().model
         return evaluate_analogies(model, corpus.vocabulary, questions).total
 

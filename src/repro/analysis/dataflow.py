@@ -30,12 +30,12 @@ seed through ``derive_seed``/``keyed_rng`` key tuples.
 **Gluon sync protocol** — the static counterpart of
 ``GluonSyncChecker``, scoped to *clients* of the protocol.  The protocol
 engines themselves are exempt: ``repro/gluon/sync.py`` (the one fold
-kernel and its BSP caller) and ``repro/dgraph/async_engine.py`` (the
-kernel's bounded-staleness caller: it owns no fold arithmetic, but its
-capture-and-rebase discipline and its read-my-writes landing legally
-read and write mirrors outside ``set_many`` flagging — its staleness is
-bounded dynamically by ``GluonSyncChecker.note_async_step``), plus the
-analysis package.
+kernel and its bit-vector front end) and ``repro/dgraph/async_engine.py``
+(the training engine, the kernel's caller: it owns no fold arithmetic,
+but its capture-and-rebase discipline and its read-my-writes landing
+legally read and write mirrors outside ``set_many`` flagging — its
+staleness is bounded dynamically by
+``GluonSyncChecker.note_async_step``), plus the analysis package.
 
 - ``REPRO121`` *gluon-unflagged-write*: a write to a ``FieldSync``
   mirror (``field.arrays[...]``) in barrier-reaching code with no
@@ -95,7 +95,7 @@ def _is_analysis_module(path: str) -> bool:
 
 def _is_sync_engine(path: str) -> bool:
     # Both implement the protocol REPRO121/122 police its *clients* for:
-    # the fold kernel, and the async engine, whose delta capture and
+    # the fold kernel, and the training engine, whose delta capture and
     # landing read/write mirrors legally by construction (bounded
     # dynamically via GluonSyncChecker.note_async_step, not statically).
     p = _posix(path)

@@ -14,16 +14,20 @@ each item as its own chunk makes findings independent of the executor that
 actually ran the loop (chunking is a scheduling knob, not a correctness
 boundary): a race is reported even when the loop happened to run serially.
 
-Protocol checking (:class:`GluonSyncChecker`) hooks the synchronizer's
-reduce/broadcast rounds and tracks three per-(field, host) invariants:
+Protocol checking (:class:`GluonSyncChecker`) hooks the synchronizer's one
+fold kernel — so every caller, the training engine and direct
+``sync_replicated`` users alike, is audited by the same code — and tracks
+three per-(field, host) invariants:
 
-- **dropped writes** — rows where ``array != base`` that were neither
-  flagged in the round's update bit-vector nor part of the *expected
-  residual* (PullModel legitimately leaves already-reduced deltas in
-  place on rows it chose not to refresh);
-- **stale reads** — a host updating a row whose replica went stale (its
-  master changed in an earlier round without a broadcast reaching this
-  host since);
+- **dropped writes** — rows where ``array != base`` that were neither in
+  the fold's touched set nor part of the *expected residual* (PullModel
+  legitimately leaves already-reduced deltas in place on rows it chose
+  not to refresh);
+- **stale reads** — a host contributing a row its replica held stale
+  *when the step started* (the master changed in an earlier fold without
+  a broadcast reaching this host since).  Rows that go stale while a host
+  runs ahead of the fold frontier are the bounded-staleness contract,
+  which ``note_async_step`` audits, not a finding;
 - **redundant broadcasts** — received rows that neither changed at their
   master nor were requested through the plan's access mechanism.
 
@@ -310,15 +314,16 @@ def _concat_sorted(parts: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class GluonSyncChecker:
-    """Tracks per-field dirty/stale invariants across sync rounds.
+    """Tracks per-field dirty/stale invariants across folds.
 
     Attach via ``synchronizer.checker = checker`` (both the embedding and
     output synchronizers may share one instance; state is keyed by field
-    name).  The checker observes ``sync_replicated`` entry and exit plus
+    name).  The checker observes the fold kernel's entry and exit, every
+    broadcast landing (a fold's or a PullModel refresh's) and
     ``restore_host``, and — for the BSP value-mode loop — per-round
     outcomes through :meth:`observe_bsp_round`.  It doubles as the
-    divergence sentinel: rows a replicated sync leaves non-finite are a
-    finding naming the round, field and host.
+    divergence sentinel: rows a fold leaves non-finite are a finding
+    naming the round, field and host.
     """
 
     name = "gluon"
@@ -331,10 +336,14 @@ class GluonSyncChecker:
         # chose not to refresh the row (PullModel).
         self._residual: dict[tuple[str, int], np.ndarray] = {}
         # Stale rows per (field, host): master changed, no broadcast
-        # received by this host since.
+        # received by this host since.  Arrays are replaced, never
+        # mutated, so a reference is a snapshot.
         self._stale: dict[tuple[str, int], np.ndarray] = {}
-        # Bounded-staleness audit (async engine): the next round each
-        # (field, host) clock may start, and the fold frontier per field.
+        # The stale set each noted step started from, per (field, host,
+        # round): what its fold's stale-read rule is judged against.
+        self._stale_at_start: dict[tuple[str, int, int], np.ndarray] = {}
+        # Bounded-staleness audit: the next round each (field, host) clock
+        # may start, and the fold frontier per field.
         self._async_clock: dict[tuple[str, int], int] = {}
         self._async_folds: dict[str, int] = {}
 
@@ -342,10 +351,11 @@ class GluonSyncChecker:
         """Forget residual/stale tracking (e.g. after a checkpoint load)."""
         self._residual.clear()
         self._stale.clear()
+        self._stale_at_start.clear()
         self._async_clock.clear()
         self._async_folds.clear()
 
-    # -- bounded-staleness hooks (async engine) -------------------------
+    # -- bounded-staleness hooks (training engine) ----------------------
     def note_async_step(
         self,
         field_name: str,
@@ -358,8 +368,10 @@ class GluonSyncChecker:
 
         Asserts the SSP contract: a host may lead the sync frontier by at
         most ``staleness`` rounds, and its own per-(field, host) clock only
-        ever moves forward.  Called by the async engine before every step;
-        any violation is a scheduler bug, never legal behavior.
+        ever moves forward.  Called by the engine as each step starts —
+        after the step's mirror refresh, before its kernel — so the stale
+        set recorded here is what the step may not touch; any violation is
+        a scheduler bug, never legal behavior.
         """
         lead = round_index - folds_done
         if lead > staleness:
@@ -398,6 +410,9 @@ class GluonSyncChecker:
                 )
             )
         self._async_clock[(field_name, host)] = round_index + 1
+        self._stale_at_start[(field_name, host, round_index)] = self._stale.get(
+            (field_name, host), _empty_ids()
+        )
 
     def note_async_fold(self, field_name: str, round_index: int) -> None:
         """The sync frontier folded ``round_index`` for ``field_name``.
@@ -424,13 +439,16 @@ class GluonSyncChecker:
             )
         self._async_folds[field_name] = round_index + 1
 
-    # -- sync_replicated hooks ------------------------------------------
-    def before_replicated(self, field_sync: Any, bounds: np.ndarray, updated: Sequence[Any]) -> None:
-        """Entry hook: validate writes against flags, before any mutation."""
+    # -- fold-kernel hooks ----------------------------------------------
+    def before_fold(
+        self, field_sync: Any, touched: Sequence[np.ndarray], sync_round: int
+    ) -> None:
+        """Entry hook: validate writes against the touched sets, before any
+        mutation.  ``sync_round`` is the caller's ``fold_offset`` — the
+        trainer's global round."""
         name = field_sync.name
         emitted = 0
-        for h, bits in enumerate(updated):
-            flagged = bits.indices()
+        for h, flagged in enumerate(touched):
             arr = field_sync.arrays[h]
             base = field_sync.bases[h]
             neq = arr != base
@@ -440,11 +458,11 @@ class GluonSyncChecker:
                 # training outcome, not a dropped write).
                 neq &= ~(np.isnan(arr) & np.isnan(base))
             dirty = np.flatnonzero(neq.any(axis=1)).astype(np.int64)
-            allowed = flagged
-            residual = self._residual.get((name, h))
-            if residual is not None and residual.size:
-                allowed = np.union1d(flagged, residual)
-            dropped = np.setdiff1d(dirty, allowed, assume_unique=False)
+            allowed = np.union1d(flagged, self._residual.get((name, h), _empty_ids()))
+            # Touched rows stay expected residual until a landing rebases
+            # them (``after_broadcast``).
+            self._residual[(name, h)] = allowed
+            dropped = np.setdiff1d(dirty, allowed, assume_unique=True)
             if dropped.size and emitted < _MAX_FINDINGS_PER_CHECK:
                 emitted += 1
                 self.findings.append(
@@ -452,53 +470,49 @@ class GluonSyncChecker:
                         self.name,
                         "dropped-write",
                         f"field {name!r}: host {h} wrote rows {_sample(dropped)} "
-                        f"({dropped.size} total) without flagging them in the "
-                        "update bit-vector; the deltas will never be reduced",
+                        f"({dropped.size} total) outside the touched set it "
+                        "handed the fold; the deltas will never be reduced",
                         {"field": name, "host": h, "rows": _sample(dropped)},
                     )
                 )
-            stale = self._stale.get((name, h))
-            if stale is not None and stale.size and flagged.size:
-                hit = np.intersect1d(flagged, stale, assume_unique=True)
-                if hit.size and emitted < _MAX_FINDINGS_PER_CHECK:
-                    emitted += 1
-                    self.findings.append(
-                        SanitizeFinding(
-                            self.name,
-                            "stale-read",
-                            f"field {name!r}: host {h} updated rows {_sample(hit)} "
-                            f"({hit.size} total) whose replica is stale (master "
-                            "changed without a broadcast reaching this host)",
-                            {"field": name, "host": h, "rows": _sample(hit)},
-                        )
+            # A step the engine noted is judged against the stale set it
+            # started from; without a note the caller is lock-step and
+            # every row still stale now was stale when it computed.
+            stale = self._stale_at_start.pop(
+                (name, h, sync_round), self._stale.get((name, h), _empty_ids())
+            )
+            hit = np.intersect1d(flagged, stale, assume_unique=True)
+            if hit.size and emitted < _MAX_FINDINGS_PER_CHECK:
+                emitted += 1
+                self.findings.append(
+                    SanitizeFinding(
+                        self.name,
+                        "stale-read",
+                        f"field {name!r}: host {h} updated rows {_sample(hit)} "
+                        f"({hit.size} total) whose replica is stale (master "
+                        "changed without a broadcast reaching this host)",
+                        {"field": name, "host": h, "rows": _sample(hit)},
                     )
+                )
 
-    def after_replicated(
+    def after_broadcast(
         self,
-        field_sync: Any,
+        name: str,
         bounds: np.ndarray,
         plan: Any,
-        updated: Sequence[Any],
         changed_per_master: Sequence[np.ndarray],
+        accessed: Sequence[np.ndarray] | None,
         received_per_host: Sequence[np.ndarray],
-        accessed_next: Sequence[np.ndarray] | None,
-        sync_round: int,
     ) -> None:
-        """Exit hook: audit the broadcast and roll the stale/residual state.
-
-        ``sync_round`` is the caller's ``fold_offset`` — the trainer's global
-        round — and is only used to name the round in a finding.
-        """
-        name = field_sync.name
+        """Rows landed on mirrors (a fold's broadcast or a PullModel
+        refresh): audit them and roll the stale/residual ledgers."""
         changed_all = _concat_sorted(changed_per_master)  # blocks disjoint => unique
         emitted = 0
-        for h in range(len(field_sync.arrays)):
-            recv = np.asarray(received_per_host[h], dtype=np.int64)
+        for h, recv in enumerate(received_per_host):
             if recv.size:
                 justified = np.isin(recv, changed_all)
-                if plan.requires_access_sets and accessed_next is not None:
-                    acc = np.asarray(accessed_next[h], dtype=np.int64)
-                    justified |= np.isin(recv, acc)
+                if plan.requires_access_sets and accessed is not None:
+                    justified |= np.isin(recv, np.asarray(accessed[h], dtype=np.int64))
                 redundant = recv[~justified]
                 if redundant.size and emitted < _MAX_FINDINGS_PER_CHECK:
                     emitted += 1
@@ -513,11 +527,28 @@ class GluonSyncChecker:
                             {"field": name, "host": h, "rows": _sample(redundant)},
                         )
                     )
-
+            # A master's own freshly folded rows landed like a broadcast.
+            self._residual[(name, h)] = np.setdiff1d(
+                self._residual.get((name, h), _empty_ids()),
+                np.union1d(recv, changed_per_master[h]),
+                assume_unique=True,
+            )
             block = master_block_slice(bounds, h)
-            flagged = updated[h].indices()
-            rebased = np.union1d(recv, np.asarray(changed_per_master[h], dtype=np.int64))
-            # Divergence sentinel: the rows this fold wrote on host h.
+            foreign = changed_all[
+                (changed_all < block.start) | (changed_all >= block.stop)
+            ]
+            stale = np.union1d(self._stale.get((name, h), _empty_ids()), foreign)
+            self._stale[(name, h)] = np.setdiff1d(stale, recv, assume_unique=True)
+
+    def after_fold(self, field_sync: Any, result: Any, sync_round: int) -> None:
+        """Exit hook: the divergence sentinel over the rows this fold wrote
+        (``result`` is the kernel's ``ReplicatedSyncResult``)."""
+        name = field_sync.name
+        emitted = 0
+        for h, (own, recv) in enumerate(
+            zip(result.changed_per_master, result.received_per_host)
+        ):
+            rebased = np.union1d(recv, own)
             broken = rebased[~np.isfinite(field_sync.arrays[h][rebased]).all(axis=1)]
             if broken.size and emitted < _MAX_FINDINGS_PER_CHECK:
                 emitted += 1
@@ -532,22 +563,16 @@ class GluonSyncChecker:
                          "rows": _sample(broken)},
                     )
                 )
-            residual = self._residual.get((name, h), _empty_ids())
-            residual = np.setdiff1d(np.union1d(residual, flagged), rebased)
-            self._residual[(name, h)] = residual
-
-            foreign = changed_all[
-                (changed_all < block.start) | (changed_all >= block.stop)
-            ]
-            stale = self._stale.get((name, h), _empty_ids())
-            stale = np.setdiff1d(np.union1d(stale, foreign), recv)
-            self._stale[(name, h)] = stale
         self.rounds_observed += 1
 
     def after_restore(self, field_sync: Any, host: int) -> None:
-        """Crash recovery rebuilt ``host``'s replica: everything is fresh."""
+        """Crash recovery rebuilt ``host``'s replica: everything is fresh,
+        for the steps it has already noted too."""
         self._residual[(field_sync.name, host)] = _empty_ids()
         self._stale[(field_sync.name, host)] = _empty_ids()
+        for key in self._stale_at_start:
+            if key[:2] == (field_sync.name, host):
+                self._stale_at_start[key] = _empty_ids()
 
     # -- BSP value-mode hook --------------------------------------------
     def observe_bsp_round(self, round_index: int, local_work: int, result: Any) -> None:

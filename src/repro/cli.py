@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="bsp",
         choices=["bsp", "async"],
         help=(
-            "execution engine for multi-host training: 'bsp' (every round "
+            "round schedule for multi-host training: 'bsp' (every round "
             "a global barrier) or 'async' (bounded-staleness SSP; hosts "
-            "run ahead up to --staleness rounds). async with --staleness 0 "
-            "is bit-identical to bsp."
+            "run ahead up to --staleness rounds). One engine runs both: "
+            "bsp is async with --staleness 0."
         ),
     )
     train.add_argument(
@@ -325,26 +325,15 @@ def _cmd_train(args) -> int:
         if report.faults is not None:
             print(f"faults: {report.faults.summary()}")
         if args.trace is not None:
-            import json as _json
+            from repro.cluster.trace import trace_json
 
-            from repro.cluster.trace import (
-                build_async_chrome_trace,
-                build_chrome_trace,
-            )
-
-            if trainer.async_timeline is not None:
-                events = build_async_chrome_trace(
+            args.trace.write_text(
+                trace_json(
                     trainer.async_timeline,
                     trainer.network.phase_records,
                     trainer.network_model,
                 )
-            else:
-                events = build_chrome_trace(
-                    trainer.metrics,
-                    trainer.network.phase_records,
-                    trainer.network_model,
-                )
-            args.trace.write_text(_json.dumps({"traceEvents": events}))
+            )
             print(f"trace written to {args.trace}")
     if questions is not None:
         print(evaluate_analogies(model, corpus.vocabulary, questions))

@@ -15,9 +15,9 @@ class TimeBreakdown:
 
     ``compute_s`` is *busy* compute — the mean over hosts, summed over
     rounds — and ``wait_s`` is the slack between that and the execution's
-    makespan: under BSP it is exactly the time hosts idle at round
-    barriers waiting for the slowest host (straggler time), under the
-    async engine it is whatever blocking the staleness bound still forces.
+    makespan: under BSP (``staleness=0``) it is exactly the time hosts
+    idle at round barriers waiting for the slowest host (straggler time),
+    at ``staleness>0`` whatever blocking the staleness bound still forces.
     ``compute_s + wait_s`` therefore equals the compute-phase critical
     path (for BSP: the sum over rounds of the per-round max), keeping
     ``total_s`` identical to the pre-wait-bucket breakdown.
@@ -140,9 +140,8 @@ class ClusterMetrics:
     def compute_rounds(self) -> tuple[np.ndarray, ...]:
         """Per-round measured compute seconds, one ``(num_hosts,)`` array each.
 
-        Read-only views over completed rounds — the public contract consumed
-        by :mod:`repro.cluster.trace` and anything else replaying the
-        timeline.
+        Read-only views over completed rounds — the public contract for
+        anything reading a run's per-round history.
         """
         return self._readonly(self._rounds)
 

@@ -51,15 +51,13 @@ class DistributedRunReport:
         pairs_processed: int = 0,
         peak_replica_rows: int = 0,
         fault_report: FaultReport | None = None,
-        makespan_s: float | None = None,
+        makespan_s: float,
     ) -> "DistributedRunReport":
-        """``makespan_s`` overrides the compute-phase critical path.
-
-        ``None`` (BSP) uses the barrier makespan — the sum over rounds of
-        the slowest host — which is exact for a lock-step loop.  The async
-        engine passes its replayed event-order makespan instead, so the
-        slack bought by bounded staleness shows up as a smaller ``wait_s``
-        rather than being invisible inside per-round maxima.
+        """``makespan_s`` is the compute-phase critical path: the engine's
+        replayed event-order makespan.  Under the lock-step schedule it is
+        the sum over rounds of the slowest host; under bounded staleness
+        the slack it buys shows up as a smaller ``wait_s`` rather than
+        being invisible inside per-round maxima.
         """
         # Restore traffic (phases named "recovery:*") is a fault cost, not
         # steady-state communication — price it into the recovery bucket so
@@ -75,8 +73,6 @@ class DistributedRunReport:
         # Split the compute critical path into busy time (mean over hosts)
         # and barrier/staleness wait, so straggler slack is attributable.
         busy_s = metrics.modeled_busy_s()
-        if makespan_s is None:
-            makespan_s = metrics.modeled_compute_s()
         breakdown = TimeBreakdown(
             compute_s=busy_s,
             communication_s=comm_s,

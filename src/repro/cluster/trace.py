@@ -1,21 +1,24 @@
 """Chrome-trace export of a simulated run's timeline.
 
-Serializes the modeled execution — per-round per-host compute intervals and
+Serializes the modeled execution — per-step per-host compute intervals and
 the priced communication phases — in the Chrome tracing JSON format, so a
 distributed run can be inspected visually in ``chrome://tracing`` /
 Perfetto.  Rows ("threads") are hosts; communication appears on a dedicated
-row since BSP communication is a global phase.
+row since a fold's phases are global.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.network import NetworkModel
 from repro.gluon.comm import PhaseRecord
 
-__all__ = ["build_chrome_trace", "build_async_chrome_trace", "trace_json"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dgraph.async_engine import AsyncTimeline
+
+__all__ = ["build_chrome_trace", "trace_json"]
 
 _US = 1e6  # trace timestamps are microseconds
 
@@ -23,268 +26,112 @@ _US = 1e6  # trace timestamps are microseconds
 _WAIT_EPS_S = 1e-12
 
 
+def _row_label(tid: int, name: str) -> dict:
+    return {
+        "name": "thread_name",
+        "ph": "M",
+        "pid": 0,
+        "tid": tid,
+        "args": {"name": name},
+    }
+
+
 def build_chrome_trace(
-    metrics: ClusterMetrics,
+    timeline: "AsyncTimeline",
     phase_records: list[PhaseRecord],
     network_model: NetworkModel,
 ) -> list[dict]:
     """Trace events for one run (complete 'X' events).
 
-    Timeline reconstruction: rounds execute back to back; within a round
-    every host's compute starts together (BSP), runs for its measured
-    duration, and the round's communication phases follow the slowest
-    host.  Phase records are attributed to rounds in order, as the
-    synchronizer emits them.
-    """
-    events: list[dict] = []
-    # Public read-only accessors: measured seconds, shape (hosts,) per round.
-    per_round = metrics.compute_rounds
-    inspections = metrics.inspection_rounds
-    recoveries = metrics.recovery_rounds
-    records = list(phase_records)
-    # Phases per round: total records divided evenly (each round emits the
-    # same phase sequence).
-    per_round_phases = len(records) // max(len(per_round), 1) if per_round else 0
-
-    clock = 0.0
-    record_cursor = 0
-    for round_index, compute in enumerate(per_round):
-        start = clock
-        for host in range(metrics.num_hosts):
-            duration = float(compute[host])
-            if duration > 0:
-                events.append(
-                    {
-                        "name": f"compute r{round_index}",
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": host,
-                        "ts": start * _US,
-                        "dur": duration * _US,
-                        "cat": "compute",
-                    }
-                )
-            inspect = float(inspections[round_index][host]) if inspections else 0.0
-            if inspect > 0:
-                events.append(
-                    {
-                        "name": f"inspect r{round_index}",
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": host,
-                        "ts": (start + duration) * _US,
-                        "dur": inspect * _US,
-                        "cat": "inspection",
-                    }
-                )
-        barrier = start + float(compute.max()) + (
-            float(inspections[round_index].max()) if inspections else 0.0
-        )
-        # Barrier wait: hosts that finished early idle until the slowest
-        # host reaches the barrier (the breakdown's ``wait_s`` bucket,
-        # made visible per host per round).
-        for host in range(metrics.num_hosts):
-            busy_end = start + float(compute[host]) + (
-                float(inspections[round_index][host]) if inspections else 0.0
-            )
-            slack = barrier - busy_end
-            if slack > _WAIT_EPS_S:
-                events.append(
-                    {
-                        "name": f"wait r{round_index}",
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": host,
-                        "ts": busy_end * _US,
-                        "dur": slack * _US,
-                        "cat": "wait",
-                    }
-                )
-        # Fault recovery stalls the barrier: crashed hosts restore and
-        # replay while survivors wait, so the round's communication starts
-        # after the slowest recovery.
-        recovery = recoveries[round_index] if recoveries else None
-        if recovery is not None and recovery.max() > 0:
-            for host in range(metrics.num_hosts):
-                duration = float(recovery[host])
-                if duration > 0:
-                    events.append(
-                        {
-                            "name": f"recover r{round_index}",
-                            "ph": "X",
-                            "pid": 0,
-                            "tid": host,
-                            "ts": barrier * _US,
-                            "dur": duration * _US,
-                            "cat": "recovery",
-                        }
-                    )
-            barrier += float(recovery.max())
-        clock = barrier
-        for _ in range(per_round_phases):
-            if record_cursor >= len(records):
-                break
-            record = records[record_cursor]
-            record_cursor += 1
-            duration = network_model.phase_time(record)
-            if duration > 0:
-                events.append(
-                    {
-                        "name": record.name,
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": metrics.num_hosts,  # the "network" row
-                        "ts": clock * _US,
-                        "dur": duration * _US,
-                        "cat": "communication",
-                        "args": {
-                            "bytes": int(record.total_bytes),
-                            "messages": int(record.messages),
-                        },
-                    }
-                )
-            clock += duration
-
-    # Row labels.
-    for host in range(metrics.num_hosts):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": host,
-                "args": {"name": f"host {host}"},
-            }
-        )
-    events.append(
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": metrics.num_hosts,
-            "args": {"name": "network"},
-        }
-    )
-    return events
-
-
-def build_async_chrome_trace(
-    timeline,
-    phase_records: list[PhaseRecord],
-    network_model: NetworkModel,
-) -> list[dict]:
-    """Trace events for an async (SSP) run.
-
     ``timeline`` is the :class:`~repro.dgraph.async_engine.AsyncTimeline`
-    a trained ``GraphWord2Vec(engine="async")`` exposes: per-step
-    ``(host, round, start_s, dur_s)`` intervals from the measured replay,
-    fold times with their phase-record ranges, and recovery spans.
-    Unlike BSP, compute slices of different rounds overlap across hosts;
-    the slack a host spends blocked on the staleness bound appears as
-    ``wait`` slices in the gaps between its consecutive steps.
+    a trained ``GraphWord2Vec`` exposes: per-step ``(host, round, start_s,
+    dur_s)`` compute intervals from the measured replay, the PullModel
+    inspection that follows a step, recovery stalls, and fold times with
+    their phase-record ranges.  Under the lock-step schedule every host's
+    round starts at the previous fold; with ``staleness > 0`` compute
+    slices of different rounds overlap across hosts.  Either way the slack
+    a host spends blocked — on the barrier or the staleness bound — shows
+    as ``wait`` slices between its steps (the breakdown's ``wait_s``
+    bucket, made visible per host).
     """
     events: list[dict] = []
-    records = list(phase_records)
 
-    # Per-host step slices, plus wait slices for inter-step slack.
-    last_end: dict[int, float] = {}
-    for host, round_index, start_s, dur_s in timeline.steps:
-        prev = last_end.get(host, 0.0)
-        slack = start_s - prev
-        if slack > _WAIT_EPS_S:
-            events.append(
-                {
-                    "name": f"wait (staleness bound) before r{round_index}",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": host,
-                    "ts": prev * _US,
-                    "dur": slack * _US,
-                    "cat": "wait",
-                }
-            )
+    def span(name: str, cat: str, tid: int, start_s: float, dur_s: float, **extra) -> None:
         if dur_s > 0:
             events.append(
                 {
-                    "name": f"compute r{round_index}",
+                    "name": name,
                     "ph": "X",
                     "pid": 0,
-                    "tid": host,
+                    "tid": tid,
                     "ts": start_s * _US,
                     "dur": dur_s * _US,
-                    "cat": "compute",
+                    "cat": cat,
+                    **extra,
                 }
             )
-        last_end[host] = max(prev, start_s + dur_s)
 
+    inspect_s = {}
+    for host, round_index, start_s, dur_s in timeline.inspections:
+        span(f"inspect r{round_index}", "inspection", host, start_s, dur_s)
+        inspect_s[(host, round_index)] = dur_s
+
+    # A host is busy from a step's start to the end of the inspection that
+    # follows it; from there to its next step (or the end of the run) it
+    # waits.
+    by_host: list[list[tuple]] = [[] for _ in range(timeline.num_hosts)]
+    for step in timeline.steps:
+        by_host[step[0]].append(step)
+    for host, steps in enumerate(by_host):
+        resumes = [step[2] for step in steps[1:]] + [timeline.makespan_s]
+        for (_, round_index, start_s, dur_s), resume_s in zip(steps, resumes):
+            span(f"compute r{round_index}", "compute", host, start_s, dur_s)
+            busy_end = start_s + dur_s + inspect_s.get((host, round_index), 0.0)
+            if resume_s - busy_end > _WAIT_EPS_S:
+                span(f"wait r{round_index}", "wait", host, busy_end, resume_s - busy_end)
+
+    # Crashed hosts restore and replay while survivors wait, so a crash
+    # round's communication starts after its slowest recovery.
+    recovered_by: dict[int, float] = {}
     for host, round_index, start_s, dur_s in timeline.recoveries:
-        if dur_s > 0:
-            events.append(
-                {
-                    "name": f"recover r{round_index}",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": host,
-                    "ts": start_s * _US,
-                    "dur": dur_s * _US,
-                    "cat": "recovery",
-                }
-            )
+        span(f"recover r{round_index}", "recovery", host, start_s, dur_s)
+        recovered_by[round_index] = max(
+            recovered_by.get(round_index, 0.0), start_s + dur_s
+        )
 
-    # The network row: each fold's phase records play back-to-back
-    # starting no earlier than the fold time (folds can outpace the
-    # modeled network, which then queues).
+    # The network row: each fold's phase records (its wave's refresh and
+    # recovery phases included) play back-to-back starting no earlier than
+    # the fold time (folds can outpace the modeled network, which then
+    # queues).
     clock = 0.0
     for round_index, fold_s, rec_lo, rec_hi in timeline.folds:
-        clock = max(clock, fold_s)
-        for record in records[rec_lo:rec_hi]:
+        clock = max(clock, fold_s, recovered_by.get(round_index, 0.0))
+        for record in phase_records[rec_lo:rec_hi]:
             duration = network_model.phase_time(record)
-            if duration > 0:
-                events.append(
-                    {
-                        "name": f"{record.name} (fold r{round_index})",
-                        "ph": "X",
-                        "pid": 0,
-                        "tid": timeline.num_hosts,
-                        "ts": clock * _US,
-                        "dur": duration * _US,
-                        "cat": "communication",
-                        "args": {
-                            "bytes": int(record.total_bytes),
-                            "messages": int(record.messages),
-                        },
-                    }
-                )
+            span(
+                f"{record.name} (fold r{round_index})",
+                "communication",
+                timeline.num_hosts,
+                clock,
+                duration,
+                args={
+                    "bytes": int(record.total_bytes),
+                    "messages": int(record.messages),
+                },
+            )
             clock += duration
 
-    for host in range(timeline.num_hosts):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": host,
-                "args": {"name": f"host {host}"},
-            }
-        )
-    events.append(
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": timeline.num_hosts,
-            "args": {"name": "network"},
-        }
-    )
+    events.extend(_row_label(host, f"host {host}") for host in range(timeline.num_hosts))
+    events.append(_row_label(timeline.num_hosts, "network"))
     return events
 
 
 def trace_json(
-    metrics: ClusterMetrics,
+    timeline: "AsyncTimeline",
     phase_records: list[PhaseRecord],
     network_model: NetworkModel,
 ) -> str:
     """The trace as a JSON string ready for chrome://tracing."""
     return json.dumps(
-        {"traceEvents": build_chrome_trace(metrics, phase_records, network_model)}
+        {"traceEvents": build_chrome_trace(timeline, phase_records, network_model)}
     )

@@ -9,16 +9,15 @@ PageRank, connected components), all synchronized through Gluon.
 
 Execution engines live behind two seams (:mod:`repro.dgraph.engine`): the
 :class:`Engine` protocol for value-mode drivers (:class:`BSPEngine`), and
-:class:`TrainingEngine` for the trainer's round loop —
-:class:`BSPTrainingEngine` (lock-step barriers) and
+:class:`TrainingEngine` for the trainer's round loop, implemented by
 :class:`~repro.dgraph.async_engine.SSPTrainingEngine` (stale-synchronous
-parallel with a bounded staleness window).
+parallel with a bounded staleness window; ``staleness=0`` is the lock-step
+BSP schedule).
 """
 
 from repro.dgraph.bsp import BSPEngine, RecoveryPolicy, RoundStats
 from repro.dgraph.dist_graph import DistGraph
 from repro.dgraph.engine import (
-    BSPTrainingEngine,
     Engine,
     TrainingEngine,
     compensate_delta,
@@ -34,7 +33,6 @@ __all__ = [
     "RecoveryPolicy",
     "Engine",
     "TrainingEngine",
-    "BSPTrainingEngine",
     "resolve_training_engine",
     "compensate_delta",
 ]

@@ -1,20 +1,20 @@
-"""Bounded-staleness (SSP) training engine beside the BSP loop.
+"""The training engine: bounded-staleness (SSP) rounds, BSP at ``staleness=0``.
 
 The stale-synchronous-parallel engine lets hosts advance their round
 clocks independently, up to a staleness bound ``s``: a host may start
 global round ``g`` only while ``g - folds_done <= s``, where
 ``folds_done`` equals the slowest host's completed-round clock (round
 ``r`` *folds* — reduce + broadcast — the moment every host has finished
-it).  ``s = 0`` therefore degrades to the lock-step BSP schedule, and that
-degradation is **bit-identical** by construction: the engines differ in
-*schedule*, not in the sync substrate.  A fold is a call of the same
-kernel the BSP loop calls (:meth:`repro.gluon.sync.GluonSynchronizer.fold`
-— owner routing, wire formulas, rotating combiner order, message
-sequence), handed this engine's contributions (deltas buffered at capture
-time) and *destination* (the canonical store, and a landing that
-preserves read-my-writes); crash recovery is the trainer's shared body
-reading the canonical store.  ``tests/test_async_engine.py`` pins the
-parity under every communication plan and fault schedule.
+it).  ``s = 0`` therefore *is* the paper's lock-step loop (Algorithm 1:
+compute, then a Gluon sync every host waits for) — the same code under a
+different schedule, not a second driver kept equal to it.  A fold is a
+call of the one kernel (:meth:`repro.gluon.sync.GluonSynchronizer.fold` —
+owner routing, wire formulas, rotating combiner order, message sequence),
+handed this engine's contributions (deltas buffered at capture time) and
+*destination* (the canonical store, and a landing that preserves
+read-my-writes).  ``tests/test_async_engine.py`` pins the ``s = 0``
+schedule against a lock-step oracle that drives the kernel's bit-vector
+front end (``sync_replicated``) under every communication plan.
 
 Determinism story.  The interleaving is not discovered from wall-clock —
 it is *recorded*: :func:`build_interleaving` runs a virtual event loop
@@ -23,23 +23,25 @@ plus a seed-keyed jitter, producing a causal event list (start / end /
 fold) that is a pure function of the seed.  Execution then replays that
 list, and the *measured* per-step times are laid back onto the recorded
 order to produce the reported makespan.  Replay, checkpointing and crash
-recovery all inherit BSP's guarantees because every started round still
-folds at a deterministic point of the recorded schedule.
+recovery are exact at every ``s`` because every started round folds at a
+deterministic point of the recorded schedule.
 
 Mirror semantics.  Because hosts run ahead of the fold frontier, the
-canonical model can no longer be read off replica master blocks; the
-engine owns a dedicated canonical store (``trainer._canonical``) that
-only the fold kernel mutates.  Replicas become bounded-staleness mirrors:
+canonical model cannot be read off replica master blocks; the trainer
+owns a dedicated canonical store (``trainer._canonical``) that only the
+fold kernel mutates — which also makes it the round-granular checkpoint
+crash recovery restores from.  Replicas are bounded-staleness mirrors:
 fold broadcasts and PullModel refreshes overwrite rows with canonical
 values *plus* the host's still-unfolded buffered deltas on those rows
-(read-my-writes), and per-(field, host) pending-stale sets — layered on
-the dirty :class:`~repro.gluon.bitvector.BitVector` machinery — drive an
+(read-my-writes), and per-(field, host) pending-stale sets drive an
 extra ``refresh``/``refresh-request`` phase pair so a host never computes
 on a row whose master changed without a broadcast reaching it.  Fold
-order across fields is priority-scheduled dirtiest-first through the
-galois :class:`~repro.galois.worklist.OrderedByIntegerMetric` worklist
-(only when ``s > 0``; at ``s = 0`` the BSP field order is kept so the
-transient-fault injector sees the identical send sequence).
+order across fields is priority-scheduled dirtiest-first (rows touched by
+buffered, unfolded rounds, counted on a
+:class:`~repro.gluon.bitvector.BitVector`) through the galois
+:class:`~repro.galois.worklist.OrderedByIntegerMetric` worklist (only
+when ``s > 0``; at ``s = 0`` the declaration order is kept so the
+transient-fault injector sees one fixed send sequence).
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ __all__ = [
     "build_interleaving",
 ]
 
-#: BSP synchronizes embedding before training; the s=0 fold keeps this
-#: order so the per-round message sequence (and hence the transient-fault
-#: injector's draw order) is bit-compatible.
+#: The lock-step schedule synchronizes embedding before training: a fixed
+#: order fixes the per-round message sequence, and hence the
+#: transient-fault injector's draw order.
 _FIELD_ORDER = ("embedding", "training")
 
 
@@ -183,18 +185,21 @@ def build_interleaving(
 # ----------------------------------------------------------------------
 @dataclass
 class AsyncTimeline:
-    """Measured-replay timeline of an async run, for the Chrome trace.
+    """Measured-replay timeline of a run, for the Chrome trace.
 
     ``steps``: ``(host, round, start_s, dur_s)`` compute slices;
-    ``folds``: ``(round, time_s, rec_lo, rec_hi)`` where the record range
-    indexes ``network.phase_records`` emitted since the previous fold
-    (wave refresh/recovery phases included); ``recoveries``: ``(host,
-    round, start_s, dur_s)`` modeled recovery stalls.  Times are absolute
-    across multiple ``train()`` calls of the same trainer.
+    ``inspections``: the same shape, PullModel inspection of the next slot
+    following each step; ``folds``: ``(round, time_s, rec_lo, rec_hi)``
+    where the record range indexes ``network.phase_records`` emitted since
+    the previous fold (wave refresh/recovery phases included);
+    ``recoveries``: ``(host, round, start_s, dur_s)`` modeled recovery
+    stalls.  Times are absolute across multiple ``train()`` calls of the
+    same trainer.
     """
 
     num_hosts: int
     steps: list = dc_field(default_factory=list)
+    inspections: list = dc_field(default_factory=list)
     folds: list = dc_field(default_factory=list)
     recoveries: list = dc_field(default_factory=list)
     makespan_s: float = 0.0
@@ -205,8 +210,10 @@ class _RunState:
 
     def __init__(self, trainer: "GraphWord2Vec", start_fold: int) -> None:
         self.folds_done = start_fold
-        # (field, round) -> {host: (ids, delta_f64, drift_base_f64|None)}
-        self.contrib: dict[tuple[str, int], dict[int, tuple]] = {}
+        # field -> round -> {host: (ids, delta_f64, drift_base_f64|None)}
+        self.contrib: dict[str, dict[int, dict[int, tuple]]] = {
+            name: {} for name in _FIELD_ORDER
+        }
         self.lr_of: dict[int, float] = {}
         self.compute_buf: dict[int, np.ndarray] = {}
         self.inspect_buf: dict[int, np.ndarray] = {}
@@ -216,11 +223,9 @@ class _RunState:
         self.pairs_buf: dict[int, int] = {}
         # (host, round) -> modeled compute seconds, for the measured replay.
         self.measured: dict[tuple[int, int], float] = {}
+        # (host, round, seconds) spans for the timeline, in wave order.
+        self.inspect_spans: list[tuple[int, int, float]] = []
         self.recovery_spans: list[tuple[int, int, float]] = []
-        self.dirty: dict[str, BitVector] = {
-            name: BitVector(trainer._fields[name].num_nodes)
-            for name in _FIELD_ORDER
-        }
         self.fold_records: dict[int, tuple[int, int]] = {}
         self.rec_cursor = len(trainer.network.phase_records)
 
@@ -237,8 +242,8 @@ class _RunState:
 class SSPTrainingEngine(TrainingEngine):
     """Stale-synchronous-parallel round driver for :class:`GraphWord2Vec`.
 
-    ``staleness=0`` is bit-identical BSP; ``staleness=s`` lets each host
-    run up to ``s`` rounds past the slowest host before blocking.
+    ``staleness=0`` is the lock-step BSP schedule; ``staleness=s`` lets
+    each host run up to ``s`` rounds past the slowest host before blocking.
     ``delay_compensation=λ`` applies :func:`~repro.dgraph.engine.
     compensate_delta` to contributions at fold time (the parameter-server
     baseline's correction, as a comparator configuration).
@@ -265,23 +270,17 @@ class SSPTrainingEngine(TrainingEngine):
         stop_epoch: int,
         until_round: int | None,
         epoch_callback: Callable[[int, "Word2VecModel"], None] | None,
-    ) -> float | None:
+    ) -> float:
         S = trainer.sync_rounds
         H = trainer.num_hosts
+        if trainer.async_timeline is None:
+            trainer.async_timeline = AsyncTimeline(num_hosts=H)
         g0 = trainer._completed_epochs * S + trainer._completed_rounds
         g1 = stop_epoch * S
         if until_round is not None:
             g1 = min(g1, until_round)
         if g1 <= g0:
             return 0.0
-        if trainer._canonical is None:
-            model = trainer.canonical_model()
-            trainer._canonical = {
-                "embedding": model.embedding,
-                "training": model.training,
-            }
-        if trainer._async_state is None:
-            trainer._async_state = {"pending_stale": {}, "next_access": {}}
         sched_seed = trainer._seeds.subtree("async-schedule").seed
 
         def vdur(host: int, g: int) -> float:
@@ -317,10 +316,12 @@ class SSPTrainingEngine(TrainingEngine):
 
         No fold happens inside a wave, so mirror state is constant except
         for the hosts' own kernels: steps of distinct hosts commute and
-        run as per-host chains under the trainer's executor, exactly like
-        the BSP compute ``do_all``.  Everything that touches shared state
-        (work generation, refresh phases, accounting) runs serially in
-        wave order, so results are executor-independent.
+        run as per-host chains under the trainer's executor (hosts run
+        concurrently on a cluster; the executor mirrors that on real
+        cores).  Everything that touches shared state (work generation,
+        refresh phases, accounting) runs serially in wave order, so
+        results and metrics are bit-identical under any executor and any
+        thread schedule.
         """
         if not wave:
             return
@@ -329,7 +330,7 @@ class SSPTrainingEngine(TrainingEngine):
         checker = trainer.sync_checker
         state = trainer._async_state
 
-        # Serial pre-pass: staleness audit, learning rates, crash lookup.
+        # Serial pre-pass: learning rates, crash lookup.
         steps: list[tuple[ScheduledEvent, object]] = []
         for ev in wave:
             e, s = divmod(ev.round_index, S)
@@ -338,11 +339,6 @@ class SSPTrainingEngine(TrainingEngine):
                 for cev in schedule.crashes_at(e, s):
                     if cev.host == ev.host:
                         crash = cev
-            if checker is not None:
-                for fname in _FIELD_ORDER:
-                    checker.note_async_step(
-                        fname, ev.host, ev.round_index, run.folds_done, self.staleness
-                    )
             if ev.round_index not in run.lr_of:
                 run.lr_of[ev.round_index] = trainer.params.learning_rate_for_epoch(e)
             steps.append((ev, crash))
@@ -372,13 +368,23 @@ class SSPTrainingEngine(TrainingEngine):
                 if any(rows.size for rows in need):
                     self._refresh(trainer, run, fname, need)
 
-        # Pop round work serially (shared caches), skipping crashed steps
-        # — their work is popped at the recovery point, like BSP.
+        # Staleness audit: the steps start here, their mirrors refreshed.
+        if checker is not None:
+            for ev, _crash in steps:
+                for fname in _FIELD_ORDER:
+                    checker.note_async_step(
+                        fname, ev.host, ev.round_index, run.folds_done, self.staleness
+                    )
+
+        # Generate round work serially (shared caches), skipping crashed
+        # steps — theirs is generated at the recovery point.  Entries stay
+        # cached until the step's post-pass, so in-chain inspection of a
+        # slot this wave also runs finds it instead of building it again.
         works: dict[tuple[int, int], "RoundWork"] = {}
         for ev, crash in steps:
             if crash is None:
                 e, s = divmod(ev.round_index, S)
-                works[(ev.host, ev.round_index)] = trainer._pop_work(e, s, ev.host)
+                works[(ev.host, ev.round_index)] = trainer._get_work(e, s, ev.host)
 
         # Materialize epoch chunks the in-chain inspection will read, in
         # *descending* epoch order: the chunk cache prunes epochs below
@@ -394,8 +400,8 @@ class SSPTrainingEngine(TrainingEngine):
                 trainer._epoch_chunks(epoch)
 
         # Execute: batches of crash-free steps as parallel per-host
-        # chains, crashed steps serially at their wave position (the
-        # phase-record order recovery -> sync matches BSP at s=0).
+        # chains, crashed steps serially at their wave position (so a
+        # round's recovery phases precede its sync phases).
         batch: list[ScheduledEvent] = []
         for ev, crash in steps:
             if crash is None:
@@ -415,7 +421,6 @@ class SSPTrainingEngine(TrainingEngine):
     ) -> None:
         if not batch:
             return
-        S = trainer.sync_rounds
         emb_field = trainer._fields["embedding"]
         out_field = trainer._fields["training"]
         chains: dict[int, list[int]] = {}
@@ -426,7 +431,6 @@ class SSPTrainingEngine(TrainingEngine):
                 order.append(ev.host)
             chains[ev.host].append(ev.round_index)
         slots: dict[int, list[tuple]] = {h: [] for h in order}
-        inspect = trainer.plan.requires_access_sets
 
         def run_chain(host: int) -> None:
             # A host's steps are sequential; capture must follow each
@@ -435,6 +439,10 @@ class SSPTrainingEngine(TrainingEngine):
             # host-local (replica arrays, bases, the private slot list).
             for g in chains[host]:
                 work = works[(host, g)]
+                # thread_time = this thread's CPU time: the measurement
+                # feeding the timing model stays contention-independent,
+                # so reported per-host times do not change just because
+                # the simulator itself runs hosts concurrently.
                 start = time.thread_time()
                 _loss, pairs = work.apply(
                     emb_field.arrays[host],
@@ -444,6 +452,10 @@ class SSPTrainingEngine(TrainingEngine):
                     compute_loss=trainer.compute_loss,
                 )
                 measured = time.thread_time() - start
+                # Shadow access records for the race sanitizer (no-ops
+                # when the loop is not sanitized).  Hosts write disjoint
+                # replica arrays, so a clean report here is the
+                # parallel-compute invariant.
                 note_write(
                     emb_field.arrays[host], work.embedding_access,
                     label=f"embedding[host={host}]",
@@ -453,32 +465,37 @@ class SSPTrainingEngine(TrainingEngine):
                     label=f"training[host={host}]",
                 )
                 captures = self._capture(trainer, host, work)
-                next_work = None
-                inspect_s = 0.0
-                if inspect:
-                    nxt = trainer._next_slot(*divmod(g, S))
-                    if nxt is not None:
-                        t0 = time.thread_time()
-                        key = (nxt[0], nxt[1], host)
-                        next_work = trainer._work_cache.get(key)
-                        if next_work is None:
-                            # The flush pre-pass materialized every epoch
-                            # this wave inspects (descending, so pruning
-                            # spares them all): this call only *reads* the
-                            # chunk cache, and host-keyed state elsewhere.
-                            next_work = trainer._build_work(*nxt, host)  # repro: noqa[REPRO111]
-                        inspect_s = time.thread_time() - t0
-                slots[host].append(
-                    (g, work, measured, pairs, captures, next_work, inspect_s)
-                )
+                # The flush pre-pass materialized every epoch this wave
+                # inspects (descending, so pruning spares them all): the
+                # call only *reads* the chunk and work caches, and
+                # host-keyed state elsewhere.
+                inspected = self._inspect_next(trainer, host, g)  # repro: noqa[REPRO111]
+                slots[host].append((g, measured, pairs, captures, inspected))
 
         do_all(order, run_chain, executor=trainer.executor)
 
-        # Serial post-pass in wave order: fold buffers, metrics, dirty
-        # bits, inspection bookkeeping.
+        # Serial post-pass in wave order: fold buffers, metrics,
+        # inspection bookkeeping.
         for ev in batch:
             entry = slots[ev.host].pop(0)
             self._post_step(trainer, run, ev.host, *entry)
+
+    @staticmethod
+    def _inspect_next(
+        trainer: "GraphWord2Vec", host: int, g: int
+    ) -> "tuple[RoundWork, float] | None":
+        """PullModel inspection after ``host``'s step ``g``: its next
+        slot's work — generated here unless some pass already has — with
+        the thread time generating it took.  ``None`` when the plan needs
+        no access sets or training ends with ``g``.  Reads shared caches
+        only, so it is safe inside the parallel chain.
+        """
+        if not trainer.plan.requires_access_sets:
+            return None
+        nxt = trainer._next_slot(*divmod(g, trainer.sync_rounds))
+        if nxt is None:
+            return None
+        return trainer._work_cache.get((*nxt, host)) or trainer._build_work(*nxt, host)
 
     def _post_step(
         self,
@@ -486,12 +503,10 @@ class SSPTrainingEngine(TrainingEngine):
         run: _RunState,
         host: int,
         g: int,
-        work: "RoundWork",
         measured: float,
         pairs: int,
         captures: list[tuple],
-        next_work: "RoundWork | None",
-        inspect_s: float,
+        inspected: "tuple[RoundWork, float] | None",
         lost_s: float | None = None,
     ) -> None:
         """Serial bookkeeping of one executed step.  ``lost_s`` marks a
@@ -500,6 +515,7 @@ class SSPTrainingEngine(TrainingEngine):
         recovery time, and a dead host is no straggler sample)."""
         H = trainer.num_hosts
         e, s = divmod(g, trainer.sync_rounds)
+        del trainer._work_cache[(e, s, host)]
         if lost_s is None:
             factor = trainer._time_factor(e, s, host)
             compute_s = measured * factor
@@ -512,19 +528,18 @@ class SSPTrainingEngine(TrainingEngine):
         run.round_array(run.compute_buf, g, H)[host] += compute_s
         run.measured[(host, g)] = run.measured.get((host, g), 0.0) + compute_s
         run.pairs_buf[g] = run.pairs_buf.get(g, 0) + pairs
-        for fname, (ids, delta, drift_base) in zip(_FIELD_ORDER, captures):
-            run.contrib.setdefault((fname, g), {})[host] = (ids, delta, drift_base)
-            if ids.size:
-                run.dirty[fname].set_many(ids)
+        for fname, capture in zip(_FIELD_ORDER, captures):
+            run.contrib[fname].setdefault(g, {})[host] = capture
         if trainer.plan.requires_access_sets:
             state = trainer._async_state
-            if next_work is None:
+            if inspected is None:
                 state["next_access"][("embedding", host)] = _empty_ids()
                 state["next_access"][("training", host)] = _empty_ids()
             else:
-                nxt = trainer._next_slot(e, s)
-                trainer._work_cache[(nxt[0], nxt[1], host)] = next_work
+                next_work, inspect_s = inspected
+                trainer._work_cache[(*trainer._next_slot(e, s), host)] = inspected
                 run.round_array(run.inspect_buf, g, H)[host] += inspect_s
+                run.inspect_spans.append((host, g, inspect_s))
                 state["next_access"][("embedding", host)] = next_work.embedding_access
                 state["next_access"][("training", host)] = next_work.output_access
                 trainer._peak_access_rows = max(
@@ -554,12 +569,10 @@ class SSPTrainingEngine(TrainingEngine):
             if not ids.size:
                 out.append((ids, np.empty((0, field.dim)), None))
                 continue
-            arr = field.arrays[host]
-            base = field.bases[host]
-            delta = arr[ids].astype(np.float64) - base[ids].astype(np.float64)
-            drift_base = base[ids].astype(np.float64) if lam > 0 else None
-            base[ids] = arr[ids]
-            out.append((ids, delta, drift_base))
+            new = field.arrays[host][ids]
+            old = field.bases[host][ids].astype(np.float64)
+            field.bases[host][ids] = new
+            out.append((ids, new.astype(np.float64) - old, old if lam > 0 else None))
         return out
 
     def _recover_step(
@@ -572,40 +585,24 @@ class SSPTrainingEngine(TrainingEngine):
     ) -> None:
         """Fail-stop recovery for one crashed step.
 
-        The trainer's shared recovery body runs with the canonical store
-        as the source of canonical rows — under SSP the round checkpoint
-        *is* the canonical state at the fold frontier, and a survivor's
-        base rows carry its own unfolded local view, which is not what
-        recovery must rebuild.  Bytes and modeled times are the BSP path's
-        by construction, so s=0 fault schedules stay bit-identical.
+        The trainer's recovery body restores the replica from the
+        canonical store and replays the lost chunk; here the replay is
+        captured and booked like any other step.
         """
         e, s = divmod(g, trainer.sync_rounds)
         work, pairs, lost_s, recovery_s = trainer._recover_host(
-            e, s, crash, run.lr_of[g], trainer._canonical
+            e, s, crash, run.lr_of[g]
         )
         # The rebuilt replica is wholly canonical: nothing is stale, and
         # the host's uncaptured in-round work is what the replay redid.
         for fname in _FIELD_ORDER:
             trainer._async_state["pending_stale"].pop((fname, host), None)
         captures = self._capture(trainer, host, work)
-
-        next_work = None
-        inspect_s = 0.0
-        if trainer.plan.requires_access_sets:
-            nxt = trainer._next_slot(e, s)
-            if nxt is not None:
-                t0 = time.thread_time()
-                key = (nxt[0], nxt[1], host)
-                next_work = trainer._work_cache.get(key)
-                if next_work is None:
-                    next_work = trainer._build_work(*nxt, host)
-                inspect_s = time.thread_time() - t0
-
         run.round_array(run.recovery_buf, g, trainer.num_hosts)[host] += recovery_s
         run.recovery_spans.append((host, g, recovery_s))
         self._post_step(
-            trainer, run, host, g, work, 0.0, pairs, captures,
-            next_work, inspect_s, lost_s=lost_s,
+            trainer, run, host, g, 0.0, pairs, captures,
+            self._inspect_next(trainer, host, g), lost_s=lost_s,
         )
 
     def _refresh(
@@ -627,7 +624,7 @@ class SSPTrainingEngine(TrainingEngine):
         sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
         pending = trainer._async_state["pending_stale"]
         _request, _broadcast, received = sync.broadcast(
-            trainer._fields[fname].dim,
+            trainer._fields[fname],
             trainer.plan,
             [_empty_ids()] * H,
             need,
@@ -658,17 +655,20 @@ class SSPTrainingEngine(TrainingEngine):
         host keeps seeing its own recent updates, the next capture still
         measures only new work, and the buffered deltas fold later
         untouched.  With no pending deltas (always at s=0) this is the
-        plain BSP broadcast overwrite, bit for bit.
+        plain broadcast overwrite (``FieldSync.land``), bit for bit.
         """
         field = trainer._fields[fname]
-        adjust = self._pending_adjustment(run, fname, host, ids, field.dim)
-        if adjust is not None:
-            dtype = field.arrays[host].dtype
-            vals = (np.asarray(vals, dtype=np.float64) + adjust).astype(dtype)
+        buffered = run.contrib[fname]
+        if buffered:
+            adjust = self._pending_adjustment(buffered, host, ids, field.dim)
+            if adjust is not None:
+                dtype = field.arrays[host].dtype
+                vals = (np.asarray(vals, dtype=np.float64) + adjust).astype(dtype)
         field.land(host, ids, vals)
 
+    @staticmethod
     def _pending_adjustment(
-        self, run: _RunState, fname: str, host: int, ids: np.ndarray, dim: int
+        buffered: dict[int, dict[int, tuple]], host: int, ids: np.ndarray, dim: int
     ) -> np.ndarray | None:
         """Sum of ``host``'s buffered unfolded deltas restricted to ``ids``.
 
@@ -679,8 +679,8 @@ class SSPTrainingEngine(TrainingEngine):
         if not ids.size:
             return None
         total: np.ndarray | None = None
-        for key in sorted(k for k in run.contrib if k[0] == fname):
-            entry = run.contrib[key].get(host)
+        for g in sorted(buffered):
+            entry = buffered[g].get(host)
             if entry is None:
                 continue
             cids, delta, _drift = entry
@@ -706,8 +706,8 @@ class SSPTrainingEngine(TrainingEngine):
         """Fold global round ``g``: metrics, gluon sync, round bookkeeping.
 
         The sync frontier only ever advances to a round every host has
-        finished, so folds fire in global-round order; each one is the
-        async counterpart of a BSP round barrier's accounting + sync tail.
+        finished, so folds fire in global-round order; each one is a round
+        barrier's accounting + sync (Algorithm 1, line 10).
         """
         S = trainer.sync_rounds
         e, s = divmod(g, S)
@@ -736,15 +736,15 @@ class SSPTrainingEngine(TrainingEngine):
         # Priority-schedule the fields: dirtiest mirror state syncs first
         # (galois worklist; the metric is "rows still clean", so the
         # field with more dirty rows pops first).  At s=0 the declaration
-        # order is kept — the BSP loop always syncs embedding before
+        # order is kept: the lock-step schedule syncs embedding before
         # training, and reordering would permute the fault injector's
-        # draw sequence, breaking bitwise degradation.
+        # draw sequence, changing which faults a seed's BSP run sees.
         if self.staleness == 0:
             order = list(_FIELD_ORDER)
         else:
             M = max(trainer._fields[name].num_nodes for name in _FIELD_ORDER)
             worklist = OrderedByIntegerMetric(
-                lambda fname: M - run.dirty[fname].count()
+                lambda fname: M - self._dirty_rows(run, trainer._fields[fname])
             )
             for fname in _FIELD_ORDER:
                 worklist.push(fname)
@@ -768,6 +768,16 @@ class SSPTrainingEngine(TrainingEngine):
         if s + 1 == S:
             trainer._roll_epoch(e, epoch_callback)
 
+    @staticmethod
+    def _dirty_rows(run: _RunState, field) -> int:
+        """Rows of ``field`` some buffered, not yet folded round touches."""
+        dirty = BitVector(field.num_nodes)
+        buffered = run.contrib[field.name]
+        for g in sorted(buffered):
+            for h in sorted(buffered[g]):
+                dirty.set_many(buffered[g][h][0])
+        return dirty.count()
+
     def _fold_field(
         self,
         trainer: "GraphWord2Vec",
@@ -784,12 +794,13 @@ class SSPTrainingEngine(TrainingEngine):
         reduces into the canonical store instead of master replica rows —
         under SSP a master's replica also carries its own not-yet-folded
         local work — and lands values through :meth:`_apply_values`
-        (read-my-writes).  ``fold_offset`` is the global round, as the BSP
-        loop passes it.  At s=0 no delta is pending at a fold and replica
-        rows equal canon on every touched row, so the BSP caller
-        (``sync_replicated``) and this one feed the kernel the same
-        contributions and destination values: bit-identity needs no
-        mirrored code.
+        (read-my-writes).  ``fold_offset`` is the global round, so the
+        inductive fold order rotates and no host's shard is permanently
+        favored by the combiner.  At s=0 no delta is pending at a fold and
+        replica rows equal canon on every touched row, so a lock-step
+        caller of ``sync_replicated`` feeds the kernel the same
+        contributions and destination values (the oracle in
+        ``tests/test_async_engine.py``).
         """
         field = trainer._fields[fname]
         sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
@@ -800,7 +811,7 @@ class SSPTrainingEngine(TrainingEngine):
         lam = self.delay_compensation
 
         # Every host finished round g, so every host has an entry.
-        contribs = run.contrib.pop((fname, g))
+        contribs = run.contrib[fname].pop(g)
         touched: list[np.ndarray] = []
         deltas: list[np.ndarray] = []
         for h in range(H):
@@ -842,16 +853,6 @@ class SSPTrainingEngine(TrainingEngine):
                 )
                 state["pending_stale"][(fname, h)] = pending
 
-        # Rebuild the dirty vector from the rounds still buffered.
-        fresh = BitVector(field.num_nodes)
-        for key in sorted(k for k in run.contrib if k[0] == fname):
-            per_host = run.contrib[key]
-            for h in sorted(per_host):
-                ids = per_host[h][0]
-                if ids.size:
-                    fresh.set_many(ids)
-        run.dirty[fname] = fresh
-
         if trainer.sync_checker is not None:
             trainer.sync_checker.note_async_fold(fname, g)
 
@@ -871,7 +872,7 @@ class SSPTrainingEngine(TrainingEngine):
         it, and the fold it waited on must have happened.  At s=0 every
         round starts at the previous fold and ends measured later, so the
         makespan collapses to the sum over rounds of the slowest host:
-        exactly BSP's barrier makespan, wait bucket included.
+        the barrier makespan, wait bucket included.
         """
         H = trainer.num_hosts
         avail = [0.0] * H
@@ -880,8 +881,6 @@ class SSPTrainingEngine(TrainingEngine):
         ends_of: dict[int, list[float]] = {}
         last_fold = 0.0
         offset = trainer._async_makespan_s
-        if trainer.async_timeline is None:
-            trainer.async_timeline = AsyncTimeline(num_hosts=H)
         timeline = trainer.async_timeline
         for ev in schedule.events:
             h, g = ev.host, ev.round_index
@@ -899,8 +898,13 @@ class SSPTrainingEngine(TrainingEngine):
                 last_fold = fold_t
                 rec_lo, rec_hi = run.fold_records[g]
                 timeline.folds.append((g, offset + fold_t, rec_lo, rec_hi))
-        for host, g, dur in run.recovery_spans:
-            timeline.recoveries.append((host, g, offset + end_m[(host, g)], dur))
+        # Inspection and recovery follow the step they belong to.
+        for spans, out in (
+            (run.inspect_spans, timeline.inspections),
+            (run.recovery_spans, timeline.recoveries),
+        ):
+            for host, g, dur in spans:
+                out.append((host, g, offset + end_m[(host, g)], dur))
         makespan = max(max(avail), last_fold)
         timeline.makespan_s = offset + makespan
         return makespan

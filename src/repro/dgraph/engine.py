@@ -1,4 +1,4 @@
-"""The execution-engine seam: BSP and bounded-staleness engines behind one protocol.
+"""The execution-engine seams: value-mode rounds and the trainer's round loop.
 
 Two engine families share this module:
 
@@ -7,15 +7,15 @@ Two engine families share this module:
   applications can be written against the seam instead of the concrete BSP
   driver.
 - :class:`TrainingEngine` — the seam :class:`~repro.w2v.distributed.
-  GraphWord2Vec` trains through.  :class:`BSPTrainingEngine` houses the
-  classic barrier-synchronous epoch/round loop (previously inlined in the
-  trainer); :class:`~repro.dgraph.async_engine.SSPTrainingEngine` runs the
-  same rounds under a bounded-staleness clock.  Trainer code never imports
-  either concretely — it calls :func:`resolve_training_engine`.
+  GraphWord2Vec` trains through.  Its one implementation,
+  :class:`~repro.dgraph.async_engine.SSPTrainingEngine`, runs the rounds
+  under a bounded-staleness clock; the paper's barrier-synchronous loop is
+  its ``staleness=0`` schedule, not a second driver.  Trainer code never
+  imports it concretely — it calls :func:`resolve_training_engine`.
 
 The delay-compensation arithmetic of the parameter-server baseline
 (:mod:`repro.baselines.param_server`) lives here as :func:`compensate_delta`
-so the async engine can offer the same correction as a comparator
+so the training engine can offer the same correction as a comparator
 configuration (``delay_compensation=λ``) without duplicating the formula.
 """
 
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Engine",
     "TrainingEngine",
-    "BSPTrainingEngine",
     "resolve_training_engine",
     "compensate_delta",
 ]
@@ -84,9 +83,7 @@ class TrainingEngine(ABC):
     trainer owns *what* a round is (work generation, kernels, comm plans,
     recovery bookkeeping).  ``run`` executes all rounds from the trainer's
     current barrier position up to ``stop_epoch``/``until_round`` and
-    returns the modeled makespan of the executed span in seconds — or
-    ``None`` to use the default barrier makespan (sum over rounds of the
-    slowest host), which is exact for BSP.
+    returns the modeled makespan of the executed span in seconds.
     """
 
     name: str = "abstract"
@@ -102,44 +99,8 @@ class TrainingEngine(ABC):
         stop_epoch: int,
         until_round: int | None,
         epoch_callback: Callable[[int, "Word2VecModel"], None] | None,
-    ) -> float | None:
-        """Execute rounds; returns the span's modeled makespan (or None)."""
-
-
-class BSPTrainingEngine(TrainingEngine):
-    """The classic barrier-synchronous loop: every round is a global barrier.
-
-    Hosts compute, recover, inspect and synchronize in lock-step; the
-    modeled wall-clock of a round is the slowest host's time, so the
-    default barrier makespan is exact and ``run`` returns ``None``.
-    """
-
-    name = "bsp"
-
-    def run(
-        self,
-        trainer: "GraphWord2Vec",
-        stop_epoch: int,
-        until_round: int | None,
-        epoch_callback: Callable[[int, "Word2VecModel"], None] | None,
-    ) -> float | None:
-        params = trainer.params
-        for epoch in range(trainer._completed_epochs, stop_epoch):
-            lr = params.learning_rate_for_epoch(epoch)
-            paused = False
-            for s in range(trainer._completed_rounds, trainer.sync_rounds):
-                if (
-                    until_round is not None
-                    and epoch * trainer.sync_rounds + s >= until_round
-                ):
-                    paused = True
-                    break
-                trainer._partial_pairs += trainer._run_round(epoch, s, lr)
-                trainer._completed_rounds = s + 1
-            if paused:
-                break
-            trainer._roll_epoch(epoch, epoch_callback)
-        return None
+    ) -> float:
+        """Execute rounds; returns the span's modeled makespan."""
 
 
 def resolve_training_engine(
@@ -147,11 +108,12 @@ def resolve_training_engine(
     staleness: int = 0,
     delay_compensation: float = 0.0,
 ) -> TrainingEngine:
-    """Instantiate a training engine by name (``"bsp"`` / ``"async"``).
+    """Instantiate the training engine by schedule name.
 
-    ``staleness``/``delay_compensation`` parameterize the async engine;
-    they must be left at their defaults for ``"bsp"`` (a barrier engine
-    has no staleness window to bound or compensate).  A pre-built
+    ``"bsp"`` names the lock-step schedule — the engine at ``staleness=0``
+    — so ``staleness``/``delay_compensation`` must be left at their
+    defaults for it (a barrier has no staleness window to bound or
+    compensate); ``"async"`` / ``"ssp"`` take both.  A pre-built
     :class:`TrainingEngine` instance passes through unchanged.
     """
     if isinstance(engine, TrainingEngine):
@@ -166,13 +128,8 @@ def resolve_training_engine(
                 "delay_compensation requires engine='async' "
                 "(BSP folds are never stale)"
             )
-        return BSPTrainingEngine()
-    if engine in ("async", "ssp"):
-        from repro.dgraph.async_engine import SSPTrainingEngine
+    elif engine not in ("async", "ssp"):
+        raise ValueError(f"unknown engine {engine!r}; available: bsp, async")
+    from repro.dgraph.async_engine import SSPTrainingEngine  # imports this module
 
-        return SSPTrainingEngine(
-            staleness=staleness, delay_compensation=delay_compensation
-        )
-    raise ValueError(
-        f"unknown engine {engine!r}; available: bsp, async"
-    )
+    return SSPTrainingEngine(staleness=staleness, delay_compensation=delay_compensation)

@@ -9,12 +9,13 @@ Two synchronization modes cover the library's needs:
   (model combiner, averaging, sum, ...) on top of the canonical value, and
   new canonical values are broadcast back according to a
   :class:`~repro.gluon.plans.CommPlan`.  This one kernel serves every
-  training engine: the caller hands it the contributions and the
-  *destination* (where canonical rows live, how they land on a replica).
-  :meth:`GluonSynchronizer.sync_replicated` is the BSP caller — deltas are
-  current − base, canonical rows live in the masters' bases; the SSP engine
-  (:mod:`repro.dgraph.async_engine`) is the other, folding buffered deltas
-  into its canonical store.
+  caller: each hands it the contributions and the *destination* (where
+  canonical rows live, how they land on a replica).
+  The training engine (:mod:`repro.dgraph.async_engine`) folds deltas it
+  buffered at capture time into its canonical store;
+  :meth:`GluonSynchronizer.sync_replicated` is the kernel's bit-vector
+  front end for lock-step callers — deltas are current − base, canonical
+  rows live in the masters' bases.
 - :meth:`GluonSynchronizer.sync_value` — the classic graph-analytics mode
   used by the apps in :mod:`repro.dgraph.apps`.  Mirrors send their label
   *values*; masters reduce them with an elementwise operator (min for sssp,
@@ -150,7 +151,7 @@ class GluonSynchronizer:
         self.num_hosts = len(partitions)
         self.bounds = self.partitions[0].master_bounds
         #: Optional :class:`~repro.analysis.runtime.GluonSyncChecker`; when
-        #: set, replicated syncs and crash restores are observed (never
+        #: set, every fold, broadcast and crash restore is observed (never
         #: perturbed) for protocol violations.
         self.checker = None
         # Mirror location map for value-mode sync: (master_host, mirror_host)
@@ -183,7 +184,7 @@ class GluonSynchronizer:
         handed to :meth:`fold`, with the delta bases as the canonical view
         (a master's base rows hold the last folded values) and the plain
         replica+base overwrite as the landing.  Bit vectors are *not*
-        cleared and bases are *not* re-snapshotted here — the trainer owns
+        cleared and bases are *not* re-snapshotted here — the caller owns
         round boundaries (it may sync several fields).
         """
         H = self.num_hosts
@@ -195,32 +196,16 @@ class GluonSynchronizer:
                     "sync_replicated requires fully replicated partitions "
                     f"(host {part.host} has {part.num_local} of {field.num_nodes} nodes)"
                 )
-        if self.checker is not None:
-            # Validate writes-vs-flags while replicas are still untouched.
-            self.checker.before_replicated(field, self.bounds, updated)
-
         touched = [bits.indices() for bits in updated]
         deltas = [
             arr[t].astype(np.float64) - base[t].astype(np.float64)
             for arr, base, t in zip(field.arrays, field.bases, touched)
         ]
-        result = self.fold(
+        return self.fold(
             field, touched, deltas, combiner, plan,
             canonical=field.bases, land=field.land,
             accessed_next=accessed_next, fold_offset=fold_offset,
         )
-        if self.checker is not None:
-            self.checker.after_replicated(
-                field,
-                self.bounds,
-                plan,
-                updated,
-                result.changed_per_master,
-                result.received_per_host,
-                accessed_next,
-                fold_offset,
-            )
-        return result
 
     def fold(
         self,
@@ -261,6 +246,9 @@ class GluonSynchronizer:
                     f"accessed_next needs one access set per host ({H}), "
                     f"got {len(accessed_next)}"
                 )
+        if self.checker is not None:
+            # Validate writes-vs-touched while replicas are still untouched.
+            self.checker.before_fold(field, touched, fold_offset)
         dim = field.dim
         dtype = canonical[0].dtype
 
@@ -302,11 +290,11 @@ class GluonSynchronizer:
                 changed_per_master.append(union)
 
         request_record, broadcast_record, received_per_host = self.broadcast(
-            dim, plan, changed_per_master, accessed_next, canonical, land,
+            field, plan, changed_per_master, accessed_next, canonical, land,
             request_phase=f"request:{field.name}",
             broadcast_phase=f"broadcast:{field.name}",
         )
-        return ReplicatedSyncResult(
+        result = ReplicatedSyncResult(
             field=field.name,
             changed_per_master=changed_per_master,
             reduce_record=reduce_record,
@@ -314,10 +302,13 @@ class GluonSynchronizer:
             request_record=request_record,
             received_per_host=received_per_host,
         )
+        if self.checker is not None:
+            self.checker.after_fold(field, result, fold_offset)
+        return result
 
     def broadcast(
         self,
-        dim: int,
+        field: FieldSync,
         plan: CommPlan,
         changed_per_master: Sequence[np.ndarray],
         accessed: Sequence[np.ndarray] | None,
@@ -336,6 +327,7 @@ class GluonSynchronizer:
         broadcast record, and per host the global ids that landed.
         """
         H = self.num_hosts
+        dim = field.dim
         # wanted[h][m]: the rows of master m's block host h asked for.
         wanted: list[list[np.ndarray]] | None = None
         request_record: PhaseRecord | None = None
@@ -384,6 +376,11 @@ class GluonSynchronizer:
                 received_per_host.append(
                     np.unique(np.concatenate(got)) if got else np.empty(0, np.int64)
                 )
+        if self.checker is not None:
+            self.checker.after_broadcast(
+                field.name, self.bounds, plan, changed_per_master, accessed,
+                received_per_host,
+            )
         return request_record, broadcast_record, received_per_host
 
     # ------------------------------------------------------------------

@@ -28,16 +28,19 @@ are pure functions of the seed — in particular the *same* training examples
 are generated under every communication plan, which is what makes the
 "plans differ only in bytes, never in the model" invariant testable.
 
-Fault tolerance.  With ``faults`` enabled the trainer takes a canonical
-round-granular checkpoint at every synchronization boundary and consults a
-:class:`~repro.cluster.faults.FaultSchedule`.  Transient message faults are
-retransmitted inside the phase barrier (extra bytes + backoff, payloads
-intact).  A fail-stop host crash loses the host's replica and its in-round
-work; recovery restores the host's own master block from the checkpoint,
-streams surviving masters' blocks over the network, and replays the lost
-worklist chunk.  Because replicas hold canonical values at round boundaries
-and work generation is seed-pure, the replayed updates are *bit-identical*
-to the lost ones: faults cost time and bytes, never model quality.  The
+Fault tolerance.  With ``faults`` enabled the trainer consults a
+:class:`~repro.cluster.faults.FaultSchedule`; the canonical store —
+written only by folds — is the round-granular checkpoint (writing it to
+stable storage is modeled as overlapped with compute, so it costs no
+modeled time; restores are charged when a crash happens).  Transient
+message faults are retransmitted inside the phase barrier (extra bytes +
+backoff, payloads intact).  A fail-stop host crash loses the host's
+replica and its in-round work; recovery restores the host's own master
+block from the checkpoint, streams surviving masters' blocks over the
+network, and replays the lost worklist chunk.  Because the store holds
+the fold frontier's values and work generation is seed-pure, the replayed
+updates are *bit-identical* to the lost ones: faults cost time and bytes,
+never model quality.  The
 modeled recovery time redistributes the dead host's shard across the
 surviving hosts — consistent with how the simulation treats all wall-clock
 (values come from the sequential execution, time from the concurrency
@@ -57,8 +60,6 @@ from repro.analysis.runtime import (
     DoAllRaceSanitizer,
     GluonSyncChecker,
     SanitizedExecutor,
-    SanitizeError,
-    note_write,
     sanitize_from_env,
 )
 from repro.cluster.faults import FaultConfig, FaultReport, FaultSchedule
@@ -70,11 +71,9 @@ from repro.dgraph.engine import TrainingEngine, resolve_training_engine
 from repro.galois.do_all import (
     DoAllExecutor,
     SerialExecutor,
-    do_all,
     executor_from_env,
     resolve_executor,
 )
-from repro.gluon.bitvector import BitVector
 from repro.gluon.comm import VALUE_BYTES, SimulatedNetwork
 from repro.gluon.partitioner import replicate_all_partitions
 from repro.gluon.plans import CommPlan, get_plan
@@ -149,9 +148,9 @@ class GraphWord2Vec:
 
         ``host_speed_factors`` models a heterogeneous cluster: host h's
         measured compute time is scaled by factor[h] (>1 = slower host)
-        before entering the BSP timing model, whose per-round max then
-        shows the straggler effect.  Training results are unaffected —
-        only the modeled wall-clock changes.
+        before entering the timing model, where the slowest host of each
+        fold shows the straggler effect.  Training results are unaffected
+        — only the modeled wall-clock changes.
 
         ``faults`` enables fault injection: pass a
         :class:`~repro.cluster.faults.FaultConfig` (a schedule is
@@ -165,8 +164,8 @@ class GraphWord2Vec:
         compute loops run under a :class:`SanitizedExecutor` (cross-host
         data-race detection) and both synchronizers get a
         :class:`GluonSyncChecker` (protocol auditing).  Findings raise
-        :class:`~repro.analysis.runtime.SanitizeError` at the next round
-        barrier.  Sanitizers observe and never perturb, so a sanitized run
+        :class:`~repro.analysis.runtime.SanitizeError` at the next fold.
+        Sanitizers observe and never perturb, so a sanitized run
         is bit-identical to an unsanitized one.  ``None`` (default) defers
         to the ``REPRO_SANITIZE`` environment variable."""
         if num_hosts <= 0:
@@ -198,9 +197,10 @@ class GraphWord2Vec:
             get_combiner(combiner) if isinstance(combiner, str) else combiner
         )
         self.plan = get_plan(plan) if isinstance(plan, str) else plan
-        # The execution engine owns the round loop's clock model: "bsp"
-        # (every round a global barrier) or "async" (bounded-staleness
-        # SSP; see repro.dgraph.async_engine).  Trainer code talks to the
+        # The execution engine owns the round loop's clock model: hosts
+        # may lead the fold frontier by ``staleness`` rounds, and "bsp"
+        # (every round a global barrier) names the staleness-0 schedule
+        # (see repro.dgraph.async_engine).  Trainer code talks to the
         # TrainingEngine seam only.
         self.engine = resolve_training_engine(
             engine, staleness=staleness, delay_compensation=delay_compensation
@@ -257,7 +257,6 @@ class GraphWord2Vec:
             if self.fault_schedule is not None
             else None
         )
-        self._round_checkpoint: Word2VecModel | None = None
 
         vocab = corpus.vocabulary
         self._keep_prob = vocab.keep_probabilities(params.subsample_threshold)
@@ -289,8 +288,6 @@ class GraphWord2Vec:
             self._sync_emb.checker = self.sync_checker
             self._sync_out.checker = self.sync_checker
         self.metrics = ClusterMetrics(self.num_hosts)
-        self.bounds = self.partitions[0].master_bounds
-        self.bounds_out = self.partitions_out[0].master_bounds
 
         # Model replicas: identical initialization on every host (all hosts
         # derive it from the shared seed, as they derive node ids from the
@@ -314,7 +311,7 @@ class GraphWord2Vec:
         # Per-host contiguous shards of the corpus (Algorithm 1, line 4).
         self._shards = self.corpus.shard(self.num_hosts)
         self._epoch_chunks_cache: dict[int, list[list[list[np.ndarray]]]] = {}
-        self._work_cache: dict[tuple[int, int, int], RoundWork] = {}
+        self._work_cache: dict[tuple[int, int, int], tuple[RoundWork, float]] = {}
         self._pairs_total = 0
         self._epoch_pairs: list[int] = []
         self._peak_access_rows = 0
@@ -323,13 +320,14 @@ class GraphWord2Vec:
         # and the training pairs those rounds processed.
         self._completed_rounds = 0
         self._partial_pairs = 0
-        # Async-engine state (unused under BSP): the canonical value store
-        # (the fold frontier's ground truth), bounded-staleness bookkeeping
+        # Engine state: the canonical value store (the fold frontier's
+        # ground truth — only folds write it, and replica master rows may
+        # carry unfolded work), bounded-staleness bookkeeping
         # (pending-stale rows, next-round access sets), the replayed
         # event-order makespan of the spans trained so far, and the
         # step/fold timeline the Chrome trace renders.
-        self._canonical: dict[str, np.ndarray] | None = None
-        self._async_state: dict | None = None
+        self._canonical = {"embedding": init.embedding, "training": init.training}
+        self._async_state: dict = {"pending_stale": {}, "next_access": {}}
         self._async_makespan_s = 0.0
         self.async_timeline = None
 
@@ -363,17 +361,17 @@ class GraphWord2Vec:
         # ``e`` from the last round of ``e-1``), epochs ``< e`` can never be
         # asked for again — drop them so their shuffled sentence lists don't
         # pin dead corpus memory for the rest of the run.
-        # The cache writes below are reachable from the parallel
-        # ``inspect_host`` operator, but never race: ``_run_round``
-        # materializes the inspected epoch serially before fanning out
-        # (see "materialize serially"), so the operator only ever hits the
-        # already-populated cache.
-        self._epoch_chunks_cache = {  # repro: noqa[REPRO111]
+        # The cache writes below are reachable from the engine's parallel
+        # ``run_chain`` operator (in-chain inspection), but never race: the
+        # wave pre-pass materializes every inspected epoch serially before
+        # fanning out, so the operator only ever hits the already-populated
+        # cache.
+        self._epoch_chunks_cache = {
             k: self._epoch_chunks_cache[k]
             for k in sorted(self._epoch_chunks_cache)
             if k >= epoch
         }
-        self._epoch_chunks_cache[epoch] = per_host  # repro: noqa[REPRO111]
+        self._epoch_chunks_cache[epoch] = per_host
         return per_host
 
     def _get_work(self, epoch: int, round_index: int, host: int) -> RoundWork:
@@ -381,29 +379,34 @@ class GraphWord2Vec:
 
         Work is a pure function of the seed tree, so inspection (which needs
         it one sync early under PullModel) and compute see the same edges
-        without storing more than ~two rounds of examples.
+        without storing more than ~two rounds of examples.  The engine
+        drops a slot's entry once its step has run.
         """
         key = (epoch, round_index, host)
-        work = self._work_cache.get(key)
-        if work is None:
-            work = self._build_work(epoch, round_index, host)
-            self._work_cache[key] = work
-        return work
+        entry = self._work_cache.get(key)
+        if entry is None:
+            entry = self._work_cache[key] = self._build_work(epoch, round_index, host)
+        return entry[0]
 
-    def _build_work(self, epoch: int, round_index: int, host: int) -> RoundWork:
-        """Generate one slot's work, bypassing the memo cache.
+    def _build_work(
+        self, epoch: int, round_index: int, host: int
+    ) -> tuple[RoundWork, float]:
+        """Generate one slot's work, bypassing the memo cache; returns it
+        with the thread time generation took — what PullModel inspection
+        of the slot is charged, whichever pass generated it.
 
         A pure function of the seed tree (given materialized epoch chunks),
-        so concurrent calls for distinct hosts are safe — the parallel
-        inspection phase relies on this.
+        so concurrent calls for distinct hosts are safe — in-chain
+        inspection relies on this.
         """
+        start = time.thread_time()
         sentences = self._epoch_chunks(epoch)[host][round_index]
         rng = (
             self._seeds.subtree("epoch", epoch)
             .subtree("round", round_index)
             .child("pairs", host)
         )
-        return build_round_work(
+        work = build_round_work(
             sentences,
             params=self.params,
             keep_prob=self._keep_prob,
@@ -411,11 +414,7 @@ class GraphWord2Vec:
             tree=self._tree,
             rng=rng,
         )
-
-    def _pop_work(self, epoch: int, round_index: int, host: int) -> RoundWork:
-        work = self._get_work(epoch, round_index, host)
-        del self._work_cache[(epoch, round_index, host)]
-        return work
+        return work, time.thread_time() - start
 
     def _next_slot(self, epoch: int, round_index: int) -> tuple[int, int] | None:
         if round_index + 1 < self.sync_rounds:
@@ -446,9 +445,9 @@ class GraphWord2Vec:
         params = self.params
         stop = params.epochs if until_epoch is None else min(until_epoch, params.epochs)
 
-        makespan = self.engine.run(self, stop, until_round, epoch_callback)
-        if makespan is not None:
-            self._async_makespan_s += makespan
+        self._async_makespan_s += self.engine.run(
+            self, stop, until_round, epoch_callback
+        )
 
         if self.fault_report is not None:
             self.fault_report.absorb_injector(self._fault_injector)
@@ -464,9 +463,7 @@ class GraphWord2Vec:
             pairs_processed=self._pairs_total + self._partial_pairs,
             peak_replica_rows=self._peak_access_rows,
             fault_report=self.fault_report,
-            makespan_s=(
-                self._async_makespan_s if self.engine.name != "bsp" else None
-            ),
+            makespan_s=self._async_makespan_s,
         )
         return DistributedTrainResult(
             model=self.canonical_model(),
@@ -481,9 +478,9 @@ class GraphWord2Vec:
     ) -> None:
         """Close out ``epoch``: pair accounting, progress, user callback.
 
-        Called by the engines at every epoch boundary (the last round of
+        Called by the engine at every epoch boundary (the last round of
         the epoch has folded), so callbacks observe the same canonical
-        states under BSP and async execution.
+        states under every staleness.
         """
         self._pairs_total += self._partial_pairs
         self._epoch_pairs.append(self._partial_pairs)
@@ -492,164 +489,6 @@ class GraphWord2Vec:
         self._completed_epochs = epoch + 1
         if epoch_callback is not None:
             epoch_callback(epoch, self.canonical_model())
-
-    def _run_round(self, epoch: int, s: int, lr: float) -> int:
-        """Execute one synchronization round; returns pairs processed."""
-        params = self.params
-        emb_field = self._fields["embedding"]
-        out_field = self._fields["training"]
-        V = emb_field.num_nodes
-        O = out_field.num_nodes
-        schedule = self.fault_schedule
-        crashes = schedule.crashes_at(epoch, s) if schedule is not None else ()
-        if schedule is not None and schedule.has_crashes:
-            # Round-granular checkpoint: the canonical state at this
-            # boundary is what crash recovery restores from.  Writes are
-            # modeled as asynchronous (overlapped with the next round's
-            # compute), so checkpointing itself costs no modeled time;
-            # restores are charged when a crash happens.
-            self._round_checkpoint = self.canonical_model()
-        crashed_hosts = {ev.host for ev in crashes}
-        round_pairs = 0
-
-        self.metrics.begin_round()
-        updated_emb = [BitVector(V) for _ in range(self.num_hosts)]
-        updated_out = [BitVector(O) for _ in range(self.num_hosts)]
-
-        # -- compute phase (hosts run concurrently on a cluster; the
-        #    executor mirrors that on real cores).  Work generation stays
-        #    serial — it mutates the shared caches — then the kernels run
-        #    under the executor on *disjoint* per-host replica arrays, and
-        #    the accounting folds serially in host order.  Results and
-        #    metrics are therefore bit-identical to SerialExecutor under
-        #    any executor and any thread schedule.
-        live_hosts = [h for h in range(self.num_hosts) if h not in crashed_hosts]
-        works = {h: self._pop_work(epoch, s, h) for h in live_hosts}
-        compute_slots: list[tuple[float, int] | None] = [None] * self.num_hosts
-
-        def compute_host(host: int) -> None:
-            # thread_time = this thread's CPU time: the measurement feeding
-            # the timing model stays contention-independent, so reported
-            # per-host times do not change just because the simulator itself
-            # runs hosts concurrently.
-            start = time.thread_time()
-            _loss, pairs = works[host].apply(
-                emb_field.arrays[host],
-                out_field.arrays[host],
-                lr,
-                params.batch_pairs,
-                compute_loss=self.compute_loss,
-            )
-            compute_slots[host] = (time.thread_time() - start, pairs)
-            # Shadow access records for the race sanitizer (no-ops when the
-            # loop is not sanitized).  Hosts write disjoint replica arrays,
-            # so a clean report here is the parallel-compute invariant.
-            work = works[host]
-            note_write(
-                emb_field.arrays[host], work.embedding_access,
-                label=f"embedding[host={host}]",
-            )
-            note_write(
-                out_field.arrays[host], work.output_access,
-                label=f"training[host={host}]",
-            )
-
-        do_all(live_hosts, compute_host, executor=self.executor)
-
-        base_times: list[float] = []
-        slow_times: list[float] = []
-        for host in live_hosts:
-            measured, pairs = compute_slots[host]
-            work = works[host]
-            self.metrics.record_compute(
-                host, measured * self._time_factor(epoch, s, host)
-            )
-            base_times.append(measured * self.host_speed_factors[host])
-            slow_times.append(measured * self._time_factor(epoch, s, host))
-            if work.embedding_access.size:
-                updated_emb[host].set_many(work.embedding_access)
-            if work.output_access.size:
-                updated_out[host].set_many(work.output_access)
-            round_pairs += pairs
-        if (
-            self.fault_report is not None
-            and slow_times
-            and slow_times != base_times
-        ):
-            self.fault_report.straggler_rounds += 1
-            self.fault_report.straggler_extra_s += max(slow_times) - max(base_times)
-
-        # -- recovery phase: failures surface at the barrier.
-        if crashes:
-            round_pairs += self._recover_crashes(
-                epoch, s, lr, crashes, updated_emb, updated_out
-            )
-
-        # -- inspection phase (PullModel): generate the next round's
-        #    edges to learn which nodes each host will access.  Example
-        #    generation is a pure function of the seed tree, so hosts
-        #    inspect concurrently under the executor; the shared caches are
-        #    touched only serially (chunk shuffle before, memoization after).
-        accessed_emb = accessed_out = None
-        if self.plan.requires_access_sets:
-            accessed_emb, accessed_out = [], []
-            next_slot = self._next_slot(epoch, s)
-            if next_slot is None:
-                empty = np.empty(0, dtype=np.int64)
-                accessed_emb = [empty] * self.num_hosts
-                accessed_out = [empty] * self.num_hosts
-            else:
-                self._epoch_chunks(next_slot[0])  # materialize serially
-                inspect_slots: list[tuple[RoundWork, float] | None] = (
-                    [None] * self.num_hosts
-                )
-
-                def inspect_host(host: int) -> None:
-                    start = time.thread_time()
-                    key = (next_slot[0], next_slot[1], host)
-                    next_work = self._work_cache.get(key)
-                    if next_work is None:
-                        next_work = self._build_work(*next_slot, host)
-                    inspect_slots[host] = (
-                        next_work, time.thread_time() - start
-                    )
-
-                do_all(
-                    range(self.num_hosts), inspect_host, executor=self.executor
-                )
-
-                for host in range(self.num_hosts):
-                    next_work, measured = inspect_slots[host]
-                    self._work_cache[(next_slot[0], next_slot[1], host)] = next_work
-                    self.metrics.record_inspection(host, measured)
-                    accessed_emb.append(next_work.embedding_access)
-                    accessed_out.append(next_work.output_access)
-                    self._peak_access_rows = max(
-                        self._peak_access_rows,
-                        int(
-                            next_work.embedding_access.size
-                            + next_work.output_access.size
-                        ),
-                    )
-
-        # -- synchronization (Algorithm 1, line 10).  The inductive
-        # fold order rotates with the global round counter so no
-        # host's shard is permanently favored by the combiner.
-        fold = epoch * self.sync_rounds + s
-        self._sync_emb.sync_replicated(
-            emb_field, updated_emb, self.combiner, self.plan,
-            accessed_next=accessed_emb, fold_offset=fold,
-        )
-        self._sync_out.sync_replicated(
-            out_field, updated_out, self.combiner, self.plan,
-            accessed_next=accessed_out, fold_offset=fold,
-        )
-        self.metrics.end_round()
-        if self.sanitize:
-            findings = self.sanitize_findings
-            if findings:
-                raise SanitizeError(findings, context=f"epoch {epoch} round {s}")
-        return round_pairs
 
     @property
     def sanitize_findings(self):
@@ -670,54 +509,24 @@ class GraphWord2Vec:
                 factor *= straggler
         return factor
 
-    def _recover_crashes(
-        self,
-        epoch: int,
-        s: int,
-        lr: float,
-        crashes,
-        updated_emb: list[BitVector],
-        updated_out: list[BitVector],
-    ) -> int:
-        """BSP fail-stop recovery for round ``(epoch, s)``; returns pairs
-        replayed.  The round checkpoint is the canonical state: replicas
-        hold canonical values at round boundaries under every plan, so the
-        replayed updates are bit-identical to the lost ones."""
-        assert self._round_checkpoint is not None
-        ckpt = self._round_checkpoint
-        canonical = {"embedding": ckpt.embedding, "training": ckpt.training}
-        pairs_replayed = 0
-        for ev in crashes:
-            work, pairs, lost_s, recovery_s = self._recover_host(
-                epoch, s, ev, lr, canonical
-            )
-            pairs_replayed += pairs
-            if work.embedding_access.size:
-                updated_emb[ev.host].set_many(work.embedding_access)
-            if work.output_access.size:
-                updated_out[ev.host].set_many(work.output_access)
-            self.metrics.record_compute(ev.host, lost_s)
-            self.metrics.record_recovery(ev.host, recovery_s)
-        return pairs_replayed
-
     def _recover_host(
         self,
         epoch: int,
         s: int,
         crash,
         lr: float,
-        canonical: dict[str, np.ndarray],
     ) -> tuple[RoundWork, int, float, float]:
-        """Fail-stop recovery of one crashed host, shared by both engines.
+        """Fail-stop recovery of one crashed host.
 
         (1) The barrier times out and declares the host dead; (2) its
         replacement restores its own master block from stable storage and
         every surviving master's block over the network; (3) the lost
         worklist chunk is replayed on the restored replica (work generation
         is a pure function of the seed tree, so the replay redoes exactly
-        the lost updates).  ``canonical[field]`` holds the canonical rows
-        both restores read — the only thing the engines differ in: BSP
-        passes its round checkpoint, SSP its canonical store.
+        the lost updates).  Both restores read the canonical store: it is
+        the state at the fold frontier, whereas a survivor's base rows
+        carry its own unfolded local view, which is not what recovery must
+        rebuild.
 
         Returns ``(work, pairs, lost_compute_s, recovery_s)``: the replayed
         work, the modeled compute the doomed attempt burned on the dead
@@ -740,7 +549,7 @@ class GraphWord2Vec:
         storage_bytes = net_bytes = 0
         for name, sync in (("embedding", self._sync_emb), ("training", self._sync_out)):
             field_obj = self._fields[name]
-            canon = canonical[name]
+            canon = self._canonical[name]
             block = master_block_slice(sync.bounds, h)
             field_obj.land(h, block, canon[block])
             storage_bytes += (block.stop - block.start) * field_obj.dim * VALUE_BYTES
@@ -751,7 +560,7 @@ class GraphWord2Vec:
 
         # (3) replay (thread_time, like the compute phase: recovery cost
         # must not depend on what else shares the simulator's cores).
-        work = self._pop_work(epoch, s, h)
+        work = self._get_work(epoch, s, h)
         start = time.thread_time()
         _loss, pairs = work.apply(
             self._fields["embedding"].arrays[h],
@@ -793,8 +602,9 @@ class GraphWord2Vec:
             f"|seed={self._seeds.seed}|corpus_tokens={self.corpus.num_tokens}"
         )
         if self.engine.staleness or self.engine.delay_compensation:
-            # SSP(s=0, λ=0) is bit-identical to BSP — its checkpoints are
-            # interchangeable with BSP's in both directions.  Any s>0 (or
+            # s=0, λ=0 is the lock-step (BSP) schedule under either engine
+            # name, and checkpoints written before the engine was a
+            # parameter carry this unscoped fingerprint.  Any s>0 (or
             # compensated) run replays a different interleaving, so its
             # checkpoints are its own.
             base += (
@@ -841,11 +651,10 @@ class GraphWord2Vec:
             raise ValueError(
                 "checkpoint belongs to a different training configuration"
             )
-        for h in range(self.num_hosts):
-            np.copyto(self._fields["embedding"].arrays[h], state.embedding)
-            np.copyto(self._fields["embedding"].bases[h], state.embedding)
-            np.copyto(self._fields["training"].arrays[h], state.training)
-            np.copyto(self._fields["training"].bases[h], state.training)
+        for name, values in (("embedding", state.embedding), ("training", state.training)):
+            np.copyto(self._canonical[name], values)
+            for h in range(self.num_hosts):
+                self._fields[name].land(h, slice(None), values)
         self._completed_epochs = state.completed_epochs
         self._completed_rounds = state.completed_rounds
         self._partial_pairs = state.partial_pairs
@@ -853,10 +662,8 @@ class GraphWord2Vec:
         self._epoch_pairs = list(state.epoch_pairs)
         self._work_cache.clear()
         self._epoch_chunks_cache.clear()
-        # Async state is rebuilt lazily from the restored replicas: every
-        # replica row is canonical again, nothing is pending-stale.
-        self._canonical = None
-        self._async_state = None
+        # Every replica row is canonical again: nothing is pending-stale.
+        self._async_state = {"pending_stale": {}, "next_access": {}}
         if self.sync_checker is not None:
             # Replicas were rebuilt from canonical values: all prior
             # stale/residual tracking is void.
@@ -867,19 +674,7 @@ class GraphWord2Vec:
     # Model assembly
     # ------------------------------------------------------------------
     def canonical_model(self) -> Word2VecModel:
-        """Assemble the canonical model from each host's master block."""
-        if self._canonical is not None:
-            # Async engine: the canonical store *is* the fold frontier's
-            # ground truth (master replica rows may carry unfolded work).
-            return Word2VecModel(
-                self._canonical["embedding"].copy(),
-                self._canonical["training"].copy(),
-            )
-        emb = np.empty_like(self._fields["embedding"].arrays[0])
-        trn = np.empty_like(self._fields["training"].arrays[0])
-        for host in range(self.num_hosts):
-            blk = master_block_slice(self.bounds, host)
-            emb[blk] = self._fields["embedding"].arrays[host][blk]
-            blk_o = master_block_slice(self.bounds_out, host)
-            trn[blk_o] = self._fields["training"].arrays[host][blk_o]
-        return Word2VecModel(emb.copy(), trn.copy())
+        """The canonical model: a copy of the store the folds write."""
+        return Word2VecModel(
+            self._canonical["embedding"].copy(), self._canonical["training"].copy()
+        )

@@ -194,6 +194,38 @@ class TestGluonSyncChecker:
         assert stale.details["host"] == 1
         assert stale.details["rows"] == [1]
 
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_stale_read_is_judged_from_the_steps_start(self, ahead):
+        """A row that goes stale while its host runs ahead of the fold
+        frontier is the bounded-staleness contract; a row already stale
+        when the step started is a stale read."""
+        checker = GluonSyncChecker()
+        sync, field = make_sync(checker=checker)
+        plan = get_plan("pull")
+        empty = np.empty(0, dtype=np.int64)
+        if ahead:  # host 1 starts round 1 before round 0 folds (lead 1)
+            checker.note_async_step("f", 1, 1, 0, 1)
+
+        # Round 0: host 0 changes its master row 1; no mirror receives it.
+        field.arrays[0][1] += 1.0
+        upd = [BitVector(8), BitVector(8)]
+        upd[0].set(1)
+        sync.sync_replicated(
+            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+        )
+        finish_round(field, upd)
+        if not ahead:  # host 1 starts round 1 at the frontier, unrefreshed
+            checker.note_async_step("f", 1, 1, 1, 1)
+
+        # Round 1 folds host 1's update of row 1.
+        field.arrays[1][1] += 1.0
+        upd[1].set(1)
+        sync.sync_replicated(
+            field, upd, get_combiner("mc"), plan,
+            accessed_next=[empty, empty], fold_offset=1,
+        )
+        assert [f.kind for f in checker.findings] == ([] if ahead else ["stale-read"])
+
     def test_pullmodel_confined_staleness_round_trip_is_clean(self):
         """The sanctioned PullModel discipline: pull a row before touching
         it.  Residual (reduced-but-not-refreshed) rows must not be flagged

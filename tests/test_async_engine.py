@@ -1,11 +1,11 @@
-"""Property battery for the bounded-staleness (SSP) async engine.
+"""Property battery for the one training engine (bounded-staleness SSP).
 
 The contract under test (see ``docs/internals.md``):
 
-- **Degradation**: ``SSP(s=0)`` is *bit-identical* to the BSP engine —
-  same model bits, same bytes per phase, same message counts, same fault
-  counters — across every communication plan, fault schedule, and
-  executor width.
+- **Lock-step**: the ``s=0`` schedule *is* BSP — bit-identical (model
+  bits, pairs, bytes per phase, message counts) to Algorithm 1 written
+  out as a lock-step loop over ``sync_replicated`` (the oracle below),
+  under every communication plan and executor width.
 - **Determinism**: ``SSP(s>0)`` is a pure function of the seed (the
   interleaving is recorded and replayed), so same-seed runs agree
   bitwise and checkpoints resume exactly.
@@ -18,19 +18,19 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from repro.analysis.runtime import GluonSyncChecker
+from repro.analysis.runtime import GluonSyncChecker, SanitizeError
 from repro.cluster.faults import FaultConfig
 from repro.dgraph import BSPEngine, Engine
 from repro.dgraph.async_engine import SSPTrainingEngine, build_interleaving
-from repro.dgraph.engine import (
-    BSPTrainingEngine,
-    compensate_delta,
-    resolve_training_engine,
-)
+from repro.dgraph.engine import TrainingEngine, compensate_delta, resolve_training_engine
+from repro.gluon.bitvector import BitVector
+from repro.gluon.proxies import master_block_slice
 from repro.gluon.sync import GluonSynchronizer
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec
+from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
+from repro.w2v.steps import RoundWork
 
 SPEC = SyntheticCorpusSpec(
     num_tokens=1500, pairs_per_family=3, filler_vocab=60, questions_per_family=3
@@ -39,7 +39,7 @@ PARAMS = Word2VecParams(dim=8, epochs=1, negatives=3, window=3, subsample_thresh
 HOSTS = 3
 SEED = 5
 
-#: The fault schedules the degradation property is pinned against
+#: The fault schedules the determinism property is pinned against
 #: (schedules are generated from the trainer's seed tree, so a key here
 #: names one exact schedule).
 FAULTS = {
@@ -49,7 +49,6 @@ FAULTS = {
 }
 
 _corpus = None
-_bsp_cache: dict[tuple, object] = {}
 
 
 def corpus():
@@ -73,7 +72,7 @@ def make(plan="opt", fault_key="none", workers=None, **kw):
 
 
 def fingerprint(result):
-    """Everything the degradation property compares bitwise.
+    """Everything the determinism property compares bitwise.
 
     Measured timing floats are deliberately excluded — they vary run to
     run; every *modeled* quantity (values, bytes, messages, counters)
@@ -101,11 +100,44 @@ def fingerprint(result):
     )
 
 
-def bsp_fingerprint(plan, fault_key):
-    key = (plan, fault_key)
-    if key not in _bsp_cache:
-        _bsp_cache[key] = fingerprint(make(plan=plan, fault_key=fault_key).train())
-    return _bsp_cache[key]
+def lockstep_oracle(plan):
+    """Algorithm 1 written out lock-step over an *untrained* trainer's own
+    fields, synchronizers and seed-pure work generation: every host applies
+    its round and flags what it touched, then ``sync_replicated`` folds
+    each field.  Fault-free.  Returns ``(model, pairs, network)``."""
+    t = make(plan=plan)
+    fields = [(t._fields["embedding"], t._sync_emb), (t._fields["training"], t._sync_out)]
+    slots = [(e, r) for e in range(PARAMS.epochs) for r in range(t.sync_rounds)]
+    pairs = 0
+
+    def work_of(slot):
+        return [t._build_work(*slot, h)[0] for h in range(HOSTS)]
+
+    for fold, slot in enumerate(slots):
+        works = work_of(slot)
+        nxt = work_of(slots[fold + 1]) if fold + 1 < len(slots) else None
+        lr = PARAMS.learning_rate_for_epoch(slot[0])
+        for h, work in enumerate(works):
+            replicas = (field.arrays[h] for field, _ in fields)
+            pairs += work.apply(*replicas, lr, PARAMS.batch_pairs)[1]
+        for (field, sync), rows in zip(fields, ("embedding_access", "output_access")):
+            flags = [BitVector(field.num_nodes) for _ in range(HOSTS)]
+            for h, work in enumerate(works):
+                flags[h].set_many(getattr(work, rows))
+            accessed = None
+            if t.plan.requires_access_sets:  # PullModel: the next slot's rows
+                empty = np.empty(0, dtype=np.int64)
+                accessed = [getattr(w, rows) for w in nxt] if nxt else [empty] * HOSTS
+            sync.sync_replicated(
+                field, flags, t.combiner, t.plan, accessed_next=accessed, fold_offset=fold
+            )
+    blocks = [
+        np.concatenate(
+            [field.arrays[m][master_block_slice(sync.bounds, m)] for m in range(HOSTS)]
+        )
+        for field, sync in fields
+    ]
+    return Word2VecModel(*blocks), pairs, t.network
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +148,10 @@ class TestEngineSeam:
         assert isinstance(BSPEngine(num_hosts=2), Engine)
 
     def test_resolution(self):
-        assert isinstance(resolve_training_engine("bsp"), BSPTrainingEngine)
+        # One engine: "bsp" names its staleness-0 schedule, not a class.
+        bsp = resolve_training_engine("bsp")
+        assert type(bsp) is SSPTrainingEngine and bsp.staleness == 0
+        assert TrainingEngine.__subclasses__() == [SSPTrainingEngine]
         eng = resolve_training_engine("async", staleness=3, delay_compensation=0.5)
         assert isinstance(eng, SSPTrainingEngine)
         assert eng.staleness == 3
@@ -194,29 +229,29 @@ class TestInterleaving:
 
 
 # ----------------------------------------------------------------------
-# Degradation: SSP(s=0) == BSP, bitwise
+# Lock-step: the s=0 schedule == the BSP oracle, bitwise
 # ----------------------------------------------------------------------
-@settings(max_examples=10, deadline=None)
-@given(
-    plan=st.sampled_from(["opt", "naive", "pull"]),
-    fault_key=st.sampled_from(sorted(FAULTS)),
-    workers=st.sampled_from([1, 4]),
-)
-def test_ssp_zero_is_bitwise_bsp(plan, fault_key, workers):
-    ssp = make(
-        plan=plan, fault_key=fault_key, workers=workers, engine="async", staleness=0
-    ).train()
-    assert fingerprint(ssp) == bsp_fingerprint(plan, fault_key)
+def test_ssp_zero_is_bitwise_bsp():
+    for plan in ("opt", "naive", "pull"):
+        model, pairs, network = lockstep_oracle(plan)
+        for workers in (1, 4):
+            trainer = make(plan=plan, workers=workers, engine="async", staleness=0)
+            result = trainer.train()
+            assert result.model == model
+            assert result.report.pairs_processed == pairs
+            assert trainer.network.total_bytes == network.total_bytes
+            assert trainer.network.total_messages == network.total_messages
+            assert trainer.network.stats.bytes_by_phase == network.stats.bytes_by_phase
 
 
 # ----------------------------------------------------------------------
-# One fold kernel under both engines
+# One fold kernel under every schedule
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("plan", ["opt", "pull"])
 @pytest.mark.parametrize(
     "engine_kw",
     [
-        {"engine": "bsp"},
+        None,  # the lock-step oracle: sync_replicated fronts the same kernel
         {"engine": "async", "staleness": 0},
         {"engine": "async", "staleness": 2},
     ],
@@ -233,14 +268,18 @@ def test_every_fold_goes_through_the_one_kernel(monkeypatch, plan, engine_kw):
         return result
 
     monkeypatch.setattr(GluonSynchronizer, "fold", counted)
-    trainer = make(plan=plan, **engine_kw)
-    trainer.train()
+    if engine_kw is None:
+        network = lockstep_oracle(plan)[2]
+    else:
+        trainer = make(plan=plan, **engine_kw)
+        trainer.train()
+        network = trainer.network
 
     # One kernel call per field per fold ...
-    assert len(spans) == 2 * trainer.sync_rounds * PARAMS.epochs
+    assert len(spans) == 2 * make().sync_rounds * PARAMS.epochs
     # ... and no reduce/broadcast phase anywhere else.
     inside = {i for span in spans for i in span}
-    kinds = [r.name.split(":")[0] for r in trainer.network.phase_records]
+    kinds = [r.name.split(":")[0] for r in network.phase_records]
     assert {kinds.count("reduce"), kinds.count("broadcast")} == {len(spans)}
     assert [
         kind
@@ -252,26 +291,62 @@ def test_every_fold_goes_through_the_one_kernel(monkeypatch, plan, engine_kw):
 # ----------------------------------------------------------------------
 # Determinism and the staleness bound at s > 0
 # ----------------------------------------------------------------------
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(
     plan=st.sampled_from(["opt", "pull"]),
+    fault_key=st.sampled_from(sorted(FAULTS)),
     staleness=st.sampled_from([1, 2, 4]),
     workers=st.sampled_from([1, 4]),
 )
-def test_ssp_seed_determinism(plan, staleness, workers):
-    a = make(plan=plan, engine="async", staleness=staleness, workers=workers).train()
-    b = make(plan=plan, engine="async", staleness=staleness, workers=1).train()
+def test_ssp_seed_determinism(plan, fault_key, staleness, workers):
+    options = dict(plan=plan, fault_key=fault_key, engine="async", staleness=staleness)
+    a = make(workers=workers, **options).train()
+    b = make(workers=1, **options).train()
     assert fingerprint(a) == fingerprint(b)
+
+
+@pytest.mark.parametrize("staleness", [0, 2])
+@pytest.mark.parametrize("plan", ["opt", "pull"])
+def test_each_round_work_is_built_once(monkeypatch, plan, staleness):
+    # PullModel inspection needs a slot's work one sync early, and at s>0
+    # a wave may hold a host's rounds g and g+1 together: whichever pass
+    # generates a slot first, nobody generates it again or strands a copy.
+    import repro.w2v.distributed as distributed
+
+    builds = []
+    real = distributed.build_round_work
+    monkeypatch.setattr(
+        distributed,
+        "build_round_work",
+        lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs),
+    )
+    trainer = GraphWord2Vec(
+        corpus(),
+        PARAMS.with_(epochs=2),
+        num_hosts=HOSTS,
+        seed=SEED,
+        plan=plan,
+        faults=FaultConfig(straggler_prob=0.5, straggler_factor=(4.0, 4.0)),
+        engine="async",
+        staleness=staleness,
+    )
+    trainer.train()
+    assert len(builds) == HOSTS * trainer.sync_rounds * 2
+    assert trainer._work_cache == {}
 
 
 class TestStalenessBound:
     def test_sanitized_runs_stay_clean(self):
         # The engine's scheduler respects the bound; the checker would
-        # abort the run otherwise (SanitizeError at the fold).
-        for s in (0, 1, 2):
-            trainer = make(engine="async", staleness=s, sanitize=True)
-            trainer.train()
-            assert trainer.sanitize_findings == []
+        # abort the run otherwise (SanitizeError at the fold).  Under
+        # PullModel at s>0 a mirror row may go stale while its host runs
+        # ahead — the SSP contract, not a stale read.
+        for plan in ("opt", "pull"):
+            for s in (0, 1, 2, 4):
+                trainer = make(plan=plan, engine="async", staleness=s, sanitize=True)
+                trainer.train()
+                assert trainer.sanitize_findings == []
+                assert trainer.sync_checker.rounds_observed == 2 * trainer.sync_rounds
 
     def test_checker_flags_violations(self):
         checker = GluonSyncChecker()
@@ -291,8 +366,51 @@ class TestStalenessBound:
         assert [f.kind for f in checker.findings] == ["fold-skipped"]
 
 
+class TestSanitizedFolds:
+    """The checker's hooks sit on the fold kernel, so every schedule is
+    audited — not only callers of ``sync_replicated``."""
+
+    @pytest.mark.parametrize("staleness", [0, 2])
+    def test_write_outside_the_access_set_is_a_dropped_write(self, monkeypatch, staleness):
+        real = RoundWork.apply
+        leaked = []
+
+        def leaky(self, embedding, output, *args, **kwargs):
+            # One row the work never declared: capture will not ship it.
+            row = np.setdiff1d(np.arange(len(embedding)), self.embedding_access)[0]
+            embedding[row] += 1.0
+            leaked.append(int(row))
+            return real(self, embedding, output, *args, **kwargs)
+
+        monkeypatch.setattr(RoundWork, "apply", leaky)
+        trainer = make(engine="async", staleness=staleness, sanitize=True)
+        with pytest.raises(SanitizeError, match="dropped-write") as raised:
+            trainer.train()
+        dropped = [f for f in raised.value.findings if f.kind == "dropped-write"]
+        assert {f.details["field"] for f in dropped} == {"embedding"}
+        assert all(set(f.details["rows"]) <= set(leaked) for f in dropped)
+        assert trainer.metrics.num_rounds == 1  # raised at the first fold
+
+    def test_divergence_is_reported_at_the_fold_that_produced_it(self):
+        # SUM of every host's update at a blow-up rate (Fig 6), hosts
+        # running up to two rounds ahead.  workers=1: np.errstate is per
+        # thread, pool threads would warn.
+        options = dict(combiner="sum", workers=1, engine="async", staleness=2)
+        params = PARAMS.with_(learning_rate=40.0, epochs=4)
+        with np.errstate(all="ignore"):
+            trainer = GraphWord2Vec(
+                corpus(), params, num_hosts=HOSTS, seed=SEED, sanitize=True, **options
+            )
+            with pytest.raises(SanitizeError, match="non-finite") as raised:
+                trainer.train()
+        finding = next(f for f in raised.value.findings if f.kind == "non-finite")
+        assert finding.details["round"] == trainer.metrics.num_rounds - 1
+        assert trainer.metrics.num_rounds < 4 * trainer.sync_rounds
+        assert len(finding.details["rows"]) > 0
+
+
 # ----------------------------------------------------------------------
-# Checkpointing mid-async
+# Checkpointing mid-run
 # ----------------------------------------------------------------------
 class TestAsyncCheckpointing:
     @pytest.mark.parametrize("staleness", [0, 2])
@@ -315,14 +433,14 @@ class TestAsyncCheckpointing:
         assert t3.train().model == resumed
 
     def test_s0_resume_matches_uninterrupted_bsp(self):
-        # At s=0 the drain barrier coincides with BSP's round barrier,
-        # so a paused-and-resumed async run equals the uninterrupted
-        # BSP run exactly.
+        # At s=0 the drain barrier coincides with the round barrier, so a
+        # paused-and-resumed run equals the uninterrupted lock-step loop
+        # exactly.
         t1 = make(engine="async", staleness=0)
         t1.train(until_round=3)
         t2 = make(engine="async", staleness=0)
         t2.load_checkpoint(t1.save_checkpoint())
-        assert t2.train().model == make().train().model
+        assert t2.train().model == lockstep_oracle("opt")[0]
 
     def test_checkpoints_are_engine_scoped(self):
         t1 = make(engine="async", staleness=2)
@@ -330,8 +448,8 @@ class TestAsyncCheckpointing:
         blob = t1.save_checkpoint()
         with pytest.raises(ValueError, match="different training configuration"):
             make().load_checkpoint(blob)
-        # s=0 degrades to BSP, checkpoints included: the fingerprints
-        # are interchangeable in both directions.
+        # s=0 is BSP, checkpoints included: the fingerprints are
+        # interchangeable in both directions.
         t2 = make(engine="async", staleness=0)
         t2.train(until_round=2)
         make().load_checkpoint(t2.save_checkpoint())
@@ -385,9 +503,9 @@ class TestWaitAccounting:
         last_step_end = max(start + dur for _, _, start, dur in timeline.steps)
         assert timeline.makespan_s >= last_step_end > 0
         # The Chrome trace renders it without error and covers all rows.
-        from repro.cluster.trace import build_async_chrome_trace
+        from repro.cluster.trace import build_chrome_trace
 
-        events = build_async_chrome_trace(
+        events = build_chrome_trace(
             timeline, trainer.network.phase_records, trainer.network_model
         )
         tids = {e["tid"] for e in events}

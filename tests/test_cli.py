@@ -78,6 +78,35 @@ class TestCommands:
         assert code == 0
         assert "modeled cluster time" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("schedule", [[], ["--engine", "async", "--staleness", "2"]])
+    def test_train_trace(self, tmp_path, capsys, schedule):
+        import json
+
+        trace_path = tmp_path / "train.trace.json"
+        code = main(
+            [
+                "train", "--dataset", "tiny-sim", "--hosts", "3", "--dim", "16",
+                "--epochs", "1", "--negatives", "4", "--subsample", "1e-2",
+                "--trace", str(trace_path), *schedule,
+            ]
+        )
+        assert code == 0
+        assert f"trace written to {trace_path}" in capsys.readouterr().out
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        assert {"compute", "communication"} <= {e.get("cat") for e in events}
+
+    def test_train_engine_argument_checks(self, tmp_path, capsys):
+        base = ["train", "--dataset", "tiny-sim", "--epochs", "1"]
+        for single_host in (["--engine", "async"], ["--trace", str(tmp_path / "t.json")]):
+            assert main(base + single_host) == 2
+            assert "--engine/--trace require --hosts > 1" in capsys.readouterr().err
+        for knob in (["--staleness", "2"], ["--delay-compensation", "0.5"]):
+            assert main(base + ["--hosts", "2", "--engine", "bsp"] + knob) == 2
+            assert (
+                "--staleness/--delay-compensation require --engine async"
+                in capsys.readouterr().err
+            )
+
     def test_train_hogwild_workers(self, capsys):
         code = main(
             [

@@ -263,7 +263,10 @@ class TestDistributedRunReport:
             metrics=metrics,
             network=net,
             model=NetworkModel(),
+            makespan_s=1.0,
         )
+        # One of two hosts computed for the whole 1.0 s makespan.
+        assert report.breakdown.compute_s == report.breakdown.wait_s == 0.5
         assert set(report.bytes_by_phase) == {"reduce", "broadcast"}
         assert report.bytes_by_phase["reduce"] == 232  # 2 x (100 + 16 header)
         assert report.total_time_s > 0
