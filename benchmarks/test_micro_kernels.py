@@ -6,6 +6,8 @@ pair generation, alias-table sampling, bit-vector bulk ops, the gradient
 combiners, and one full replicated sync round.
 """
 
+import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -100,31 +102,66 @@ def test_micro_combiner(benchmark, name):
     benchmark(work)
 
 
-def test_micro_sync_round(benchmark):
-    H = 8
-    parts = replicate_all_partitions(V, H)
+#: ``train-bsp32``'s fold shapes (bench/workloads/train-bsp32.json): the
+#: 1 325-word vocabulary, ~450 touched rows per host per field per round.
+FOLD_V, FOLD_TOUCHED = 1325, 450
+
+
+@pytest.mark.parametrize("H", [8, 32, 64])
+def test_micro_sync_round(benchmark, monkeypatch, H):
+    """One fold-kernel call (reduce -> combine -> broadcast) at H hosts."""
+    parts = replicate_all_partitions(FOLD_V, H)
     combiner = get_combiner("mc")
     plan = get_plan("opt")
-    touched = [np.unique(RNG.integers(0, V, 300)) for _ in range(H)]
-    deltas = [RNG.normal(size=(len(t), D)).astype(np.float32) for t in touched]
+    rng = np.random.default_rng(H)
+    touched = [np.sort(rng.choice(FOLD_V, FOLD_TOUCHED, replace=False)) for _ in range(H)]
+    deltas = [rng.normal(scale=1e-3, size=(len(t), D)) for t in touched]
+    sync = GluonSynchronizer(parts, SimulatedNetwork(H))
+    init = rng.normal(size=(FOLD_V, D)).astype(np.float32)
+    field = FieldSync(
+        "f",
+        arrays=[init.copy() for _ in range(H)],
+        bases=[init.copy() for _ in range(H)],
+    )
+    offsets = itertools.count()
 
-    def work():
-        net = SimulatedNetwork(H)
-        sync = GluonSynchronizer(parts, net)
-        init = np.zeros((V, D), dtype=np.float32)
-        field = FieldSync(
-            "f",
-            arrays=[init.copy() for _ in range(H)],
-            bases=[init.copy() for _ in range(H)],
+    def fold():
+        return sync.fold(
+            field, touched, deltas, combiner, plan,
+            canonical=field.bases, land=field.land, fold_offset=next(offsets),
         )
-        upd = [BitVector(V) for _ in range(H)]
-        for h in range(H):
-            field.arrays[h][touched[h]] += deltas[h]
-            upd[h].set_many(touched[h])
-        sync.sync_replicated(field, upd, combiner, plan)
-        return net.total_bytes
 
-    benchmark(work)
+    # The algorithmic property beside the clock: accumulate calls per fold.
+    state_cls = type(combiner.create(1, D))
+    accumulate = state_cls.accumulate
+    calls = []
+
+    def counted(self, rows, vals):
+        calls.append(len(rows))
+        return accumulate(self, rows, vals)
+
+    monkeypatch.setattr(state_cls, "accumulate", counted)
+    fold()
+    monkeypatch.undo()
+
+    benchmark(fold)
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
+    stats = benchmark.stats.stats
+    row = json.loads(OUT_PATH.read_text()).get("kernel:fold", {}) if OUT_PATH.exists() else {}
+    row.update(
+        shapes={"vocab": FOLD_V, "dim": D, "touched_per_host": FOLD_TOUCHED,
+                "combiner": combiner.name, "plan": plan.name},
+        numpy=np.__version__,
+    )
+    row[f"hosts={H}"] = {
+        "us_per_fold_median": round(stats.median * 1e6, 1),
+        "us_per_fold_min": round(stats.min * 1e6, 1),
+        "rounds": stats.rounds,
+        "accumulate_calls_per_fold": len(calls),
+        "rows_accumulated_per_fold": int(sum(calls)),
+    }
+    merge_bench_row(OUT_PATH, "kernel:fold", row)
 
 
 def test_micro_partitioner(benchmark):

@@ -26,8 +26,14 @@ Combiners provided (paper §3 and §5.3):
 - :class:`KeepFirstCombiner` — baseline that drops all but the first
   contribution (what MC degenerates to when gradients are parallel).
 
-The inductive fold is order-dependent; hosts are folded in ascending host id
-everywhere in this library (an ablation benchmark measures the effect).
+The inductive fold is order-dependent: a row sees its contributions in the
+order of the ``accumulate`` calls.  The fold kernel
+(:meth:`repro.gluon.sync.GluonSynchronizer.fold`) rotates that order by its
+``fold_offset`` each round (an ablation benchmark measures the effect).
+Every combiner here is *row-wise* — a row's result depends only on that
+row's own contributions and their order, never on which other rows share
+an ``accumulate`` call — which is what lets the kernel fold all masters'
+rows in one state, one call per source host.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ class CombineState(ABC):
         if rows.size:
             if rows.min() < 0 or rows.max() >= self.num_rows:
                 raise IndexError("row index out of range")
-            if len(np.unique(rows)) != len(rows):
+            # Ascending rows (what the fold kernel sends) prove uniqueness
+            # in one comparison; only unsorted callers pay for the sort.
+            if not (rows[1:] > rows[:-1]).all() and len(np.unique(rows)) != len(rows):
                 raise ValueError("duplicate rows within a single contribution")
         return rows, deltas
 

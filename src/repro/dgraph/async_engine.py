@@ -843,9 +843,9 @@ class SSPTrainingEngine(TrainingEngine):
         # is already sorted.
         if plan.requires_access_sets:
             changed_all = np.concatenate(result.changed_per_master)
+            cut = np.searchsorted(changed_all, sync.bounds).tolist()
             for h in range(H):
-                lo, hi = int(sync.bounds[h]), int(sync.bounds[h + 1])
-                foreign = changed_all[(changed_all < lo) | (changed_all >= hi)]
+                foreign = np.concatenate((changed_all[:cut[h]], changed_all[cut[h + 1]:]))
                 pending = state["pending_stale"].get((fname, h), _empty_ids())
                 pending = np.union1d(pending, foreign)
                 pending = np.setdiff1d(

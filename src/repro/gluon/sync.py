@@ -150,6 +150,7 @@ class GluonSynchronizer:
         self.network = network
         self.num_hosts = len(partitions)
         self.bounds = self.partitions[0].master_bounds
+        self._blocks: list[int] = np.diff(self.bounds).tolist()  # master block sizes
         #: Optional :class:`~repro.analysis.runtime.GluonSyncChecker`; when
         #: set, every fold, broadcast and crash restore is observed (never
         #: perturbed) for protocol violations.
@@ -221,15 +222,20 @@ class GluonSynchronizer:
     ) -> ReplicatedSyncResult:
         """The fold kernel: reduce → combine → (pull-request) → broadcast.
 
-        Host ``h`` contributes float64 ``deltas[h]`` on the sorted global
-        ids ``touched[h]``.  The *destination* is the caller's:
+        Host ``h`` contributes float64 ``deltas[h]`` on the global ids
+        ``touched[h]``.  The *destination* is the caller's:
         ``canonical[m]`` is the array master ``m``'s canonical rows are
-        read from and written to (only rows of block ``m`` are touched),
-        and ``land(h, ids, vals)`` puts canonical values on host ``h``'s
-        replica — a master's freshly folded rows and every broadcast a
-        mirror receives alike.  ``accessed_next[h]`` (sorted global ids) is
-        required by plans with
-        :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
+        read from and written to (only rows of block ``m`` are touched; the
+        entries may be H arrays or one shared store), and
+        ``land(h, ids, vals)`` puts canonical values on host ``h``'s
+        replica — a master's freshly folded rows and everything a mirror
+        received alike, one call each.  ``accessed_next[h]`` is required by
+        plans with :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
+        Ownership is routed by slice, so sortedness is a checked
+        precondition: ``touched[h]`` / ``accessed_next[h]`` strictly
+        ascending ids in ``[0, num_nodes)``, ``deltas[h]`` of shape
+        ``(len(touched[h]), dim)``, one entry per host — else a
+        ``ValueError`` naming field and host, before any phase opens.
 
         ``fold_offset`` rotates the (order-dependent) inductive fold of
         contributions: host ``fold_offset % H`` is folded first this round.
@@ -238,56 +244,72 @@ class GluonSynchronizer:
         benchmark quantifies the effect).
         """
         H = self.num_hosts
+        dim = field.dim
+        touched = self._sorted_ids(field, "touched", touched)
+        if len(deltas) != H:
+            raise ValueError(f"field {field.name!r}: deltas needs one array per host, got {len(deltas)}")
+        for h, (t, d) in enumerate(zip(touched, deltas)):
+            if np.shape(d) != (len(t), dim):
+                raise ValueError(
+                    f"field {field.name!r}: deltas[{h}] has shape {np.shape(d)}, expected ({len(t)}, {dim})"
+                )
         if plan.requires_access_sets:
             if accessed_next is None:
                 raise ValueError(f"plan {plan.name} requires access sets")
-            if len(accessed_next) != H:
-                raise ValueError(
-                    f"accessed_next needs one access set per host ({H}), "
-                    f"got {len(accessed_next)}"
-                )
+            accessed_next = self._sorted_ids(field, "accessed_next", accessed_next)
         if self.checker is not None:
             # Validate writes-vs-touched while replicas are still untouched.
             self.checker.before_fold(field, touched, fold_offset)
-        dim = field.dim
         dtype = canonical[0].dtype
 
         with self.network.phase(f"reduce:{field.name}") as reduce_record:
-            # The master's own local delta participates exactly like a
-            # mirror's; it just never crosses the wire.
+            # Ids are sorted and master blocks contiguous, so host h's
+            # contribution to master m is a slice.  The master's own local
+            # delta participates exactly like a mirror's; it just never
+            # crosses the wire.
             own: list[tuple[np.ndarray, np.ndarray]] = []
             for h in range(H):
                 t, d = touched[h], deltas[h]
-                owner = np.searchsorted(self.bounds, t, side="right") - 1
+                cut = np.searchsorted(t, self.bounds).tolist()
                 for m in range(H):
-                    sel = owner == m
-                    ids = t[sel]
+                    part = (t[cut[m]:cut[m + 1]], d[cut[m]:cut[m + 1]])
                     if m == h:
-                        own.append((ids, d[sel]))
+                        own.append(part)
                         continue
-                    block = int(self.bounds[m + 1] - self.bounds[m])
-                    wire = plan.reduce_wire_bytes(len(ids), dim, block)
+                    wire = plan.reduce_wire_bytes(len(part[0]), dim, self._blocks[m])
                     if wire > 0:
-                        self.network.send(h, m, wire, payload=(ids, d[sel]))
+                        self.network.send(h, m, wire, payload=part)
+
+            # Masters consume what mirrors sent.  Combiners are row-wise (a
+            # row's result depends only on its own contributions, in fold
+            # order), so all masters share one state and combine by
+            # *source*: whatever host h sent, to whichever masters, is one
+            # wave — unique rows, ``touched[h]`` being strictly ascending —
+            # and the waves run in rotated source order.  At most H
+            # ``accumulate`` calls, not one per (master, source).
+            by_src: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(H)]
+            for m in range(H):
+                for src, part in (*self.network.drain(m), (m, own[m])):
+                    by_src[src].append(part)
+            ids = [np.concatenate([t for t, _ in parts]) for parts in by_src]
+            union = np.unique(np.concatenate(ids))
+            state = combiner.create(len(union), dim)
+            for src in ((fold_offset + k) % H for k in range(H)):
+                if len(ids[src]):
+                    vals = np.concatenate([d for _, d in by_src[src]])
+                    state.accumulate(np.searchsorted(union, ids[src]), vals)
+            combined = state.result()
 
             changed_per_master: list[np.ndarray] = []
+            cut = np.searchsorted(union, self.bounds).tolist()
             for m in range(H):
-                contribs = dict(self.network.drain(m))
-                contribs[m] = own[m]
-                srcs = [src for src in sorted(contribs) if len(contribs[src][0])]
-                if not srcs:
-                    changed_per_master.append(np.empty(0, dtype=np.int64))
-                    continue
-                union = np.unique(np.concatenate([contribs[src][0] for src in srcs]))
-                state = combiner.create(len(union), dim)
-                for src in sorted(srcs, key=lambda h: (h - fold_offset) % H):
-                    ids, vals = contribs[src]
-                    state.accumulate(np.searchsorted(union, ids), vals)
-                folded = canonical[m][union].astype(np.float64) + state.result()
-                new_vals = folded.astype(dtype)
-                canonical[m][union] = new_vals
-                land(m, union, new_vals)
-                changed_per_master.append(union)
+                rows = union[cut[m]:cut[m + 1]]
+                if len(rows):
+                    folded = canonical[m][rows].astype(np.float64) + combined[cut[m]:cut[m + 1]]
+                    new_vals = folded.astype(dtype)
+                    canonical[m][rows] = new_vals
+                    land(m, rows, new_vals)
+                changed_per_master.append(rows)
 
         request_record, broadcast_record, received_per_host = self.broadcast(
             field, plan, changed_per_master, accessed_next, canonical, land,
@@ -306,6 +328,27 @@ class GluonSynchronizer:
             self.checker.after_fold(field, result, fold_offset)
         return result
 
+    def _sorted_ids(
+        self, field: FieldSync, what: str, ids_per_host: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Boundary check of a per-host id-list argument — slices silently
+        mis-route what is not strictly ascending and in range."""
+        if len(ids_per_host) != self.num_hosts:
+            raise ValueError(
+                f"field {field.name!r}: {what} needs one id array per host "
+                f"({self.num_hosts}), got {len(ids_per_host)}"
+            )
+        out = [np.asarray(ids, dtype=np.int64) for ids in ids_per_host]
+        for h, ids in enumerate(out):
+            if ids.ndim != 1 or not (ids[1:] > ids[:-1]).all():
+                problem = "must be a strictly ascending 1-D id array (sorted, no duplicate)"
+            elif ids.size and not 0 <= ids[0] <= ids[-1] < field.num_nodes:
+                problem = f"has ids outside [0, {field.num_nodes})"
+            else:
+                continue
+            raise ValueError(f"field {field.name!r}: {what}[{h}] {problem}")
+        return out
+
     def broadcast(
         self,
         field: FieldSync,
@@ -320,11 +363,12 @@ class GluonSynchronizer:
         """The kernel's second half: (pull-request) → broadcast.
 
         Under an access-set plan every host first routes the ids it wants
-        (``accessed[h]``) to their owning masters; then each master ships
-        the rows ``plan`` selects — out of ``changed_per_master[m]`` and the
-        requests — from ``canonical[m]``, and receivers ``land`` them.
+        (``accessed[h]``, strictly ascending) to their owning masters; then
+        each master ships the rows ``plan`` selects — out of
+        ``changed_per_master[m]`` and the requests — from ``canonical[m]``,
+        and each receiver ``land``s everything it got in one call.
         Returns the request record (``None`` without access sets), the
-        broadcast record, and per host the global ids that landed.
+        broadcast record, and per host the sorted global ids that landed.
         """
         H = self.num_hosts
         dim = field.dim
@@ -332,12 +376,12 @@ class GluonSynchronizer:
         wanted: list[list[np.ndarray]] | None = None
         request_record: PhaseRecord | None = None
         if plan.requires_access_sets:
+            accessed = self._sorted_ids(field, "accessed", accessed)  # type: ignore[arg-type]
             wanted = []
             with self.network.phase(request_phase) as request_record:
                 for h in range(H):
-                    acc = np.asarray(accessed[h], dtype=np.int64)  # type: ignore[index]
-                    owner = np.searchsorted(self.bounds, acc, side="right") - 1
-                    wanted.append([acc[owner == m] for m in range(H)])
+                    cut = np.searchsorted(accessed[h], self.bounds).tolist()
+                    wanted.append([accessed[h][cut[m]:cut[m + 1]] for m in range(H)])
                     for m in range(H):
                         if m == h:
                             continue
@@ -352,30 +396,35 @@ class GluonSynchronizer:
 
         with self.network.phase(broadcast_phase) as broadcast_record:
             for m in range(H):
-                block = int(self.bounds[m + 1] - self.bounds[m])
+                changed = changed_per_master[m]
+                # Receivers of the changed set itself share one read-only
+                # gather of its rows.
+                changed_vals: np.ndarray | None = None
                 for h in range(H):
                     if h == m:
                         continue
                     ids, wire = plan.broadcast_selection(
-                        changed_per_master[m],
-                        block,
-                        None if wanted is None else wanted[h][m],
-                        dim,
+                        changed, self._blocks[m], None if wanted is None else wanted[h][m], dim
                     )
-                    if wire > 0:
-                        self.network.send(
-                            m, h, wire, payload=(ids, canonical[m][ids].copy())
-                        )
+                    if wire <= 0:
+                        continue
+                    if ids is changed:
+                        if changed_vals is None:
+                            changed_vals = canonical[m][changed]
+                            changed_vals.flags.writeable = False
+                        vals = changed_vals
+                    else:
+                        vals = canonical[m][ids]
+                    self.network.send(m, h, wire, payload=(ids, vals))
+            # Masters were drained in ascending order over disjoint
+            # ascending blocks: a receiver's concatenated ids are sorted.
             received_per_host: list[np.ndarray] = []
             for h in range(H):
-                got: list[np.ndarray] = []
-                for _src, (ids, vals) in self.network.drain(h):
-                    if len(ids):
-                        land(h, ids, vals)
-                        got.append(ids)
-                received_per_host.append(
-                    np.unique(np.concatenate(got)) if got else np.empty(0, np.int64)
-                )
+                got = [payload for _src, payload in self.network.drain(h) if len(payload[0])]
+                ids = np.concatenate([p[0] for p in got]) if got else np.empty(0, np.int64)
+                if got:
+                    land(h, ids, np.concatenate([p[1] for p in got]))
+                received_per_host.append(ids)
         if self.checker is not None:
             self.checker.after_broadcast(
                 field.name, self.bounds, plan, changed_per_master, accessed,

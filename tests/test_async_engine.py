@@ -25,7 +25,7 @@ from repro.dgraph.async_engine import SSPTrainingEngine, build_interleaving
 from repro.dgraph.engine import TrainingEngine, compensate_delta, resolve_training_engine
 from repro.gluon.bitvector import BitVector
 from repro.gluon.proxies import master_block_slice
-from repro.gluon.sync import GluonSynchronizer
+from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.model import Word2VecModel
@@ -286,6 +286,55 @@ def test_every_fold_goes_through_the_one_kernel(monkeypatch, plan, engine_kw):
         for i, kind in enumerate(kinds)
         if i not in inside and kind in ("reduce", "request", "broadcast")
     ] == []
+
+
+def test_fold_python_work_is_linear_in_hosts(monkeypatch):
+    """The fold kernel's algorithmic property, pinned by count, not clock:
+    at H = 32 a fold combines every master's rows in one state with at most
+    H ``accumulate`` calls (one per source — not one per (master, source)),
+    accumulates each contribution row exactly once, and lands at most twice
+    per host (its own folded rows, then everything it received)."""
+    H = 32
+    trainer = GraphWord2Vec(
+        corpus(), PARAMS, num_hosts=H, seed=SEED, sync_rounds_per_epoch=2
+    )
+    folds = []  # per kernel call: what it created, accumulated and landed
+    kernel = GluonSynchronizer.fold
+    combiner_cls = type(trainer.combiner)
+    state_cls = type(trainer.combiner.create(1, PARAMS.dim))
+    create, accumulate, land = combiner_cls.create, state_cls.accumulate, FieldSync.land
+
+    def counted_fold(self, field, touched, *args, **kwargs):
+        folds.append({"rows": sum(len(t) for t in touched), "creates": 0,
+                      "accumulated": [], "lands": [0] * H})
+        return kernel(self, field, touched, *args, **kwargs)
+
+    def counted_create(self, num_rows, dim):
+        folds[-1]["creates"] += 1
+        return create(self, num_rows, dim)
+
+    def counted_accumulate(self, rows, deltas):
+        folds[-1]["accumulated"].append(len(rows))
+        return accumulate(self, rows, deltas)
+
+    def counted_land(self, host, ids, vals):
+        folds[-1]["lands"][host] += 1
+        return land(self, host, ids, vals)
+
+    monkeypatch.setattr(GluonSynchronizer, "fold", counted_fold)
+    monkeypatch.setattr(combiner_cls, "create", counted_create)
+    monkeypatch.setattr(state_cls, "accumulate", counted_accumulate)
+    monkeypatch.setattr(FieldSync, "land", counted_land)
+    trainer.train()
+
+    assert len(folds) == 2 * trainer.sync_rounds * PARAMS.epochs
+    for fold in folds:
+        assert fold["creates"] == 1
+        assert len(fold["accumulated"]) <= H
+        assert sum(fold["accumulated"]) == fold["rows"]
+        assert max(fold["lands"]) <= 2
+    # The workload does conflict: some row is touched by several hosts.
+    assert max(len(fold["accumulated"]) for fold in folds) > 1
 
 
 # ----------------------------------------------------------------------

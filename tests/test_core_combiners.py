@@ -28,6 +28,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate rows"):
             state.accumulate(np.array([1, 1]), np.zeros((2, 2)))
 
+    def test_unsorted_but_unique_rows_accepted(self):
+        # Ascending rows pass on one comparison; unsorted callers fall back
+        # to the exact uniqueness test and are still served.
+        state = SumCombiner().create(4, 2)
+        state.accumulate(np.array([3, 0, 2]), np.ones((3, 2)))
+        assert state.result().sum(axis=1).tolist() == [2.0, 0.0, 2.0, 2.0]
+
+    def test_unsorted_rows_with_duplicate_rejected(self):
+        state = SumCombiner().create(4, 2)
+        with pytest.raises(ValueError, match="duplicate rows"):
+            state.accumulate(np.array([3, 0, 3]), np.zeros((3, 2)))
+
     def test_row_out_of_range(self):
         state = SumCombiner().create(4, 2)
         with pytest.raises(IndexError):

@@ -178,6 +178,73 @@ class TestReplicatedSync:
             sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
 
 
+class TestFoldBoundary:
+    """Hostile contributions fail at the kernel boundary — a field- and
+    host-named ``ValueError`` before any phase opens (slices silently
+    mis-route what masks used to tolerate)."""
+
+    V, D, H = 8, 2, 3
+
+    def _fold(self, touched, deltas, plan="opt", accessed_next=None, match=""):
+        _, net, sync, field = make_replicated(V=self.V, D=self.D, H=self.H)
+        before = [a.copy() for a in field.arrays + field.bases]
+        with pytest.raises(ValueError, match=match) as err:
+            sync.fold(
+                field, touched, deltas, get_combiner("mc"), get_plan(plan),
+                canonical=field.bases, land=field.land, accessed_next=accessed_next,
+            )
+        assert "'f'" in str(err.value)  # the field is named
+        assert net.phase_records == [] and net.total_bytes == 0
+        assert all(np.array_equal(a, b) for a, b in zip(field.arrays + field.bases, before))
+
+    def _good(self):
+        touched = [np.array([0, 5]), np.array([2]), np.empty(0, dtype=np.int64)]
+        return touched, [np.ones((len(t), self.D)) for t in touched]
+
+    def test_wrong_number_of_contributions(self):
+        touched, deltas = self._good()
+        self._fold(touched[:2], deltas, match=r"touched needs one id array per host \(3\), got 2")
+        self._fold(touched + touched[:1], deltas, match=r"touched .*got 4")
+        self._fold(touched, deltas[:2], match=r"deltas needs one array per host, got 2")
+
+    @pytest.mark.parametrize("ids", [[5, 0], [0, 0, 5]], ids=["unsorted", "duplicate"])
+    def test_touched_must_be_strictly_ascending(self, ids):
+        touched, deltas = self._good()
+        touched[1], deltas[1] = np.array(ids), np.ones((len(ids), self.D))
+        self._fold(touched, deltas, match=r"touched\[1\] must be a strictly ascending 1-D id array")
+
+    def test_touched_must_be_one_dimensional(self):
+        touched, deltas = self._good()
+        touched[0] = np.array([[0, 5]])
+        self._fold(touched, deltas, match=r"touched\[0\] must be a strictly ascending 1-D id array")
+
+    @pytest.mark.parametrize("ids", [[-1, 3], [3, 8]], ids=["negative", "past-the-end"])
+    def test_ids_out_of_range(self, ids):
+        touched, deltas = self._good()
+        touched[2], deltas[2] = np.array(ids), np.ones((2, self.D))
+        self._fold(touched, deltas, match=r"touched\[2\] has ids outside \[0, 8\)")
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (2,)])
+    def test_delta_shape_must_match_touched(self, shape):
+        touched, deltas = self._good()
+        deltas[0] = np.ones(shape)
+        self._fold(touched, deltas, match=r"deltas\[0\] has shape .* expected \(2, 2\)")
+
+    def test_access_sets_must_be_ascending_under_an_access_set_plan(self):
+        touched, deltas = self._good()
+        accessed = [np.array([6, 1]), np.array([2]), np.empty(0, dtype=np.int64)]
+        self._fold(
+            touched, deltas, plan="pull", accessed_next=accessed,
+            match=r"accessed_next\[0\] must be a strictly ascending 1-D id array",
+        )
+        # RepModel plans never read access sets: nothing to reject.
+        _, _, sync, field = make_replicated(V=self.V, D=self.D, H=self.H)
+        sync.fold(
+            field, touched, deltas, get_combiner("mc"), get_plan("opt"),
+            canonical=field.bases, land=field.land, accessed_next=accessed,
+        )
+
+
 class TestPlanEquivalence:
     """Plans must change bytes, never the model (DESIGN.md §5)."""
 

@@ -37,6 +37,8 @@ def reference_combine(model, round_touches, round_deltas, combiner_name, fold_of
             combined = np.sum(grads, axis=0)
         elif combiner_name == "avg":
             combined = np.mean(grads, axis=0)
+        elif combiner_name == "keep_first":
+            combined = grads[0]
         else:
             raise AssertionError(combiner_name)
         model[row] += combined.astype(np.float32)
@@ -47,11 +49,12 @@ def reference_combine(model, round_touches, round_deltas, combiner_name, fold_of
 @given(
     st.integers(min_value=2, max_value=4),  # hosts
     st.integers(min_value=1, max_value=3),  # rounds
-    st.sampled_from(["mc", "sum", "avg"]),
+    st.sampled_from(["mc", "sum", "avg", "keep_first"]),
     st.sampled_from(["opt", "naive", "pull"]),
     st.integers(0, 2**16),
+    st.integers(min_value=0, max_value=3),  # fold_offset = r + base * H (>= H wraps)
 )
-def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed):
+def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed, offset_base):
     rng = np.random.default_rng(seed)
     V, D = 7, 3
     init = rng.normal(size=(V, D)).astype(np.float32)
@@ -101,13 +104,14 @@ def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed):
                 ]
             else:
                 accessed = [np.empty(0, dtype=np.int64) for _ in range(H)]
+        fold_offset = r + offset_base * H
         sync.sync_replicated(
-            field, upd, combiner, plan, accessed_next=accessed, fold_offset=r
+            field, upd, combiner, plan, accessed_next=accessed, fold_offset=fold_offset
         )
         # Reference: deltas measured in float64 from the float32 arrays the
         # engine saw; we reuse the raw float32 deltas (identical values).
         reference = reference_combine(
-            reference, touches, deltas, combiner_name, fold_offset=r
+            reference, touches, deltas, combiner_name, fold_offset=fold_offset
         )
 
     # Canonical state lives at the masters.
