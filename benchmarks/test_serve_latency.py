@@ -4,9 +4,13 @@ Seeds the perf trajectory for ``repro.serve``: drives the batched
 ``QueryEngine`` over a synthetic vocabulary with the deterministic load
 generator, records QPS and p50/p95/p99 per index into ``BENCH_serve.json``
 at the repo root, and asserts the batched top-k parity contract (batched
-search is bit-identical to one-query-at-a-time search).
+search is bit-identical to one-query-at-a-time search).  ``kernel:scan``
+times ``ExactIndex.search`` alone across batch sizes — the serve-side
+counterpart of ``kernel:fold`` in ``BENCH_train.json``.
 """
 
+import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -76,3 +80,45 @@ def test_batched_equals_unbatched_topk(store):
         ids_one, scores_one = index.search(queries[i], K)
         np.testing.assert_array_equal(ids_one[0], ids_all[i])
         np.testing.assert_array_equal(scores_one[0], scores_all[i])
+
+
+#: ``bench/``'s serve store shape (bench/workloads/serve-*.json) beside this
+#: module's 4000-row one; batch sizes from a lone cache miss to two panels.
+SCAN_SHAPES = [(50_000, n) for n in (1, 4, 16, 32, 64)] + [(V, n) for n in (1, 32)]
+
+
+def _blas_version() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+@pytest.mark.parametrize("rows, n", SCAN_SHAPES)
+def test_kernel_scan(benchmark, rows, n):
+    """One ``ExactIndex.search`` of ``n`` queries.  Time it under
+    ``OPENBLAS_NUM_THREADS=1``: with BLAS threads on a small VM the GEMM
+    measures an order of magnitude slower and noisier."""
+    matrix = keyed_rng(3, 0x42454E43, rows).normal(size=(rows, D)).astype(np.float32)
+    index = ExactIndex(EmbeddingStore(matrix, [f"tok{i:05d}" for i in range(rows)]))
+    queries = matrix[keyed_rng(11, 0x5343414E, n).choice(rows, n)]  # "SCAN"
+    ids, _ = benchmark(index.search, queries, K)
+    assert ids.shape == (n, K) and ids.min() >= 0
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
+    stats = benchmark.stats.stats
+    row = json.loads(OUT_PATH.read_text()).get("kernel:scan", {}) if OUT_PATH.exists() else {}
+    row.update(
+        shapes={"dim": D, "k": K, "block_rows": index.block_rows,
+                "query_block": index.query_block},
+        numpy=np.__version__,
+        blas=_blas_version(),
+        blas_threads=os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+    )
+    row[f"rows={rows},n={n}"] = {
+        "us_per_search_median": round(stats.median * 1e6, 1),
+        "us_per_search_min": round(stats.min * 1e6, 1),
+        "rounds": stats.rounds,
+    }
+    merge_bench_row(OUT_PATH, "kernel:scan", row)

@@ -4,9 +4,10 @@ Two implementations behind one :class:`Index` contract:
 
 - :class:`ExactIndex` — brute-force cosine top-k as one *batched* blocked
   matmul (the batched-kernel formulation: many queries amortize one pass
-  over the matrix, and the vocabulary is walked in cache-sized row blocks
-  so memory stays bounded at ``queries x block`` instead of
-  ``queries x V``).
+  over the matrix, and the vocabulary is walked in cache-sized row blocks,
+  each multiplied store-major against one fixed-height query tile, so
+  memory stays bounded at ``32 x block`` instead of ``queries x V`` and
+  only real query rows pay for selection).
 - :class:`LSHIndex` — random-hyperplane locality-sensitive hashing:
   every table hashes each row to a ``bits``-wide sign signature of
   projections onto seeded hyperplanes; queries probe their own bucket
@@ -57,12 +58,22 @@ def top_k_desc(scores: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray,
     return ids[rows, order], scores[rows, order]
 
 
-def _normalize_queries(queries: np.ndarray, dim: int) -> np.ndarray:
+def _check_queries(queries: np.ndarray, dim: int) -> np.ndarray:
+    """``queries`` as a C-contiguous float32 ``(n, dim)`` array of finite rows."""
     queries = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
     if queries.ndim != 2 or queries.shape[1] != dim:
         raise ValueError(
             f"queries must be (n, {dim}), got shape {queries.shape}"
         )
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)[0]
+        raise ValueError(f"queries must be finite, row {bad} holds NaN or inf")
+    return queries
+
+
+def _normalize_queries(queries: np.ndarray, dim: int) -> np.ndarray:
+    queries = _check_queries(queries, dim)
     norms = np.linalg.norm(queries, axis=1, keepdims=True)
     return queries / np.where(norms > 0, norms, 1.0)
 
@@ -89,76 +100,83 @@ class Index(Protocol):
 class ExactIndex:
     """Blocked brute-force cosine top-k.
 
-    ``block_rows`` bounds the score buffer: the normalized store matrix is
-    walked block by block, each block's partial top-k merged into the
-    running best.  Queries are processed in fixed ``query_block``-row
-    tiles, the last tile zero-padded to full width, so every matmul the
-    index issues has an identical shape no matter how callers batch their
-    queries.  BLAS kernels round differently for different shapes; pinning
-    the shape makes results *bit-identical* whether a query arrives alone
-    or inside any batch — the parity the serving layer's determinism
-    contract relies on.
+    The normalized store is walked in ``block_rows``-row blocks, which
+    bounds the score buffer, and each block's partial top-k is merged into
+    the running best.  Every product the index issues is
+    ``block @ tile.T`` — store-major, the BLAS shape that packs the large
+    store operand without a transposing copy — against one zero-padded
+    ``(query_block, dim)`` tile, so each store block sees an identical
+    GEMM shape no matter how callers batch their queries.  BLAS kernels
+    round differently for different shapes; pinning the shape makes results
+    *bit-identical* whether a query arrives alone or inside any batch — the
+    parity the serving layer's determinism contract relies on.  Only the
+    real query columns of a product are negated, selected and merged, so a
+    part-filled tile pays the fixed GEMM but no selection on padding.
     """
 
-    def __init__(
-        self, store: EmbeddingStore, block_rows: int = 8192, query_block: int = 32
-    ):
+    #: Query tile height: a measured constant, not a knob (parity is a
+    #: per-value contract).  50 000 x 64 store, one BLAS thread, GEMM ms
+    #: per 32-query batch / per single tile: height 8 5.7 / 1.5, 16 3.7 /
+    #: 1.8, 32 2.8 / 2.7 — 16 is the smallest tile whose full batches are
+    #: not slower than the query-major 32-row tile it replaced (3.7;
+    #: EXPERIMENTS.md "Scan kernel").  A ladder of heights would rest
+    #: parity on BLAS rounding not depending on the height — false: GEMV
+    #: (one-row operands) and OpenBLAS's small-matrix kernel (short store
+    #: blocks) round differently.
+    query_block = 16
+
+    def __init__(self, store: EmbeddingStore, block_rows: int = 8192):
         if block_rows <= 0:
             raise ValueError(f"block_rows must be positive, got {block_rows}")
-        if query_block <= 0:
-            raise ValueError(f"query_block must be positive, got {query_block}")
         self._store = store
         self.block_rows = int(block_rows)
-        self.query_block = int(query_block)
 
     @property
     def store(self) -> EmbeddingStore:
         return self._store
 
-    def _search_tile(self, tile: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k for one full ``(query_block, dim)`` tile."""
+    def _search_panel(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-k for a panel of at most two tiles of normalized queries."""
         normalized = self._store.normalized()
         V = normalized.shape[0]
-        n = tile.shape[0]
+        n = q.shape[0]
+        tiles = np.zeros((2 * self.query_block, q.shape[1]), dtype=np.float32)
+        tiles[:n] = q  # C-contiguous; a part-filled tile zero-padded to full height
         best_ids = np.full((n, k), -1, dtype=np.int64)
         best_scores = np.full((n, k), -np.inf, dtype=np.float32)
         rows = np.arange(n)[:, None]
+        buffer = np.empty((n, min(self.block_rows, V)), dtype=np.float32)
         for start in range(0, V, self.block_rows):
             block = normalized[start : start + self.block_rows]
-            scores = tile @ block.T  # (query_block, block) — the batched kernel
-            width = min(k, scores.shape[1])
-            if width < scores.shape[1]:
-                part = np.argpartition(-scores, width - 1, axis=1)[:, :width]
+            neg = buffer[:, : block.shape[0]]  # negated scores, query-major
+            for lo in range(0, n, self.query_block):
+                fill = min(self.query_block, n - lo)
+                tile = tiles[lo : lo + self.query_block]
+                np.negative((block @ tile.T)[:, :fill].T, out=neg[lo : lo + fill])
+            width = min(k, neg.shape[1])
+            if width < neg.shape[1]:
+                part = np.argpartition(neg, width - 1, axis=1)[:, :width]
             else:
-                part = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
-            cand_ids = np.concatenate(
-                [best_ids, (part + start).astype(np.int64)], axis=1
-            )
-            cand_scores = np.concatenate(
-                [best_scores, scores[rows, part].astype(np.float32)], axis=1
-            )
+                part = np.broadcast_to(np.arange(neg.shape[1]), neg.shape)
+            cand_ids = np.concatenate([best_ids, part + start], axis=1)
+            cand_scores = np.concatenate([best_scores, -neg[rows, part]], axis=1)
             best_ids, best_scores = top_k_desc(cand_scores, cand_ids, k)
         return best_ids, best_scores
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        V = len(self._store)
-        k = min(k, V)
+        k = min(k, len(self._store))
         q = _normalize_queries(queries, self._store.dim)
         n = q.shape[0]
         out_ids = np.empty((n, k), dtype=np.int64)
         out_scores = np.empty((n, k), dtype=np.float32)
-        for start in range(0, n, self.query_block):
-            tile = q[start : start + self.query_block]
-            fill = tile.shape[0]
-            if fill < self.query_block:
-                tile = np.concatenate(
-                    [tile, np.zeros((self.query_block - fill, q.shape[1]), q.dtype)]
-                )
-            ids, scores = self._search_tile(np.ascontiguousarray(tile), k)
-            out_ids[start : start + fill] = ids[:fill]
-            out_scores[start : start + fill] = scores[:fill]
+        # Panels of two tiles (the engine's search_block): one selection
+        # pass per store block, score buffer bounded at 32 x block_rows.
+        panel = 2 * self.query_block
+        for start in range(0, n, panel):
+            sl = slice(start, start + panel)
+            out_ids[sl], out_scores[sl] = self._search_panel(q[sl], k)
         return out_ids, out_scores
 
 

@@ -11,9 +11,9 @@ shapes (BLAS kernels tile differently per shape), so a naive per-shard
 matmul would *not* reproduce the single-host answers bit for bit.  The
 :class:`ShardPlan` therefore aligns every shard boundary to a multiple of
 the :class:`~repro.serve.index.ExactIndex` ``block_rows`` grid, and each
-shard runs a local ``ExactIndex`` with the same ``block_rows`` /
-``query_block``.  Every GEMM a shard issues is then *the same GEMM* —
-same shape, same bytes — the single-host reference
+shard runs a local ``ExactIndex`` with the same ``block_rows`` (the query
+tile height is a class constant).  Every GEMM a shard issues is then *the
+same GEMM* — same shape, same bytes — the single-host reference
 (:meth:`ShardPlan.reference_index`) issues for that row block, and the
 per-block candidate sets are identical.  Top-k selection under the total
 order (descending score, ascending id) is associative —
@@ -67,7 +67,7 @@ from repro.gluon.partition_stats import PartitionStats, analyze_partitions
 from repro.gluon.partitioner import Partition, contiguous_partitions
 from repro.gluon.proxies import block_boundaries
 from repro.serve.engine import LRUCache, QueryEngine
-from repro.serve.index import ExactIndex, top_k_desc
+from repro.serve.index import ExactIndex, _check_queries, top_k_desc
 from repro.serve.store import EmbeddingStore
 
 __all__ = ["ShardPlan", "ShardGeneration", "ShardedIndex", "ShardedEngine"]
@@ -254,7 +254,6 @@ class ShardedIndex:
         replicas: int = 1,
         plan: ShardPlan | None = None,
         block_rows: int | None = None,
-        query_block: int = 32,
         executor=None,
         workers: int | None = None,
         sanitize: bool | None = None,
@@ -272,7 +271,6 @@ class ShardedIndex:
                 f"recovery_rounds must be positive, got {recovery_rounds}"
             )
         self.plan = plan
-        self.query_block = int(query_block)
         self._executor = resolve_executor(executor, workers) or SerialExecutor()
         self.sanitize = sanitize_from_env() if sanitize is None else bool(sanitize)
         self._race_sanitizer: DoAllRaceSanitizer | None = None
@@ -299,11 +297,7 @@ class ShardedIndex:
 
     def _build_generation(self, number: int, store: EmbeddingStore) -> ShardGeneration:
         subs = self.plan.sub_stores(store)
-        indexes = [
-            ExactIndex(sub, block_rows=self.plan.block_rows,
-                       query_block=self.query_block)
-            for sub in subs
-        ]
+        indexes = [ExactIndex(sub, block_rows=self.plan.block_rows) for sub in subs]
         return ShardGeneration(number, store, subs, indexes)
 
     # -- Index protocol ----------------------------------------------------
@@ -405,18 +399,15 @@ class ShardedIndex:
             raise ValueError(f"k must be positive, got {k}")
         plan = self.plan
         generation = self._generation  # pin: promote() must not split a call
+        # Validate only, ahead of the round counter, so a rejected call
+        # serves no round and fires no scheduled crash.  Each shard's local
+        # ExactIndex normalizes the (raw) queries itself, exactly as the
+        # single-host reference does; normalizing here too would normalize
+        # twice, perturbing low-order bits relative to the reference.
+        q = _check_queries(queries, generation.store.dim)
         round_index = self._round
         self._round += 1
         self._apply_faults(round_index)
-
-        # Shape-check only — each shard's local ExactIndex normalizes the
-        # (raw) queries itself, exactly as the single-host reference
-        # does.  Normalizing here too would normalize twice, perturbing
-        # low-order bits relative to the reference.
-        dim = generation.store.dim
-        q = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
-        if q.ndim != 2 or q.shape[1] != dim:
-            raise ValueError(f"queries must be (n, {dim}), got shape {q.shape}")
         n = q.shape[0]
         k = min(k, plan.num_rows)
         self._route(round_index, n)  # replica pick + load/failover accounting

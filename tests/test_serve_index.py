@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.serve.index as index_module
+from repro.serve.engine import QueryEngine
 from repro.serve.index import ExactIndex, Index, LSHIndex, recall_at_k, top_k_desc
+from repro.serve.ivf import IVFIndex
+from repro.serve.shard import ShardedIndex, ShardPlan
 from repro.serve.store import EmbeddingStore
 from repro.util.rng import default_rng, keyed_rng
 
@@ -97,10 +101,164 @@ class TestExactIndex:
         with pytest.raises(ValueError, match="queries must be"):
             ExactIndex(store).search(np.zeros(store.dim + 1), 3)
 
+    def test_query_block_is_a_constant_not_a_knob(self):
+        store = make_store(V=10)
+        assert ExactIndex.query_block == ExactIndex(store).query_block == 16
+        assert "query_block" not in vars(ExactIndex(store))
+        with pytest.raises(TypeError, match="query_block"):
+            ExactIndex(store, query_block=32)
+        with pytest.raises(TypeError, match="query_block"):
+            ShardedIndex(store, query_block=32)
+
+    @pytest.mark.parametrize("build", [ExactIndex, LSHIndex, IVFIndex])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected_naming_the_row(self, build, poison):
+        """NaN/inf fail at the boundary, not as the -1/-inf padding the
+        protocol reserves for approximate indexes; zero norm stays legal."""
+        store = make_store(V=60)
+        index = build(store)
+        queries = store.matrix[:4].copy()
+        queries[2, 5] = poison
+        queries[3, 0] = poison
+        with pytest.raises(ValueError, match="finite.* row 2 "):
+            index.search(queries, 3)
+        with pytest.raises(ValueError, match="finite.* row 0 "):
+            index.search(queries[2], 3)
+        queries[2:] = 0.0  # zero-norm rows are legal and still answer
+        ids, scores = index.search(queries, 3)
+        assert ids.shape == (4, 3) and ids[0, 0] == 0
+        if build is ExactIndex:
+            assert ids[2].tolist() == [0, 1, 2] and np.all(scores[2:] == 0)
+
     def test_satisfies_protocol(self):
         store = make_store(V=10)
         assert isinstance(ExactIndex(store), Index)
         assert isinstance(LSHIndex(store), Index)
+
+
+class TestExactScanKernel:
+    """The scan pays only for real queries — pinned by count, not by clock."""
+
+    @pytest.mark.parametrize(
+        "n, expected", [(5, [5, 5, 5]), (40, [32, 32, 32, 8, 8, 8]), (0, [])]
+    )
+    def test_selection_sees_real_rows_once_per_panel_and_block(
+        self, monkeypatch, n, expected
+    ):
+        """B = 3 store blocks: ``argpartition`` and ``top_k_desc`` each run
+        once per (panel, block) on exactly the real query rows — n x B rows
+        in total, never a padding row, never more than 32 at a time."""
+        store = make_store(V=192)
+        index = ExactIndex(store, block_rows=64)
+        partitioned, merged = [], []
+
+        def spy_argpartition(a, kth, axis=-1):
+            partitioned.append(a.shape[0])
+            return argpartition(a, kth, axis=axis)
+
+        def spy_top_k_desc(scores, ids, k):
+            assert scores.shape == ids.shape
+            merged.append(scores.shape[0])
+            return top_k_desc(scores, ids, k)
+
+        argpartition = np.argpartition
+        monkeypatch.setattr(np, "argpartition", spy_argpartition)
+        monkeypatch.setattr(index_module, "top_k_desc", spy_top_k_desc)
+        queries = store.matrix[default_rng(3).choice(len(store), n)]
+        ids, _ = index.search(queries, 4)
+        monkeypatch.undo()
+        assert merged == expected and sum(merged) == n * 3
+        assert partitioned == expected
+        np.testing.assert_array_equal(ids, reference_topk(store, queries, 4))
+
+
+def tail_row_store(V, d, block_rows, seed, duplicates=12):
+    """``V = m * block_rows + 1`` rows: the tail block is ONE row — numpy
+    hands that product to GEMV, not GEMM — and it copies row 0, as do rows
+    ``1..duplicates``, so a query for row 0 must pull the tail row into
+    its top-k through exact ties that straddle the k boundary."""
+    assert V % block_rows == 1
+    rng = keyed_rng(seed, 0x5441494C, V, d)  # "TAIL"
+    matrix = rng.normal(size=(V, d)).astype(np.float32)
+    matrix[1 : duplicates + 1] = matrix[0]
+    matrix[-1] = matrix[0]
+    return EmbeddingStore(matrix, [f"w{i:05d}" for i in range(V)])
+
+
+def parity_queries(store, n, seed):
+    """Store rows, with row 0 (the duplicated one) and a zero-norm row at
+    both ends so every slice offset used below sees one of each."""
+    rows = keyed_rng(seed, 0x50415251, n).choice(len(store), n)  # "PARQ"
+    queries = store.matrix[rows].copy()
+    queries[[0, 5, 31, n - 2]] = store.matrix[0]
+    queries[[1, 6, 32, n - 1]] = 0.0
+    return queries
+
+
+def assert_same_answers(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()  # score *bits*
+
+
+class TestExactScanParity:
+    """Batched == unbatched and sharded == reference, bit for bit, at the
+    shapes where a kernel that varied its GEMM shape would break."""
+
+    SHAPES = [
+        pytest.param(8193, 64, 8192, id="production-grid-one-row-tail"),
+        pytest.param(65, 16, 64, id="gemv-tail-enters-top-k"),
+    ]
+
+    @pytest.mark.parametrize("V, d, block_rows", SHAPES)
+    def test_every_fill_and_offset_matches_the_full_batch(self, V, d, block_rows):
+        store = tail_row_store(V, d, block_rows, seed=4)
+        index = ExactIndex(store, block_rows=block_rows)
+        queries = parity_queries(store, 70, seed=6)
+        for k in (1, 10, V):
+            full = index.search(queries, k)
+            assert full[0].shape == (70, k)
+            fills = range(1, 34) if k == 10 else (1, 16, 17, 33)
+            for offset in (0, 5, 31):
+                for fill in fills:
+                    sl = slice(offset, offset + fill)
+                    assert_same_answers(
+                        index.search(queries[sl], k), (full[0][sl], full[1][sl])
+                    )
+            for n in (40, 70):  # across the 32-row panel boundary
+                assert_same_answers(
+                    index.search(queries[:n], k), (full[0][:n], full[1][:n])
+                )
+
+    def test_gemv_scored_tail_row_is_selected(self):
+        """V = 65, block_rows = 64: the copy of the query in the one-row
+        tail block scores through GEMV and must enter the top-k."""
+        store = tail_row_store(65, 16, 64, seed=4, duplicates=3)
+        ids, scores = ExactIndex(store, block_rows=64).search(store.matrix[0], 5)
+        assert sorted(ids[0].tolist()) == [0, 1, 2, 3, 64]
+        assert np.all(scores[0] > 0.999)
+
+    @pytest.mark.parametrize("workers", [None, 4])
+    @pytest.mark.parametrize("V, d, block_rows", SHAPES)
+    def test_sharded_and_engine_match_reference(self, V, d, block_rows, workers):
+        store = tail_row_store(V, d, block_rows, seed=4)
+        plan = ShardPlan(len(store), num_shards=2, replicas=2, block_rows=block_rows)
+        sharded = ShardedIndex(store, plan=plan, workers=workers)
+        reference = plan.reference_index(store)
+        queries = parity_queries(store, 70, seed=6)
+        for k in (1, 10, V):
+            want = reference.search(queries, k)
+            assert_same_answers(sharded.search(queries, k), want)
+            for sl in (slice(0, 1), slice(5, 22), slice(31, 64), slice(0, 40)):
+                assert_same_answers(
+                    sharded.search(queries[sl], k), (want[0][sl], want[1][sl])
+                )
+        # Concurrent ``search`` calls on one index (the engine's flush
+        # fan-out): nothing is cached on the index between calls.
+        words = [store.word_of(int(i)) for i in range(0, V, max(V // 70, 1))][:70]
+        engine = QueryEngine(reference, max_batch=128, cache_size=1, workers=workers)
+        want = reference.search(np.stack([store.matrix[store.id_of(w)] for w in words]), 10)
+        for row, (ids, scores) in enumerate(engine.query(words, 10)):
+            assert_same_answers((ids, scores), (want[0][row], want[1][row]))
 
 
 class TestLSHIndex:

@@ -7,7 +7,10 @@ index to the exact ranking, exactly-tied scores (duplicate rows) always
 break toward the lowest id, the engine's cache accounting is a pure
 function of the query stream (invariant to ``max_batch``, even when the
 cache is smaller than a batch), and the sharded scatter-gather merge is
-bitwise invariant to the shard/replica layout.
+bitwise invariant to the shard/replica layout — also where the exact scan
+could break it: a one-row tail block (scored by GEMV, not GEMM), slices
+that straddle tile and panel boundaries, zero-norm queries and exact ties
+across the k boundary.
 """
 
 from hypothesis import given, settings
@@ -63,6 +66,40 @@ class TestBatchedUnbatchedParity:
             ids_one, scores_one = index.search(queries[i], k)
             np.testing.assert_array_equal(ids_one[0], ids_all[i])
             np.testing.assert_array_equal(scores_one[0], scores_all[i])
+
+
+class TestExactScanSliceParity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=seeds,
+        blocks=st.integers(1, 3),
+        block_rows=st.integers(2, 40),
+        offset=st.integers(0, 40),
+        fill=st.integers(1, 33),
+        k=st.sampled_from([1, 10, 10**6]),
+        workers=st.sampled_from([None, 4]),
+    )
+    def test_any_slice_of_any_batch_bitwise(
+        self, seed, blocks, block_rows, offset, fill, k, workers
+    ):
+        """Whatever slice of a 70-query batch a caller sends — any fill,
+        any offset into the tile / panel grid — every row gets the bits it
+        gets in the full batch, from the index and from its sharded twin,
+        on a store whose tail block is a single row."""
+        V = blocks * block_rows + 1
+        store = make_store(V, d=12, seed=seed, duplicates=min(12, V - 2))
+        queries = make_queries(store, 70, seed).copy()
+        queries[::7] = store.matrix[0]  # ties across the k boundary
+        queries[3::7] = 0.0  # zero-norm rows stay legal
+        plan = ShardPlan(V, num_shards=min(2, blocks), block_rows=block_rows)
+        reference = plan.reference_index(store)
+        sharded = ShardedIndex(store, plan=plan, workers=workers)
+        full_ids, full_scores = reference.search(queries, k)
+        sl = slice(offset, offset + fill)
+        for index in (reference, sharded):
+            ids, scores = index.search(queries[sl], k)
+            np.testing.assert_array_equal(ids, full_ids[sl])
+            assert scores.tobytes() == full_scores[sl].tobytes()
 
 
 class TestNprobeMonotonicity:

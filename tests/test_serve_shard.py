@@ -248,6 +248,26 @@ class TestFailover:
         assert extras["faults"]["crashes"] == 1
         assert extras["failovers"] == 2 and extras["recoveries"] == 1
 
+    def test_rejected_call_serves_no_round_and_fires_no_crash(self):
+        """Validation runs ahead of the round counter: a mis-shaped or
+        non-finite batch must not consume the round a crash is scheduled
+        at, or the schedule would drift against the answered stream."""
+        store = make_store()
+        schedule = crash_schedule({(0, 0): 2}, num_hosts=6)
+        sharded = ShardedIndex(store, num_shards=3, replicas=2, faults=schedule)
+        queries = make_queries(store, 5).copy()
+        with pytest.raises(ValueError, match=r"queries must be \(n, 16\)"):
+            sharded.search(queries[:, :-1], 3)
+        queries[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite.* row 3 "):
+            sharded.search(queries, 3)
+        assert sharded.rounds_served == 0
+        assert sharded.fault_report.crashes == 0 and sharded.failovers == 0
+        assert sharded.replica_load().sum() == 0
+        sharded.search(queries[:3], 3)  # the first *served* call is round 0
+        assert sharded.rounds_served == 1
+        assert sharded.fault_report.crashes == 1 and sharded.failovers == 1
+
     def test_all_replicas_dead_is_unrecoverable(self):
         store = make_store()
         schedule = crash_schedule({(0, 0): 0}, num_hosts=2)
