@@ -2,7 +2,7 @@
 
 These use ordinary pytest-benchmark statistics (many rounds) and guard the
 constants the experiment harness depends on: the SGNS scatter-add kernel,
-pair generation, alias-table sampling, bit-vector bulk ops, the gradient
+example generation, alias-table sampling, bit-vector bulk ops, the gradient
 combiners, and one full replicated sync round.
 """
 
@@ -22,7 +22,10 @@ from repro.gluon.partitioner import partition_edges, replicate_all_partitions
 from repro.gluon.plans import get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.negative_sampling import UnigramTable
-from repro.w2v.sgd import TrainingBatch, generate_pairs, sgns_update
+from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
+from repro.w2v.params import Word2VecParams
+from repro.w2v.sgd import TrainingBatch, sgns_update
+from repro.w2v.steps import build_round_work
 
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_train.json"
 
@@ -64,10 +67,55 @@ def test_micro_sgns_update(benchmark):
     )
 
 
-def test_micro_generate_pairs(benchmark):
-    sentence = RNG.integers(0, V, 1000)
+#: ``train-sm``'s corpus and parameters (bench/workloads/train-sm.json).
+GEN_SPEC = SyntheticCorpusSpec(
+    num_tokens=60_000, pairs_per_family=8, filler_vocab=600, questions_per_family=12
+)
+GEN_PARAMS = Word2VecParams(dim=64, window=5, negatives=10, subsample_threshold=1e-3)
+
+
+@pytest.mark.parametrize("sentences", [32, 3])
+def test_micro_build_round_work(benchmark, sentences):
+    """One chunk's examples + access sets: ``train-sm``'s 32-sentence chunks
+    and ``train-bsp32``'s ~3-sentence (host, round) slots, cycling through
+    the corpus so a call costs an average chunk."""
+    corpus, _ = generate_corpus(GEN_SPEC, seed=7)
+    vocab = corpus.vocabulary
+    keep_prob = vocab.keep_probabilities(GEN_PARAMS.subsample_threshold)
+    table = UnigramTable(vocab.counts)
+    chunks = [
+        corpus.sentences[i : i + sentences]
+        for i in range(0, corpus.num_sentences - sentences + 1, sentences)
+    ]
+    order = itertools.cycle(chunks)
     rng = np.random.default_rng(1)
-    benchmark(generate_pairs, sentence, 5, rng)
+    examples = []
+
+    def build():
+        work = build_round_work(
+            next(order), params=GEN_PARAMS, keep_prob=keep_prob, table=table, tree=None, rng=rng
+        )
+        examples.append(work.num_examples)
+
+    benchmark(build)
+    if benchmark.stats is None:  # --benchmark-disable: nothing was timed
+        return
+    stats = benchmark.stats.stats
+    row = json.loads(OUT_PATH.read_text()).get("kernel:generate", {}) if OUT_PATH.exists() else {}
+    row.update(
+        shapes={"vocab": len(vocab), "tokens": corpus.num_tokens,
+                "sentences": corpus.num_sentences, "window": GEN_PARAMS.window,
+                "negatives": GEN_PARAMS.negatives,
+                "subsample_threshold": GEN_PARAMS.subsample_threshold},
+        numpy=np.__version__,
+    )
+    row[f"sentences={sentences}"] = {
+        "us_per_call_median": round(stats.median * 1e6, 1),
+        "us_per_call_min": round(stats.min * 1e6, 1),
+        "rounds": stats.rounds,
+        "examples_per_call": round(float(np.mean(examples)), 1),
+    }
+    merge_bench_row(OUT_PATH, "kernel:generate", row)
 
 
 def test_micro_alias_sampling(benchmark):

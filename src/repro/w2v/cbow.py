@@ -7,7 +7,9 @@ hierarchical softmax), and the input-side gradient flows back to every
 context row — word2vec.c's ``neu1``/``neu1e`` scheme, batched.
 
 The batch is a ragged structure: all context rows concatenated with a
-segment id per row mapping it to its example.
+segment id per row mapping it to its example.  It is built from Skip-Gram's
+(center, neighbour) pairs — the same draws in the same order — regrouped by
+center, so both architectures consume a chunk's random stream identically.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.text.negative_sampling import UnigramTable
 from repro.w2v.hs import hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.scatter import scatter_sub, sparse_update
-from repro.w2v.sgd import sample_negatives, subsample_sentence
+from repro.w2v.sgd import _window_pairs, sample_negatives
 
 __all__ = ["CbowBatch", "build_cbow_batch", "cbow_ns_update", "cbow_hs_update"]
 
@@ -55,12 +57,6 @@ class CbowBatch:
     def __len__(self) -> int:
         return len(self.centers)
 
-    def accessed_embedding_ids(self) -> np.ndarray:
-        return np.unique(self.context_rows)
-
-    def accessed_output_ids_ns(self) -> np.ndarray:
-        return np.unique(np.concatenate([self.centers, self.negatives.ravel()]))
-
     def slice(self, start: int, stop: int) -> "CbowBatch":
         row_mask = (self.context_segments >= start) & (self.context_segments < stop)
         return CbowBatch(
@@ -84,37 +80,19 @@ def build_cbow_batch(
 ) -> CbowBatch:
     """Subsample + window the sentences into a CBOW batch.
 
-    ``table`` may be ``None`` when training with hierarchical softmax (the
-    negatives arrays are then empty).
+    The draws and pairs are Skip-Gram's (:func:`repro.w2v.sgd._window_pairs`),
+    regrouped by center: examples in ascending token position, each with its
+    contexts in position order (left, then right).  ``table`` may be
+    ``None`` when training with hierarchical softmax (the negatives arrays
+    are then empty).
     """
-    centers: list[int] = []
-    rows: list[np.ndarray] = []
-    counts: list[int] = []
-    for sentence in sentences:
-        kept = subsample_sentence(sentence, keep_prob, rng)
-        L = len(kept)
-        if L < 2:
-            continue
-        spans = rng.integers(1, window + 1, size=L)
-        for i in range(L):
-            lo = max(0, i - int(spans[i]))
-            hi = min(L, i + int(spans[i]) + 1)
-            context = np.concatenate([kept[lo:i], kept[i + 1 : hi]])
-            if context.size == 0:
-                continue
-            centers.append(int(kept[i]))
-            rows.append(context)
-            counts.append(len(context))
-    if centers:
-        centers_arr = np.array(centers, dtype=np.int64)
-        rows_arr = np.concatenate(rows)
-        counts_arr = np.array(counts, dtype=np.int64)
-        segments = np.repeat(np.arange(len(centers), dtype=np.int64), counts_arr)
-    else:
-        centers_arr = np.empty(0, dtype=np.int64)
-        rows_arr = np.empty(0, dtype=np.int64)
-        counts_arr = np.empty(0, dtype=np.int64)
-        segments = np.empty(0, dtype=np.int64)
+    kept, centers, contexts = _window_pairs(sentences, window, keep_prob, rng)
+    order = np.lexsort((contexts, centers))
+    centers, rows_arr = centers[order], kept[contexts[order]]
+    starts = np.flatnonzero(np.diff(centers, prepend=-1))
+    centers_arr = kept[centers[starts]]
+    counts_arr = np.diff(starts, append=len(centers))
+    segments = np.repeat(np.arange(len(starts)), counts_arr)
     if table is not None and num_negatives > 0:
         negatives, mask = sample_negatives(table, centers_arr, num_negatives, rng)
     else:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from repro.w2v.huffman import HuffmanTree
-from repro.w2v.scatter import scatter_sub, sparse_update
+from repro.w2v.scatter import _sorted_unique, scatter_sub, sparse_update
 
 __all__ = ["hs_update", "hs_pairs_access"]
 
@@ -28,12 +28,10 @@ _MIN_PROB = 1e-10
 
 def hs_pairs_access(outputs: np.ndarray, tree: HuffmanTree) -> np.ndarray:
     """Sorted unique inner-node rows the given output words train against."""
-    if len(outputs) == 0:
-        return np.empty(0, dtype=np.int64)
     points = tree.point_matrix[outputs]
     lengths = tree.code_lengths[outputs]
     mask = np.arange(tree.max_code_length)[None, :] < lengths[:, None]
-    return np.unique(points[mask])
+    return _sorted_unique(points[mask], tree.num_inner_nodes)
 
 
 def hs_update(

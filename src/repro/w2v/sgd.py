@@ -16,6 +16,13 @@ Follows word2vec.c's training schedule:
       σ = sigmoid(e · t_j);  g_j = (σ_j − y_j)·α
       e −= Σ_j g_j t_j;      t_j −= g_j e
 
+Generation is one pass per worklist chunk (:func:`_window_pairs`): the
+chunk is one flat token array with a sentence id per token, each of the
+three draws above is one call over the whole chunk (uniforms, then spans,
+then negatives), and the pairs at distance ``d`` are the centers whose
+span reaches ``d`` and whose neighbour ``d`` away lies in the same
+sentence — offset arithmetic, no loop over sentences.
+
 Updates are applied one slice at a time as two sparse-times-dense products
 (:mod:`repro.w2v.scatter`): gradients in a slice are computed against the
 model at slice start and duplicate rows accumulate, the vectorized
@@ -37,7 +44,6 @@ from repro.w2v.scatter import scatter_sub, sparse_update
 __all__ = [
     "TrainingBatch",
     "subsample_sentence",
-    "generate_pairs",
     "sample_negatives",
     "build_training_batch",
     "sgns_update",
@@ -101,42 +107,49 @@ def subsample_sentence(
     return sentence[keep]
 
 
-def generate_pairs(
-    sentence: np.ndarray, window: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dynamic-window skip-gram pairs: returns ``(inputs, outputs)``.
+def _window_pairs(
+    sentences: list[np.ndarray],
+    window: int,
+    keep_prob: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subsample and window a chunk in one pass: ``(kept, centers, contexts)``.
 
-    ``outputs[i]`` is the center word and ``inputs[i]`` a word within its
-    (per-center random) window — word2vec.c's convention where the context
-    word indexes the embedding layer.
+    The chunk is one flat token array with a sentence id per token.  Draws,
+    in this order: one uniform per token (subsampling), one span
+    ``U{1..window}`` per kept token.  ``(centers[j], contexts[j])`` are
+    positions in ``kept`` of a center and an in-span neighbour of the same
+    sentence, ordered by sentence, then distance, then left before right,
+    then ascending center.  Token ids outside ``[0, len(keep_prob))`` raise
+    ``ValueError`` before anything is drawn.
     """
-    L = len(sentence)
-    if L < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    spans = rng.integers(1, window + 1, size=L)
-    in_parts: list[np.ndarray] = []
-    out_parts: list[np.ndarray] = []
-    for d in range(1, window + 1):
-        if d >= L:
-            break  # no position has a neighbor this far away
-        wide = spans >= d
-        # Left neighbor (i - d): centers i in [d, L) with span >= d.
-        left_centers = np.nonzero(wide[d:])[0] + d
-        if left_centers.size:
-            out_parts.append(sentence[left_centers])
-            in_parts.append(sentence[left_centers - d])
-        # Right neighbor (i + d): centers i in [0, L - d) with span >= d.
-        right_centers = np.nonzero(wide[: L - d])[0]
-        if right_centers.size:
-            out_parts.append(sentence[right_centers])
-            in_parts.append(sentence[right_centers + d])
-    if not out_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(in_parts), np.concatenate(out_parts)
+    lengths = [len(s) for s in sentences]
+    tokens = np.concatenate(sentences or [np.empty(0, dtype=np.int64)])
+    V = len(keep_prob)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= V):
+        bad = int(np.flatnonzero((tokens < 0) | (tokens >= V))[0])
+        sentence = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+        raise ValueError(
+            f"sentence {sentence} of the chunk holds token {tokens[bad]}, "
+            f"outside the vocabulary [0, {V})"
+        )
+    keep = rng.random(len(tokens)) < keep_prob[tokens]
+    kept = tokens[keep]
+    segments = np.repeat(np.arange(len(sentences)), lengths)[keep]
+    spans = rng.integers(1, window + 1, len(kept))
+    empty = np.empty(0, dtype=np.intp)
+    center_parts, context_parts = [empty], [empty]
+    for d in range(1, min(window, len(kept) - 1) + 1):
+        same = segments[d:] == segments[:-d]  # positions i and i + d share a sentence
+        left = np.flatnonzero(same & (spans[d:] >= d)) + d
+        right = np.flatnonzero(same & (spans[:-d] >= d))
+        center_parts += [left, right]
+        context_parts += [left - d, right + d]
+    centers, contexts = np.concatenate(center_parts), np.concatenate(context_parts)
+    order = np.argsort(segments[centers], kind="stable")
+    return kept, centers[order], contexts[order]
 
 
 def sample_negatives(
@@ -176,22 +189,12 @@ def build_training_batch(
 
     This is the "edge generation" of the graph formulation (paper §4.2):
     positive edges from windows, negative edges from the noise distribution,
-    regenerated fresh every epoch from the worklist.
+    regenerated fresh every epoch from the worklist.  The center is the
+    output and its neighbour the input (word2vec.c's convention); pairs
+    come in :func:`_window_pairs` order and the negatives are drawn last.
     """
-    in_parts: list[np.ndarray] = []
-    out_parts: list[np.ndarray] = []
-    for sentence in sentences:
-        kept = subsample_sentence(sentence, keep_prob, rng)
-        ins, outs = generate_pairs(kept, window, rng)
-        if ins.size:
-            in_parts.append(ins)
-            out_parts.append(outs)
-    if in_parts:
-        inputs = np.concatenate(in_parts)
-        outputs = np.concatenate(out_parts)
-    else:
-        inputs = np.empty(0, dtype=np.int64)
-        outputs = np.empty(0, dtype=np.int64)
+    kept, centers, contexts = _window_pairs(sentences, window, keep_prob, rng)
+    inputs, outputs = kept[contexts], kept[centers]
     negatives, mask = sample_negatives(table, outputs, num_negatives, rng)
     return TrainingBatch(
         inputs=inputs, outputs=outputs, negatives=negatives, negative_mask=mask

@@ -10,6 +10,10 @@ rows it touches (the access/update sets Gluon synchronizes on).
 The output layer differs by objective: negative sampling trains one vector
 per *word* (V rows); hierarchical softmax one per Huffman *inner node*
 (V-1 rows).  ``output_rows_for`` reports the right row count.
+
+The access sets are built by marking the touched rows in a boolean array
+of the layer's row count and reading the marks back in order — the sorted
+unique ids ``np.unique`` would return, in O(ids + rows) instead of a sort.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.w2v.cbow import CbowBatch, build_cbow_batch, cbow_hs_update, cbow_ns_
 from repro.w2v.hs import hs_pairs_access, hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.params import Word2VecParams
+from repro.w2v.scatter import _sorted_unique
 from repro.w2v.sgd import TrainingBatch, apply_in_slices, build_training_batch, sgns_update
 
 __all__ = ["RoundWork", "build_round_work", "output_rows_for"]
@@ -89,35 +94,20 @@ def build_round_work(
     tree: HuffmanTree | None,
     rng: np.random.Generator,
 ) -> RoundWork:
-    """Generate this chunk's examples for the configured architecture/objective."""
+    """Generate this chunk's examples for the configured architecture/objective.
+
+    A token id outside ``[0, len(keep_prob))`` raises a ``ValueError`` naming
+    its sentence before any draw, so a rejected chunk changes nothing.
+    """
     hierarchical = params.objective == "hierarchical"
     if hierarchical and tree is None:
         raise ValueError("hierarchical objective requires a Huffman tree")
     if not hierarchical and table is None:
         raise ValueError("negative-sampling objective requires a unigram table")
 
-    if params.architecture == "skipgram":
-        batch = build_training_batch(
-            sentences,
-            window=params.window,
-            keep_prob=keep_prob,
-            table=table if not hierarchical else None,
-            num_negatives=0 if hierarchical else params.negatives,
-            rng=rng,
-        )
-        emb_access = np.unique(batch.inputs)
-        if hierarchical:
-            kind = "sg-hs"
-            out_access = hs_pairs_access(batch.outputs, tree)
-        else:
-            kind = "sg-ns"
-            out_access = np.unique(
-                np.concatenate([batch.outputs, batch.negatives.ravel()])
-            )
-        return RoundWork(kind, batch, tree if hierarchical else None, emb_access, out_access)
-
-    # CBOW
-    batch = build_cbow_batch(
+    skipgram = params.architecture == "skipgram"
+    builder = build_training_batch if skipgram else build_cbow_batch
+    batch = builder(
         sentences,
         window=params.window,
         keep_prob=keep_prob,
@@ -125,11 +115,12 @@ def build_round_work(
         num_negatives=0 if hierarchical else params.negatives,
         rng=rng,
     )
-    emb_access = batch.accessed_embedding_ids()
+    V = len(keep_prob)
+    emb_access = _sorted_unique(batch.inputs if skipgram else batch.context_rows, V)
+    outputs = batch.outputs if skipgram else batch.centers
     if hierarchical:
-        kind = "cbow-hs"
-        out_access = hs_pairs_access(batch.centers, tree)
+        out_access = hs_pairs_access(outputs, tree)
     else:
-        kind = "cbow-ns"
-        out_access = batch.accessed_output_ids_ns()
+        out_access = _sorted_unique(np.concatenate([outputs, batch.negatives.ravel()]), V)
+    kind = ("sg-" if skipgram else "cbow-") + ("hs" if hierarchical else "ns")
     return RoundWork(kind, batch, tree if hierarchical else None, emb_access, out_access)

@@ -1,3 +1,4 @@
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,7 +12,9 @@ from repro.w2v.cbow import (
 from repro.w2v.hs import hs_pairs_access, hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.params import Word2VecParams
+from repro.w2v.sgd import sample_negatives
 from repro.w2v.steps import build_round_work, output_rows_for
+from tests.test_w2v_sgd import chunks, flat_draws, keep_modes, keep_probabilities
 
 
 def small_tree(V=8):
@@ -78,9 +81,15 @@ class TestCbowBatch:
         )
 
     def test_access_sets(self):
-        batch = self.make()
-        assert batch.accessed_embedding_ids().tolist() == [2, 3, 4]
-        assert batch.accessed_output_ids_ns().tolist() == [0, 1, 5, 6]
+        params = Word2VecParams(window=1, negatives=1, architecture="cbow")
+        work = build_round_work(
+            [np.array([3, 2, 3, 4])], params=params, keep_prob=np.ones(8),
+            table=UnigramTable(np.ones(8)), tree=None, rng=np.random.default_rng(0),
+        )
+        assert work.embedding_access.tolist() == [2, 3, 4]
+        assert work.output_access.tolist() == np.unique(
+            np.concatenate([[2, 3, 4], work.batch.negatives.ravel()])
+        ).tolist()
 
     def test_slice(self):
         piece = self.make().slice(1, 2)
@@ -240,3 +249,84 @@ class TestSteps:
     def test_output_rows_for(self):
         assert output_rows_for(Word2VecParams(), 100) == 100
         assert output_rows_for(Word2VecParams(objective="hierarchical"), 100) == 99
+
+
+def reference_cbow(draws):
+    """The per-position CBOW loop, fed each sentence's flat draws."""
+    centers, rows, counts = [], [np.empty(0, dtype=np.int64)], []
+    for kept, spans in draws:
+        L = len(kept)
+        for i in range(L):
+            lo = max(0, i - int(spans[i]))
+            hi = min(L, i + int(spans[i]) + 1)
+            context = np.concatenate([kept[lo:i], kept[i + 1 : hi]])
+            if context.size:
+                centers.append(int(kept[i]))
+                rows.append(context)
+                counts.append(len(context))
+    counts = np.array(counts, dtype=np.int64)
+    segments = np.repeat(np.arange(len(centers)), counts)
+    return np.array(centers, dtype=np.int64), np.concatenate(rows), segments, counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunks, st.integers(1, 7), keep_modes, st.integers(0, 2**16))
+@example([], 3, "all", 0)  # empty chunk
+@example([np.array([0, 1, 2]), np.array([4, 5])], 2, "none", 0)  # every token dropped
+@example([np.array([0]), np.array([4]), np.array([8])], 3, "all", 0)  # all length 1
+@example([np.array([0, 1, 2]), np.array([4, 5, 6, 7])], 7, "all", 1)  # window > length
+@example([np.array([0, 1, 2, 3]), np.array([4, 5, 6])], 1, "all", 2)  # window = 1
+@example([np.array([0, 1]), np.array([4, 5, 6])], 3, "all", 3)  # a length-2 sentence
+def test_cbow_builder_matches_per_position_reference(sentences, window, mode, seed):
+    """Flat CBOW generation == the per-position loop fed the same draws."""
+    V = 4 * max(len(sentences), 1)
+    keep_prob = keep_probabilities(mode, V, seed)
+    table = UnigramTable(np.arange(1, V + 1, dtype=float))
+    batch = build_cbow_batch(
+        sentences, window=window, keep_prob=keep_prob, table=table,
+        num_negatives=2, rng=np.random.default_rng(seed),
+    )
+    rng = np.random.default_rng(seed)
+    centers, rows, segments, counts = reference_cbow(
+        flat_draws(sentences, window, keep_prob, rng)
+    )
+    negatives, mask = sample_negatives(table, centers, 2, rng)
+    assert np.array_equal(batch.centers, centers)
+    assert np.array_equal(batch.context_rows, rows)
+    assert np.array_equal(batch.context_segments, segments)
+    assert np.array_equal(batch.context_counts, counts)
+    assert np.array_equal(batch.negatives, negatives)
+    assert np.array_equal(batch.negative_mask, mask)
+    # No context crosses a sentence (sentence j owns ids 4j..4j+3).
+    assert np.array_equal(batch.context_rows // 4, batch.centers[batch.context_segments] // 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunks, st.integers(1, 7), keep_modes, st.integers(0, 2**16))
+@example([], 3, "all", 0)
+@example([np.array([0, 1, 2]), np.array([4, 5])], 2, "none", 0)
+@example([np.array([0]), np.array([4]), np.array([8])], 3, "all", 0)
+def test_access_sets_equal_np_unique(sentences, window, mode, seed):
+    """All four access sets are ``np.unique`` of the batch's ids, dtype included."""
+    V = 4 * max(len(sentences), 1)
+    keep_prob = keep_probabilities(mode, V, seed)
+    tree = HuffmanTree.from_counts(np.arange(1, V + 1))
+    empty = np.empty(0, dtype=np.int64)
+    for arch in ("skipgram", "cbow"):
+        for obj in ("negative", "hierarchical"):
+            params = Word2VecParams(window=window, negatives=3, architecture=arch, objective=obj)
+            work = build_round_work(
+                sentences, params=params, keep_prob=keep_prob,
+                table=UnigramTable(np.ones(V)), tree=tree, rng=np.random.default_rng(seed),
+            )
+            batch = work.batch
+            inputs = batch.inputs if arch == "skipgram" else batch.context_rows
+            outputs = batch.outputs if arch == "skipgram" else batch.centers
+            if obj == "negative":
+                out_ids = np.concatenate([outputs, batch.negatives.ravel()])
+            else:
+                out_ids = np.concatenate([empty, *(tree.points[w] for w in outputs)])
+            for got, want in ((work.embedding_access, np.unique(inputs)),
+                              (work.output_access, np.unique(out_ids))):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -1,4 +1,4 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -8,7 +8,6 @@ from repro.w2v.sgd import (
     TrainingBatch,
     apply_in_slices,
     build_training_batch,
-    generate_pairs,
     sample_negatives,
     sgns_update,
     subsample_sentence,
@@ -47,45 +46,50 @@ class TestSubsample:
         assert 0.27 < len(kept) / len(s) < 0.33
 
 
+def pairs(sentences, window, seed=0):
+    """``(inputs, outputs)`` of a chunk with no subsampling and no negatives."""
+    batch = build_training_batch(
+        sentences, window=window, keep_prob=np.ones(1000), table=None,
+        num_negatives=0, rng=np.random.default_rng(seed),
+    )
+    return batch.inputs, batch.outputs
+
+
 class TestGeneratePairs:
     def test_window_one_adjacent_only(self):
-        s = np.array([10, 11, 12])
-        ins, outs = generate_pairs(s, window=1, rng=np.random.default_rng(0))
-        pairs = set(zip(ins.tolist(), outs.tolist()))
+        ins, outs = pairs([np.array([10, 11, 12])], window=1)
+        pairs_seen = set(zip(ins.tolist(), outs.tolist()))
         # Every pair must be adjacent (input is the neighbor of the center).
-        assert pairs <= {(11, 10), (10, 11), (12, 11), (11, 12)}
-        assert pairs  # non-empty
+        assert pairs_seen <= {(11, 10), (10, 11), (12, 11), (11, 12)}
+        assert pairs_seen  # non-empty
 
     def test_short_sentence(self):
-        ins, outs = generate_pairs(np.array([5]), 5, np.random.default_rng(0))
+        ins, outs = pairs([np.array([5])], 5)
         assert ins.size == 0 and outs.size == 0
 
     def test_window_larger_than_sentence(self):
         # Regression: offsets >= sentence length must not wrap around.
         s = np.array([1, 2, 3, 4])
-        ins, outs = generate_pairs(s, window=10, rng=np.random.default_rng(0))
+        ins, outs = pairs([s], window=10)
         for i, o in zip(ins, outs):
             assert abs(np.where(s == i)[0][0] - np.where(s == o)[0][0]) <= 3
 
     def test_pairs_within_window(self):
-        rng = np.random.default_rng(1)
-        s = np.arange(50)
-        ins, outs = generate_pairs(s, window=5, rng=rng)
+        ins, outs = pairs([np.arange(50)], window=5, seed=1)
         assert np.all(np.abs(ins - outs) <= 5)
         assert np.all(ins != outs)
 
     def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            generate_pairs(np.array([1, 2]), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="window"):
+            pairs([np.array([1, 2])], 0)
 
     def test_every_center_has_adjacent_pair(self):
         # span >= 1 always, so each interior center pairs with both
         # immediate neighbors.
-        s = np.arange(20)
-        ins, outs = generate_pairs(s, window=3, rng=np.random.default_rng(2))
-        pairs = set(zip(ins.tolist(), outs.tolist()))
+        ins, outs = pairs([np.arange(20)], window=3, seed=2)
+        pairs_seen = set(zip(ins.tolist(), outs.tolist()))
         for i in range(1, 19):
-            assert (i - 1, i) in pairs and (i + 1, i) in pairs
+            assert (i - 1, i) in pairs_seen and (i + 1, i) in pairs_seen
 
 
 class TestSampleNegatives:
@@ -260,8 +264,90 @@ class TestBatchHelpers:
 @given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 2**16))
 def test_generate_pairs_symmetry_property(length, window, seed):
     """Every generated pair is a valid (neighbor, center) within the span."""
-    rng = np.random.default_rng(seed)
     s = np.arange(length) * 10  # distinct values encode positions
-    ins, outs = generate_pairs(s, window, rng)
+    ins, outs = pairs([s], window, seed)
     for i, o in zip(ins // 10, outs // 10):
         assert 1 <= abs(int(i) - int(o)) <= window
+
+
+def flat_draws(sentences, window, keep_prob, rng):
+    """The chunk's draws, cut per sentence: ``[(kept, spans), ...]``.
+
+    One uniform per token, then one span per kept token — the layout
+    ``build_training_batch`` and ``build_cbow_batch`` consume.
+    """
+    tokens = np.concatenate([np.empty(0, dtype=np.int64), *sentences])
+    keep = rng.random(len(tokens)) < keep_prob[tokens]
+    spans = rng.integers(1, window + 1, int(keep.sum()))
+    draws, start, kept_start = [], 0, 0
+    for sentence in sentences:
+        kept = sentence[keep[start : start + len(sentence)]]
+        draws.append((kept, spans[kept_start : kept_start + len(kept)]))
+        start += len(sentence)
+        kept_start += len(kept)
+    return draws
+
+
+def reference_sg_pairs(kept, spans, window):
+    """The per-sentence pair loop, fed one sentence's flat draws."""
+    L = len(kept)
+    ins, outs = [], []
+    for d in range(1, window + 1):
+        if d >= L:
+            break
+        wide = spans >= d
+        left = np.nonzero(wide[d:])[0] + d
+        outs.append(kept[left])
+        ins.append(kept[left - d])
+        right = np.nonzero(wide[: L - d])[0]
+        outs.append(kept[right])
+        ins.append(kept[right + d])
+    return ins, outs
+
+
+#: Sentences over a per-sentence vocabulary: sentence ``j`` uses ids
+#: ``4j..4j+3`` only, so ``id // 4`` names the sentence a token came from.
+chunks = st.lists(st.lists(st.integers(0, 3), max_size=12), max_size=6).map(
+    lambda lists: [np.array([4 * j + t for t in ts], dtype=np.int64) for j, ts in enumerate(lists)]
+)
+keep_modes = st.sampled_from(["all", "none", "random"])
+
+
+def keep_probabilities(mode, V, seed):
+    if mode == "all":
+        return np.ones(V)
+    if mode == "none":
+        return np.zeros(V)
+    return np.random.default_rng(seed).random(V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunks, st.integers(1, 7), keep_modes, st.integers(0, 2**16))
+@example([], 3, "all", 0)  # empty chunk
+@example([np.array([0, 1, 2]), np.array([4, 5])], 2, "none", 0)  # every token dropped
+@example([np.array([0]), np.array([4]), np.array([8])], 3, "all", 0)  # all length 1
+@example([np.array([0, 1, 2]), np.array([4, 5, 6, 7])], 7, "all", 1)  # window > length
+@example([np.array([0, 1, 2, 3]), np.array([4, 5, 6])], 1, "all", 2)  # window = 1
+@example([np.array([0, 1]), np.array([4, 5, 6])], 3, "all", 3)  # a length-2 sentence
+def test_chunk_builder_matches_per_sentence_reference(sentences, window, mode, seed):
+    """Flat generation == the per-sentence loop fed the same draws, bit for bit."""
+    V = 4 * max(len(sentences), 1)
+    keep_prob = keep_probabilities(mode, V, seed)
+    table = UnigramTable(np.arange(1, V + 1, dtype=float))
+    batch = build_training_batch(
+        sentences, window=window, keep_prob=keep_prob, table=table,
+        num_negatives=3, rng=np.random.default_rng(seed),
+    )
+    rng = np.random.default_rng(seed)
+    ins, outs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for kept, spans in flat_draws(sentences, window, keep_prob, rng):
+        sentence_ins, sentence_outs = reference_sg_pairs(kept, spans, window)
+        ins += sentence_ins
+        outs += sentence_outs
+    ins, outs = np.concatenate(ins), np.concatenate(outs)
+    negatives, mask = sample_negatives(table, outs, 3, rng)
+    assert np.array_equal(batch.inputs, ins)
+    assert np.array_equal(batch.outputs, outs)
+    assert np.array_equal(batch.negatives, negatives)
+    assert np.array_equal(batch.negative_mask, mask)
+    assert np.array_equal(batch.inputs // 4, batch.outputs // 4)  # same sentence

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.text.corpus import Corpus
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec, default_sync_rounds
 from repro.w2v.params import Word2VecParams
@@ -289,3 +290,34 @@ class TestGraphWord2Vec:
         b = GraphWord2Vec(corpus, params, num_hosts=2, seed=5)
         b.load_checkpoint(a.save_checkpoint())
         assert b.train().model == straight
+
+
+class TestTokenBoundary:
+    """A token id outside the vocabulary fails its chunk before any update."""
+
+    @pytest.mark.parametrize("system", ["sm", "gw2v"])
+    @pytest.mark.parametrize("where", ["below", "above"])
+    def test_out_of_vocabulary_token_leaves_model_untouched(
+        self, corpus_and_questions, system, where
+    ):
+        corpus, _ = corpus_and_questions
+        corpus = Corpus(corpus.vocabulary, [s.copy() for s in corpus.sentences])
+        # Unshuffled, small slices: sentence 3 sits in the first chunk (SM) and
+        # in host 0's first round (GW2V), behind pairs that would otherwise
+        # have been applied already.
+        params = FAST.with_(shuffle_each_epoch=False, batch_pairs=16)
+        if system == "sm":
+            trainer = SharedMemoryWord2Vec(corpus, params, seed=3)
+            arrays = [trainer.model.embedding, trainer.model.training]
+        else:
+            trainer = GraphWord2Vec(corpus, params, num_hosts=2, seed=3)
+            fields = trainer._fields.values()
+            arrays = [a for field in fields for a in field.arrays]
+            arrays += [trainer._canonical["embedding"], trainer._canonical["training"]]
+        before = [a.copy() for a in arrays]
+        token = -1 if where == "below" else len(corpus.vocabulary)
+        trainer.corpus.sentences[3][2] = token
+        with pytest.raises(ValueError, match=f"sentence 3 of the chunk holds token {token}"):
+            trainer.train()
+        for after, expected in zip(arrays, before):
+            assert np.array_equal(after, expected)
