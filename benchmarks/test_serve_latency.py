@@ -53,7 +53,12 @@ def _bench_index(store, label, index, once):
 
 
 def test_serve_exact_latency(store, once):
+    """Records the ``exact`` row; its answers must hash to the recorded ones,
+    so re-pinning them is a visible edit of ``BENCH_serve.json``."""
     row = _bench_index(store, "exact", ExactIndex(store), once)
+    recorded = json.loads(OUT_PATH.read_text()).get("exact") if OUT_PATH.exists() else None
+    if recorded is not None:
+        assert row["answers_sha256"] == recorded["answers_sha256"]
     merge_bench_row(OUT_PATH, "exact", row)
     print(f"\nexact: {row['throughput_qps']:,.0f} qps, p99 {row['latency_ms']['p99_ms']:.3f} ms")
 

@@ -6,8 +6,10 @@ Two implementations behind one :class:`Index` contract:
   matmul (the batched-kernel formulation: many queries amortize one pass
   over the matrix, and the vocabulary is walked in cache-sized row blocks,
   each multiplied store-major against one fixed-height query tile, so
-  memory stays bounded at ``32 x block`` instead of ``queries x V`` and
-  only real query rows pay for selection).
+  memory stays bounded at ``32 x block`` instead of ``queries x V``).
+  Selection is by running threshold: only scores that reach their
+  query's running k-th best are merged, so a block costs its product, a
+  copy and one comparison, not a partial sort.
 - :class:`LSHIndex` — random-hyperplane locality-sensitive hashing:
   every table hashes each row to a ``bits``-wide sign signature of
   projections onto seeded hyperplanes; queries probe their own bucket
@@ -18,10 +20,10 @@ Two implementations behind one :class:`Index` contract:
   Hyperplanes derive from the seed tree (:func:`repro.util.rng.keyed_rng`),
   so an index is a pure function of ``(store, seed, shape knobs)``.
 
-Both tie-break identically — descending score, then ascending row id —
-so results are bit-reproducible across batch sizes, block sizes and
-executors.  :func:`recall_at_k` measures an approximate index against an
-exact one on the same queries.
+Both tie-break identically — descending score, then ascending row id, a
+total order — so results are bit-reproducible across batch sizes, block
+sizes and executors.  :func:`recall_at_k` measures an approximate index
+against an exact one on the same queries.
 """
 
 from __future__ import annotations
@@ -56,6 +58,33 @@ def top_k_desc(scores: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray,
     order = np.lexsort((ids, -scores), axis=-1)[:, :k]
     rows = np.arange(scores.shape[0])[:, None]
     return ids[rows, order], scores[rows, order]
+
+
+def _merge_survivors(
+    best_ids: np.ndarray,
+    best_scores: np.ndarray,
+    queries: np.ndarray,
+    ids: np.ndarray,
+    scores: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The running ``(n, k)`` best merged with one block's survivors.
+
+    ``(queries, ids, scores)`` are flat survivor arrays.  One lexsort
+    orders every candidate by query, then descending score, then ascending
+    id, and each query keeps its first ``k`` — the total order, so ties
+    are decided here and nowhere else.  Every query brings at least ``k``
+    candidates (its running best, padded with ``-1 / -inf``), so the kept
+    ones fill ``(n, k)`` exactly.
+    """
+    n, k = best_ids.shape
+    queries = np.concatenate([np.repeat(np.arange(n), k), queries])
+    ids = np.concatenate([best_ids.ravel(), ids])
+    scores = np.concatenate([best_scores.ravel(), scores])
+    order = np.lexsort((ids, -scores, queries))
+    grouped = queries[order]
+    rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)  # position in its query
+    keep = order[rank < k]
+    return ids[keep].reshape(n, k), scores[keep].reshape(n, k)
 
 
 def _check_queries(queries: np.ndarray, dim: int) -> np.ndarray:
@@ -101,8 +130,8 @@ class ExactIndex:
     """Blocked brute-force cosine top-k.
 
     The normalized store is walked in ``block_rows``-row blocks, which
-    bounds the score buffer, and each block's partial top-k is merged into
-    the running best.  Every product the index issues is
+    bounds the score buffer, and each block's survivors are merged into the
+    running best.  Every product the index issues is
     ``block @ tile.T`` — store-major, the BLAS shape that packs the large
     store operand without a transposing copy — against one zero-padded
     ``(query_block, dim)`` tile, so each store block sees an identical
@@ -110,8 +139,21 @@ class ExactIndex:
     round differently for different shapes; pinning the shape makes results
     *bit-identical* whether a query arrives alone or inside any batch — the
     parity the serving layer's determinism contract relies on.  Only the
-    real query columns of a product are negated, selected and merged, so a
+    real query columns of a product are copied (query-major, into one
+    ``(queries, block_rows)`` buffer per panel) and selected, so a
     part-filled tile pays the fixed GEMM but no selection on padding.
+
+    Selection keeps a per-query threshold: the k-th largest score of the
+    panel's first block (one ``np.partition``), then the k-th best of the
+    running top-k.  Every block — the first included — hands the merge
+    only the scores ``>=`` their query's threshold; a lower score is
+    beaten by k others and cannot enter the answer.  The merge sorts the
+    running best and the survivors by (score desc, id asc) and keeps k per
+    query.  That order is the contract, and it is decided there: ``>=``
+    keeps every row tied with the k-th score, so exact ties at any block
+    or k boundary go to the lowest ids.  A zero-norm query ties every row
+    (all scores 0): all of its rows survive, at most ``block_rows`` per
+    block, and its ids come out ascending.
     """
 
     #: Query tile height: a measured constant, not a knob (parity is a
@@ -144,23 +186,32 @@ class ExactIndex:
         tiles[:n] = q  # C-contiguous; a part-filled tile zero-padded to full height
         best_ids = np.full((n, k), -1, dtype=np.int64)
         best_scores = np.full((n, k), -np.inf, dtype=np.float32)
-        rows = np.arange(n)[:, None]
         buffer = np.empty((n, min(self.block_rows, V)), dtype=np.float32)
+        threshold = None
         for start in range(0, V, self.block_rows):
             block = normalized[start : start + self.block_rows]
-            neg = buffer[:, : block.shape[0]]  # negated scores, query-major
+            scores = buffer[:, : block.shape[0]]  # query-major, real rows only
             for lo in range(0, n, self.query_block):
                 fill = min(self.query_block, n - lo)
                 tile = tiles[lo : lo + self.query_block]
-                np.negative((block @ tile.T)[:, :fill].T, out=neg[lo : lo + fill])
-            width = min(k, neg.shape[1])
-            if width < neg.shape[1]:
-                part = np.argpartition(neg, width - 1, axis=1)[:, :width]
-            else:
-                part = np.broadcast_to(np.arange(neg.shape[1]), neg.shape)
-            cand_ids = np.concatenate([best_ids, part + start], axis=1)
-            cand_scores = np.concatenate([best_scores, -neg[rows, part]], axis=1)
-            best_ids, best_scores = top_k_desc(cand_scores, cand_ids, k)
+                scores[lo : lo + fill] = (block @ tile.T)[:, :fill].T
+            if threshold is None:  # seed: each query's k-th best in the first block
+                width = scores.shape[1]
+                threshold = (
+                    np.partition(scores, width - k, axis=1)[:, width - k]
+                    if width > k
+                    else np.full(n, -np.inf, dtype=np.float32)
+                )
+            # A score below its query's running k-th best cannot enter the
+            # top-k; one tied with it can, so ">=" keeps it.
+            queries, rows = np.divmod(
+                np.flatnonzero(scores >= threshold[:, None]), scores.shape[1]
+            )
+            if len(queries):
+                best_ids, best_scores = _merge_survivors(
+                    best_ids, best_scores, queries, rows + start, scores[queries, rows]
+                )
+                threshold = best_scores[:, k - 1]
         return best_ids, best_scores
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,7 +37,12 @@ import numpy as np
 # The routine is private: ``pyproject.toml`` bounds SciPy to releases whose
 # ``_mul_multivector`` makes this exact call, and CI holds it to the public
 # product's bits (``tests/test_w2v_scatter.py``) at both ends of the range.
-from scipy.sparse._sparsetools import csc_matvecs
+# A SciPy that moves it costs the public product's dispatch, not the import.
+try:
+    from scipy.sparse._sparsetools import csc_matvecs
+except ImportError:
+    csc_matvecs = None
+from scipy.sparse import csc_matrix
 
 __all__ = ["sparse_update", "scatter_sub"]
 
@@ -75,6 +80,8 @@ def _row_sums(
     position[u] = np.arange(len(u), dtype=np.int32)
     # Gᵀ in CSC form: column b holds weights[b, :] at the rows position[ids[b, :]].
     indptr = np.arange(0, B * L + 1, L, dtype=np.int32)
+    if csc_matvecs is None:
+        return u, csc_matrix((weights.ravel(), position[flat], indptr), shape=(len(u), B)) @ x
     sums = np.zeros((len(u), x.shape[1]), dtype=x.dtype)
     csc_matvecs(
         len(u), B, x.shape[1], indptr, position[flat], weights.ravel(), x.ravel(), sums.ravel()

@@ -137,38 +137,57 @@ class TestExactIndex:
 
 
 class TestExactScanKernel:
-    """The scan pays only for real queries — pinned by count, not by clock."""
+    """The scan pays only for real queries, and after one seed per panel
+    only for the scores that reach the running k-th best — pinned by
+    count, not by clock."""
 
     @pytest.mark.parametrize(
-        "n, expected", [(5, [5, 5, 5]), (40, [32, 32, 32, 8, 8, 8]), (0, [])]
+        "n, expected", [(5, [5]), (40, [32, 8]), (0, [])]
     )
     def test_selection_sees_real_rows_once_per_panel_and_block(
         self, monkeypatch, n, expected
     ):
-        """B = 3 store blocks: ``argpartition`` and ``top_k_desc`` each run
-        once per (panel, block) on exactly the real query rows — n x B rows
-        in total, never a padding row, never more than 32 at a time."""
+        """B = 3 store blocks of 64 rows, k = 4.  ``np.partition`` seeds the
+        threshold once per panel on exactly its real query rows (never a
+        padding row, never more than 32); ``argpartition`` never runs.
+        Each (panel, block) makes at most one merge call, holding only
+        threshold survivors: n x k of them from the seed block (no ties
+        here), at most n x 64 from any block, and from the later blocks a
+        small fraction of their products."""
         store = make_store(V=192)
         index = ExactIndex(store, block_rows=64)
-        partitioned, merged = [], []
+        seeded, merged = [], []
 
-        def spy_argpartition(a, kth, axis=-1):
-            partitioned.append(a.shape[0])
-            return argpartition(a, kth, axis=axis)
+        def spy_partition(a, kth, axis=-1):
+            seeded.append(a.shape)
+            return partition(a, kth, axis=axis)
 
-        def spy_top_k_desc(scores, ids, k):
-            assert scores.shape == ids.shape
-            merged.append(scores.shape[0])
-            return top_k_desc(scores, ids, k)
+        def spy_argpartition(*args, **kwargs):
+            raise AssertionError("the scan selects by threshold, not argpartition")
 
-        argpartition = np.argpartition
+        def spy_merge(best_ids, best_scores, queries, ids, scores):
+            blocks = np.unique(ids // 64).tolist()
+            assert len(blocks) == 1  # one merge per (panel, block)
+            merged.append((best_ids.shape[0], blocks[0], len(ids)))
+            return merge(best_ids, best_scores, queries, ids, scores)
+
+        partition, merge = np.partition, index_module._merge_survivors
+        monkeypatch.setattr(np, "partition", spy_partition)
         monkeypatch.setattr(np, "argpartition", spy_argpartition)
-        monkeypatch.setattr(index_module, "top_k_desc", spy_top_k_desc)
+        monkeypatch.setattr(index_module, "_merge_survivors", spy_merge)
         queries = store.matrix[default_rng(3).choice(len(store), n)]
         ids, _ = index.search(queries, 4)
         monkeypatch.undo()
-        assert merged == expected and sum(merged) == n * 3
-        assert partitioned == expected
+        assert seeded == [(rows, 64) for rows in expected]
+        assert [(rows, block) for rows, block, _ in merged] == [
+            (rows, block) for rows in expected for block in range(3)
+        ]
+        for rows, block, survivors in merged:
+            assert survivors <= rows * 64
+            if block == 0:
+                assert survivors == rows * 4
+            else:
+                assert survivors < rows * 64 // 4
         np.testing.assert_array_equal(ids, reference_topk(store, queries, 4))
 
 
@@ -198,6 +217,90 @@ def parity_queries(store, n, seed):
 def assert_same_answers(got, want):
     np.testing.assert_array_equal(got[0], want[0])
     assert got[1].tobytes() == want[1].tobytes()  # score *bits*
+
+
+def full_product_topk(index, queries, k):
+    """Brute-force oracle: every score the scan computes — the same
+    store-major ``block @ tile.T`` products on the same blocks and
+    zero-padded ``query_block`` tiles, so the same bits — ranked per query
+    by one ``lexsort((id, -score))`` over all V rows."""
+    store = index.store
+    normalized = store.normalized()
+    V = len(store)
+    q = index_module._normalize_queries(queries, store.dim)
+    scores = np.empty((len(q), V), dtype=np.float32)
+    for lo in range(0, len(q), index.query_block):
+        real = q[lo : lo + index.query_block]
+        tile = np.zeros((index.query_block, store.dim), dtype=np.float32)
+        tile[: len(real)] = real
+        for start in range(0, V, index.block_rows):
+            block = normalized[start : start + index.block_rows]
+            scores[lo : lo + len(real), start : start + len(block)] = (
+                block @ tile.T
+            )[:, : len(real)].T
+    ids = np.lexsort((np.broadcast_to(np.arange(V), scores.shape), -scores), axis=-1)
+    ids = ids[:, : min(k, V)]
+    return ids, np.take_along_axis(scores, ids, axis=1)
+
+
+#: 13 copies of row 5 spread over block 0 and across its boundary at 64: a
+#: query for row 5 meets the tie at the k-th position of the seed block.
+TIED = (7, 11, 20, 33, 45, 50, 58, 60, 62, 63, 64, 66, 70)
+
+
+def tied_store(V, d, anchor, tied, seed):
+    """Random rows, with every row in ``tied`` a copy of row ``anchor``."""
+    rng = keyed_rng(seed, 0x54494544, V, d)  # "TIED"
+    matrix = rng.normal(size=(V, d)).astype(np.float32)
+    matrix[list(tied)] = matrix[anchor]
+    return EmbeddingStore(matrix, [f"w{i:05d}" for i in range(V)])
+
+
+class TestExactTotalOrder:
+    """ExactIndex answers are the total order (score desc, id asc) over the
+    full product — ids *and* score bits — whatever the batch, the block
+    grid, ties or k."""
+
+    CASES = [  # (store, the row its tied copies share, block_rows, k)
+        pytest.param(lambda: tied_store(200, 16, 5, TIED, seed=1), 5, 64, 6,
+                     id="ties-at-seed-k-boundary"),
+        pytest.param(lambda: tied_store(200, 16, 5, TIED, seed=1), 5, 64, 12,
+                     id="ties-straddling-blocks"),
+        pytest.param(lambda: tail_row_store(65, 16, 64, seed=4), 0, 64, 10,
+                     id="gemv-tail-block"),
+        pytest.param(lambda: tied_store(50, 8, 0, range(1, 9), seed=2), 0, 3, 10,
+                     id="block-rows-below-k"),
+        pytest.param(lambda: tied_store(40, 8, 0, range(30, 40), seed=3), 0, 16, 43,
+                     id="k-covers-vocab"),
+    ]
+
+    @staticmethod
+    def queries(store, anchor):
+        rows = keyed_rng(9, 0x544F51, len(store)).choice(len(store), 40)  # "TOQ"
+        queries = store.matrix[rows].copy()
+        queries[[0, 4, 16, 31, 33]] = store.matrix[anchor]
+        queries[[2, 17, 39]] = 0.0
+        return queries
+
+    @pytest.mark.parametrize("build, anchor, block_rows, k", CASES)
+    def test_matches_full_product_lexsort(self, build, anchor, block_rows, k):
+        store = build()
+        index = ExactIndex(store, block_rows=block_rows)
+        queries = self.queries(store, anchor)
+        for n in (1, 5, 17, 32, 40):
+            got = index.search(queries[:n], k)
+            assert_same_answers(got, full_product_topk(index, queries[:n], k))
+            for row in range(n):  # batched == unbatched
+                one = index.search(queries[row], k)
+                assert_same_answers(one, (got[0][row : row + 1], got[1][row : row + 1]))
+
+    def test_tie_at_the_seed_boundary_goes_to_the_lowest_ids(self):
+        """14 bit-equal scores, k = 6: the winners are the six lowest ids,
+        not whichever six a partition of block 0 happened to place first."""
+        store = tied_store(200, 16, 5, TIED, seed=1)
+        ids, scores = ExactIndex(store, block_rows=64).search(store.matrix[5], 6)
+        assert ids[0].tolist() == [5, 7, 11, 20, 33, 45]
+        assert np.unique(scores[0].view(np.uint32)).size == 1  # bit-equal
 
 
 class TestExactScanParity:

@@ -10,7 +10,9 @@ cache is smaller than a batch), and the sharded scatter-gather merge is
 bitwise invariant to the shard/replica layout — also where the exact scan
 could break it: a one-row tail block (scored by GEMV, not GEMM), slices
 that straddle tile and panel boundaries, zero-norm queries and exact ties
-across the k boundary.
+across the k boundary.  Exact search is the total order (score desc, id
+asc) over the full product, ids and score bits, for any block grid, tie
+layout, k and batch.
 """
 
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.serve.ivf import IVFIndex
 from repro.serve.shard import ShardedIndex, ShardPlan
 from repro.serve.store import EmbeddingStore
 from repro.util.rng import keyed_rng
+from tests.test_serve_index import full_product_topk
 
 _MATRIX_DOMAIN = 0x50525250  # "PRP" — property-test stores
 _QUERY_DOMAIN = 0x505251  # "PQR" — property-test queries
@@ -100,6 +103,34 @@ class TestExactScanSliceParity:
             ids, scores = index.search(queries[sl], k)
             np.testing.assert_array_equal(ids, full_ids[sl])
             assert scores.tobytes() == full_scores[sl].tobytes()
+
+
+class TestExactTotalOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=seeds,
+        V=st.integers(1, 120),
+        block_rows=st.integers(1, 50),
+        tied=st.integers(0, 30),
+        k=st.integers(1, 130),
+        n=st.sampled_from([1, 5, 17, 32, 40]),
+    )
+    def test_equals_full_product_lexsort(self, seed, V, block_rows, tied, k, n):
+        """Copies of row 0 scattered over the grid tie at any k boundary and
+        across blocks; zero-norm queries tie every row; ``block_rows`` may
+        be below k, k above V, the tail block a single row."""
+        matrix = make_store(V, d=8, seed=seed).matrix.copy()
+        rng = keyed_rng(seed, _MATRIX_DOMAIN, 0x544945)  # "TIE"
+        matrix[rng.choice(V, min(tied, V), replace=False)] = matrix[0]
+        store = EmbeddingStore(matrix, [f"w{i:04d}" for i in range(V)])
+        index = ExactIndex(store, block_rows=block_rows)
+        queries = make_queries(store, n, seed).copy()
+        queries[::3] = store.matrix[0]
+        queries[1::5] = 0.0
+        ids, scores = index.search(queries, k)
+        want_ids, want_scores = full_product_topk(index, queries, k)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert scores.tobytes() == want_scores.tobytes()
 
 
 class TestNprobeMonotonicity:

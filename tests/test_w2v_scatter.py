@@ -6,6 +6,7 @@ hundred terms against a float64 reference.
 """
 
 import ast
+import importlib
 import os
 from pathlib import Path
 import subprocess
@@ -18,6 +19,7 @@ from scipy.sparse import csc_matrix
 
 import repro
 from repro.galois.do_all import ThreadPoolDoAll, do_all
+from repro.w2v import scatter
 from repro.w2v.scatter import scatter_sub, sparse_update
 from repro.w2v.sgd import TrainingBatch, sgns_update
 
@@ -111,6 +113,32 @@ def test_bit_equal_to_the_public_scipy_product(case):
     expected[u] -= transposed @ x
     sparse_update(out, targets, g, x)
     assert np.array_equal(out, expected)
+
+
+def test_public_product_fallback_when_the_private_routine_is_gone(monkeypatch):
+    """A SciPy without ``_sparsetools.csc_matvecs`` still imports the
+    module; ``_row_sums`` then takes the public ``csc_matrix @ dense``
+    product, bit-equal to the direct call."""
+    rng = np.random.default_rng(5)
+    cases = [
+        (rng.normal(size=(V, 6)).astype(dtype), rng.integers(0, V, size=(B, L)),
+         rng.normal(size=(B, L)), rng.normal(size=(B, 6)))
+        for V, B, L, dtype in [(30, 64, 5, np.float32), (7, 200, 3, np.float64), (5, 1, 1, np.float32)]
+    ]
+    direct = [out.copy() for out, *_ in cases]
+    for dest, (_, targets, g, x) in zip(direct, cases):
+        scatter.sparse_update(dest, targets, g, x)
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
+    try:
+        fallback = importlib.reload(scatter)
+        assert fallback.csc_matvecs is None
+        for want, (out, targets, g, x) in zip(direct, cases):
+            fallback.sparse_update(out, targets, g, x)
+            assert out.tobytes() == want.tobytes()
+    finally:
+        monkeypatch.undo()
+        importlib.reload(scatter)
+    assert scatter.csc_matvecs is not None
 
 
 def test_untouched_rows_are_bitwise_untouched():
