@@ -157,7 +157,9 @@ FOLD_V, FOLD_TOUCHED = 1325, 450
 
 @pytest.mark.parametrize("H", [8, 32, 64])
 def test_micro_sync_round(benchmark, monkeypatch, H):
-    """One fold-kernel call (reduce -> combine -> broadcast) at H hosts."""
+    """One fold-kernel call (reduce -> combine -> broadcast) at H hosts, to
+    the training engine's destination: one shared canonical store, and
+    landings that write the replica only (no delta bases)."""
     parts = replicate_all_partitions(FOLD_V, H)
     combiner = get_combiner("mc")
     plan = get_plan("opt")
@@ -166,17 +168,14 @@ def test_micro_sync_round(benchmark, monkeypatch, H):
     deltas = [rng.normal(scale=1e-3, size=(len(t), D)) for t in touched]
     sync = GluonSynchronizer(parts, SimulatedNetwork(H))
     init = rng.normal(size=(FOLD_V, D)).astype(np.float32)
-    field = FieldSync(
-        "f",
-        arrays=[init.copy() for _ in range(H)],
-        bases=[init.copy() for _ in range(H)],
-    )
+    canon = init.copy()
+    field = FieldSync("f", arrays=[init.copy() for _ in range(H)])
     offsets = itertools.count()
 
     def fold():
         return sync.fold(
             field, touched, deltas, combiner, plan,
-            canonical=field.bases, land=field.land, fold_offset=next(offsets),
+            canonical=[canon] * H, land=field.land, fold_offset=next(offsets),
         )
 
     # The algorithmic property beside the clock: accumulate calls per fold.
@@ -199,7 +198,8 @@ def test_micro_sync_round(benchmark, monkeypatch, H):
     row = json.loads(OUT_PATH.read_text()).get("kernel:fold", {}) if OUT_PATH.exists() else {}
     row.update(
         shapes={"vocab": FOLD_V, "dim": D, "touched_per_host": FOLD_TOUCHED,
-                "combiner": combiner.name, "plan": plan.name},
+                "combiner": combiner.name, "plan": plan.name,
+                "destination": "shared canonical store, replica-only landing"},
         numpy=np.__version__,
     )
     row[f"hosts={H}"] = {

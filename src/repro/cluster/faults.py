@@ -34,6 +34,7 @@ bytes, no extra modeled time, bit-identical model).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+import math
 
 from repro.gluon.comm import HEADER_BYTES
 from repro.util.rng import derive_seed, keyed_rng
@@ -51,6 +52,11 @@ __all__ = [
 
 class UnrecoverableFaultError(RuntimeError):
     """A fault the configured recovery policy cannot mask."""
+
+
+def _check_probability(name: str, p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails the comparison too
+        raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -81,22 +87,28 @@ class FaultConfig:
 
     def __post_init__(self) -> None:
         for name in ("crash_prob", "drop_prob", "corrupt_prob", "straggler_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
+            _check_probability(name, getattr(self, name))
         if self.drop_prob + self.corrupt_prob > 1.0:
             raise ValueError("drop_prob + corrupt_prob must not exceed 1")
         lo, hi = self.straggler_factor
-        if not 1.0 <= lo <= hi:
-            raise ValueError(f"straggler_factor range must satisfy 1 <= lo <= hi, got {lo, hi}")
-        if self.detect_timeout_s < 0 or self.retry_backoff_s < 0:
-            raise ValueError("timeouts must be non-negative")
-        if self.restore_bandwidth_Bps <= 0:
-            raise ValueError("restore bandwidth must be positive")
+        if not (math.isfinite(hi) and 1.0 <= lo <= hi):
+            raise ValueError(
+                f"straggler_factor range must satisfy 1 <= lo <= hi < inf, got {lo, hi}"
+            )
+        # Recovery costs enter the timing model: a NaN or infinity here
+        # would silently poison every recovery's modeled time.
+        for name in ("detect_timeout_s", "retry_backoff_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(self.restore_bandwidth_Bps) and self.restore_bandwidth_Bps > 0):
+            raise ValueError(
+                f"restore_bandwidth_Bps must be finite and positive, got {self.restore_bandwidth_Bps}"
+            )
         if self.max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
+            raise ValueError(f"max_retries must be at least 1, got {self.max_retries}")
         if self.max_crashes is not None and self.max_crashes < 0:
-            raise ValueError("max_crashes must be non-negative")
+            raise ValueError(f"max_crashes must be non-negative, got {self.max_crashes}")
 
     @property
     def has_transient(self) -> bool:
@@ -305,10 +317,12 @@ class TransientFaultInjector:
         backoff_s: float = 1e-3,
         seed: int = 0,
     ):
-        if not 0.0 <= drop_prob + corrupt_prob <= 1.0:
-            raise ValueError("drop_prob + corrupt_prob must be within [0, 1]")
+        _check_probability("drop_prob", drop_prob)
+        _check_probability("corrupt_prob", corrupt_prob)
+        if drop_prob + corrupt_prob > 1.0:
+            raise ValueError("drop_prob + corrupt_prob must not exceed 1")
         if max_retries < 1:
-            raise ValueError("max_retries must be at least 1")
+            raise ValueError(f"max_retries must be at least 1, got {max_retries}")
         self.drop_prob = float(drop_prob)
         self.corrupt_prob = float(corrupt_prob)
         self.max_retries = int(max_retries)
@@ -459,7 +473,8 @@ def parse_fault_spec(spec: str) -> FaultConfig:
     ``"crash=0.02,drop=0.01,corrupt=0.005,straggler=0.1"``.  Short keys map
     to the config's rate fields; any full :class:`FaultConfig` field name is
     also accepted (``detect_timeout_s=0.5``).  An empty spec enables the
-    subsystem with an all-zero (fault-free) configuration.
+    subsystem with an all-zero (fault-free) configuration.  Every bad
+    spec raises a ``ValueError`` that names the item or key at fault.
     """
     aliases = {
         "crash": "crash_prob",
@@ -472,20 +487,23 @@ def parse_fault_spec(spec: str) -> FaultConfig:
     for item in filter(None, (part.strip() for part in spec.split(","))):
         if "=" not in item:
             raise ValueError(f"malformed fault spec item {item!r}; expected key=value")
-        key, _, value = item.partition("=")
-        key = aliases.get(key.strip(), key.strip())
+        name, _, value = item.partition("=")
+        key = aliases.get(name.strip(), name.strip())
         if key not in valid:
             raise ValueError(
                 f"unknown fault spec key {key!r}; known: "
                 f"{sorted(aliases)} or any FaultConfig field"
             )
-        if key == "max_crashes":
-            kwargs[key] = int(value)
-        elif key == "straggler_factor":
-            lo, _, hi = value.partition(":")
-            kwargs[key] = (float(lo), float(hi or lo))
-        elif key == "max_retries":
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
+        try:
+            if key in ("max_crashes", "max_retries"):
+                kwargs[key] = int(value)
+            elif key == "straggler_factor":
+                lo, _, hi = value.partition(":")
+                kwargs[key] = (float(lo), float(hi or lo))
+            else:
+                kwargs[key] = float(value)
+        except ValueError as exc:
+            raise ValueError(
+                f"fault spec key {name.strip()!r} ({key}): bad value {value!r} ({exc})"
+            ) from None
     return FaultConfig(**kwargs)

@@ -77,11 +77,14 @@ class CombineState(ABC):
                 f"deltas shape {deltas.shape} != ({len(rows)}, {self.dim})"
             )
         if rows.size:
-            if rows.min() < 0 or rows.max() >= self.num_rows:
-                raise IndexError("row index out of range")
             # Ascending rows (what the fold kernel sends) prove uniqueness
-            # in one comparison; only unsorted callers pay for the sort.
-            if not (rows[1:] > rows[:-1]).all() and len(np.unique(rows)) != len(rows):
+            # in one comparison and hold their extremes at the ends; only
+            # unsorted callers pay for the reductions and the sort.
+            ascending = bool((rows[1:] > rows[:-1]).all())
+            lo, hi = (rows[0], rows[-1]) if ascending else (rows.min(), rows.max())
+            if lo < 0 or hi >= self.num_rows:
+                raise IndexError("row index out of range")
+            if not ascending and len(np.unique(rows)) != len(rows):
                 raise ValueError("duplicate rows within a single contribution")
         return rows, deltas
 
@@ -179,27 +182,40 @@ class _ModelCombinerState(CombineState):
         super().__init__(num_rows, dim)
         self._combined = np.zeros((num_rows, dim), dtype=np.float64)
         self._seen = np.zeros(num_rows, dtype=bool)
+        # Scratch for the projection update, allocated on first use.
+        self._buf: np.ndarray | None = None
 
     def accumulate(self, rows: np.ndarray, deltas: np.ndarray) -> None:
         rows, deltas = self._validate(rows, deltas)
         if rows.size == 0:
             return
-        first = ~self._seen[rows]
-        if first.any():
+        seen = self._seen[rows]
+        if not seen.any():  # every row first-seen: no masked copies
+            self._combined[rows] = deltas
+            self._seen[rows] = True
+            return
+        lr, d = rows, deltas
+        if not seen.all():
+            first = ~seen
             fr = rows[first]
             self._combined[fr] = deltas[first]
             self._seen[fr] = True
-        later = ~first
-        if later.any():
-            lr = rows[later]
-            d = deltas[later]
-            g = self._combined[lr]
-            denom = np.einsum("ij,ij->i", g, g)
-            dot = np.einsum("ij,ij->i", g, d)
-            # Projection coefficient; zero where the running combination is
-            # (numerically) zero so the contribution passes through unchanged.
-            coeff = np.where(denom > _EPS_SQ, dot / np.where(denom > _EPS_SQ, denom, 1.0), 0.0)
-            self._combined[lr] = g + (d - coeff[:, None] * g)
+            lr, d = rows[seen], deltas[seen]
+        g = self._combined[lr]
+        denom = np.einsum("ij,ij->i", g, g)
+        dot = np.einsum("ij,ij->i", g, d)
+        # Projection coefficient; zero where the running combination is
+        # (numerically) zero so the contribution passes through unchanged.
+        nonzero = denom > _EPS_SQ
+        coeff = np.where(nonzero, dot / np.where(nonzero, denom, 1.0), 0.0)
+        # g + (d - coeff * g), operation by operation through one buffer.
+        if self._buf is None:
+            self._buf = np.empty((self.num_rows, self.dim))
+        buf = self._buf[: len(lr)]
+        np.multiply(coeff[:, None], g, out=buf)
+        np.subtract(d, buf, out=buf)
+        np.add(g, buf, out=buf)
+        self._combined[lr] = buf
 
     def result(self) -> np.ndarray:
         return self._combined

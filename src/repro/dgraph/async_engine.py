@@ -433,12 +433,14 @@ class SSPTrainingEngine(TrainingEngine):
         slots: dict[int, list[tuple]] = {h: [] for h in order}
 
         def run_chain(host: int) -> None:
-            # A host's steps are sequential; capture must follow each
-            # kernel before the next one so a round's delta never absorbs
-            # a later round's writes.  Everything touched here is
-            # host-local (replica arrays, bases, the private slot list).
+            # A host's steps are sequential; each step's delta is its
+            # access rows after its kernel minus the same rows gathered
+            # just before it, so a round's delta never absorbs another
+            # round's writes.  Everything touched here is host-local
+            # (replica arrays, audit bases, the private slot list).
             for g in chains[host]:
                 work = works[(host, g)]
+                before = trainer._access_rows(host, work)
                 # thread_time = this thread's CPU time: the measurement
                 # feeding the timing model stays contention-independent,
                 # so reported per-host times do not change just because
@@ -464,7 +466,7 @@ class SSPTrainingEngine(TrainingEngine):
                     out_field.arrays[host], work.output_access,
                     label=f"training[host={host}]",
                 )
-                captures = self._capture(trainer, host, work)
+                captures = self._capture(trainer, host, work, before)
                 # The flush pre-pass materialized every epoch this wave
                 # inspects (descending, so pruning spares them all): the
                 # call only *reads* the chunk and work caches, and
@@ -548,30 +550,36 @@ class SSPTrainingEngine(TrainingEngine):
                 )
 
     def _capture(
-        self, trainer: "GraphWord2Vec", host: int, work: "RoundWork"
+        self,
+        trainer: "GraphWord2Vec",
+        host: int,
+        work: "RoundWork",
+        before: list[np.ndarray],
     ) -> list[tuple]:
-        """Snapshot the step's deltas and rebase, immediately post-kernel.
+        """The step's deltas, immediately post-kernel.
 
-        Deferred folding: the float64 delta (current − base) per touched
-        row is buffered until the round folds; rebasing right away means
-        a later step of the same host never leaks into this round's
-        contribution.  With delay compensation enabled the float64 base
-        is kept too (drift = canonical-at-fold − base-at-capture).
+        Deferred folding: the float64 delta per touched row — the row now
+        minus ``before``, the step's own gather of its access rows taken
+        just before the kernel — is buffered until the round folds.  With
+        delay compensation enabled the float64 pre-kernel rows are kept too
+        (drift = canonical-at-fold − rows-before-the-step).  Bases, kept
+        only for the sync checker's dropped-write audit, are rebased here.
         Host-local arrays only — safe inside the parallel chain.
         """
         lam = self.delay_compensation
         out = []
-        for fname, ids in (
-            ("embedding", work.embedding_access),
-            ("training", work.output_access),
+        for (fname, ids), old in zip(
+            (("embedding", work.embedding_access), ("training", work.output_access)),
+            before,
         ):
             field = trainer._fields[fname]
             if not ids.size:
                 out.append((ids, np.empty((0, field.dim)), None))
                 continue
             new = field.arrays[host][ids]
-            old = field.bases[host][ids].astype(np.float64)
-            field.bases[host][ids] = new
+            if field.bases is not None:
+                field.bases[host][ids] = new
+            old = old.astype(np.float64)
             out.append((ids, new.astype(np.float64) - old, old if lam > 0 else None))
         return out
 
@@ -590,14 +598,14 @@ class SSPTrainingEngine(TrainingEngine):
         captured and booked like any other step.
         """
         e, s = divmod(g, trainer.sync_rounds)
-        work, pairs, lost_s, recovery_s = trainer._recover_host(
+        work, before, pairs, lost_s, recovery_s = trainer._recover_host(
             e, s, crash, run.lr_of[g]
         )
         # The rebuilt replica is wholly canonical: nothing is stale, and
         # the host's uncaptured in-round work is what the replay redid.
         for fname in _FIELD_ORDER:
             trainer._async_state["pending_stale"].pop((fname, host), None)
-        captures = self._capture(trainer, host, work)
+        captures = self._capture(trainer, host, work, before)
         run.round_array(run.recovery_buf, g, trainer.num_hosts)[host] += recovery_s
         run.recovery_spans.append((host, g, recovery_s))
         self._post_step(
@@ -651,11 +659,11 @@ class SSPTrainingEngine(TrainingEngine):
         """Land canonical values on a mirror, preserving read-my-writes.
 
         The row becomes canonical-as-received *plus* the host's buffered
-        not-yet-folded deltas on it, written to array and base alike: the
-        host keeps seeing its own recent updates, the next capture still
-        measures only new work, and the buffered deltas fold later
-        untouched.  With no pending deltas (always at s=0) this is the
-        plain broadcast overwrite (``FieldSync.land``), bit for bit.
+        not-yet-folded deltas on it: the host keeps seeing its own recent
+        updates, the next step measures only its own work (against its
+        pre-kernel gather), and the buffered deltas fold later untouched.
+        With no pending deltas (always at s=0) this is the plain broadcast
+        overwrite (``FieldSync.land``), bit for bit.
         """
         field = trainer._fields[fname]
         buffered = run.contrib[fname]

@@ -16,7 +16,7 @@ Wire-size conventions (documented so volumes are reproducible):
 - metadata header per message: 16 bytes.
 
 Fault injection: the network optionally consults a
-:class:`~repro.cluster.faults.TransientFaultInjector` on every send.
+:class:`~repro.cluster.faults.TransientFaultInjector` once per message.
 Transient faults (drops, corruptions) are recovered by retransmission
 inside the BSP phase barrier, so the payload is always delivered — the
 fault surfaces as extra bytes charged to the phase (and to
@@ -27,7 +27,8 @@ Without an injector the send path is exactly the fault-free one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -79,17 +80,19 @@ class MessageStats:
     bytes_by_phase: dict[str, int] = field(default_factory=dict)
     messages_by_phase: dict[str, int] = field(default_factory=dict)
 
-    def record(self, phase: str, nbytes: int) -> None:
-        self.total_messages += 1
+    def record(self, phase: str, nbytes: int, messages: int = 1) -> None:
+        """Charge ``messages`` logical messages totalling ``nbytes``."""
+        self.total_messages += messages
         self.total_bytes += nbytes
         self.bytes_by_phase[phase] = self.bytes_by_phase.get(phase, 0) + nbytes
-        self.messages_by_phase[phase] = self.messages_by_phase.get(phase, 0) + 1
+        self.messages_by_phase[phase] = self.messages_by_phase.get(phase, 0) + messages
 
-    def record_resend(self, phase: str, nbytes: int) -> None:
-        """Charge fault-retransmission bytes (no new logical message)."""
+    def record_resend(self, phase: str, nbytes: int, messages: int = 1) -> None:
+        """Charge fault-retransmission bytes of ``messages`` messages (no
+        new logical message)."""
         self.total_bytes += nbytes
         self.resent_bytes += nbytes
-        self.retransmissions += 1
+        self.retransmissions += messages
         self.bytes_by_phase[phase] = self.bytes_by_phase.get(phase, 0) + nbytes
 
 
@@ -100,10 +103,10 @@ class SimulatedNetwork:
 
         net = SimulatedNetwork(4)
         with net.phase("reduce") as record:
-            net.send(src=1, dst=0, nbytes=..., payload=...)
+            net.exchange(src=[1, 2], dst=[0, 0], nbytes=[..., ...], payloads=[..., ...])
         msgs = net.drain(dst=0)
 
-    Sends outside a :meth:`phase` block are charged to the ``"default"``
+    Messages outside a :meth:`phase` block are charged to the ``"default"``
     phase.  ``drain`` returns and clears a host's inbox in arrival order.
     """
 
@@ -138,42 +141,96 @@ class SimulatedNetwork:
         return record
 
     # -- messaging ------------------------------------------------------------
-    def send(self, src: int, dst: int, nbytes: int, payload: Any = None) -> None:
-        """Deliver ``payload`` from ``src`` to ``dst``, charging ``nbytes``.
+    def exchange(
+        self,
+        src: Sequence[int] | np.ndarray,
+        dst: Sequence[int] | np.ndarray,
+        nbytes: Sequence[int] | np.ndarray,
+        payloads: Sequence[Any] | None = None,
+    ) -> None:
+        """Deliver a batch of messages, charging the whole batch at once.
 
-        ``nbytes`` is the modeled wire size of the payload *excluding* the
-        fixed per-message header, which is added here.
+        Message ``i`` goes from ``src[i]`` to ``dst[i]`` with ``nbytes[i]``
+        payload bytes (the modeled wire size *excluding* the fixed
+        per-message header, which is added here) and ``payloads[i]``
+        (``None`` for all when ``payloads`` is ``None``).  The result is
+        exactly that of sending the messages one by one in the given order:
+        the same per-host byte totals, statistics and fault-injector draws
+        (one per message, in order), and the same inbox order.  Every entry
+        is validated before anything is charged or delivered; a bad one
+        raises a ``ValueError`` naming the argument and the message index.
         """
-        for host, label in ((src, "src"), (dst, "dst")):
-            if not 0 <= host < self.num_hosts:
-                raise ValueError(f"{label} host {host} out of range [0, {self.num_hosts})")
-        if src == dst:
-            raise ValueError("loopback messages are local copies, not sends")
-        if nbytes < 0:
-            raise ValueError(f"negative payload size {nbytes}")
-        wire = int(nbytes) + HEADER_BYTES
-        if self._active is not None:
-            record = self._active
+        H = self.num_hosts
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        for name, arr in (("src", src), ("dst", dst), ("nbytes", nbytes)):
+            if arr.ndim != 1:
+                raise ValueError(f"exchange: {name} must be 1-D, got shape {arr.shape}")
+        n = len(src)
+        lengths = {"src": n, "dst": len(dst), "nbytes": len(nbytes)}
+        if payloads is not None:
+            lengths["payloads"] = len(payloads)
+        if len(set(lengths.values())) != 1:
+            raise ValueError(f"exchange: argument lengths differ: {lengths}")
+        for name, arr in (("src", src), ("dst", dst)):
+            bad = np.flatnonzero((arr < 0) | (arr >= H))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"exchange: {name}[{i}] = {arr[i]} out of range [0, {H})")
+        bad = np.flatnonzero(src == dst)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"exchange: message {i} is a loopback ({src[i]} -> {dst[i]}); "
+                "loopback messages are local copies, not sends"
+            )
+        bad = np.flatnonzero(nbytes < 0)
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"exchange: nbytes[{i}] = {nbytes[i]} is a negative payload size")
+        if n == 0:
+            return
+        wire = nbytes + HEADER_BYTES
+        # Transient faults: one injector draw per message, in order.  The
+        # retransmissions traverse the same endpoints; the barrier absorbs
+        # the backoff delay (accumulated by the injector).
+        if self.fault_injector is None:
+            resent = np.zeros(n, dtype=np.int64)
         else:
-            if self._default is None:
-                self._default = PhaseRecord(name="default", num_hosts=self.num_hosts)
-                self.phase_records.append(self._default)
-            record = self._default
-        phase_name = record.name
-        record.sent[src] += wire
-        record.recv[dst] += wire
-        record.messages += 1
-        self.stats.record(phase_name, wire)
-        if self.fault_injector is not None:
-            extra, _delay = self.fault_injector.on_send(wire)
-            if extra:
-                # Retransmissions traverse the same endpoints; the barrier
-                # absorbs the backoff delay (accumulated by the injector).
-                record.sent[src] += extra
-                record.recv[dst] += extra
-                record.resent_bytes += extra
-                self.stats.record_resend(phase_name, extra)
-        self._inboxes[dst].append((src, payload))
+            on_send = self.fault_injector.on_send
+            resent = np.array([on_send(w)[0] for w in wire.tolist()], dtype=np.int64)
+        record = self._record()
+        # Integer byte counts are exact in bincount's float64 weights
+        # (phase totals stay far below 2**53).
+        charged = wire + resent
+        record.sent += np.bincount(src, weights=charged, minlength=H).astype(np.int64)
+        record.recv += np.bincount(dst, weights=charged, minlength=H).astype(np.int64)
+        record.messages += n
+        self.stats.record(record.name, int(wire.sum()), messages=n)
+        retransmitted = int(np.count_nonzero(resent))
+        if retransmitted:
+            record.resent_bytes += int(resent.sum())
+            self.stats.record_resend(record.name, int(resent.sum()), messages=retransmitted)
+        inboxes = self._inboxes
+        for s, d, payload in zip(
+            src.tolist(), dst.tolist(), repeat(None) if payloads is None else payloads
+        ):
+            inboxes[d].append((s, payload))
+
+    def send(self, src: int, dst: int, nbytes: int, payload: Any = None) -> None:
+        """Deliver one message: :meth:`exchange` of a batch of one."""
+        self.exchange([src], [dst], [nbytes], [payload])
+
+    def _record(self) -> PhaseRecord:
+        """The record messages are charged to: the active phase's, else the
+        shared ``"default"`` one (created on first use)."""
+        if self._active is not None:
+            return self._active
+        if self._default is None:
+            self._default = PhaseRecord(name="default", num_hosts=self.num_hosts)
+            self.phase_records.append(self._default)
+        return self._default
 
     def drain(self, dst: int) -> list[tuple[int, Any]]:
         """Return and clear ``dst``'s inbox as ``(src, payload)`` pairs."""

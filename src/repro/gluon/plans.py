@@ -32,15 +32,25 @@ __all__ = ["CommPlan", "RepModelNaive", "RepModelOpt", "PullModel", "get_plan"]
 
 
 class CommPlan(ABC):
-    """Byte-accounting and target-selection strategy for one sync round."""
+    """Byte-accounting and target-selection strategy for one sync round.
+
+    The wire formulas (:meth:`reduce_wire_bytes`,
+    :meth:`request_wire_bytes`) must be *elementwise* over int arrays: the
+    fold kernel prices a whole phase in one call, handing them the
+    ``(source, master)`` matrix of row counts (and the master block sizes
+    along the last axis), and broadcasts the result to that shape.  Written
+    with arithmetic and ``np.where`` / ``np.minimum``, a formula serves
+    plain ints and arrays alike.
+    """
 
     name: str = "abstract"
     #: Plan needs per-host next-round access sets (inspection phase output).
     requires_access_sets: bool = False
 
     @abstractmethod
-    def reduce_wire_bytes(self, num_updated: int, dim: int, block_size: int) -> int:
-        """Payload bytes for one mirror->master message; 0 suppresses it."""
+    def reduce_wire_bytes(self, num_updated, dim: int, block_size):
+        """Payload bytes for one mirror->master message; 0 suppresses it.
+        Elementwise over int arrays ``num_updated`` / ``block_size``."""
 
     @abstractmethod
     def broadcast_selection(
@@ -59,8 +69,9 @@ class CommPlan(ABC):
         whose values are written at the destination plus the wire size.
         """
 
-    def request_wire_bytes(self, num_accessed: int) -> int:
-        """Payload bytes of the pull-request (id-only) message; 0 = none."""
+    def request_wire_bytes(self, num_accessed):
+        """Payload bytes of the pull-request (id-only) message; 0 = none.
+        Elementwise over an int array ``num_accessed``."""
         return 0
 
 
@@ -69,7 +80,7 @@ class RepModelNaive(CommPlan):
 
     name = "RepModel-Naive"
 
-    def reduce_wire_bytes(self, num_updated: int, dim: int, block_size: int) -> int:
+    def reduce_wire_bytes(self, num_updated, dim: int, block_size):
         # Dense: the whole master block's vectors, ids implicit.
         return block_size * dim * VALUE_BYTES
 
@@ -85,7 +96,7 @@ class RepModelNaive(CommPlan):
         return changed_ids, block_size * dim * VALUE_BYTES
 
 
-def _membership_bytes(num_ids: int, universe: int) -> int:
+def _membership_bytes(num_ids, universe):
     """Wire cost of naming ``num_ids`` nodes out of ``universe``.
 
     Gluon adaptively encodes the update set as either an explicit id list
@@ -94,7 +105,7 @@ def _membership_bytes(num_ids: int, universe: int) -> int:
     """
     id_list = num_ids * ID_BYTES
     bit_vector = ((universe + 63) // 64) * 8
-    return 1 + min(id_list, bit_vector)
+    return 1 + np.minimum(id_list, bit_vector)
 
 
 class RepModelOpt(CommPlan):
@@ -106,10 +117,9 @@ class RepModelOpt(CommPlan):
 
     name = "RepModel-Opt"
 
-    def reduce_wire_bytes(self, num_updated: int, dim: int, block_size: int) -> int:
-        if num_updated == 0:
-            return 0
-        return _membership_bytes(num_updated, block_size) + num_updated * dim * VALUE_BYTES
+    def reduce_wire_bytes(self, num_updated, dim: int, block_size):
+        wire = _membership_bytes(num_updated, block_size) + num_updated * dim * VALUE_BYTES
+        return np.where(num_updated == 0, 0, wire)
 
     def broadcast_selection(
         self,
@@ -130,9 +140,7 @@ class PullModel(CommPlan):
     name = "PullModel"
     requires_access_sets = True
 
-    def reduce_wire_bytes(self, num_updated: int, dim: int, block_size: int) -> int:
-        if num_updated == 0:
-            return 0
+    def reduce_wire_bytes(self, num_updated, dim: int, block_size):
         return num_updated * (ID_BYTES + dim * VALUE_BYTES)
 
     def broadcast_selection(
@@ -149,9 +157,7 @@ class PullModel(CommPlan):
         # Ids were carried by the request message, so only values go back.
         return accessed_ids, int(accessed_ids.size) * dim * VALUE_BYTES
 
-    def request_wire_bytes(self, num_accessed: int) -> int:
-        if num_accessed == 0:
-            return 0
+    def request_wire_bytes(self, num_accessed):
         return num_accessed * ID_BYTES
 
 

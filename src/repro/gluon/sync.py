@@ -39,6 +39,7 @@ from repro.gluon.bitvector import BitVector
 from repro.gluon.comm import ID_BYTES, VALUE_BYTES, PhaseRecord, SimulatedNetwork
 from repro.gluon.partitioner import Partition
 from repro.gluon.plans import CommPlan
+from repro.gluon.proxies import master_block_slice
 
 __all__ = [
     "RECOVERY_PHASE",
@@ -57,17 +58,20 @@ RECOVERY_PHASE = "recovery"
 class FieldSync:
     """A replicated model field registered for synchronization.
 
-    ``arrays[h]`` is host ``h``'s replica, shape ``(N, dim)``; ``bases[h]``
-    is the snapshot taken at the start of the current round (what deltas are
-    measured against).  Both are updated in place by the synchronizer.
+    ``arrays[h]`` is host ``h``'s replica, shape ``(N, dim)``.  ``bases``,
+    when kept, holds per host the snapshot deltas are measured against by
+    :meth:`GluonSynchronizer.sync_replicated` (and what the sync checker's
+    dropped-write audit compares replicas with); callers that measure
+    their own deltas — the training engine — pass ``None``.  Both are
+    updated in place by the synchronizer.
     """
 
     name: str
     arrays: list[np.ndarray]
-    bases: list[np.ndarray]
+    bases: list[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        shapes = {a.shape for a in self.arrays} | {b.shape for b in self.bases}
+        shapes = {a.shape for a in self.arrays} | {b.shape for b in self.bases or ()}
         if len(shapes) != 1:
             raise ValueError(f"field {self.name!r}: inconsistent replica shapes {shapes}")
         if self.arrays[0].ndim != 2:
@@ -83,14 +87,24 @@ class FieldSync:
 
     def snapshot_bases(self) -> None:
         """Record current replica values as the new delta baseline."""
-        for base, arr in zip(self.bases, self.arrays):
+        for base, arr in zip(self._require_bases("snapshot_bases"), self.arrays):
             np.copyto(base, arr)
 
     def land(self, host: int, ids: np.ndarray | slice, vals: np.ndarray) -> None:
-        """Overwrite rows of ``host``'s replica *and* delta base with
-        canonical ``vals``: the rows hold no unreduced work afterwards."""
+        """Overwrite rows of ``host``'s replica (and of its delta base, when
+        kept) with canonical ``vals``: the rows hold no unreduced work
+        afterwards."""
         self.arrays[host][ids] = vals
-        self.bases[host][ids] = vals
+        if self.bases is not None:
+            self.bases[host][ids] = vals
+
+    def _require_bases(self, what: str) -> list[np.ndarray]:
+        if self.bases is None:
+            raise ValueError(
+                f"field {self.name!r}: {what} needs delta bases, but the field "
+                "was built with bases=None"
+            )
+        return self.bases
 
 
 @dataclass
@@ -150,7 +164,12 @@ class GluonSynchronizer:
         self.network = network
         self.num_hosts = len(partitions)
         self.bounds = self.partitions[0].master_bounds
-        self._blocks: list[int] = np.diff(self.bounds).tolist()  # master block sizes
+        self._blocks = np.diff(self.bounds).astype(np.int64)  # master block sizes
+        self._offdiag = ~np.eye(self.num_hosts, dtype=bool)
+        self._others = [[h for h in range(self.num_hosts) if h != m] for m in range(self.num_hosts)]
+        # Per node count N: a cleared membership mark and a position table
+        # (the fold's union of touched ids and each id's slot in it).
+        self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: Optional :class:`~repro.analysis.runtime.GluonSyncChecker`; when
         #: set, every fold, broadcast and crash restore is observed (never
         #: perturbed) for protocol violations.
@@ -184,11 +203,13 @@ class GluonSynchronizer:
         snapshot; their deltas (current − base) are the contributions
         handed to :meth:`fold`, with the delta bases as the canonical view
         (a master's base rows hold the last folded values) and the plain
-        replica+base overwrite as the landing.  Bit vectors are *not*
-        cleared and bases are *not* re-snapshotted here — the caller owns
-        round boundaries (it may sync several fields).
+        replica+base overwrite as the landing.  The field must keep bases
+        (``ValueError`` naming it otherwise, before any phase opens).  Bit
+        vectors are *not* cleared and bases are *not* re-snapshotted here —
+        the caller owns round boundaries (it may sync several fields).
         """
         H = self.num_hosts
+        bases = field._require_bases("sync_replicated")
         if len(updated) != H:
             raise ValueError(f"need {H} updated bit-vectors, got {len(updated)}")
         for part in self.partitions:
@@ -200,11 +221,11 @@ class GluonSynchronizer:
         touched = [bits.indices() for bits in updated]
         deltas = [
             arr[t].astype(np.float64) - base[t].astype(np.float64)
-            for arr, base, t in zip(field.arrays, field.bases, touched)
+            for arr, base, t in zip(field.arrays, bases, touched)
         ]
         return self.fold(
             field, touched, deltas, combiner, plan,
-            canonical=field.bases, land=field.land,
+            canonical=bases, land=field.land,
             accessed_next=accessed_next, fold_offset=fold_offset,
         )
 
@@ -236,6 +257,7 @@ class GluonSynchronizer:
         ascending ids in ``[0, num_nodes)``, ``deltas[h]`` of shape
         ``(len(touched[h]), dim)``, one entry per host — else a
         ``ValueError`` naming field and host, before any phase opens.
+        Each phase is one :meth:`~repro.gluon.comm.SimulatedNetwork.exchange`.
 
         ``fold_offset`` rotates the (order-dependent) inductive fold of
         contributions: host ``fold_offset % H`` is folded first this round.
@@ -259,26 +281,25 @@ class GluonSynchronizer:
             accessed_next = self._sorted_ids(field, "accessed_next", accessed_next)
         if self.checker is not None:
             # Validate writes-vs-touched while replicas are still untouched.
+            field._require_bases("the sync checker's dropped-write audit")
             self.checker.before_fold(field, touched, fold_offset)
         dtype = canonical[0].dtype
 
         with self.network.phase(f"reduce:{field.name}") as reduce_record:
             # Ids are sorted and master blocks contiguous, so host h's
-            # contribution to master m is a slice.  The master's own local
-            # delta participates exactly like a mirror's; it just never
-            # crosses the wire.
-            own: list[tuple[np.ndarray, np.ndarray]] = []
-            for h in range(H):
-                t, d = touched[h], deltas[h]
-                cut = np.searchsorted(t, self.bounds).tolist()
-                for m in range(H):
-                    part = (t[cut[m]:cut[m + 1]], d[cut[m]:cut[m + 1]])
-                    if m == h:
-                        own.append(part)
-                        continue
-                    wire = plan.reduce_wire_bytes(len(part[0]), dim, self._blocks[m])
-                    if wire > 0:
-                        self.network.send(h, m, wire, payload=part)
+            # contribution to master m is the slice cuts[h, m]:cuts[h, m + 1]
+            # of its arrays: one message per nonzero wire, in (h, m) order.
+            # The master's own part participates exactly like a mirror's;
+            # it just never crosses the wire.
+            cuts = self._cuts(touched)
+            wire = self._wire_matrix(
+                plan.reduce_wire_bytes(np.diff(cuts, axis=1), dim, self._blocks)
+            )
+            src, dst = np.nonzero(wire > 0)
+            self.network.exchange(src, dst, wire[src, dst], [
+                (touched[h][lo:hi], deltas[h][lo:hi])
+                for h, lo, hi in zip(src.tolist(), cuts[src, dst].tolist(), cuts[src, dst + 1].tolist())
+            ])
 
             # Masters consume what mirrors sent.  Combiners are row-wise (a
             # row's result depends only on its own contributions, in fold
@@ -288,16 +309,32 @@ class GluonSynchronizer:
             # and the waves run in rotated source order.  At most H
             # ``accumulate`` calls, not one per (master, source).
             by_src: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(H)]
-            for m in range(H):
-                for src, part in (*self.network.drain(m), (m, own[m])):
-                    by_src[src].append(part)
-            ids = [np.concatenate([t for t, _ in parts]) for parts in by_src]
-            union = np.unique(np.concatenate(ids))
+            for m, (lo, hi) in enumerate(zip(cuts.diagonal().tolist(), cuts.diagonal(1).tolist())):
+                for s, payload in self.network.drain(m):
+                    by_src[s].append(payload)
+                by_src[m].append((touched[m][lo:hi], deltas[m][lo:hi]))
+            waves = []
+            for s, parts in enumerate(by_src):
+                if sum(len(ids) for ids, _ in parts) == len(touched[s]):
+                    # Every part arrived: in master order the parts tile
+                    # the source's ascending arrays, which are the wave.
+                    waves.append((touched[s], deltas[s]))
+                else:
+                    waves.append((
+                        np.concatenate([ids for ids, _ in parts]),
+                        np.concatenate([vals for _, vals in parts]),
+                    ))
+            mark, pos = self._mark_and_positions(field.num_nodes)
+            for ids, _ in waves:
+                mark[ids] = True
+            union = np.flatnonzero(mark)
+            mark[union] = False
+            pos[union] = np.arange(len(union))
             state = combiner.create(len(union), dim)
-            for src in ((fold_offset + k) % H for k in range(H)):
-                if len(ids[src]):
-                    vals = np.concatenate([d for _, d in by_src[src]])
-                    state.accumulate(np.searchsorted(union, ids[src]), vals)
+            for s in ((fold_offset + k) % H for k in range(H)):
+                ids, vals = waves[s]
+                if len(ids):
+                    state.accumulate(pos[ids], vals)
             combined = state.result()
 
             changed_per_master: list[np.ndarray] = []
@@ -349,6 +386,28 @@ class GluonSynchronizer:
             raise ValueError(f"field {field.name!r}: {what}[{h}] {problem}")
         return out
 
+    def _cuts(self, ids_per_host: Sequence[np.ndarray]) -> np.ndarray:
+        """``(H, H+1)`` matrix: row ``h`` cuts host ``h``'s ascending ids at
+        the master block bounds, so ``[h, m]:[h, m+1]`` is the slice master
+        ``m`` owns."""
+        return np.array([np.searchsorted(ids, self.bounds) for ids in ids_per_host])
+
+    def _wire_matrix(self, wire) -> np.ndarray:
+        """A plan formula's result as the ``(H, H)`` source × master matrix,
+        zero on the diagonal (a host's own part never crosses the wire)."""
+        return np.where(self._offdiag, np.asarray(wire, dtype=np.int64), 0)
+
+    def _mark_and_positions(self, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cleared ``num_nodes`` membership mark (callers clear what they
+        set) and position table of this size, allocated once."""
+        scratch = self._scratch.get(num_nodes)
+        if scratch is None:
+            scratch = self._scratch[num_nodes] = (
+                np.zeros(num_nodes, dtype=bool),
+                np.empty(num_nodes, dtype=np.int64),
+            )
+        return scratch
+
     def broadcast(
         self,
         field: FieldSync,
@@ -365,48 +424,60 @@ class GluonSynchronizer:
         Under an access-set plan every host first routes the ids it wants
         (``accessed[h]``, strictly ascending) to their owning masters; then
         each master ships the rows ``plan`` selects — out of
-        ``changed_per_master[m]`` and the requests — from ``canonical[m]``,
-        and each receiver ``land``s everything it got in one call.
-        Returns the request record (``None`` without access sets), the
-        broadcast record, and per host the sorted global ids that landed.
+        ``changed_per_master[m]`` and the requests it received — from
+        ``canonical[m]``, and each receiver ``land``s everything it got in
+        one call.  Each phase is one exchange, messages in (h, m) order for
+        requests and (m, h) order for the broadcast.  Returns the request
+        record (``None`` without access sets), the broadcast record, and
+        per host the sorted global ids that landed.
         """
         H = self.num_hosts
         dim = field.dim
-        # wanted[h][m]: the rows of master m's block host h asked for.
-        wanted: list[list[np.ndarray]] | None = None
+        # requested[m]: source host -> the rows of master m's block it asked for.
+        requested: list[dict[int, np.ndarray]] | None = None
         request_record: PhaseRecord | None = None
         if plan.requires_access_sets:
             accessed = self._sorted_ids(field, "accessed", accessed)  # type: ignore[arg-type]
-            wanted = []
             with self.network.phase(request_phase) as request_record:
-                for h in range(H):
-                    cut = np.searchsorted(accessed[h], self.bounds).tolist()
-                    wanted.append([accessed[h][cut[m]:cut[m + 1]] for m in range(H)])
-                    for m in range(H):
-                        if m == h:
-                            continue
-                        wire = plan.request_wire_bytes(len(wanted[h][m]))
-                        if wire > 0:
-                            self.network.send(h, m, wire, payload=wanted[h][m])
-                # Masters consume the requests (content == ``wanted``, which
-                # the broadcast below reads directly; drain keeps inboxes
-                # and the data/accounting paths consistent).
-                for m in range(H):
-                    self.network.drain(m)
+                cuts = self._cuts(accessed)
+                wire = self._wire_matrix(plan.request_wire_bytes(np.diff(cuts, axis=1)))
+                src, dst = np.nonzero(wire > 0)
+                self.network.exchange(src, dst, wire[src, dst], [
+                    accessed[h][lo:hi]
+                    for h, lo, hi in zip(src.tolist(), cuts[src, dst].tolist(), cuts[src, dst + 1].tolist())
+                ])
+                # Masters consume the requests.
+                requested = [dict(self.network.drain(m)) for m in range(H)]
 
+        empty = np.empty(0, dtype=np.int64)
         with self.network.phase(broadcast_phase) as broadcast_record:
+            srcs: list[int] = []
+            dsts: list[int] = []
+            wires: list[int] = []
+            payloads: list[tuple[np.ndarray, np.ndarray]] = []
             for m in range(H):
                 changed = changed_per_master[m]
+                if requested is None:
+                    # No access set is an input: one selection (and one
+                    # read-only gather) serves every receiver.
+                    ids, w = plan.broadcast_selection(changed, self._blocks[m], None, dim)
+                    if w > 0:
+                        others = self._others[m]
+                        vals = canonical[m][ids]
+                        vals.flags.writeable = False
+                        srcs += [m] * len(others)
+                        dsts += others
+                        wires += [w] * len(others)
+                        payloads += [(ids, vals)] * len(others)
+                    continue
                 # Receivers of the changed set itself share one read-only
                 # gather of its rows.
                 changed_vals: np.ndarray | None = None
-                for h in range(H):
-                    if h == m:
-                        continue
-                    ids, wire = plan.broadcast_selection(
-                        changed, self._blocks[m], None if wanted is None else wanted[h][m], dim
+                for h in self._others[m]:
+                    ids, w = plan.broadcast_selection(
+                        changed, self._blocks[m], requested[m].get(h, empty), dim
                     )
-                    if wire <= 0:
+                    if w <= 0:
                         continue
                     if ids is changed:
                         if changed_vals is None:
@@ -415,7 +486,11 @@ class GluonSynchronizer:
                         vals = changed_vals
                     else:
                         vals = canonical[m][ids]
-                    self.network.send(m, h, wire, payload=(ids, vals))
+                    srcs.append(m)
+                    dsts.append(h)
+                    wires.append(w)
+                    payloads.append((ids, vals))
+            self.network.exchange(srcs, dsts, wires, payloads)
             # Masters were drained in ascending order over disjoint
             # ascending blocks: a receiver's concatenated ids are sorted.
             received_per_host: list[np.ndarray] = []
@@ -453,18 +528,17 @@ class GluonSynchronizer:
         if not 0 <= host < self.num_hosts:
             raise ValueError(f"host {host} out of range [0, {self.num_hosts})")
         with self.network.phase(f"{RECOVERY_PHASE}:{field.name}") as record:
-            for m in range(self.num_hosts):
-                if m == host:
-                    continue
-                lo, hi = int(self.bounds[m]), int(self.bounds[m + 1])
-                if hi == lo:
-                    continue
-                self.network.send(
-                    m,
-                    host,
-                    (hi - lo) * field.dim * VALUE_BYTES,
-                    payload=(np.arange(lo, hi, dtype=np.int64), canonical[m][lo:hi].copy()),
-                )
+            masters = [m for m in self._others[host] if self._blocks[m]]
+            blocks = [master_block_slice(self.bounds, m) for m in masters]
+            self.network.exchange(
+                masters,
+                [host] * len(masters),
+                [(b.stop - b.start) * field.dim * VALUE_BYTES for b in blocks],
+                [
+                    (np.arange(b.start, b.stop, dtype=np.int64), canonical[m][b].copy())
+                    for m, b in zip(masters, blocks)
+                ],
+            )
             for _src, (ids, vals) in self.network.drain(host):
                 field.land(host, ids, vals)
         if self.checker is not None:

@@ -10,8 +10,8 @@ for every node, masters block-distributed (paper §4.2, Figures 4/5).
 Execution.  Per epoch, each host's worklist is split into ``S``
 synchronization rounds.  A round applies the Word2Vec operator to the
 host's chunk (updating its replica in place) and then bulk-synchronizes
-both label fields through Gluon: mirrors ship *deltas* since the round's
-base, the master folds them with the configured combiner (model combiner
+both label fields through Gluon: mirrors ship the round's *deltas* (each
+row after the round minus before it), the master folds them with the configured combiner (model combiner
 by default), and new canonical values are broadcast back under the
 configured communication plan (RepModel-Naive / RepModel-Opt / PullModel).
 After all rounds the learning rate decays and the next epoch begins.
@@ -291,21 +291,23 @@ class GraphWord2Vec:
 
         # Model replicas: identical initialization on every host (all hosts
         # derive it from the shared seed, as they derive node ids from the
-        # shared hash function).
+        # shared hash function).  The engine measures each step's deltas
+        # against its own pre-kernel rows, so delta bases — a second copy
+        # of every replica — exist only for the sync checker's
+        # dropped-write audit.
         init = Word2VecModel.initialize(
             vocab_size, params.dim, self._seeds.child("init"), output_rows=output_rows
         )
+
+        def replicas(values: np.ndarray) -> list[np.ndarray]:
+            return [values.copy() for _ in range(self.num_hosts)]
+
+        audited = self.sync_checker is not None
         self._fields = {
-            "embedding": FieldSync(
-                "embedding",
-                arrays=[init.embedding.copy() for _ in range(self.num_hosts)],
-                bases=[init.embedding.copy() for _ in range(self.num_hosts)],
-            ),
-            "training": FieldSync(
-                "training",
-                arrays=[init.training.copy() for _ in range(self.num_hosts)],
-                bases=[init.training.copy() for _ in range(self.num_hosts)],
-            ),
+            name: FieldSync(
+                name, arrays=replicas(values), bases=replicas(values) if audited else None
+            )
+            for name, values in (("embedding", init.embedding), ("training", init.training))
         }
 
         # Per-host contiguous shards of the corpus (Algorithm 1, line 4).
@@ -416,6 +418,15 @@ class GraphWord2Vec:
         )
         return work, time.thread_time() - start
 
+    def _access_rows(self, host: int, work: RoundWork) -> list[np.ndarray]:
+        """``host``'s replica rows on ``work``'s access sets (embedding,
+        then output layer) as they stand now: taken just before a step's
+        kernel, what its deltas are measured against."""
+        return [
+            self._fields["embedding"].arrays[host][work.embedding_access],
+            self._fields["training"].arrays[host][work.output_access],
+        ]
+
     def _next_slot(self, epoch: int, round_index: int) -> tuple[int, int] | None:
         if round_index + 1 < self.sync_rounds:
             return epoch, round_index + 1
@@ -515,7 +526,7 @@ class GraphWord2Vec:
         s: int,
         crash,
         lr: float,
-    ) -> tuple[RoundWork, int, float, float]:
+    ) -> tuple[RoundWork, list[np.ndarray], int, float, float]:
         """Fail-stop recovery of one crashed host.
 
         (1) The barrier times out and declares the host dead; (2) its
@@ -524,16 +535,17 @@ class GraphWord2Vec:
         worklist chunk is replayed on the restored replica (work generation
         is a pure function of the seed tree, so the replay redoes exactly
         the lost updates).  Both restores read the canonical store: it is
-        the state at the fold frontier, whereas a survivor's base rows
+        the state at the fold frontier, whereas a survivor's replica rows
         carry its own unfolded local view, which is not what recovery must
         rebuild.
 
-        Returns ``(work, pairs, lost_compute_s, recovery_s)``: the replayed
-        work, the modeled compute the doomed attempt burned on the dead
-        host, and the modeled detect + restore + replay stall.  The replay
-        is redistributed across the survivors (values come from the
-        sequential execution, wall-clock from the concurrency model, as
-        everywhere in this simulation).
+        Returns ``(work, before, pairs, lost_compute_s, recovery_s)``: the
+        replayed work, its access rows as restored (what the replay's
+        deltas are measured against), the modeled compute the doomed
+        attempt burned on the dead host, and the modeled detect + restore
+        + replay stall.  The replay is redistributed across the survivors
+        (values come from the sequential execution, wall-clock from the
+        concurrency model, as everywhere in this simulation).
         """
         assert self.fault_schedule is not None and self.fault_report is not None
         config = self.fault_schedule.config
@@ -561,6 +573,7 @@ class GraphWord2Vec:
         # (3) replay (thread_time, like the compute phase: recovery cost
         # must not depend on what else shares the simulator's cores).
         work = self._get_work(epoch, s, h)
+        before = self._access_rows(h, work)
         start = time.thread_time()
         _loss, pairs = work.apply(
             self._fields["embedding"].arrays[h],
@@ -586,6 +599,7 @@ class GraphWord2Vec:
         report.restore_s += storage_s
         return (
             work,
+            before,
             pairs,
             crash.loss_fraction * replay_measured * own_factor,
             config.detect_timeout_s + storage_s + replay_s,

@@ -24,6 +24,7 @@ from repro.dgraph import BSPEngine, Engine
 from repro.dgraph.async_engine import SSPTrainingEngine, build_interleaving
 from repro.dgraph.engine import TrainingEngine, compensate_delta, resolve_training_engine
 from repro.gluon.bitvector import BitVector
+from repro.gluon.comm import SimulatedNetwork
 from repro.gluon.proxies import master_block_slice
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
@@ -107,6 +108,8 @@ def lockstep_oracle(plan):
     each field.  Fault-free.  Returns ``(model, pairs, network)``."""
     t = make(plan=plan)
     fields = [(t._fields["embedding"], t._sync_emb), (t._fields["training"], t._sync_out)]
+    for field, _ in fields:  # sync_replicated measures deltas against bases
+        field.bases = [a.copy() for a in field.arrays]
     slots = [(e, r) for e in range(PARAMS.epochs) for r in range(t.sync_rounds)]
     pairs = 0
 
@@ -335,6 +338,88 @@ def test_fold_python_work_is_linear_in_hosts(monkeypatch):
         assert max(fold["lands"]) <= 2
     # The workload does conflict: some row is touched by several hosts.
     assert max(len(fold["accumulated"]) for fold in folds) > 1
+
+
+#: Crashes and transient message faults in one schedule.
+CRASH_AND_TRANSIENT = FaultConfig(
+    crash_prob=0.15, max_crashes=2, drop_prob=0.05, corrupt_prob=0.02
+)
+
+
+@pytest.mark.parametrize("plan, staleness", [("opt", 0), ("pull", 2)])
+def test_every_phase_is_one_exchange(monkeypatch, plan, staleness):
+    """Folds, broadcasts, refreshes and crash restores charge each phase
+    with one ``exchange`` call and never fall back to per-message sends."""
+    sends, exchanged = [], []
+    real_send, real_exchange = SimulatedNetwork.send, SimulatedNetwork.exchange
+
+    def counted_send(self, *args, **kwargs):
+        sends.append(args)
+        return real_send(self, *args, **kwargs)
+
+    def counted_exchange(self, *args, **kwargs):
+        exchanged.append(self._active)
+        return real_exchange(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedNetwork, "send", counted_send)
+    monkeypatch.setattr(SimulatedNetwork, "exchange", counted_exchange)
+    trainer = GraphWord2Vec(
+        corpus(), PARAMS, num_hosts=HOSTS, seed=SEED, plan=plan,
+        faults=CRASH_AND_TRANSIENT, engine="async", staleness=staleness,
+    )
+    trainer.train()
+    records = trainer.network.phase_records
+    kinds = {r.name.split(":")[0] for r in records}
+    assert {"reduce", "broadcast", "recovery"} <= kinds
+    assert sends == []
+    assert [sum(e is r for e in exchanged) for r in records] == [1] * len(records)
+
+
+class TestBaselessEngine:
+    """The engine measures each step's deltas against the step's own
+    pre-kernel rows, so it keeps no delta bases unless the sync checker's
+    dropped-write audit needs them — and keeping them changes nothing."""
+
+    @pytest.mark.parametrize("plan, staleness", [("opt", 0), ("pull", 2)])
+    def test_sanitized_twin_with_bases_is_bit_identical(self, plan, staleness):
+        runs = []
+        for sanitize in (False, True):
+            trainer = GraphWord2Vec(
+                corpus(), PARAMS, num_hosts=HOSTS, seed=SEED, plan=plan,
+                faults=CRASH_AND_TRANSIENT, engine="async", staleness=staleness,
+                sanitize=sanitize,
+            )
+            result = trainer.train()
+            runs.append((trainer, result))
+        (plain, plain_result), (audited, audited_result) = runs
+        assert all(f.bases is None for f in plain._fields.values())
+        assert all(f.bases is not None for f in audited._fields.values())
+        assert audited.sanitize_findings == []
+        assert plain_result.report.faults.crashes > 0
+        assert fingerprint(plain_result) == fingerprint(audited_result)
+        for name in ("embedding", "training"):
+            assert plain._canonical[name].tobytes() == audited._canonical[name].tobytes()
+            for a, b in zip(plain._fields[name].arrays, audited._fields[name].arrays):
+                assert a.tobytes() == b.tobytes()
+        assert plain.network.stats == audited.network.stats
+        # Fault counters (the measured replay/straggler seconds excluded).
+        counters = [
+            "crashes", "recovery_bytes", "checkpoint_restore_bytes", "messages_dropped",
+            "messages_corrupted", "retransmissions", "escalations", "resent_bytes",
+            "nack_bytes", "backoff_s", "detect_s", "restore_s",
+        ]
+        assert [getattr(plain.fault_report, c) for c in counters] == [
+            getattr(audited.fault_report, c) for c in counters
+        ]
+
+    def test_sync_replicated_needs_bases(self):
+        trainer = make()
+        field = trainer._fields["embedding"]
+        assert field.bases is None
+        flags = [BitVector(field.num_nodes) for _ in range(HOSTS)]
+        with pytest.raises(ValueError, match="'embedding'.*bases"):
+            trainer._sync_emb.sync_replicated(field, flags, trainer.combiner, trainer.plan)
+        assert trainer.network.phase_records == []
 
 
 # ----------------------------------------------------------------------

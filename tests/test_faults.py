@@ -1,5 +1,9 @@
 """Fault-injection battery: schedules, injectors, recovery, reporting."""
 
+from dataclasses import fields
+import math
+
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.cluster.faults import (
@@ -317,3 +321,65 @@ class TestParseFaultSpec:
     def test_malformed_item_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_fault_spec("crash")
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("restore_bandwidth_Bps=nan", "restore_bandwidth_Bps"),
+            ("restore_bandwidth_Bps=inf", "restore_bandwidth_Bps"),
+            ("detect_timeout_s=inf", "detect_timeout_s"),
+            ("detect_timeout_s=nan", "detect_timeout_s"),
+            ("retry_backoff_s=nan", "retry_backoff_s"),
+            ("retry_backoff_s=-1", "retry_backoff_s"),
+            ("straggler_factor=2:inf", "straggler_factor"),
+            ("crash=nan", "crash_prob"),
+            ("crash=abc", "crash"),
+            ("max_retries=1.5", "max_retries"),
+            ("straggler_factor=2:x", "straggler_factor"),
+        ],
+    )
+    def test_bad_values_name_their_field(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            parse_fault_spec(spec)
+
+    def test_injector_rejects_each_negative_probability(self):
+        # The sum is a valid probability; each term on its own is not.
+        with pytest.raises(ValueError, match="drop_prob"):
+            TransientFaultInjector(drop_prob=-0.5, corrupt_prob=0.6)
+        with pytest.raises(ValueError, match="corrupt_prob"):
+            TransientFaultInjector(drop_prob=0.6, corrupt_prob=-0.5)
+        with pytest.raises(ValueError, match="corrupt_prob"):
+            TransientFaultInjector(drop_prob=0.0, corrupt_prob=float("nan"))
+
+
+FIELD_NAMES = [f.name for f in fields(FaultConfig)]
+SPEC_KEYS = FIELD_NAMES + ["crash", "drop", "corrupt", "straggler"]
+SPEC_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "2", "1e400", "abc", "", "2:4", "4:2", "1:nan"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-5, max_value=10).map(str),
+    st.text(alphabet="0123456789.:-eainf", max_size=6),
+)
+SPEC_ITEMS = st.one_of(
+    st.tuples(st.sampled_from(SPEC_KEYS), SPEC_VALUES).map("=".join),
+    st.text(alphabet="abcdrops_=:,.0123456789 ", max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(items=st.lists(SPEC_ITEMS, max_size=4))
+def test_fuzzed_specs_give_a_config_or_a_named_value_error(items):
+    """Every spec parses to a valid config or fails with a ``ValueError``
+    naming what is wrong — never another exception, never a config that
+    would poison the timing model."""
+    spec = ",".join(items)
+    try:
+        config = parse_fault_spec(spec)
+    except ValueError as exc:
+        message = str(exc)
+        named = [key for key in SPEC_KEYS if key in message]
+        assert named or "malformed fault spec item" in message or "unknown fault spec key" in message, message
+        return
+    assert isinstance(config, FaultConfig)
+    costs = (config.detect_timeout_s, config.retry_backoff_s, config.restore_bandwidth_Bps)
+    assert all(math.isfinite(x) for x in (*costs, *config.straggler_factor))
