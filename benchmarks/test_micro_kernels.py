@@ -159,7 +159,7 @@ FOLD_V, FOLD_TOUCHED = 1325, 450
 def test_micro_sync_round(benchmark, monkeypatch, H):
     """One fold-kernel call (reduce -> combine -> broadcast) at H hosts, to
     the training engine's destination: one shared canonical store, and
-    landings that write the replica only (no delta bases)."""
+    landings that write the replica only."""
     parts = replicate_all_partitions(FOLD_V, H)
     combiner = get_combiner("mc")
     plan = get_plan("opt")

@@ -30,22 +30,22 @@ seed through ``derive_seed``/``keyed_rng`` key tuples.
 **Gluon sync protocol** — the static counterpart of
 ``GluonSyncChecker``, scoped to *clients* of the protocol.  The protocol
 engines themselves are exempt: ``repro/gluon/sync.py`` (the one fold
-kernel and its bit-vector front end) and ``repro/dgraph/async_engine.py``
-(the training engine, the kernel's caller: it owns no fold arithmetic,
-but its capture-and-rebase discipline and its read-my-writes landing
-legally read and write mirrors outside ``set_many`` flagging — its
+kernel) and ``repro/dgraph/async_engine.py`` (the training engine, the
+kernel's caller: it owns no fold arithmetic, but its delta capture and
+its read-my-writes landing legally read and write mirrors outside
+``set_many`` flagging — its
 staleness is bounded dynamically by
 ``GluonSyncChecker.note_async_step``), plus the analysis package.
 
 - ``REPRO121`` *gluon-unflagged-write*: a write to a ``FieldSync``
   mirror (``field.arrays[...]``) in barrier-reaching code with no
-  ``set_many``/``BitVector.set`` flagging and no base rebase
-  (``arrays`` + ``bases`` written together) in the function or its
-  direct callers — ``sync_replicated`` would drop the delta.
+  ``set_many``/``BitVector.set`` flagging in the function or its direct
+  callers — the row is in no touched set the fold reduces, so the delta
+  is dropped.
 - ``REPRO122`` *gluon-stale-read*: a mirror read outside the
-  ``master_block_slice`` confinement and outside a flagged/rebasing
-  context — it may observe pre-sync staleness beyond PullModel's
-  confined-staleness contract.
+  ``master_block_slice`` confinement and outside a flagged context — it
+  may observe pre-sync staleness beyond PullModel's confined-staleness
+  contract.
 
 Findings are raw here (0-based columns, unsuppressed); the lint driver
 finalizes them with the shared suppression/column machinery so
@@ -334,26 +334,19 @@ def _gluon_pass(program: Program, sb: SummaryBuilder) -> list:
         mirror_r = [e for e in effects if e.mode == "r" and e.gluon == "arrays"]
         if not mirror_w and not mirror_r:
             continue
-        has_rebase = any(e.mode == "w" and e.gluon == "bases" for e in effects)
         has_flags = sb.closure_flags(finfo)
         barrier = sb.closure_barrier(finfo)
-        caller_flags = caller_rebase = caller_barrier = False
+        caller_flags = caller_barrier = False
         for caller_q in sorted(callers.get(finfo.qname, ())):
             caller_fi = program.functions.get(caller_q)
             if caller_fi is None:
                 continue
             caller_flags = caller_flags or sb.closure_flags(caller_fi)
             caller_barrier = caller_barrier or sb.closure_barrier(caller_fi)
-            if not caller_rebase:
-                caller_rebase = any(
-                    e.mode == "w" and e.gluon == "bases"
-                    for e in sb.closure_effects(caller_fi)
-                )
         if not (barrier or caller_barrier):
             continue  # never reaches a round barrier we can see
         flagged_ctx = has_flags or caller_flags
-        rebase_ctx = has_rebase or caller_rebase
-        if not (flagged_ctx or rebase_ctx):
+        if not flagged_ctx:
             for e in mirror_w:
                 findings.append(
                     Finding(
@@ -362,8 +355,8 @@ def _gluon_pass(program: Program, sb: SummaryBuilder) -> list:
                         e.line,
                         e.col,
                         f"write to mirror {e.describe()} reaches a round barrier "
-                        "with no set_many/BitVector.set flagging and no base "
-                        "rebase in scope; sync_replicated would drop this delta "
+                        "with no set_many/BitVector.set flagging in scope; the "
+                        "row is in no touched set, so the fold drops this delta "
                         "(static counterpart of GluonSyncChecker)",
                     )
                 )
@@ -371,7 +364,7 @@ def _gluon_pass(program: Program, sb: SummaryBuilder) -> list:
             tags = e.select | (e.index or frozenset())
             if "master" in tags:
                 continue  # confined to the master block: always fresh
-            if flagged_ctx or rebase_ctx:
+            if flagged_ctx:
                 continue
             findings.append(
                 Finding(

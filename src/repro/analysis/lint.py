@@ -165,7 +165,7 @@ RULES: dict[str, Rule] = {
         "REPRO121",
         "gluon-unflagged-write",
         "FieldSync mirror write can reach a round barrier without set_many "
-        "flagging or a base rebase; sync_replicated would drop the delta",
+        "flagging; the fold never reduces the delta",
     ),
     "REPRO122": Rule(
         "REPRO122",

@@ -15,14 +15,16 @@ actually ran the loop (chunking is a scheduling knob, not a correctness
 boundary): a race is reported even when the loop happened to run serially.
 
 Protocol checking (:class:`GluonSyncChecker`) hooks the synchronizer's one
-fold kernel — so every caller, the training engine and direct
-``sync_replicated`` users alike, is audited by the same code — and tracks
-three per-(field, host) invariants:
+fold kernel — so every caller, the training engine and direct ``fold``
+users alike, is audited by the same code.  For each field it watches
+(:meth:`~GluonSyncChecker.watch`) it keeps a *shadow* of every replica —
+the rows as the protocol last left them (a landing, a capture, a restore)
+— and tracks three per-(field, host) invariants:
 
-- **dropped writes** — rows where ``array != base`` that were neither in
-  the fold's touched set nor part of the *expected residual* (PullModel
-  legitimately leaves already-reduced deltas in place on rows it chose
-  not to refresh);
+- **dropped writes** — rows where the replica differs from its shadow that
+  were neither in the fold's touched set nor part of the *expected
+  residual* (PullModel legitimately leaves already-reduced deltas in place
+  on rows it chose not to refresh);
 - **stale reads** — a host contributing a row its replica held stale
   *when the step started* (the master changed in an earlier fold without
   a broadcast reaching this host since).  Rows that go stale while a host
@@ -318,12 +320,13 @@ class GluonSyncChecker:
 
     Attach via ``synchronizer.checker = checker`` (both the embedding and
     output synchronizers may share one instance; state is keyed by field
-    name).  The checker observes the fold kernel's entry and exit, every
-    broadcast landing (a fold's or a PullModel refresh's) and
-    ``restore_host``, and — for the BSP value-mode loop — per-round
-    outcomes through :meth:`observe_bsp_round`.  It doubles as the
-    divergence sentinel: rows a fold leaves non-finite are a finding
-    naming the round, field and host.
+    name) and :meth:`watch` every field it will sync.  The checker observes
+    the fold kernel's entry and exit, every broadcast landing (a fold's or
+    a PullModel refresh's) and ``restore_host``, and — for the BSP
+    value-mode loop — per-round outcomes through :meth:`observe_bsp_round`.
+    It doubles as the divergence sentinel: rows a fold leaves non-finite
+    are a finding naming the round, field and host.  It never writes a
+    replica.
     """
 
     name = "gluon"
@@ -331,7 +334,10 @@ class GluonSyncChecker:
     def __init__(self) -> None:
         self.findings: list[SanitizeFinding] = []
         self.rounds_observed = 0
-        # Expected residual per (field, host): rows where array != base is
+        # Per watched field: each host's replica rows as the protocol last
+        # left them — a landing, the engine's capture, a restore.
+        self._shadow: dict[str, list[np.ndarray]] = {}
+        # Expected residual per (field, host): rows where array != shadow is
         # legitimate because the delta was already reduced but the plan
         # chose not to refresh the row (PullModel).
         self._residual: dict[tuple[str, int], np.ndarray] = {}
@@ -346,6 +352,22 @@ class GluonSyncChecker:
         # may start, and the fold frontier per field.
         self._async_clock: dict[tuple[str, int], int] = {}
         self._async_folds: dict[str, int] = {}
+
+    def watch(self, field_sync: Any) -> None:
+        """Audit ``field_sync`` from its replicas' current values on: before
+        its first sync, and after its replicas are rebuilt outside the
+        protocol (a checkpoint load)."""
+        self._shadow[field_sync.name] = [a.copy() for a in field_sync.arrays]
+
+    def require_watched(self, field_sync: Any) -> list[np.ndarray]:
+        """The field's shadow; a ``ValueError`` naming it when unwatched."""
+        if field_sync.name not in self._shadow:
+            raise ValueError(f"field {field_sync.name!r} is not watched by the sync checker")
+        return self._shadow[field_sync.name]
+
+    def note_capture(self, field_sync: Any, host: int, ids: np.ndarray) -> None:
+        """The engine buffered ``host``'s rows ``ids`` as a step's delta."""
+        self._shadow[field_sync.name][host][ids] = field_sync.arrays[host][ids]
 
     def reset_state(self) -> None:
         """Forget residual/stale tracking (e.g. after a checkpoint load)."""
@@ -447,20 +469,20 @@ class GluonSyncChecker:
         mutation.  ``sync_round`` is the caller's ``fold_offset`` — the
         trainer's global round."""
         name = field_sync.name
+        shadow = self.require_watched(field_sync)
         emitted = 0
         for h, flagged in enumerate(touched):
             arr = field_sync.arrays[h]
-            base = field_sync.bases[h]
-            neq = arr != base
+            neq = arr != shadow[h]
             if np.issubdtype(arr.dtype, np.floating):
                 # NaN != NaN: rows that diverged to NaN on both sides are
                 # equal for protocol purposes (divergence is a legitimate
                 # training outcome, not a dropped write).
-                neq &= ~(np.isnan(arr) & np.isnan(base))
+                neq &= ~(np.isnan(arr) & np.isnan(shadow[h]))
             dirty = np.flatnonzero(neq.any(axis=1)).astype(np.int64)
             allowed = np.union1d(flagged, self._residual.get((name, h), _empty_ids()))
-            # Touched rows stay expected residual until a landing rebases
-            # them (``after_broadcast``).
+            # Touched rows stay expected residual until a landing
+            # refreshes them (``after_broadcast``).
             self._residual[(name, h)] = allowed
             dropped = np.setdiff1d(dirty, allowed, assume_unique=True)
             if dropped.size and emitted < _MAX_FINDINGS_PER_CHECK:
@@ -497,7 +519,7 @@ class GluonSyncChecker:
 
     def after_broadcast(
         self,
-        name: str,
+        field_sync: Any,
         bounds: np.ndarray,
         plan: Any,
         changed_per_master: Sequence[np.ndarray],
@@ -505,11 +527,14 @@ class GluonSyncChecker:
         received_per_host: Sequence[np.ndarray],
     ) -> None:
         """Rows landed on mirrors (a fold's broadcast or a PullModel
-        refresh): audit them and roll the stale/residual ledgers."""
+        refresh): audit them, shadow them and roll the stale/residual
+        ledgers."""
+        name = field_sync.name
         changed_all = _concat_sorted(changed_per_master)  # blocks disjoint => unique
         emitted = 0
         for h, recv in enumerate(received_per_host):
             if recv.size:
+                self._shadow[name][h][recv] = field_sync.arrays[h][recv]
                 justified = np.isin(recv, changed_all)
                 if plan.requires_access_sets and accessed is not None:
                     justified |= np.isin(recv, np.asarray(accessed[h], dtype=np.int64))
@@ -541,15 +566,17 @@ class GluonSyncChecker:
             self._stale[(name, h)] = np.setdiff1d(stale, recv, assume_unique=True)
 
     def after_fold(self, field_sync: Any, result: Any, sync_round: int) -> None:
-        """Exit hook: the divergence sentinel over the rows this fold wrote
-        (``result`` is the kernel's ``ReplicatedSyncResult``)."""
+        """Exit hook: shadow each master's own folded rows, then the
+        divergence sentinel over the rows this fold wrote (``result`` is the
+        kernel's ``ReplicatedSyncResult``)."""
         name = field_sync.name
         emitted = 0
         for h, (own, recv) in enumerate(
             zip(result.changed_per_master, result.received_per_host)
         ):
-            rebased = np.union1d(recv, own)
-            broken = rebased[~np.isfinite(field_sync.arrays[h][rebased]).all(axis=1)]
+            self._shadow[name][h][own] = field_sync.arrays[h][own]
+            landed = np.union1d(recv, own)
+            broken = landed[~np.isfinite(field_sync.arrays[h][landed]).all(axis=1)]
             if broken.size and emitted < _MAX_FINDINGS_PER_CHECK:
                 emitted += 1
                 self.findings.append(
@@ -568,6 +595,7 @@ class GluonSyncChecker:
     def after_restore(self, field_sync: Any, host: int) -> None:
         """Crash recovery rebuilt ``host``'s replica: everything is fresh,
         for the steps it has already noted too."""
+        np.copyto(self._shadow[field_sync.name][host], field_sync.arrays[host])
         self._residual[(field_sync.name, host)] = _empty_ids()
         self._stale[(field_sync.name, host)] = _empty_ids()
         for key in self._stale_at_start:

@@ -19,8 +19,7 @@ single call:
   constant, a parameter reference, or an opaque atom.
 - **Flags / barriers** — whether the function marks written rows for the
   synchronizer (``set_many``, or ``set`` on a ``BitVector``) and whether
-  it reaches a round barrier (``sync_replicated``/``sync_value``/
-  ``snapshot_bases``).
+  it reaches a round barrier (``fold``/``sync_value``).
 - **Call sites and ``do_all`` operators** — resolved edges with argument
   bindings, so effects compose transitively (depth-limited).
 
@@ -43,7 +42,7 @@ _MAX_DEPTH = 3
 _MAX_EFFECTS = 400
 
 _SEED_FUNCS = {"derive_seed", "keyed_rng", "spawn_rngs"}
-_BARRIER_FUNCS = {"sync_replicated", "sync_value", "snapshot_bases"}
+_BARRIER_FUNCS = {"fold", "sync_value"}
 _MUTATOR_METHODS = {
     "append",
     "extend",
@@ -80,7 +79,7 @@ class Effect:
     path: str
     line: int
     col: int
-    gluon: Optional[str] = None  # "arrays"/"bases" when a FieldSync replica is touched
+    gluon: Optional[str] = None  # "arrays" when a FieldSync replica is touched
     via: str = ""  # qname of the function that performs the access
 
     def describe(self) -> str:
@@ -293,10 +292,10 @@ class SummaryBuilder:
                 select |= self.tags_of_expr(node.slice, finfo)
                 node = node.value
             elif isinstance(node, ast.Attribute):
-                if node.attr in ("arrays", "bases") and gluon is None:
+                if node.attr == "arrays" and gluon is None:
                     owner_t = self.program.expr_type(node.value, finfo)
                     if type_basename(owner_t) == "FieldSync":
-                        gluon = node.attr
+                        gluon = "arrays"
                 attrs.append(node.attr)
                 node = node.value
             else:

@@ -13,8 +13,9 @@ owner routing, wire formulas, rotating combiner order, message sequence),
 handed this engine's contributions (deltas buffered at capture time) and
 *destination* (the canonical store, and a landing that preserves
 read-my-writes).  ``tests/test_async_engine.py`` pins the ``s = 0``
-schedule against a lock-step oracle that drives the kernel's bit-vector
-front end (``sync_replicated``) under every communication plan.
+schedule against a lock-step oracle that folds bit-vector-flagged
+``current − base`` deltas through the same kernel under every
+communication plan.
 
 Determinism story.  The interleaving is not discovered from wall-clock —
 it is *recorded*: :func:`build_interleaving` runs a virtual event loop
@@ -437,7 +438,7 @@ class SSPTrainingEngine(TrainingEngine):
             # access rows after its kernel minus the same rows gathered
             # just before it, so a round's delta never absorbs another
             # round's writes.  Everything touched here is host-local
-            # (replica arrays, audit bases, the private slot list).
+            # (replica arrays, their checker shadows, the private slot list).
             for g in chains[host]:
                 work = works[(host, g)]
                 before = trainer._access_rows(host, work)
@@ -562,11 +563,13 @@ class SSPTrainingEngine(TrainingEngine):
         minus ``before``, the step's own gather of its access rows taken
         just before the kernel — is buffered until the round folds.  With
         delay compensation enabled the float64 pre-kernel rows are kept too
-        (drift = canonical-at-fold − rows-before-the-step).  Bases, kept
-        only for the sync checker's dropped-write audit, are rebased here.
-        Host-local arrays only — safe inside the parallel chain.
+        (drift = canonical-at-fold − rows-before-the-step).  The sync
+        checker, when attached, shadows the captured rows: they hold no
+        unshipped work.  Host-local arrays only — safe inside the parallel
+        chain.
         """
         lam = self.delay_compensation
+        checker = trainer.sync_checker
         out = []
         for (fname, ids), old in zip(
             (("embedding", work.embedding_access), ("training", work.output_access)),
@@ -577,8 +580,8 @@ class SSPTrainingEngine(TrainingEngine):
                 out.append((ids, np.empty((0, field.dim)), None))
                 continue
             new = field.arrays[host][ids]
-            if field.bases is not None:
-                field.bases[host][ids] = new
+            if checker is not None:
+                checker.note_capture(field, host, ids)
             old = old.astype(np.float64)
             out.append((ids, new.astype(np.float64) - old, old if lam > 0 else None))
         return out
@@ -631,7 +634,7 @@ class SSPTrainingEngine(TrainingEngine):
         H = trainer.num_hosts
         sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
         pending = trainer._async_state["pending_stale"]
-        _request, _broadcast, received = sync.broadcast(
+        received = sync.broadcast(
             trainer._fields[fname],
             trainer.plan,
             [_empty_ids()] * H,
@@ -806,8 +809,8 @@ class SSPTrainingEngine(TrainingEngine):
         inductive fold order rotates and no host's shard is permanently
         favored by the combiner.  At s=0 no delta is pending at a fold and
         replica rows equal canon on every touched row, so a lock-step
-        caller of ``sync_replicated`` feeds the kernel the same
-        contributions and destination values (the oracle in
+        caller measuring ``current − base`` deltas feeds the kernel the
+        same contributions and destination values (the oracle in
         ``tests/test_async_engine.py``).
         """
         field = trainer._fields[fname]

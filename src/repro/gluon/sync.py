@@ -12,10 +12,7 @@ Two synchronization modes cover the library's needs:
   caller: each hands it the contributions and the *destination* (where
   canonical rows live, how they land on a replica).
   The training engine (:mod:`repro.dgraph.async_engine`) folds deltas it
-  buffered at capture time into its canonical store;
-  :meth:`GluonSynchronizer.sync_replicated` is the kernel's bit-vector
-  front end for lock-step callers — deltas are current − base, canonical
-  rows live in the masters' bases.
+  buffered at capture time into its canonical store.
 - :meth:`GluonSynchronizer.sync_value` — the classic graph-analytics mode
   used by the apps in :mod:`repro.dgraph.apps`.  Mirrors send their label
   *values*; masters reduce them with an elementwise operator (min for sssp,
@@ -29,7 +26,7 @@ data movement cannot drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,20 +55,15 @@ RECOVERY_PHASE = "recovery"
 class FieldSync:
     """A replicated model field registered for synchronization.
 
-    ``arrays[h]`` is host ``h``'s replica, shape ``(N, dim)``.  ``bases``,
-    when kept, holds per host the snapshot deltas are measured against by
-    :meth:`GluonSynchronizer.sync_replicated` (and what the sync checker's
-    dropped-write audit compares replicas with); callers that measure
-    their own deltas — the training engine — pass ``None``.  Both are
-    updated in place by the synchronizer.
+    ``arrays[h]`` is host ``h``'s replica, shape ``(N, dim)``, updated in
+    place by the synchronizer.
     """
 
     name: str
     arrays: list[np.ndarray]
-    bases: list[np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        shapes = {a.shape for a in self.arrays} | {b.shape for b in self.bases or ()}
+        shapes = {a.shape for a in self.arrays}
         if len(shapes) != 1:
             raise ValueError(f"field {self.name!r}: inconsistent replica shapes {shapes}")
         if self.arrays[0].ndim != 2:
@@ -85,50 +77,19 @@ class FieldSync:
     def num_nodes(self) -> int:
         return self.arrays[0].shape[0]
 
-    def snapshot_bases(self) -> None:
-        """Record current replica values as the new delta baseline."""
-        for base, arr in zip(self._require_bases("snapshot_bases"), self.arrays):
-            np.copyto(base, arr)
-
     def land(self, host: int, ids: np.ndarray | slice, vals: np.ndarray) -> None:
-        """Overwrite rows of ``host``'s replica (and of its delta base, when
-        kept) with canonical ``vals``: the rows hold no unreduced work
-        afterwards."""
+        """Overwrite rows of ``host``'s replica with canonical ``vals``: the
+        rows hold no unreduced work afterwards."""
         self.arrays[host][ids] = vals
-        if self.bases is not None:
-            self.bases[host][ids] = vals
-
-    def _require_bases(self, what: str) -> list[np.ndarray]:
-        if self.bases is None:
-            raise ValueError(
-                f"field {self.name!r}: {what} needs delta bases, but the field "
-                "was built with bases=None"
-            )
-        return self.bases
 
 
 @dataclass
 class ReplicatedSyncResult:
-    """Accounting for one replicated-field sync round."""
+    """What one fold changed: per master the rows it folded, per host the
+    rows the broadcast landed (phase records are in the network's)."""
 
-    field: str
     changed_per_master: list[np.ndarray]
-    reduce_record: PhaseRecord
-    broadcast_record: PhaseRecord
-    request_record: PhaseRecord | None = None
-    #: Per host: global ids whose replica was overwritten by the broadcast.
-    received_per_host: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def num_changed(self) -> int:
-        return int(sum(len(c) for c in self.changed_per_master))
-
-    @property
-    def total_bytes(self) -> int:
-        total = self.reduce_record.total_bytes + self.broadcast_record.total_bytes
-        if self.request_record is not None:
-            total += self.request_record.total_bytes
-        return total
+    received_per_host: list[np.ndarray]
 
 
 @dataclass
@@ -167,12 +128,16 @@ class GluonSynchronizer:
         self._blocks = np.diff(self.bounds).astype(np.int64)  # master block sizes
         self._offdiag = ~np.eye(self.num_hosts, dtype=bool)
         self._others = [[h for h in range(self.num_hosts) if h != m] for m in range(self.num_hosts)]
+        # The node count of a foldable field: the fold needs every host to
+        # hold every node (-1: the partitions are not replicate-all).
+        counts = {p.num_local for p in self.partitions}
+        self._replicated_rows = counts.pop() if len(counts) == 1 else -1
         # Per node count N: a cleared membership mark and a position table
         # (the fold's union of touched ids and each id's slot in it).
         self._scratch: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: Optional :class:`~repro.analysis.runtime.GluonSyncChecker`; when
-        #: set, every fold, broadcast and crash restore is observed (never
-        #: perturbed) for protocol violations.
+        #: set, every fold, broadcast and crash restore of a field it
+        #: watches is observed (never perturbed) for protocol violations.
         self.checker = None
         # Mirror location map for value-mode sync: (master_host, mirror_host)
         # -> sorted global ids in master_host's block proxied on mirror_host.
@@ -188,47 +153,6 @@ class GluonSynchronizer:
     # ------------------------------------------------------------------
     # Replicated-model synchronization (GraphWord2Vec)
     # ------------------------------------------------------------------
-    def sync_replicated(
-        self,
-        field: FieldSync,
-        updated: Sequence[BitVector],
-        combiner: GradientCombiner,
-        plan: CommPlan,
-        accessed_next: Sequence[np.ndarray] | None = None,
-        fold_offset: int = 0,
-    ) -> ReplicatedSyncResult:
-        """One reduce+broadcast round for a replicated field.
-
-        ``updated[h]`` flags the nodes host ``h`` wrote since its base
-        snapshot; their deltas (current − base) are the contributions
-        handed to :meth:`fold`, with the delta bases as the canonical view
-        (a master's base rows hold the last folded values) and the plain
-        replica+base overwrite as the landing.  The field must keep bases
-        (``ValueError`` naming it otherwise, before any phase opens).  Bit
-        vectors are *not* cleared and bases are *not* re-snapshotted here —
-        the caller owns round boundaries (it may sync several fields).
-        """
-        H = self.num_hosts
-        bases = field._require_bases("sync_replicated")
-        if len(updated) != H:
-            raise ValueError(f"need {H} updated bit-vectors, got {len(updated)}")
-        for part in self.partitions:
-            if part.num_local != field.num_nodes:
-                raise ValueError(
-                    "sync_replicated requires fully replicated partitions "
-                    f"(host {part.host} has {part.num_local} of {field.num_nodes} nodes)"
-                )
-        touched = [bits.indices() for bits in updated]
-        deltas = [
-            arr[t].astype(np.float64) - base[t].astype(np.float64)
-            for arr, base, t in zip(field.arrays, bases, touched)
-        ]
-        return self.fold(
-            field, touched, deltas, combiner, plan,
-            canonical=bases, land=field.land,
-            accessed_next=accessed_next, fold_offset=fold_offset,
-        )
-
     def fold(
         self,
         field: FieldSync,
@@ -256,7 +180,9 @@ class GluonSynchronizer:
         precondition: ``touched[h]`` / ``accessed_next[h]`` strictly
         ascending ids in ``[0, num_nodes)``, ``deltas[h]`` of shape
         ``(len(touched[h]), dim)``, one entry per host — else a
-        ``ValueError`` naming field and host, before any phase opens.
+        ``ValueError`` naming field and host, before any phase opens; so
+        are partitions that are not replicate-all and, with a checker
+        attached, an unwatched field.
         Each phase is one :meth:`~repro.gluon.comm.SimulatedNetwork.exchange`.
 
         ``fold_offset`` rotates the (order-dependent) inductive fold of
@@ -267,6 +193,12 @@ class GluonSynchronizer:
         """
         H = self.num_hosts
         dim = field.dim
+        if field.num_nodes != self._replicated_rows:
+            part = next(p for p in self.partitions if p.num_local != field.num_nodes)
+            raise ValueError(
+                f"field {field.name!r}: the fold requires fully replicated partitions "
+                f"(host {part.host} has {part.num_local} of {field.num_nodes} nodes)"
+            )
         touched = self._sorted_ids(field, "touched", touched)
         if len(deltas) != H:
             raise ValueError(f"field {field.name!r}: deltas needs one array per host, got {len(deltas)}")
@@ -281,11 +213,10 @@ class GluonSynchronizer:
             accessed_next = self._sorted_ids(field, "accessed_next", accessed_next)
         if self.checker is not None:
             # Validate writes-vs-touched while replicas are still untouched.
-            field._require_bases("the sync checker's dropped-write audit")
             self.checker.before_fold(field, touched, fold_offset)
         dtype = canonical[0].dtype
 
-        with self.network.phase(f"reduce:{field.name}") as reduce_record:
+        with self.network.phase(f"reduce:{field.name}"):
             # Ids are sorted and master blocks contiguous, so host h's
             # contribution to master m is the slice cuts[h, m]:cuts[h, m + 1]
             # of its arrays: one message per nonzero wire, in (h, m) order.
@@ -348,19 +279,12 @@ class GluonSynchronizer:
                     land(m, rows, new_vals)
                 changed_per_master.append(rows)
 
-        request_record, broadcast_record, received_per_host = self.broadcast(
+        received_per_host = self.broadcast(
             field, plan, changed_per_master, accessed_next, canonical, land,
             request_phase=f"request:{field.name}",
             broadcast_phase=f"broadcast:{field.name}",
         )
-        result = ReplicatedSyncResult(
-            field=field.name,
-            changed_per_master=changed_per_master,
-            reduce_record=reduce_record,
-            broadcast_record=broadcast_record,
-            request_record=request_record,
-            received_per_host=received_per_host,
-        )
+        result = ReplicatedSyncResult(changed_per_master, received_per_host)
         if self.checker is not None:
             self.checker.after_fold(field, result, fold_offset)
         return result
@@ -418,7 +342,7 @@ class GluonSynchronizer:
         land: Callable[[int, np.ndarray, np.ndarray], None],
         request_phase: str,
         broadcast_phase: str,
-    ) -> tuple[PhaseRecord | None, PhaseRecord, list[np.ndarray]]:
+    ) -> list[np.ndarray]:
         """The kernel's second half: (pull-request) → broadcast.
 
         Under an access-set plan every host first routes the ids it wants
@@ -427,18 +351,19 @@ class GluonSynchronizer:
         ``changed_per_master[m]`` and the requests it received — from
         ``canonical[m]``, and each receiver ``land``s everything it got in
         one call.  Each phase is one exchange, messages in (h, m) order for
-        requests and (m, h) order for the broadcast.  Returns the request
-        record (``None`` without access sets), the broadcast record, and
-        per host the sorted global ids that landed.
+        requests and (m, h) order for the broadcast.  Returns per host the
+        sorted global ids that landed.  With a checker attached the field
+        must be watched (``ValueError`` naming it, before any phase opens).
         """
         H = self.num_hosts
         dim = field.dim
+        if self.checker is not None:
+            self.checker.require_watched(field)
         # requested[m]: source host -> the rows of master m's block it asked for.
         requested: list[dict[int, np.ndarray]] | None = None
-        request_record: PhaseRecord | None = None
         if plan.requires_access_sets:
             accessed = self._sorted_ids(field, "accessed", accessed)  # type: ignore[arg-type]
-            with self.network.phase(request_phase) as request_record:
+            with self.network.phase(request_phase):
                 cuts = self._cuts(accessed)
                 wire = self._wire_matrix(plan.request_wire_bytes(np.diff(cuts, axis=1)))
                 src, dst = np.nonzero(wire > 0)
@@ -450,7 +375,7 @@ class GluonSynchronizer:
                 requested = [dict(self.network.drain(m)) for m in range(H)]
 
         empty = np.empty(0, dtype=np.int64)
-        with self.network.phase(broadcast_phase) as broadcast_record:
+        with self.network.phase(broadcast_phase):
             srcs: list[int] = []
             dsts: list[int] = []
             wires: list[int] = []
@@ -502,10 +427,10 @@ class GluonSynchronizer:
                 received_per_host.append(ids)
         if self.checker is not None:
             self.checker.after_broadcast(
-                field.name, self.bounds, plan, changed_per_master, accessed,
+                field, self.bounds, plan, changed_per_master, accessed,
                 received_per_host,
             )
-        return request_record, broadcast_record, received_per_host
+        return received_per_host
 
     # ------------------------------------------------------------------
     # Crash recovery (fault injection)
@@ -524,9 +449,12 @@ class GluonSynchronizer:
         from stable storage, which is the only surviving copy.
 
         Returns the wire bytes charged to the ``recovery:{field}`` record.
+        With a checker attached the field must be watched.
         """
         if not 0 <= host < self.num_hosts:
             raise ValueError(f"host {host} out of range [0, {self.num_hosts})")
+        if self.checker is not None:
+            self.checker.require_watched(field)
         with self.network.phase(f"{RECOVERY_PHASE}:{field.name}") as record:
             masters = [m for m in self._others[host] if self._blocks[m]]
             blocks = [master_block_slice(self.bounds, m) for m in masters]

@@ -292,23 +292,15 @@ class GraphWord2Vec:
         # Model replicas: identical initialization on every host (all hosts
         # derive it from the shared seed, as they derive node ids from the
         # shared hash function).  The engine measures each step's deltas
-        # against its own pre-kernel rows, so delta bases — a second copy
-        # of every replica — exist only for the sync checker's
-        # dropped-write audit.
+        # against its own pre-kernel rows.
         init = Word2VecModel.initialize(
             vocab_size, params.dim, self._seeds.child("init"), output_rows=output_rows
         )
-
-        def replicas(values: np.ndarray) -> list[np.ndarray]:
-            return [values.copy() for _ in range(self.num_hosts)]
-
-        audited = self.sync_checker is not None
-        self._fields = {
-            name: FieldSync(
-                name, arrays=replicas(values), bases=replicas(values) if audited else None
-            )
-            for name, values in (("embedding", init.embedding), ("training", init.training))
-        }
+        self._fields: dict[str, FieldSync] = {}
+        for name, values in (("embedding", init.embedding), ("training", init.training)):
+            self._fields[name] = FieldSync(name, [values.copy() for _ in range(self.num_hosts)])
+            if self.sync_checker is not None:
+                self.sync_checker.watch(self._fields[name])
 
         # Per-host contiguous shards of the corpus (Algorithm 1, line 4).
         self._shards = self.corpus.shard(self.num_hosts)
@@ -680,8 +672,11 @@ class GraphWord2Vec:
         self._async_state = {"pending_stale": {}, "next_access": {}}
         if self.sync_checker is not None:
             # Replicas were rebuilt from canonical values: all prior
-            # stale/residual tracking is void.
+            # stale/residual tracking is void, and the audit restarts
+            # from these values.
             self.sync_checker.reset_state()
+            for name in ("embedding", "training"):
+                self.sync_checker.watch(self._fields[name])
         return state.completed_epochs
 
     # ------------------------------------------------------------------

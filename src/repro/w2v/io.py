@@ -123,27 +123,65 @@ def save_checkpoint_blob(state: CheckpointState) -> bytes:
     return buf.getvalue()
 
 
+#: Per checkpoint key: the rank and dtype kinds its value must have, and
+#: the default of keys epoch-granular blobs predate (``None``: required).
+_CHECKPOINT_KEYS = {
+    "embedding": (2, "f", None),
+    "training": (2, "f", None),
+    "completed_epochs": (0, "iu", None),
+    "completed_rounds": (0, "iu", np.int64(0)),
+    "partial_pairs": (0, "iu", np.int64(0)),
+    "pairs_total": (0, "iu", np.int64(0)),
+    "epoch_pairs": (1, "iu", np.empty(0, dtype=np.int64)),
+    "fingerprint": (1, "u", None),
+}
+
+
 def load_checkpoint_blob(blob: bytes) -> CheckpointState:
     """Decode a checkpoint produced by :func:`save_checkpoint_blob`.
 
     Epoch-granular blobs from before round-granular checkpointing decode
-    with a zero round cursor (they were taken at epoch boundaries).
+    with a zero round cursor (they were taken at epoch boundaries).  Bytes
+    that are no readable ``.npz`` container raise ``ValueError("not a
+    checkpoint ...")``; a missing key or a value of the wrong rank, dtype
+    or sign raises a ``ValueError`` naming the key.
     """
     import io
 
-    with np.load(io.BytesIO(blob)) as data:
-        return CheckpointState(
-            embedding=data["embedding"],
-            training=data["training"],
-            completed_epochs=int(data["completed_epochs"]),
-            completed_rounds=int(data["completed_rounds"]) if "completed_rounds" in data else 0,
-            partial_pairs=int(data["partial_pairs"]) if "partial_pairs" in data else 0,
-            pairs_total=int(data["pairs_total"]) if "pairs_total" in data else 0,
-            epoch_pairs=(
-                [int(p) for p in data["epoch_pairs"]] if "epoch_pairs" in data else []
-            ),
-            fingerprint=bytes(data["fingerprint"]).decode(),
-        )
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as loaded:
+            data = {key: loaded[key] for key in loaded.files}
+    # Damaged bytes make zipfile, zlib and the .npy header parser raise an
+    # open-ended set of types (BadZipFile, zlib.error, EOFError,
+    # NotImplementedError, SyntaxError, tokenize.TokenError, ...; a bare
+    # .npy array is a TypeError here); to the caller each means the same,
+    # and the cause stays chained.
+    except Exception as err:
+        raise ValueError(f"not a checkpoint ({type(err).__name__}: {err})") from err
+    for key, (ndim, kinds, default) in _CHECKPOINT_KEYS.items():
+        value = data.setdefault(key, default)
+        if value is None:
+            raise ValueError(f"checkpoint key {key!r} is missing")
+        if value.ndim != ndim or value.dtype.kind not in kinds or (kinds == "iu" and (value < 0).any()):
+            raise ValueError(
+                f"checkpoint key {key!r} must be a {ndim}-D "
+                f"{'float' if kinds == 'f' else 'non-negative integer'} array, "
+                f"got {value.dtype} {value.tolist() if value.size < 4 else value.shape}"
+            )
+    try:
+        fingerprint = bytes(data["fingerprint"]).decode()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"checkpoint key 'fingerprint' is not UTF-8 ({err})") from err
+    return CheckpointState(
+        embedding=data["embedding"],
+        training=data["training"],
+        completed_epochs=int(data["completed_epochs"]),
+        completed_rounds=int(data["completed_rounds"]),
+        partial_pairs=int(data["partial_pairs"]),
+        pairs_total=int(data["pairs_total"]),
+        epoch_pairs=[int(p) for p in data["epoch_pairs"]],
+        fingerprint=fingerprint,
+    )
 
 
 def load_word2vec_text(source: TextIO | str) -> tuple[list[str], np.ndarray]:

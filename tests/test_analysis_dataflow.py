@@ -248,11 +248,11 @@ def test_gluon_unflagged_write(tmp_path):
     found = rules_in(
         tmp_path,
         """
-        from repro.gluon.sync import FieldSync, sync_replicated
+        from repro.gluon.sync import FieldSync, GluonSynchronizer
 
-        def round_step(field: FieldSync):
+        def round_step(field: FieldSync, sync: GluonSynchronizer):
             field.arrays["emb"][3] = 1.0
-            sync_replicated(field)
+            sync.fold(field)
         """,
     )
     assert "REPRO121" in found
@@ -262,12 +262,12 @@ def test_gluon_flagged_write_ok(tmp_path):
     found = rules_in(
         tmp_path,
         """
-        from repro.gluon.sync import FieldSync, sync_replicated
+        from repro.gluon.sync import FieldSync, GluonSynchronizer
 
-        def round_step(field: FieldSync, flags):
+        def round_step(field: FieldSync, sync: GluonSynchronizer, flags):
             field.arrays["emb"][3] = 1.0
             flags.set_many([3])
-            sync_replicated(field)
+            sync.fold(field)
         """,
     )
     assert "REPRO121" not in found
@@ -277,11 +277,11 @@ def test_gluon_stale_read(tmp_path):
     found = rules_in(
         tmp_path,
         """
-        from repro.gluon.sync import FieldSync, sync_replicated
+        from repro.gluon.sync import FieldSync, GluonSynchronizer
 
-        def peek(field: FieldSync):
+        def peek(field: FieldSync, sync: GluonSynchronizer):
             x = field.arrays["emb"][0]
-            sync_replicated(field)
+            sync.fold(field)
             return x
         """,
     )
@@ -292,13 +292,13 @@ def test_gluon_master_confined_read_ok(tmp_path):
     found = rules_in(
         tmp_path,
         """
-        from repro.gluon.sync import FieldSync, sync_replicated
+        from repro.gluon.sync import FieldSync, GluonSynchronizer
         from repro.gluon.proxies import master_block_slice
 
-        def peek(field: FieldSync, bounds, host):
+        def peek(field: FieldSync, sync: GluonSynchronizer, bounds, host):
             sl = master_block_slice(bounds, host)
             x = field.arrays["emb"][sl]
-            sync_replicated(field)
+            sync.fold(field)
             return x
         """,
     )

@@ -27,6 +27,7 @@ from repro.gluon.plans import CommPlan, get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.params import Word2VecParams
+from tests.test_gluon_fold_oracle import lockstep_sync
 
 
 # ----------------------------------------------------------------------
@@ -130,21 +131,21 @@ class TestDoAllRaceSanitizer:
 # Gluon sync checker: direct synchronizer scenarios
 # ----------------------------------------------------------------------
 def make_sync(V=8, D=2, H=2, checker=None):
+    """A synchronizer, its field (watched by ``checker``) and delta bases."""
     parts = replicate_all_partitions(V, H)
     sync = GluonSynchronizer(parts, SimulatedNetwork(H))
     sync.checker = checker
     init = np.arange(V * D, dtype=np.float32).reshape(V, D)
-    field = FieldSync(
-        "f",
-        arrays=[init.copy() for _ in range(H)],
-        bases=[init.copy() for _ in range(H)],
-    )
-    return sync, field
+    field = FieldSync("f", arrays=[init.copy() for _ in range(H)])
+    if checker is not None:
+        checker.watch(field)
+    return sync, field, [init.copy() for _ in range(H)]
 
 
-def finish_round(field, updated):
-    """What the trainer does at a round boundary."""
-    field.snapshot_bases()
+def finish_round(field, bases, updated):
+    """What a lock-step caller does at a round boundary."""
+    for base, arr in zip(bases, field.arrays):
+        np.copyto(base, arr)
     for bv in updated:
         bv.reset()
 
@@ -152,12 +153,12 @@ def finish_round(field, updated):
 class TestGluonSyncChecker:
     def test_dropped_mirror_write_before_reduce(self):
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         # Host 1 writes row 6 but never flags it: the delta will never be
         # shipped to the master.
         field.arrays[1][6] += 1.0
         upd = [BitVector(8), BitVector(8)]
-        sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        lockstep_sync(sync, field, bases, upd, get_combiner("mc"), get_plan("opt"))
         kinds = [f.kind for f in checker.findings]
         assert kinds == ["dropped-write"]
         [finding] = checker.findings
@@ -168,7 +169,7 @@ class TestGluonSyncChecker:
         """PullModel: host 0's master row changes in round 1 without being
         broadcast to host 1; host 1 updating it in round 2 is a stale read."""
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         plan = get_plan("pull")
         empty = np.empty(0, dtype=np.int64)
 
@@ -177,17 +178,17 @@ class TestGluonSyncChecker:
         field.arrays[0][1] += 1.0
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(1)
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         assert checker.findings == []
-        finish_round(field, upd)
+        finish_round(field, bases, upd)
 
         # Round 2: host 1 writes the now-stale row 1 without having pulled it.
         field.arrays[1][1] += 1.0
         upd[1].set(1)
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         assert "stale-read" in [f.kind for f in checker.findings]
         stale = [f for f in checker.findings if f.kind == "stale-read"][0]
@@ -200,7 +201,7 @@ class TestGluonSyncChecker:
         frontier is the bounded-staleness contract; a row already stale
         when the step started is a stale read."""
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         plan = get_plan("pull")
         empty = np.empty(0, dtype=np.int64)
         if ahead:  # host 1 starts round 1 before round 0 folds (lead 1)
@@ -210,18 +211,18 @@ class TestGluonSyncChecker:
         field.arrays[0][1] += 1.0
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(1)
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
-        finish_round(field, upd)
+        finish_round(field, bases, upd)
         if not ahead:  # host 1 starts round 1 at the frontier, unrefreshed
             checker.note_async_step("f", 1, 1, 1, 1)
 
         # Round 1 folds host 1's update of row 1.
         field.arrays[1][1] += 1.0
         upd[1].set(1)
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan,
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), plan,
             accessed_next=[empty, empty], fold_offset=1,
         )
         assert [f.kind for f in checker.findings] == ([] if ahead else ["stale-read"])
@@ -231,7 +232,7 @@ class TestGluonSyncChecker:
         it.  Residual (reduced-but-not-refreshed) rows must not be flagged
         as dropped writes in later rounds."""
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         plan = get_plan("pull")
         empty = np.empty(0, dtype=np.int64)
 
@@ -240,16 +241,16 @@ class TestGluonSyncChecker:
         field.arrays[1][2] += 1.0
         upd = [BitVector(8), BitVector(8)]
         upd[1].set(2)
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         for bv in upd:
             bv.reset()  # bases NOT re-snapshotted: residual row must persist
 
         # Round 2: no writes at all — the lingering residual on host 1 is
         # expected state, not a dropped write.
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), plan, accessed_next=[empty, empty]
         )
         assert checker.findings == []
         assert checker.rounds_observed == 2
@@ -268,11 +269,11 @@ class TestGluonSyncChecker:
                 return ids, int(ids.size) * dim * VALUE_BYTES
 
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         field.arrays[0][1] += 1.0
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(1)
-        sync.sync_replicated(field, upd, get_combiner("mc"), BlastPlan())
+        lockstep_sync(sync, field, bases, upd, get_combiner("mc"), BlastPlan())
         redundant = [f for f in checker.findings if f.kind == "redundant-broadcast"]
         assert redundant, [str(f) for f in checker.findings]
         assert all(f.details["rows"] == [2] for f in redundant)
@@ -280,7 +281,7 @@ class TestGluonSyncChecker:
     @pytest.mark.parametrize("plan", ["naive", "opt", "pull"])
     def test_clean_two_round_exchange_all_plans(self, plan):
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         plan = get_plan(plan)
         for round_index in range(2):
             upd = [BitVector(8), BitVector(8)]
@@ -293,16 +294,33 @@ class TestGluonSyncChecker:
             kwargs = (
                 {"accessed_next": accessed} if plan.requires_access_sets else {}
             )
-            sync.sync_replicated(field, upd, get_combiner("mc"), plan, **kwargs)
-            finish_round(field, upd)
+            lockstep_sync(sync, field, bases, upd, get_combiner("mc"), plan, **kwargs)
+            finish_round(field, bases, upd)
         assert checker.findings == []
         assert checker.rounds_observed == 2
 
+    def test_unwatched_field_is_rejected_before_any_phase(self):
+        checker = GluonSyncChecker()
+        sync, field, bases = make_sync(checker=checker)
+        other = FieldSync("g", arrays=[a + 1.0 for a in field.arrays])
+        upd = [BitVector(8), BitVector(8)]
+        upd[0].set(1)
+        empty, pull = np.empty(0, dtype=np.int64), get_plan("pull")
+        for call in (
+            lambda: lockstep_sync(sync, other, bases, upd, get_combiner("mc"), get_plan("opt")),
+            lambda: sync.broadcast(other, pull, [empty] * 2, [empty, np.array([1])], bases, other.land, "r", "b"),
+            lambda: sync.restore_host(other, 1, bases),
+        ):
+            with pytest.raises(ValueError, match="field 'g' is not watched"):
+                call()
+        assert sync.network.phase_records == [] and checker.findings == []
+        assert all(np.array_equal(a, b + 1.0) for a, b in zip(other.arrays, field.arrays))
+
     def test_restore_clears_tracking_state(self):
         checker = GluonSyncChecker()
-        sync, field = make_sync(checker=checker)
+        sync, field, bases = make_sync(checker=checker)
         checker._stale[("f", 1)] = np.array([3], dtype=np.int64)
-        sync.restore_host(field, 1, field.bases)
+        sync.restore_host(field, 1, bases)
         assert checker._stale[("f", 1)].size == 0
         checker._stale[("f", 0)] = np.array([5], dtype=np.int64)
         checker.reset_state()

@@ -4,7 +4,7 @@ The contract under test (see ``docs/internals.md``):
 
 - **Lock-step**: the ``s=0`` schedule *is* BSP — bit-identical (model
   bits, pairs, bytes per phase, message counts) to Algorithm 1 written
-  out as a lock-step loop over ``sync_replicated`` (the oracle below),
+  out as a lock-step loop over ``lockstep_sync`` (the oracle below),
   under every communication plan and executor width.
 - **Determinism**: ``SSP(s>0)`` is a pure function of the seed (the
   interleaving is recorded and replayed), so same-seed runs agree
@@ -32,6 +32,7 @@ from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
 from repro.w2v.steps import RoundWork
+from tests.test_gluon_fold_oracle import lockstep_sync
 
 SPEC = SyntheticCorpusSpec(
     num_tokens=1500, pairs_per_family=3, filler_vocab=60, questions_per_family=3
@@ -104,12 +105,12 @@ def fingerprint(result):
 def lockstep_oracle(plan):
     """Algorithm 1 written out lock-step over an *untrained* trainer's own
     fields, synchronizers and seed-pure work generation: every host applies
-    its round and flags what it touched, then ``sync_replicated`` folds
-    each field.  Fault-free.  Returns ``(model, pairs, network)``."""
+    its round and flags what it touched, then ``lockstep_sync`` folds
+    each field, deltas measured against its bases.  Fault-free.  Returns
+    ``(model, pairs, network)``."""
     t = make(plan=plan)
     fields = [(t._fields["embedding"], t._sync_emb), (t._fields["training"], t._sync_out)]
-    for field, _ in fields:  # sync_replicated measures deltas against bases
-        field.bases = [a.copy() for a in field.arrays]
+    bases = {field.name: [a.copy() for a in field.arrays] for field, _ in fields}
     slots = [(e, r) for e in range(PARAMS.epochs) for r in range(t.sync_rounds)]
     pairs = 0
 
@@ -131,8 +132,9 @@ def lockstep_oracle(plan):
             if t.plan.requires_access_sets:  # PullModel: the next slot's rows
                 empty = np.empty(0, dtype=np.int64)
                 accessed = [getattr(w, rows) for w in nxt] if nxt else [empty] * HOSTS
-            sync.sync_replicated(
-                field, flags, t.combiner, t.plan, accessed_next=accessed, fold_offset=fold
+            lockstep_sync(
+                sync, field, bases[field.name], flags, t.combiner, t.plan,
+                accessed_next=accessed, fold_offset=fold,
             )
     blocks = [
         np.concatenate(
@@ -254,7 +256,7 @@ def test_ssp_zero_is_bitwise_bsp():
 @pytest.mark.parametrize(
     "engine_kw",
     [
-        None,  # the lock-step oracle: sync_replicated fronts the same kernel
+        None,  # the lock-step oracle: lockstep_sync fronts the same kernel
         {"engine": "async", "staleness": 0},
         {"engine": "async", "staleness": 2},
     ],
@@ -375,13 +377,15 @@ def test_every_phase_is_one_exchange(monkeypatch, plan, staleness):
     assert [sum(e is r for e in exchanged) for r in records] == [1] * len(records)
 
 
-class TestBaselessEngine:
-    """The engine measures each step's deltas against the step's own
-    pre-kernel rows, so it keeps no delta bases unless the sync checker's
-    dropped-write audit needs them — and keeping them changes nothing."""
+class TestSanitizedTwin:
+    """The sync checker only reads replicas: a sanitized run equals its
+    plain twin bit for bit and, with its shadows rebased at every landing,
+    capture and crash restore, reports nothing — also across crashes,
+    where a restore that left a shadow stale would show as dropped
+    writes."""
 
     @pytest.mark.parametrize("plan, staleness", [("opt", 0), ("pull", 2)])
-    def test_sanitized_twin_with_bases_is_bit_identical(self, plan, staleness):
+    def test_sanitized_twin_is_bit_identical(self, plan, staleness):
         runs = []
         for sanitize in (False, True):
             trainer = GraphWord2Vec(
@@ -392,8 +396,7 @@ class TestBaselessEngine:
             result = trainer.train()
             runs.append((trainer, result))
         (plain, plain_result), (audited, audited_result) = runs
-        assert all(f.bases is None for f in plain._fields.values())
-        assert all(f.bases is not None for f in audited._fields.values())
+        assert plain.sync_checker is None and audited.sync_checker is not None
         assert audited.sanitize_findings == []
         assert plain_result.report.faults.crashes > 0
         assert fingerprint(plain_result) == fingerprint(audited_result)
@@ -411,15 +414,6 @@ class TestBaselessEngine:
         assert [getattr(plain.fault_report, c) for c in counters] == [
             getattr(audited.fault_report, c) for c in counters
         ]
-
-    def test_sync_replicated_needs_bases(self):
-        trainer = make()
-        field = trainer._fields["embedding"]
-        assert field.bases is None
-        flags = [BitVector(field.num_nodes) for _ in range(HOSTS)]
-        with pytest.raises(ValueError, match="'embedding'.*bases"):
-            trainer._sync_emb.sync_replicated(field, flags, trainer.combiner, trainer.plan)
-        assert trainer.network.phase_records == []
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +496,7 @@ class TestStalenessBound:
 
 class TestSanitizedFolds:
     """The checker's hooks sit on the fold kernel, so every schedule is
-    audited — not only callers of ``sync_replicated``."""
+    audited — not only lock-step callers."""
 
     @pytest.mark.parametrize("staleness", [0, 2])
     def test_write_outside_the_access_set_is_a_dropped_write(self, monkeypatch, staleness):

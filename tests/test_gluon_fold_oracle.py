@@ -6,10 +6,10 @@ receiver.
 The algorithm it replaced — one ``owner == m`` mask per (host, master), one
 combine state per master with one ``accumulate`` per source, one landing
 per message — lives on here as :func:`reference_fold`, and the kernel must
-equal it **bit for bit**: canonical rows, every replica and base, the
-changed and received sets, and every phase record's per-host bytes and
-message count (with transient faults injected, so the order of sends is
-compared too).
+equal it **bit for bit**: canonical rows, every replica, the changed and
+received sets, and every phase record's per-host bytes and message count
+(with transient faults injected, so the order of sends is compared too).
+:func:`lockstep_sync` is the kernel's lock-step bit-vector front end.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -67,14 +67,31 @@ def reference_fold(net, bounds, field, touched, deltas, combiner, plan, canonica
     return changed, [np.unique(np.concatenate(r)) for r in received]
 
 
+def lockstep_sync(sync, field, bases, updated, combiner, plan, accessed_next=None, fold_offset=0):
+    """One fold of the rows ``updated[h]`` flags, deltas current − base;
+    the masters' bases are the canonical view and a landing writes replica
+    and base.  The caller owns round boundaries (bit vectors, snapshots)."""
+    touched = [bits.indices() for bits in updated]
+    deltas = [a[t].astype(np.float64) - b[t] for a, b, t in zip(field.arrays, bases, touched)]
+
+    def land(host, ids, vals):
+        field.land(host, ids, vals)
+        bases[host][ids] = vals
+
+    return sync.fold(
+        field, touched, deltas, combiner, plan, canonical=bases, land=land,
+        accessed_next=accessed_next, fold_offset=fold_offset,
+    )
+
+
 def world(H, V, dim, dtype, shared, seed):
     """A synchronizer, its field and the canonical view, freshly seeded."""
     rng = np.random.default_rng(seed)
     net = SimulatedNetwork(H, fault_injector=TransientFaultInjector(0.1, 0.05, seed=seed))
     sync = GluonSynchronizer(replicate_all_partitions(V, H), net)
     init = rng.normal(size=(V, dim)).astype(dtype)
-    field = FieldSync("f", [init.copy() for _ in range(H)], [init.copy() for _ in range(H)])
-    canonical = [init.copy()] * H if shared else field.bases
+    field = FieldSync("f", [init.copy() for _ in range(H)])
+    canonical = [init.copy()] * H if shared else [init.copy() for _ in range(H)]
     return net, sync, field, canonical
 
 
@@ -141,9 +158,7 @@ def test_fold_equals_the_per_master_per_source_loop_bitwise(
             assert len(got) == H
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
-    for got, want in (
-        (canon_k, canon_r), (field_k.arrays, field_r.arrays), (field_k.bases, field_r.bases)
-    ):
+    for got, want in ((canon_k, canon_r), (field_k.arrays, field_r.arrays)):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
     assert len(net_k.phase_records) == len(net_r.phase_records)

@@ -7,6 +7,7 @@ from repro.gluon.comm import SimulatedNetwork
 from repro.gluon.partitioner import partition_edges, replicate_all_partitions
 from repro.gluon.plans import get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
+from tests.test_gluon_fold_oracle import lockstep_sync
 
 
 def make_replicated(V=8, D=2, H=3, dtype=np.float32):
@@ -14,62 +15,53 @@ def make_replicated(V=8, D=2, H=3, dtype=np.float32):
     net = SimulatedNetwork(H)
     sync = GluonSynchronizer(parts, net)
     init = np.arange(V * D, dtype=dtype).reshape(V, D)
-    field = FieldSync(
-        "f",
-        arrays=[init.copy() for _ in range(H)],
-        bases=[init.copy() for _ in range(H)],
-    )
-    return parts, net, sync, field
+    field = FieldSync("f", arrays=[init.copy() for _ in range(H)])
+    return parts, net, sync, field, [init.copy() for _ in range(H)]
 
 
 class TestFieldSync:
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            FieldSync("f", arrays=[np.zeros((2, 2)), np.zeros((3, 2))], bases=[np.zeros((2, 2)), np.zeros((2, 2))])
+            FieldSync("f", arrays=[np.zeros((2, 2)), np.zeros((3, 2))])
         with pytest.raises(ValueError, match="2-D"):
-            FieldSync("f", arrays=[np.zeros(4)], bases=[np.zeros(4)])
-
-    def test_snapshot(self):
-        f = FieldSync("f", arrays=[np.ones((2, 2))], bases=[np.zeros((2, 2))])
-        f.snapshot_bases()
-        assert np.array_equal(f.bases[0], f.arrays[0])
+            FieldSync("f", arrays=[np.zeros(4)])
 
 
 class TestReplicatedSync:
     def test_disjoint_updates_propagate_everywhere(self):
-        _, _, sync, field = make_replicated()
+        _, _, sync, field, bases = make_replicated()
         field.arrays[0][0] += 1.0
         field.arrays[2][7] += 2.0
         upd = [BitVector(8) for _ in range(3)]
         upd[0].set(0)
         upd[2].set(7)
-        sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        lockstep_sync(sync, field, bases, upd, get_combiner("mc"), get_plan("opt"))
         for h in range(3):
             assert np.allclose(field.arrays[h], field.arrays[0])
-        assert np.allclose(field.arrays[1][0], field.bases[1][0])
+        assert np.allclose(field.arrays[1][0], bases[1][0])
 
     def test_orthogonal_conflict_sums_under_mc(self):
-        _, _, sync, field = make_replicated(V=4, D=2, H=2)
+        _, _, sync, field, bases = make_replicated(V=4, D=2, H=2)
         field.arrays[0][1] += np.array([1.0, 0.0], dtype=np.float32)
         field.arrays[1][1] += np.array([0.0, 1.0], dtype=np.float32)
-        base_row = field.bases[0][1].copy()
+        base_row = bases[0][1].copy()
         upd = [BitVector(4), BitVector(4)]
         upd[0].set(1)
         upd[1].set(1)
-        sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        lockstep_sync(sync, field, bases, upd, get_combiner("mc"), get_plan("opt"))
         assert np.allclose(field.arrays[0][1], base_row + np.array([1.0, 1.0]))
 
     def test_parallel_conflict_avg_vs_sum(self):
         for name, factor in (("avg", 1.5), ("sum", 3.0), ("mc", 1.0), ("keep_first", 1.0)):
-            _, _, sync, field = make_replicated(V=4, D=2, H=2)
+            _, _, sync, field, bases = make_replicated(V=4, D=2, H=2)
             delta = np.array([1.0, 0.0], dtype=np.float32)
-            base_row = field.bases[0][2].copy()
+            base_row = bases[0][2].copy()
             field.arrays[0][2] += delta
             field.arrays[1][2] += 2 * delta
             upd = [BitVector(4), BitVector(4)]
             upd[0].set(2)
             upd[1].set(2)
-            sync.sync_replicated(field, upd, get_combiner(name), get_plan("opt"))
+            lockstep_sync(sync, field, bases, upd, get_combiner(name), get_plan("opt"))
             assert np.allclose(
                 field.arrays[0][2], base_row + factor * delta
             ), name
@@ -77,105 +69,102 @@ class TestReplicatedSync:
     def test_fold_offset_rotates_first_host(self):
         # With keep_first, fold_offset decides whose delta survives.
         for offset, expected in ((0, 1.0), (1, 2.0)):
-            _, _, sync, field = make_replicated(V=4, D=1, H=2)
-            base = field.bases[0][0].copy()
+            _, _, sync, field, bases = make_replicated(V=4, D=1, H=2)
+            base = bases[0][0].copy()
             field.arrays[0][0] += 1.0
             field.arrays[1][0] += 2.0
             upd = [BitVector(4), BitVector(4)]
             upd[0].set(0)
             upd[1].set(0)
-            sync.sync_replicated(
-                field, upd, get_combiner("keep_first"), get_plan("opt"),
+            lockstep_sync(
+                sync, field, bases, upd, get_combiner("keep_first"), get_plan("opt"),
                 fold_offset=offset,
             )
             assert np.allclose(field.arrays[0][0], base + expected)
 
     def test_bases_repaired_after_sync(self):
-        _, _, sync, field = make_replicated()
+        _, _, sync, field, bases = make_replicated()
         field.arrays[1][3] += 5.0
         upd = [BitVector(8) for _ in range(3)]
         upd[1].set(3)
-        sync.sync_replicated(field, upd, get_combiner("sum"), get_plan("opt"))
+        lockstep_sync(sync, field, bases, upd, get_combiner("sum"), get_plan("opt"))
         for h in range(3):
-            assert np.array_equal(field.bases[h], field.arrays[h])
+            assert np.array_equal(bases[h], field.arrays[h])
 
     def test_single_host_no_communication(self):
         parts = replicate_all_partitions(4, 1)
         net = SimulatedNetwork(1)
         sync = GluonSynchronizer(parts, net)
-        field = FieldSync("f", arrays=[np.zeros((4, 2), np.float32)], bases=[np.zeros((4, 2), np.float32)])
+        field = FieldSync("f", arrays=[np.zeros((4, 2), np.float32)])
         field.arrays[0][1] += 1.0
         upd = [BitVector(4)]
         upd[0].set(1)
-        result = sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        result = lockstep_sync(
+            sync, field, [np.zeros((4, 2), np.float32)], upd, get_combiner("mc"), get_plan("opt")
+        )
         assert net.total_bytes == 0
-        assert result.num_changed == 1
+        assert [c.tolist() for c in result.changed_per_master] == [[1]]
         assert np.allclose(field.arrays[0][1], 1.0)
 
     def test_pull_requires_access_sets(self):
-        _, _, sync, field = make_replicated()
+        _, _, sync, field, bases = make_replicated()
         upd = [BitVector(8) for _ in range(3)]
         with pytest.raises(ValueError, match="requires access sets"):
-            sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("pull"))
+            lockstep_sync(sync, field, bases, upd, get_combiner("mc"), get_plan("pull"))
 
     def test_pull_refreshes_only_accessed(self):
-        _, _, sync, field = make_replicated(V=8, D=2, H=2)
+        _, _, sync, field, bases = make_replicated(V=8, D=2, H=2)
         field.arrays[0][6] += 3.0  # node 6 is in host 1's master block
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(6)
         accessed = [np.array([6]), np.empty(0, dtype=np.int64)]
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), get_plan("pull"), accessed_next=accessed
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), get_plan("pull"), accessed_next=accessed
         )
         # Master (host 1) applied the canonical update...
-        assert np.allclose(field.arrays[1][6], field.bases[1][6])
+        assert np.allclose(field.arrays[1][6], bases[1][6])
         assert np.allclose(field.arrays[1][6] - 3.0, field.arrays[0][6] - 3.0)
         # ... host 0 pulled node 6 because it will access it next round.
         assert np.allclose(field.arrays[0][6], field.arrays[1][6])
 
     def test_pull_leaves_unaccessed_stale(self):
-        _, _, sync, field = make_replicated(V=8, D=2, H=2)
+        _, _, sync, field, bases = make_replicated(V=8, D=2, H=2)
         stale_before = field.arrays[1][0].copy()
         field.arrays[0][0] += 1.0  # node 0: host 0's own master block
         upd = [BitVector(8), BitVector(8)]
         upd[0].set(0)
         accessed = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)]
-        sync.sync_replicated(
-            field, upd, get_combiner("mc"), get_plan("pull"), accessed_next=accessed
+        lockstep_sync(
+            sync, field, bases, upd, get_combiner("mc"), get_plan("pull"), accessed_next=accessed
         )
         # Host 1 does not access node 0 next round: replica stays stale.
         assert np.allclose(field.arrays[1][0], stale_before)
 
     def test_short_accessed_next_is_rejected_up_front(self):
-        _, net, sync, field = make_replicated(V=8, D=2, H=3)
+        _, net, sync, field, bases = make_replicated(V=8, D=2, H=3)
         field.arrays[0][6] += 3.0
         upd = [BitVector(8) for _ in range(3)]
         upd[0].set(6)
         before = [a.copy() for a in field.arrays]
         with pytest.raises(ValueError, match="accessed_next"):
-            sync.sync_replicated(
-                field, upd, get_combiner("mc"), get_plan("pull"),
+            lockstep_sync(
+                sync, field, bases, upd, get_combiner("mc"), get_plan("pull"),
                 accessed_next=[np.array([6]), np.empty(0, dtype=np.int64)],
             )
         # Rejected before any phase ran: no traffic, replicas untouched.
         assert net.phase_records == [] and net.total_bytes == 0
         assert all(np.array_equal(a, b) for a, b in zip(field.arrays, before))
 
-    def test_wrong_updated_count(self):
-        _, _, sync, field = make_replicated()
-        with pytest.raises(ValueError, match="bit-vectors"):
-            sync.sync_replicated(field, [BitVector(8)], get_combiner("mc"), get_plan("opt"))
-
     def test_requires_fully_replicated(self):
         parts = partition_edges(np.array([0, 1]), np.array([1, 2]), 4, 2, policy="oec")
         net = SimulatedNetwork(2)
         sync = GluonSynchronizer(parts, net)
-        field = FieldSync(
-            "f", arrays=[np.zeros((4, 1), np.float32)] * 2, bases=[np.zeros((4, 1), np.float32)] * 2
-        )
+        field = FieldSync("f", arrays=[np.zeros((4, 1), np.float32)] * 2)
+        bases = [np.zeros((4, 1), np.float32)] * 2
         upd = [BitVector(4), BitVector(4)]
-        with pytest.raises(ValueError, match="fully replicated"):
-            sync.sync_replicated(field, upd, get_combiner("mc"), get_plan("opt"))
+        with pytest.raises(ValueError, match="'f': the fold requires fully replicated"):
+            lockstep_sync(sync, field, bases, upd, get_combiner("mc"), get_plan("opt"))
+        assert net.phase_records == []
 
 
 class TestFoldBoundary:
@@ -186,16 +175,16 @@ class TestFoldBoundary:
     V, D, H = 8, 2, 3
 
     def _fold(self, touched, deltas, plan="opt", accessed_next=None, match=""):
-        _, net, sync, field = make_replicated(V=self.V, D=self.D, H=self.H)
-        before = [a.copy() for a in field.arrays + field.bases]
+        _, net, sync, field, bases = make_replicated(V=self.V, D=self.D, H=self.H)
+        before = [a.copy() for a in field.arrays + bases]
         with pytest.raises(ValueError, match=match) as err:
             sync.fold(
                 field, touched, deltas, get_combiner("mc"), get_plan(plan),
-                canonical=field.bases, land=field.land, accessed_next=accessed_next,
+                canonical=bases, land=field.land, accessed_next=accessed_next,
             )
         assert "'f'" in str(err.value)  # the field is named
         assert net.phase_records == [] and net.total_bytes == 0
-        assert all(np.array_equal(a, b) for a, b in zip(field.arrays + field.bases, before))
+        assert all(np.array_equal(a, b) for a, b in zip(field.arrays + bases, before))
 
     def _good(self):
         touched = [np.array([0, 5]), np.array([2]), np.empty(0, dtype=np.int64)]
@@ -238,10 +227,10 @@ class TestFoldBoundary:
             match=r"accessed_next\[0\] must be a strictly ascending 1-D id array",
         )
         # RepModel plans never read access sets: nothing to reject.
-        _, _, sync, field = make_replicated(V=self.V, D=self.D, H=self.H)
+        _, _, sync, field, bases = make_replicated(V=self.V, D=self.D, H=self.H)
         sync.fold(
             field, touched, deltas, get_combiner("mc"), get_plan("opt"),
-            canonical=field.bases, land=field.land, accessed_next=accessed,
+            canonical=bases, land=field.land, accessed_next=accessed,
         )
 
 
@@ -254,11 +243,8 @@ class TestPlanEquivalence:
         net = SimulatedNetwork(3)
         sync = GluonSynchronizer(parts, net)
         init = rng.normal(size=(10, 4)).astype(np.float32)
-        field = FieldSync(
-            "f",
-            arrays=[init.copy() for _ in range(3)],
-            bases=[init.copy() for _ in range(3)],
-        )
+        field = FieldSync("f", arrays=[init.copy() for _ in range(3)])
+        bases = [init.copy() for _ in range(3)]
         plan = get_plan(plan_name)
         update_rng = np.random.default_rng(99)
         for r in range(rounds):
@@ -277,8 +263,8 @@ class TestPlanEquivalence:
             if plan.requires_access_sets:
                 # Refresh everything a host might touch next: all rows.
                 accessed = [np.arange(10, dtype=np.int64) for _ in range(3)]
-            sync.sync_replicated(
-                field, upd, get_combiner("mc"), plan, accessed_next=accessed,
+            lockstep_sync(
+                sync, field, bases, upd, get_combiner("mc"), plan, accessed_next=accessed,
                 fold_offset=r,
             )
         return field.arrays[0].copy(), net.total_bytes

@@ -16,6 +16,7 @@ from repro.gluon.comm import SimulatedNetwork
 from repro.gluon.partitioner import replicate_all_partitions
 from repro.gluon.plans import get_plan
 from repro.gluon.sync import FieldSync, GluonSynchronizer
+from tests.test_gluon_fold_oracle import lockstep_sync
 
 
 def reference_combine(model, round_touches, round_deltas, combiner_name, fold_offset):
@@ -62,11 +63,8 @@ def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed, off
     parts = replicate_all_partitions(V, H)
     net = SimulatedNetwork(H)
     sync = GluonSynchronizer(parts, net)
-    field = FieldSync(
-        "f",
-        arrays=[init.copy() for _ in range(H)],
-        bases=[init.copy() for _ in range(H)],
-    )
+    field = FieldSync("f", arrays=[init.copy() for _ in range(H)])
+    bases = [init.copy() for _ in range(H)]
     plan = get_plan(plan_name)
     combiner = get_combiner(combiner_name)
     reference = init.astype(np.float64).astype(np.float32).copy()
@@ -105,8 +103,8 @@ def test_engine_matches_reference(H, rounds, combiner_name, plan_name, seed, off
             else:
                 accessed = [np.empty(0, dtype=np.int64) for _ in range(H)]
         fold_offset = r + offset_base * H
-        sync.sync_replicated(
-            field, upd, combiner, plan, accessed_next=accessed, fold_offset=fold_offset
+        lockstep_sync(
+            sync, field, bases, upd, combiner, plan, accessed_next=accessed, fold_offset=fold_offset
         )
         # Reference: deltas measured in float64 from the float32 arrays the
         # engine saw; we reuse the raw float32 deltas (identical values).

@@ -1,3 +1,6 @@
+import io
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -167,3 +170,65 @@ class TestRoundGranularCheckpoint:
         assert fresh._completed_rounds == 0
         straight = make(corpus).train().model
         assert fresh.train().model == straight
+
+
+@pytest.fixture(scope="module")
+def checkpoint(corpus):
+    """A trainer and a real mid-run checkpoint of it."""
+    trainer = make(corpus)
+    trainer.train(until_round=trainer.sync_rounds + 1)
+    return trainer, trainer.save_checkpoint()
+
+
+def repacked(blob, drop=(), **values):
+    """``blob`` without the keys in ``drop`` and with ``values`` set."""
+    with np.load(io.BytesIO(blob)) as data:
+        arrays = {key: data[key] for key in data.files if key not in drop}
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **{**arrays, **values})
+    return buf.getvalue()
+
+
+def flipped(blob, bits):
+    damaged = bytearray(blob)
+    for bit in bits:
+        damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+class TestCheckpointBoundary:
+    """Damaged or hand-made bytes end in success or a ``ValueError`` that
+    names the key or says "not a checkpoint", never a library exception."""
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda b: b"", "not a checkpoint"),
+        (lambda b: b[: len(b) // 2], "not a checkpoint"),
+        (lambda b: flipped(b, [len(b) * 8 // 3]), "not a checkpoint"),  # CRC
+        (lambda b: repacked(b, ["completed_epochs"]), "'completed_epochs' is missing"),
+        (lambda b: repacked(b, completed_epochs=np.array([1, 2])), "'completed_epochs' must be a 0-D"),
+        (lambda b: repacked(b, completed_epochs=np.int64(-3)), "'completed_epochs' .* got int64 -3"),
+        (lambda b: repacked(b, training=np.zeros(4)), "'training' must be a 2-D float array"),
+        (lambda b: repacked(b, fingerprint=np.array([0xFF], np.uint8)), "'fingerprint' is not UTF-8"),
+    ], ids=["empty", "truncated", "bit-flip", "missing", "vector", "negative", "1-D", "not-utf8"])
+    def test_damage_is_a_named_value_error(self, checkpoint, damage, match):
+        trainer, blob = checkpoint
+        with pytest.raises(ValueError, match=match):
+            trainer.load_checkpoint(damage(blob))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncations_flips_and_dropped_keys(self, checkpoint, data):
+        trainer, blob = checkpoint
+        kind = data.draw(st.sampled_from(["truncate", "flip", "drop"]))
+        if kind == "truncate":
+            damaged = blob[: data.draw(st.integers(0, len(blob)))]
+        elif kind == "flip":
+            damaged = flipped(blob, data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4)))
+        else:
+            with np.load(io.BytesIO(blob)) as arrays:
+                keys = sorted(arrays.files)
+            damaged = repacked(blob, data.draw(st.lists(st.sampled_from(keys), min_size=1)))
+        try:
+            trainer.load_checkpoint(damaged)
+        except ValueError as err:
+            assert "checkpoint" in str(err)
