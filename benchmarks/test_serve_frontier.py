@@ -1,4 +1,4 @@
-"""The recall-vs-QPS frontier: IVF / int8 / PQ against brute force.
+"""The recall-vs-QPS frontier: IVF (float32 / int8 rescoring) against brute force.
 
 Runs :func:`repro.serve.frontier.sweep_frontier` at serving scale
 (vocab 10^5) and at the small CI smoke configuration, records both into
@@ -10,7 +10,8 @@ on QPS while holding recall@10 >= 0.9.
 Each recorded point carries a ``recall_floor`` (measured recall minus a
 0.05 cross-environment margin); the CI serve job re-runs the smoke sweep
 via ``python -m repro serve-bench --frontier --check-floors`` and fails
-if any point regresses below its recorded floor.
+if any point regresses below its recorded floor, or if a swept point has
+no recorded floor at all.
 """
 
 from pathlib import Path

@@ -1,8 +1,8 @@
-"""Serving-layer latency: exact vs LSH QPS and tail latency.
+"""Serving-layer latency: exact-index QPS and tail latency.
 
 Seeds the perf trajectory for ``repro.serve``: drives the batched
 ``QueryEngine`` over a synthetic vocabulary with the deterministic load
-generator, records QPS and p50/p95/p99 per index into ``BENCH_serve.json``
+generator, records QPS and p50/p95/p99 into ``BENCH_serve.json``
 at the repo root, and asserts the batched top-k parity contract (batched
 search is bit-identical to one-query-at-a-time search).  ``kernel:scan``
 times ``ExactIndex.search`` alone across batch sizes — the serve-side
@@ -18,8 +18,8 @@ import pytest
 
 from repro.bench import merge_bench_row
 from repro.serve.engine import QueryEngine
-from repro.serve.index import ExactIndex, LSHIndex, recall_at_k
-from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, run_load
+from repro.serve.index import ExactIndex
+from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.store import EmbeddingStore
 from repro.util.rng import keyed_rng
 
@@ -61,19 +61,6 @@ def test_serve_exact_latency(store, once):
         assert row["answers_sha256"] == recorded["answers_sha256"]
     merge_bench_row(OUT_PATH, "exact", row)
     print(f"\nexact: {row['throughput_qps']:,.0f} qps, p99 {row['latency_ms']['p99_ms']:.3f} ms")
-
-
-def test_serve_lsh_latency(store, once):
-    lsh = LSHIndex(store, seed=11)
-    sample = store.matrix[keyed_rng(11, RECALL_DOMAIN).choice(V, 128)]
-    recall = recall_at_k(lsh, ExactIndex(store), sample, k=K)
-    row = _bench_index(store, "lsh", lsh, once)
-    row["recall_at_k"] = recall
-    merge_bench_row(OUT_PATH, "lsh", row)
-    print(
-        f"\nlsh: {row['throughput_qps']:,.0f} qps, "
-        f"p99 {row['latency_ms']['p99_ms']:.3f} ms, recall@{K} {recall:.3f}"
-    )
 
 
 def test_batched_equals_unbatched_topk(store):

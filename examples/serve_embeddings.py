@@ -2,8 +2,9 @@
 """Serving embeddings: store, ANN indexes, batched engine, load report.
 
 Trains a small model, freezes it into an :class:`EmbeddingStore`, round-trips
-the store through the on-disk format, compares the exact and LSH indexes on
-recall and latency, then drives the batched ``QueryEngine`` with the
+the store through the on-disk format, compares the exact index with IVF (the
+approximate index the recall-vs-QPS frontier says to pick) on recall and
+latency, then drives the batched ``QueryEngine`` with the
 deterministic load generator and prints the run reports.
 
 Run:  python examples/serve_embeddings.py
@@ -18,7 +19,7 @@ from repro import SyntheticCorpusSpec, Word2VecParams, generate_corpus
 from repro.serve import (
     EmbeddingStore,
     ExactIndex,
-    LSHIndex,
+    IVFIndex,
     LoadConfig,
     QueryEngine,
     format_reports,
@@ -51,17 +52,17 @@ def main() -> None:
         assert np.array_equal(store.matrix, reopened.matrix)
         print(f"store round-trip ok: {reopened} (memory-mapped)")
 
-    # 3. Exact vs LSH: recall against ground truth, and latency under the
+    # 3. Exact vs IVF: recall against ground truth, and latency under the
     #    same deterministic load.
     exact = ExactIndex(store)
-    lsh = LSHIndex(store, seed=7)
+    ivf = IVFIndex(store, seed=7)
     sample = store.matrix[keyed_rng(7, 1).choice(len(store), 64)]
-    recall = recall_at_k(lsh, exact, sample, k=10)
-    print(f"LSH(bits={lsh.bits}, tables={lsh.tables}) recall@10 = {recall:.3f}")
+    recall = recall_at_k(ivf, exact, sample, k=10)
+    print(f"IVF(nlist={ivf.nlist}, nprobe={ivf.nprobe}) recall@10 = {recall:.3f}")
 
     config = LoadConfig(num_queries=384, k=10, seed=11)
     reports = {}
-    for label, index in (("exact", exact), ("lsh", lsh)):
+    for label, index in (("exact", exact), ("ivf", ivf)):
         engine = QueryEngine(index, max_batch=32, cache_size=128)
         reports[label] = run_load(engine, config, index_label=label)
     print(format_reports(list(reports.values())))

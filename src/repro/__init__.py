@@ -34,7 +34,6 @@ from repro.eval import evaluate_analogies, most_similar
 from repro.serve import (
     EmbeddingStore,
     ExactIndex,
-    LSHIndex,
     LoadConfig,
     QueryEngine,
     WorkloadReport,
@@ -81,7 +80,6 @@ __all__ = [
     "FaultReport",
     "EmbeddingStore",
     "ExactIndex",
-    "LSHIndex",
     "QueryEngine",
     "LoadConfig",
     "WorkloadReport",

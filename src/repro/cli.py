@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-bench",
-        help="benchmark the serving layer: exact vs LSH on a trained model, "
+        help="benchmark the serving layer: exact search on a trained model, "
              "the recall-vs-QPS frontier (--frontier), or an SLO-gated "
              "multi-tenant workload (--workload)",
     )
@@ -178,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=None,
                        help="workload + index seed (default: 7, or the library "
                             "default seed for --frontier)")
-    serve.add_argument("--lsh-tables", type=int, default=6)
-    serve.add_argument("--lsh-probes", type=int, default=24)
     serve.add_argument("--json", type=Path, metavar="FILE",
                        help="write the run reports (or frontier payload) as JSON")
     serve.add_argument("--trace", type=Path, metavar="FILE",
@@ -188,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier", "recall-vs-QPS frontier sweep over a synthetic clustered store"
     )
     frontier.add_argument("--frontier", action="store_true",
-                          help="sweep exact/LSH/IVF/int8/PQ points instead of "
+                          help="sweep exact/IVF/int8 points instead of "
                                "benchmarking a trained model")
     frontier.add_argument("--vocab", type=int, default=None, metavar="V",
                           help="frontier store rows (default: 8000)")
@@ -210,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--workload", type=Path, metavar="SPEC.json",
                           help="run a workload spec (backend plugin, arrival "
                                "process, tenant mix, SLOs) instead of the "
-                               "fixed exact/LSH benchmark; exits 1 if any SLO "
+                               "fixed exact benchmark; exits 1 if any SLO "
                                "verdict fails")
     workload.add_argument("--bench-json", type=Path, metavar="FILE",
                           default=Path("BENCH_serve.json"),
@@ -550,17 +548,7 @@ def _cmd_serve_bench(args) -> int:
         args.seed = 7
 
     from repro.experiments import datasets
-    from repro.serve import (
-        RECALL_DOMAIN,
-        EmbeddingStore,
-        ExactIndex,
-        LSHIndex,
-        LoadConfig,
-        QueryEngine,
-        recall_at_k,
-        run_load,
-    )
-    from repro.util.rng import keyed_rng
+    from repro.serve import EmbeddingStore, ExactIndex, LoadConfig, QueryEngine, run_load
     from repro.w2v.model import Word2VecModel
 
     corpus, _ = datasets.load(args.dataset)
@@ -582,30 +570,18 @@ def _cmd_serve_bench(args) -> int:
         model = SharedMemoryWord2Vec(corpus, params, seed=args.seed).train()
 
     store = EmbeddingStore.from_model(model, corpus.vocabulary)
-    exact = ExactIndex(store)
-    lsh = LSHIndex(
-        store, tables=args.lsh_tables, probes=args.lsh_probes, seed=args.seed
-    )
-    sample_rng = keyed_rng(args.seed, RECALL_DOMAIN)
-    sample = store.matrix[sample_rng.choice(len(store), min(128, len(store)))]
-    recall = recall_at_k(lsh, exact, sample, k=args.k)
-    print(
-        f"store: {store}  |  LSH(bits={lsh.bits}, tables={lsh.tables}, "
-        f"probes={lsh.probes}) recall@{args.k} = {recall:.3f}"
-    )
+    print(f"store: {store}")
 
     config = LoadConfig(
         num_queries=args.queries, k=args.k, zipf_exponent=args.zipf, seed=args.seed
     )
-    reports = []
-    for label, index in (("exact", exact), ("lsh", lsh)):
-        engine = QueryEngine(
-            index,
-            max_batch=args.max_batch,
-            cache_size=args.cache_size,
-            workers=args.workers,
-        )
-        reports.append(run_load(engine, config, index_label=label))
+    engine = QueryEngine(
+        ExactIndex(store),
+        max_batch=args.max_batch,
+        cache_size=args.cache_size,
+        workers=args.workers,
+    )
+    reports = [run_load(engine, config, index_label="exact")]
 
     if args.shards > 1:
         from repro.serve import ShardedEngine, ShardedIndex
@@ -653,7 +629,6 @@ def _cmd_serve_bench(args) -> int:
         reports,
         title=f"serve-bench · {args.dataset} · seed {args.seed}",
         dataset=args.dataset,
-        recall_at_k=recall,
         shards=args.shards,
         replicas=args.replicas,
     )

@@ -8,15 +8,15 @@ serves nearest-neighbor queries over it at scale:
   pre-computed L2 norms + word table) with ``save``/``open`` so serving
   never re-parses text formats,
 - :mod:`repro.serve.index` — the :class:`Index` search contract with an
-  exact blocked-matmul top-k (:class:`ExactIndex`) and a seeded
-  random-hyperplane LSH approximation (:class:`LSHIndex`), plus
-  :func:`recall_at_k` to measure the accuracy/speed tradeoff,
+  exact blocked-matmul top-k (:class:`ExactIndex`), plus
+  :func:`recall_at_k` to measure an approximate index against it,
 - :mod:`repro.serve.ivf` — :class:`IVFIndex`, an inverted-file index
   over seed-deterministic k-means cells (``nlist``/``nprobe`` knobs)
-  with exact float32 rescoring or quantized-code scoring,
+  with exact float32 rescoring or int8-code scoring — the approximate
+  index the recall-vs-QPS frontier says to pick,
 - :mod:`repro.serve.quant` — :class:`Int8Store` (per-dimension scalar
-  quantization) and :class:`PQStore` (product quantization), saved next
-  to the float32 snapshot with documented reconstruction-error bounds,
+  quantization), saved next to the float32 snapshot with a documented
+  reconstruction-error bound,
 - :mod:`repro.serve.engine` — :class:`QueryEngine`, micro-batching with a
   bounded LRU result cache, executing batches on a
   :class:`~repro.galois.do_all.DoAllExecutor`,
@@ -48,7 +48,7 @@ is a pure function of the seed; only measured wall-clock fields
 """
 
 from repro.serve.engine import CacheStats, EngineStats, LRUCache, QueryEngine
-from repro.serve.index import ExactIndex, Index, LSHIndex, recall_at_k
+from repro.serve.index import ExactIndex, Index, recall_at_k
 from repro.serve.ivf import IVFIndex, default_nlist, kmeans
 from repro.serve.frontier import (
     FrontierConfig,
@@ -57,7 +57,7 @@ from repro.serve.frontier import (
     sweep_frontier,
 )
 from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, run_load
-from repro.serve.quant import Int8Store, PQStore, open_codes
+from repro.serve.quant import Int8Store, open_codes
 from repro.serve.shard import (
     ShardedEngine,
     ShardedIndex,
@@ -84,12 +84,10 @@ __all__ = [
     "EmbeddingStore",
     "Index",
     "ExactIndex",
-    "LSHIndex",
     "IVFIndex",
     "default_nlist",
     "kmeans",
     "Int8Store",
-    "PQStore",
     "open_codes",
     "recall_at_k",
     "QueryEngine",

@@ -20,7 +20,7 @@ The :class:`QueryEngine` sits between callers and an
   trainer's conventions).  Blocks write disjoint slices of pre-allocated
   output arrays and the block size never depends on the executor, so
   results are bit-identical for every ``workers`` setting.  The engine
-  serves *any* :class:`~repro.serve.index.Index` — exact, LSH, or IVF —
+  serves *any* :class:`~repro.serve.index.Index` — exact, IVF, or sharded —
   through the same machinery; an index only has to honor the batched
   ``search`` contract.
 - **Sanitized execution** — ``sanitize=`` (default: the ``REPRO_SANITIZE``

@@ -1,12 +1,12 @@
 """The recall-vs-QPS frontier sweep over the ANN index family.
 
-:func:`sweep_frontier` measures every shipped index (exact, LSH, IVF
-with float32 / int8 / PQ scoring) on one seed-deterministic clustered
-store and records, per point, recall@k against the exact index, raw
+:func:`sweep_frontier` measures every shipped index (exact, IVF with
+float32 / int8 scoring) on one seed-deterministic clustered store and
+records, per point, recall@k against the exact index, raw
 ``index.search`` QPS, build time, memory, and a ``recall_floor``;
 :func:`check_frontier_floors` is the CI gate that re-runs the smoke
 sweep (``serve-bench --frontier --check-floors``) against the floors in
-``BENCH_serve.json``.
+``BENCH_serve.json`` — every swept point must have one.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.galois.timers import StatTimer
-from repro.serve.index import ExactIndex, LSHIndex, recall_at_k
+from repro.serve.index import ExactIndex, recall_at_k
 from repro.serve.ivf import IVFIndex, default_nlist
 from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, generate_queries
-from repro.serve.quant import Int8Store, PQStore
+from repro.serve.quant import Int8Store
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload.spec import StoreSpec
 from repro.util.rng import DEFAULT_SEED, keyed_rng
@@ -40,8 +40,9 @@ class FrontierConfig:
     (:class:`~repro.serve.workload.spec.StoreSpec`): rows are family
     centers plus noise, the serving-scale analogue of the synthetic
     corpus' word families, which is the geometry trained embeddings
-    actually have (and the reason IVF cells pay off).  ``nprobes`` are the IVF sweep points; ``quant_nprobes``
-    picks which of them are repeated through the int8 and PQ code variants.
+    actually have (and the reason IVF cells pay off).  ``nprobes`` are the
+    IVF sweep points; ``quant_nprobes`` picks which of them are repeated
+    through the int8 code variant.
     The defaults are the **CI smoke configuration** — small enough to run
     in seconds, recorded in ``BENCH_serve.json`` next to the full-scale
     frontier so `serve-bench --frontier --check-floors` can re-verify the
@@ -60,9 +61,6 @@ class FrontierConfig:
     nlist: int | None = None
     nprobes: tuple[int, ...] = (1, 2, 4, 8, 16)
     quant_nprobes: tuple[int, ...] = (8, 16)
-    pq_m: int = 8
-    pq_bits: int = 8
-    include_lsh: bool = True
 
     def __post_init__(self) -> None:
         self.store_spec()  # validates vocab_size / dim / clusters / spread
@@ -115,9 +113,9 @@ def _measure_point(index, queries: np.ndarray, k: int, batch: int) -> dict:
 def sweep_frontier(config: FrontierConfig | None = None, store=None) -> dict:
     """Measure the recall-vs-QPS frontier; returns the JSON-ready payload.
 
-    Points: brute-force exact (the recall=1 anchor), LSH at its defaults,
-    IVF with float32 residual rescoring at every ``config.nprobes``, and
-    IVF over the int8 / PQ code variants at ``config.quant_nprobes``.
+    Points: brute-force exact (the recall=1 anchor), IVF with float32
+    rescoring at every ``config.nprobes``, and IVF over the int8 code
+    variant at ``config.quant_nprobes``.
     Recall@k is computed against the exact index on a seed-deterministic
     uniform row sample; QPS runs the Zipf query stream of
     :func:`generate_queries` through ``index.search`` in fixed
@@ -163,16 +161,6 @@ def sweep_frontier(config: FrontierConfig | None = None, store=None) -> dict:
 
     add_point("exact", "exact", exact, {}, 0.0, store.normalized().nbytes)
 
-    if config.include_lsh:
-        timer = StatTimer("serve.frontier.build")
-        with timer:
-            lsh = LSHIndex(store, seed=config.seed)
-        add_point(
-            "lsh", "lsh", lsh,
-            {"bits": lsh.bits, "tables": lsh.tables, "probes": lsh.probes},
-            timer.total, store.normalized().nbytes,
-        )
-
     nlist = config.nlist or default_nlist(V)
     timer = StatTimer("serve.frontier.build")
     with timer:
@@ -203,27 +191,6 @@ def sweep_frontier(config: FrontierConfig | None = None, store=None) -> dict:
                 {"nlist": nlist, "nprobe": nprobe, "rescoring": "int8"},
                 int8_build, int8.memory_bytes() + ivf.centroids.nbytes,
             )
-        timer = StatTimer("serve.frontier.build")
-        with timer:
-            pq = PQStore.build(
-                store, m=config.pq_m, bits=config.pq_bits, seed=config.seed
-            )
-            ivfpq = IVFIndex(
-                store, nlist=nlist, nprobe=1, seed=config.seed,
-                codes=pq, centroids=ivf.centroids,
-            )
-        pq_build = ivf_build + timer.total
-        pq_label = f"pq{config.pq_m}x{config.pq_bits}"
-        for nprobe in config.quant_nprobes:
-            ivfpq.nprobe = min(nprobe, nlist)
-            add_point(
-                f"ivf-{pq_label}(nprobe={nprobe})", "ivf-pq", ivfpq,
-                {
-                    "nlist": nlist, "nprobe": nprobe, "rescoring": pq_label,
-                    "reconstruction_bound": pq.reconstruction_bound(),
-                },
-                pq_build, pq.memory_bytes() + ivf.centroids.nbytes,
-            )
 
     return {"config": config.as_dict(), "k": config.k, "points": points}
 
@@ -231,12 +198,12 @@ def sweep_frontier(config: FrontierConfig | None = None, store=None) -> dict:
 def check_frontier_floors(fresh: dict, recorded: dict) -> list[str]:
     """Compare a fresh sweep against recorded floors; returns violations.
 
-    The recorded payload's points are matched by label.  A config
-    mismatch, a recorded point missing from the fresh sweep, or a fresh
-    recall@k below a recorded ``recall_floor`` each produce one message;
-    an empty list means the frontier holds.
+    Points are matched by label, in both directions: a config mismatch,
+    a recorded point missing from the fresh sweep, a fresh point with no
+    recorded ``recall_floor`` (a backend added to the sweep must ship
+    with one), or a fresh recall@k below its recorded floor each produce
+    one message; an empty list means the frontier holds.
     """
-    violations: list[str] = []
     if fresh.get("config") != recorded.get("config"):
         return [
             "frontier config mismatch: sweep ran "
@@ -244,16 +211,17 @@ def check_frontier_floors(fresh: dict, recorded: dict) -> list[str]:
             f"{recorded.get('config')}"
         ]
     fresh_by_label = {p["label"]: p for p in fresh.get("points", [])}
-    for point in recorded.get("points", []):
-        label = point["label"]
-        floor = point.get("recall_floor")
+    floors = {p["label"]: p.get("recall_floor") for p in recorded.get("points", [])}
+    violations = [
+        f"{label}: point missing from fresh sweep"
+        for label in floors
+        if label not in fresh_by_label
+    ]
+    for label, got in fresh_by_label.items():
+        floor = floors.get(label)
         if floor is None:
-            continue
-        got = fresh_by_label.get(label)
-        if got is None:
-            violations.append(f"{label}: point missing from fresh sweep")
-            continue
-        if got["recall_at_k"] < floor:
+            violations.append(f"{label}: no recorded floor")
+        elif got["recall_at_k"] < floor:
             violations.append(
                 f"{label}: recall@k {got['recall_at_k']:.3f} fell below "
                 f"recorded floor {floor:.3f}"

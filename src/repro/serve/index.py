@@ -1,29 +1,19 @@
-"""Top-k cosine indexes over an :class:`~repro.serve.store.EmbeddingStore`.
+"""Top-k cosine search over an :class:`~repro.serve.store.EmbeddingStore`.
 
-Two implementations behind one :class:`Index` contract:
+:class:`ExactIndex` is brute-force cosine top-k as one *batched* blocked
+matmul (the batched-kernel formulation: many queries amortize one pass
+over the matrix, and the vocabulary is walked in cache-sized row blocks,
+each multiplied store-major against one fixed-height query tile, so
+memory stays bounded at ``32 x block`` instead of ``queries x V``).
+Selection is by running threshold: only scores that reach their query's
+running k-th best are merged, so a block costs its product, a copy and
+one comparison, not a partial sort.
 
-- :class:`ExactIndex` — brute-force cosine top-k as one *batched* blocked
-  matmul (the batched-kernel formulation: many queries amortize one pass
-  over the matrix, and the vocabulary is walked in cache-sized row blocks,
-  each multiplied store-major against one fixed-height query tile, so
-  memory stays bounded at ``32 x block`` instead of ``queries x V``).
-  Selection is by running threshold: only scores that reach their
-  query's running k-th best are merged, so a block costs its product, a
-  copy and one comparison, not a partial sort.
-- :class:`LSHIndex` — random-hyperplane locality-sensitive hashing:
-  every table hashes each row to a ``bits``-wide sign signature of
-  projections onto seeded hyperplanes; queries probe their own bucket
-  plus the ``probes`` flip sets (single bits *and* bit pairs, ranked by
-  summed projection margin — the perturbation sets most likely to hold
-  near neighbors) with the smallest total margin (multi-probe), then the
-  candidate union is *exactly* rescored.
-  Hyperplanes derive from the seed tree (:func:`repro.util.rng.keyed_rng`),
-  so an index is a pure function of ``(store, seed, shape knobs)``.
-
-Both tie-break identically — descending score, then ascending row id, a
-total order — so results are bit-reproducible across batch sizes, block
-sizes and executors.  :func:`recall_at_k` measures an approximate index
-against an exact one on the same queries.
+Ties break by descending score, then ascending row id — a total order,
+shared by every index behind the :class:`Index` contract — so results are
+bit-reproducible across batch sizes, block sizes and executors.
+:func:`recall_at_k` measures an approximate index against an exact one on
+the same queries.
 """
 
 from __future__ import annotations
@@ -33,17 +23,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.serve.store import EmbeddingStore
-from repro.util.rng import DEFAULT_SEED, keyed_rng
 
-__all__ = ["Index", "ExactIndex", "LSHIndex", "recall_at_k", "top_k_desc"]
-
-#: Domain tag mixed into LSH seed derivation so the hyperplane streams never
-#: collide with other consumers of the same root seed.
-_LSH_DOMAIN = 0x4C5348  # "LSH"
-
-#: Multi-probe pair flips are drawn from this many lowest-margin bits;
-#: bounds the probe-sequence enumeration at pool + C(pool, 2) flip sets.
-_PROBE_PAIR_POOL = 12
+__all__ = ["Index", "ExactIndex", "recall_at_k", "top_k_desc"]
 
 
 def top_k_desc(scores: np.ndarray, ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,133 +209,6 @@ class ExactIndex:
         for start in range(0, n, panel):
             sl = slice(start, start + panel)
             out_ids[sl], out_scores[sl] = self._search_panel(q[sl], k)
-        return out_ids, out_scores
-
-
-class LSHIndex:
-    """Random-hyperplane LSH with multi-probe and exact rescoring.
-
-    ``bits`` defaults to a store-sized choice (aiming at ~16 rows per
-    bucket, capped to 24) so small vocabularies do not shatter into empty
-    buckets; ``tables`` independent hash tables and ``probes`` extra
-    probes per table trade recall for candidate volume.  The probe
-    sequence follows the multi-probe construction: flip sets of one or
-    two signature bits, ranked by the summed projection margin of the
-    flipped bits (the cheapest sign flips are the likeliest to separate a
-    near neighbor from the query), ties broken by ascending bit mask.
-    Candidates from all tables are unioned and rescored with true cosine,
-    so returned scores are exact — only the candidate set is approximate.
-    ``k >= len(store)`` bypasses the tables entirely and rescores every
-    row, so an over-wide query degrades to exact search instead of
-    padding with misses.
-    """
-
-    def __init__(
-        self,
-        store: EmbeddingStore,
-        bits: int | None = None,
-        tables: int = 6,
-        probes: int = 24,
-        seed: int = DEFAULT_SEED,
-    ):
-        if bits is None:
-            bits = int(np.clip(np.ceil(np.log2(max(len(store), 2) / 16)), 2, 24))
-        if not 1 <= bits <= 62:
-            raise ValueError(f"bits must be in [1, 62], got {bits}")
-        if tables <= 0:
-            raise ValueError(f"tables must be positive, got {tables}")
-        if probes < 0:
-            raise ValueError(f"probes must be non-negative, got {probes}")
-        self._store = store
-        self.bits = int(bits)
-        self.tables = int(tables)
-        pool = min(self.bits, _PROBE_PAIR_POOL)
-        self.probes = min(int(probes), self.bits + pool * (pool - 1) // 2)
-        self.seed = int(seed)
-        normalized = store.normalized()
-        self._planes: list[np.ndarray] = []
-        self._buckets: list[dict[int, np.ndarray]] = []
-        weights = (1 << np.arange(self.bits, dtype=np.int64))
-        for table in range(self.tables):
-            rng = keyed_rng(self.seed, _LSH_DOMAIN, table)
-            planes = rng.standard_normal((self.bits, store.dim)).astype(np.float32)
-            self._planes.append(planes)
-            signatures = ((normalized @ planes.T) >= 0) @ weights
-            buckets: dict[int, np.ndarray] = {}
-            order = np.argsort(signatures, kind="stable")
-            sorted_sigs = signatures[order]
-            boundaries = np.flatnonzero(np.diff(sorted_sigs)) + 1
-            for group in np.split(order, boundaries):
-                buckets[int(signatures[group[0]])] = np.sort(group).astype(np.int64)
-            self._buckets.append(buckets)
-
-    @property
-    def store(self) -> EmbeddingStore:
-        return self._store
-
-    def _flip_masks(self, proj: np.ndarray) -> np.ndarray:
-        """The ``probes`` perturbation masks for one query's projections.
-
-        Flip sets of size one (every bit) and size two (pairs among the
-        ``_PROBE_PAIR_POOL`` lowest-margin bits), ranked by the summed
-        projection margin of the flipped bits; ties break on the ascending
-        mask value so the sequence is deterministic.
-        """
-        margins = np.abs(proj)
-        order = np.argsort(margins, kind="stable")
-        costs = [margins[b] for b in order]
-        masks = [1 << int(b) for b in order]
-        pool = order[: min(self.bits, _PROBE_PAIR_POOL)]
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                bi, bj = int(pool[i]), int(pool[j])
-                costs.append(margins[bi] + margins[bj])
-                masks.append((1 << bi) | (1 << bj))
-        costs = np.asarray(costs, dtype=np.float64)
-        masks = np.asarray(masks, dtype=np.int64)
-        pick = np.lexsort((masks, costs))[: self.probes]
-        return masks[pick]
-
-    def candidates(self, query: np.ndarray) -> np.ndarray:
-        """Sorted unique candidate row ids for one (raw) query vector."""
-        q = _normalize_queries(query, self._store.dim)[0]
-        found: list[np.ndarray] = []
-        for planes, buckets in zip(self._planes, self._buckets):
-            proj = planes @ q
-            sig = int(((proj >= 0) @ (1 << np.arange(self.bits, dtype=np.int64))))
-            # Multi-probe: the base bucket plus the flip sets whose signs
-            # are likeliest to differ for near neighbors.
-            probe_sigs = [sig]
-            probe_sigs.extend(sig ^ int(mask) for mask in self._flip_masks(proj))
-            for probe in probe_sigs:
-                hit = buckets.get(probe)
-                if hit is not None:
-                    found.append(hit)
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(found))
-
-    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        normalized = self._store.normalized()
-        k = min(k, len(self._store))
-        q = _normalize_queries(queries, self._store.dim)
-        n = q.shape[0]
-        out_ids = np.full((n, k), -1, dtype=np.int64)
-        out_scores = np.full((n, k), -np.inf, dtype=np.float32)
-        all_rows = np.arange(len(self._store), dtype=np.int64)
-        for i in range(n):
-            # k covering the whole store degrades to an exact scan — an
-            # over-wide query must not pad with misses.
-            cands = all_rows if k >= len(self._store) else self.candidates(q[i])
-            if cands.size == 0:
-                continue
-            scores = (normalized[cands] @ q[i]).astype(np.float32)
-            ids, scores = top_k_desc(scores[None, :], cands[None, :], k)
-            width = ids.shape[1]
-            out_ids[i, :width] = ids[0]
-            out_scores[i, :width] = scores[0]
         return out_ids, out_scores
 
 

@@ -1,4 +1,4 @@
-"""IVF: coarse-quantized top-k with exact (or code-based) rescoring.
+"""IVF: coarse-quantized top-k with exact (or int8-code) rescoring.
 
 An :class:`IVFIndex` partitions the store's normalized rows into ``nlist``
 *cells* with seed-deterministic spherical k-means, then answers a query by
@@ -13,8 +13,8 @@ cells, and rescoring their members.  The cell math:
   descending-score / ascending-id tie-break every index uses, the top
   ``nprobe`` are probed, and every member row is rescored: by true cosine
   against the float32 matrix (the default — only the *candidate set* is
-  approximate), or against int8 / product-quantized codes
-  (:mod:`repro.serve.quant`) when a quantized store variant is attached.
+  approximate), or against int8 codes (:mod:`repro.serve.quant`) when a
+  quantized store variant is attached.
 
 Each query is processed independently (centroid scoring and rescoring are
 per-query matrix-vector products over contiguous cell slices), so batched
@@ -27,8 +27,7 @@ and probing a prefix means candidate sets grow monotonically with
 
 Everything stochastic (k-means init, training subsample) flows through
 :func:`repro.util.rng.keyed_rng`, so an index is a pure function of
-``(store, seed, shape knobs)`` — the same contract as
-:class:`~repro.serve.index.LSHIndex`.
+``(store, seed, shape knobs)``.
 """
 
 from __future__ import annotations
@@ -60,37 +59,22 @@ def default_nlist(vocab_size: int) -> int:
     return int(np.clip(round(np.sqrt(vocab_size)), 1, 4096))
 
 
-def _scores_for(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
-    """Per-(point, centroid) assignment score (argmax picks the cell)."""
-    scores = points @ centroids.T
-    if metric == "l2":
-        # argmin ||x - c||^2 == argmax (x.c - ||c||^2 / 2); the ||x||^2
-        # term is constant per row and never changes the argmax.
-        scores = scores - 0.5 * np.einsum("ij,ij->i", centroids, centroids)
-    return scores
-
-
 def assign_cells(
     points: np.ndarray,
     centroids: np.ndarray,
-    metric: str = "cosine",
     block_rows: int = _KMEANS_BLOCK,
 ) -> np.ndarray:
-    """Deterministic cell assignment: best centroid, lowest id on ties.
+    """Deterministic cell assignment: highest dot product, lowest id on ties.
 
     ``points`` is walked in ``block_rows`` row blocks so the score buffer
     stays bounded at ``block_rows x nlist``.
     """
-    if metric not in ("cosine", "l2"):
-        raise ValueError(f"unknown kmeans metric {metric!r} (use 'cosine' or 'l2')")
     n = points.shape[0]
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, block_rows):
         block = points[start : start + block_rows]
         # np.argmax returns the *first* maximum, i.e. the lowest cell id.
-        out[start : start + block_rows] = np.argmax(
-            _scores_for(block, centroids, metric), axis=1
-        )
+        out[start : start + block_rows] = np.argmax(block @ centroids.T, axis=1)
     return out
 
 
@@ -100,15 +84,13 @@ def kmeans(
     rng: np.random.Generator,
     iters: int = 8,
     sample: int | None = 65536,
-    metric: str = "cosine",
 ) -> np.ndarray:
-    """Seed-deterministic k-means; returns ``(k, dim)`` float32 centroids.
+    """Seed-deterministic spherical k-means; returns ``(k, dim)`` float32
+    unit centroids.
 
-    - ``metric="cosine"`` — spherical k-means: centroids are re-normalized
-      every iteration and assignment maximizes the dot product (points are
-      expected row-normalized).  Used for IVF coarse cells.
-    - ``metric="l2"`` — Euclidean k-means (assignment minimizes squared
-      distance).  Used for the product-quantizer codebooks.
+    Centroids are re-normalized every iteration and assignment maximizes
+    the dot product (points are expected row-normalized) — the IVF coarse
+    cells.
 
     Determinism: initialization draws ``k`` distinct rows from ``rng``, the
     training set is an ``rng``-drawn subsample of at most ``sample`` rows
@@ -118,8 +100,6 @@ def kmeans(
     refinement passes run — no data-dependent early exit — so the result is
     a pure function of ``(points, k, rng state, knobs)``.
     """
-    if metric not in ("cosine", "l2"):
-        raise ValueError(f"unknown kmeans metric {metric!r} (use 'cosine' or 'l2')")
     if iters < 0:
         raise ValueError(f"iters must be non-negative, got {iters}")
     points = np.ascontiguousarray(points, dtype=np.float32)
@@ -131,11 +111,9 @@ def kmeans(
     else:
         train = points
     init = np.sort(rng.choice(train.shape[0], size=k, replace=False))
-    centroids = train[init].copy()
-    if metric == "cosine":
-        centroids = _unit_rows(centroids)
+    centroids = _unit_rows(train[init])
     for _ in range(iters):
-        assignment = assign_cells(train, centroids, metric)
+        assignment = assign_cells(train, centroids)
         order = np.argsort(assignment, kind="stable")
         grouped = train[order]
         sizes = np.bincount(assignment, minlength=k)
@@ -145,9 +123,7 @@ def kmeans(
         sums = np.add.reduceat(grouped, starts, axis=0, dtype=np.float64)
         means = (sums[occupied] / sizes[occupied, None]).astype(np.float32)
         updated = centroids.copy()
-        updated[occupied] = means
-        if metric == "cosine":
-            updated[occupied] = _unit_rows(means, fallback=centroids[occupied])
+        updated[occupied] = _unit_rows(means, fallback=centroids[occupied])
         centroids = updated
     return np.ascontiguousarray(centroids, dtype=np.float32)
 
@@ -170,11 +146,11 @@ class IVFIndex:
     attribute and may be changed between searches (the cell layout does not
     depend on it), which is how the frontier sweep walks the recall/QPS
     trade-off on one build.  ``codes`` optionally attaches a quantized
-    store variant (:class:`~repro.serve.quant.Int8Store` or
-    :class:`~repro.serve.quant.PQStore` built over the *same* store):
-    rescoring then reads the codes instead of the float32 matrix — smaller
-    and usually faster, at the cost of approximate scores bounded by the
-    variant's documented reconstruction error.
+    store variant (:class:`~repro.serve.quant.Int8Store` built over the
+    *same* store): rescoring then reads the codes instead of the float32
+    matrix — 4x smaller, at the cost of approximate scores bounded by the
+    variant's documented reconstruction error.  The index reaches the codes
+    only through their ``prepare_query`` / ``score`` protocol.
 
     Member rows are stored grouped by cell (one contiguous slice per cell)
     so rescoring is a handful of contiguous matrix-vector products — the

@@ -1,43 +1,29 @@
-"""Quantized store variants: int8 scalar and product-quantized codes.
+"""Quantized store variant: int8 scalar codes.
 
-Both variants compress the store's *normalized* matrix (search is cosine,
-so the unit-sphere representation is what rescoring reads) into codes kept
-alongside the float32 snapshot, with documented reconstruction-error
-bounds:
-
-- :class:`Int8Store` — symmetric per-dimension scalar quantization.
-  ``codes[r, d] = round(normalized[r, d] / scale[d])`` clipped to
-  ``[-127, 127]`` with ``scale[d] = max_r |normalized[r, d]| / 127``.
-  Decoding multiplies back.  **Bound**: round-to-nearest means the
-  element-wise error is at most ``scale[d] / 2`` (exactly
-  :meth:`Int8Store.max_abs_error`) except where clipping saturates — the
-  scale is chosen from the data, so nothing clips at build time — and the
-  per-row L2 error is at most ``sqrt(sum_d (scale[d]/2)^2)``
-  (:meth:`Int8Store.reconstruction_bound`).  4x smaller than float32.
-- :class:`PQStore` — product quantization: the ``dim`` axis splits into
-  ``m`` contiguous subspaces of ``dim/m`` components, each with its own
-  ``2**bits``-entry codebook trained by seed-deterministic Euclidean
-  k-means (:func:`repro.serve.ivf.kmeans`), and every row stores one code
-  per subspace.  Decoding concatenates the selected codewords.  **Bound**:
-  the per-row L2 error is ``sqrt(sum_m ||x_m - codeword_m||^2)``; its
-  maximum over the stored rows is measured at build time and persisted as
-  :meth:`PQStore.reconstruction_bound` — an empirical, data-dependent
-  bound rather than an a-priori one, validated on every open.
-  ``dim * 32 / (m * bits)``-fold smaller than float32.
+:class:`Int8Store` compresses the store's *normalized* matrix (search is
+cosine, so the unit-sphere representation is what rescoring reads) into
+codes kept alongside the float32 snapshot, with a documented
+reconstruction-error bound.  It is symmetric per-dimension scalar
+quantization: ``codes[r, d] = round(normalized[r, d] / scale[d])``
+clipped to ``[-127, 127]`` with ``scale[d] = max_r |normalized[r, d]| / 127``.
+Decoding multiplies back.  **Bound**: round-to-nearest means the
+element-wise error is at most ``scale[d] / 2`` (exactly
+:meth:`Int8Store.max_abs_error`) except where clipping saturates — the
+scale is chosen from the data, so nothing clips at build time — and the
+per-row L2 error is at most ``sqrt(sum_d (scale[d]/2)^2)``
+(:meth:`Int8Store.reconstruction_bound`).  4x smaller than float32.
 
 Scoring support for :class:`~repro.serve.ivf.IVFIndex` is the two-method
-protocol ``prepare_query(q) -> ctx`` / ``score(code_rows, ctx)``:
+protocol ``prepare_query(q) -> ctx`` / ``score(code_rows, ctx)``: int8
+folds the scales into the query once (``q * scale``), so scoring a
+candidate block is one int8-to-float cast and a matrix-vector product.
+The index sees only the protocol, never the code format.
 
-- int8 folds the scales into the query once (``q * scale``), so scoring a
-  candidate block is one int8-to-float cast and a matrix-vector product;
-- PQ builds the classic ADC lookup table — per subspace, the dot product
-  of ``q``'s sub-vector with all ``2**bits`` codewords — and scores a
-  candidate as the sum of ``m`` table lookups, never touching floats.
-
-Persistence: ``save(directory)`` drops a ``codes_*.npz`` next to an
-existing store's ``vectors.*`` and records the layout under the ``codes``
-key of ``meta.json`` (validated field-by-field on ``open`` — error
-messages name the offending ``codes.<variant>.<field>``).
+Persistence: ``save(directory)`` drops a ``codes_int8.npz`` next to an
+existing store's ``vectors.*`` and records the layout under the
+``codes.int8`` key of ``meta.json`` (validated field-by-field on
+``open`` — error messages name the offending ``codes.<variant>.<field>``;
+a section naming any other variant is rejected).
 """
 
 from __future__ import annotations
@@ -46,17 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serve.ivf import assign_cells, kmeans
 from repro.serve.store import EmbeddingStore, meta_field, read_meta, write_meta
-from repro.util.rng import DEFAULT_SEED, keyed_rng
 
-__all__ = ["Int8Store", "PQStore", "open_codes"]
-
-#: Domain tag for the PQ codebook k-means streams.
-_PQ_DOMAIN = 0x5051  # "PQ"
+__all__ = ["Int8Store", "open_codes"]
 
 _INT8_NPZ = "codes_int8.npz"
-_PQ_NPZ = "codes_pq.npz"
 
 
 def _codes_meta(meta: dict, variant: str, path: Path) -> dict:
@@ -72,8 +52,6 @@ def _variant_field(section: dict, variant: str, name: str, kind, where: str):
     if name not in section:
         raise ValueError(f"{where}: meta.json missing field codes.{variant}.{name}")
     value = section[name]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(
             f"{where}: meta.json field codes.{variant}.{name} must be "
@@ -191,174 +169,6 @@ class Int8Store:
         return f"Int8Store(vocab={self.vocab_size}, dim={self.dim})"
 
 
-class PQStore:
-    """Product-quantized codes: ``m`` subspaces, ``2**bits`` codewords each."""
-
-    variant = "pq"
-
-    def __init__(self, codes: np.ndarray, codebooks: np.ndarray, bound: float):
-        codes = np.ascontiguousarray(codes, dtype=np.uint8)
-        codebooks = np.ascontiguousarray(codebooks, dtype=np.float32)
-        if codes.ndim != 2:
-            raise ValueError(f"codes must be 2-D, got shape {codes.shape}")
-        if codebooks.ndim != 3 or codebooks.shape[0] != codes.shape[1]:
-            raise ValueError(
-                f"codebooks shape {codebooks.shape} does not match "
-                f"{codes.shape[1]} subspaces"
-            )
-        if codes.size and codes.max() >= codebooks.shape[1]:
-            raise ValueError(
-                f"codes reference entry {int(codes.max())} of a "
-                f"{codebooks.shape[1]}-entry codebook"
-            )
-        if bound < 0:
-            raise ValueError(f"bound must be non-negative, got {bound}")
-        self.codes = codes
-        self.codebooks = codebooks
-        self._bound = float(bound)
-
-    @property
-    def vocab_size(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.codebooks.shape[0]
-
-    @property
-    def entries(self) -> int:
-        return self.codebooks.shape[1]
-
-    @property
-    def dsub(self) -> int:
-        return self.codebooks.shape[2]
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.dsub
-
-    # -- build / round-trip ------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        store: EmbeddingStore,
-        m: int = 8,
-        bits: int = 8,
-        seed: int = DEFAULT_SEED,
-        iters: int = 8,
-        train_sample: int | None = 65536,
-    ) -> "PQStore":
-        """Train one Euclidean-k-means codebook per subspace and encode.
-
-        ``dim`` must divide evenly into ``m`` subspaces; ``bits`` (1-8, so
-        codes fit uint8) sets the codebook size ``2**bits``, capped at the
-        vocab size.  The per-row reconstruction-error bound is measured
-        over the whole store after encoding and persisted with the codes.
-        """
-        dim = store.dim
-        if m <= 0 or dim % m != 0:
-            raise ValueError(f"m must divide dim ({dim}), got m={m}")
-        if not 1 <= bits <= 8:
-            raise ValueError(f"bits must be in [1, 8], got {bits}")
-        normalized = store.normalized()
-        V = len(store)
-        entries = min(2**bits, V)
-        dsub = dim // m
-        codebooks = np.empty((m, entries, dsub), dtype=np.float32)
-        codes = np.empty((V, m), dtype=np.uint8)
-        for sub in range(m):
-            block = np.ascontiguousarray(normalized[:, sub * dsub : (sub + 1) * dsub])
-            rng = keyed_rng(seed, _PQ_DOMAIN, m, bits, sub)
-            codebooks[sub] = kmeans(
-                block, entries, rng, iters=iters, sample=train_sample, metric="l2"
-            )
-            codes[:, sub] = assign_cells(block, codebooks[sub], metric="l2")
-        built = cls(codes, codebooks, bound=0.0)
-        errors = np.linalg.norm(normalized - built.decode(), axis=1)
-        built._bound = float(errors.max()) if errors.size else 0.0
-        return built
-
-    def decode(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Reconstructed float32 rows: concatenated selected codewords."""
-        codes = self.codes if rows is None else np.atleast_2d(self.codes[rows])
-        parts = [self.codebooks[sub][codes[:, sub]] for sub in range(self.m)]
-        return np.concatenate(parts, axis=1)
-
-    def reconstruction_bound(self) -> float:
-        """Max per-row L2 reconstruction error, measured at build time."""
-        return self._bound
-
-    # -- IVF scoring protocol ----------------------------------------------
-    def prepare_query(self, q: np.ndarray) -> np.ndarray:
-        """The ADC table: per-subspace codeword dot products, ``(m, entries)``."""
-        sub_queries = q.reshape(self.m, self.dsub)
-        return np.einsum(
-            "mkd,md->mk", self.codebooks, sub_queries.astype(np.float32)
-        ).astype(np.float32)
-
-    def score(self, code_rows: np.ndarray, ctx: np.ndarray) -> np.ndarray:
-        lookup = ctx[np.arange(self.m)[None, :], code_rows]
-        return lookup.sum(axis=1, dtype=np.float32)
-
-    def memory_bytes(self) -> int:
-        return int(self.codes.nbytes + self.codebooks.nbytes)
-
-    # -- persistence -------------------------------------------------------
-    def save(self, directory: str | Path) -> Path:
-        directory = Path(directory)
-        meta = read_meta(directory)
-        with open(directory / _PQ_NPZ, "wb") as handle:
-            np.savez_compressed(handle, codes=self.codes, codebooks=self.codebooks)
-        meta.setdefault("codes", {})["pq"] = {
-            "file": _PQ_NPZ,
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "m": self.m,
-            "entries": self.entries,
-            "bound": self._bound,
-            "source": "normalized",
-        }
-        write_meta(directory, meta)
-        return directory
-
-    @classmethod
-    def open(cls, directory: str | Path) -> "PQStore":
-        directory = Path(directory)
-        meta = read_meta(directory)
-        where = str(directory)
-        section = _codes_meta(meta, "pq", directory)
-        V = _variant_field(section, "pq", "vocab_size", int, where)
-        dim = _variant_field(section, "pq", "dim", int, where)
-        m = _variant_field(section, "pq", "m", int, where)
-        entries = _variant_field(section, "pq", "entries", int, where)
-        bound = _variant_field(section, "pq", "bound", float, where)
-        filename = _variant_field(section, "pq", "file", str, where)
-        with np.load(directory / filename) as data:
-            codes, codebooks = data["codes"], data["codebooks"]
-        if codes.shape != (V, m):
-            raise ValueError(
-                f"{where}: codes_pq shape {codes.shape} does not match "
-                f"meta.json codes.pq ({V}, {m})"
-            )
-        if m <= 0 or dim % m != 0:
-            raise ValueError(
-                f"{where}: meta.json field codes.pq.m ({m}) does not divide "
-                f"codes.pq.dim ({dim})"
-            )
-        if codebooks.shape != (m, entries, dim // m):
-            raise ValueError(
-                f"{where}: codebooks shape {codebooks.shape} does not match "
-                f"meta.json codes.pq ({m}, {entries}, {dim // m})"
-            )
-        return cls(codes, codebooks, bound=bound)
-
-    def __repr__(self) -> str:
-        return (
-            f"PQStore(vocab={self.vocab_size}, dim={self.dim}, m={self.m}, "
-            f"entries={self.entries})"
-        )
-
-
 def open_codes(directory: str | Path, store: EmbeddingStore | None = None):
     """Load every code variant saved under ``directory``.
 
@@ -371,7 +181,7 @@ def open_codes(directory: str | Path, store: EmbeddingStore | None = None):
     if "codes" not in meta:
         return out
     section = meta_field(meta, "codes", dict, where=str(directory))
-    openers = {"int8": Int8Store.open, "pq": PQStore.open}
+    openers = {"int8": Int8Store.open}
     for variant in sorted(section):
         if variant not in openers:
             raise ValueError(

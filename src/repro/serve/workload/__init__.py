@@ -6,9 +6,9 @@ simulated users, SLO-oriented reporting); ``repro.serve.loadgen.run_load``
 is the single-tenant Poisson special case, spelled as a spec:
 
 - :mod:`~repro.serve.workload.plugins` — named backend builders over the
-  one ``search(queries, k)`` surface: ``exact``, ``lsh``, ``ivf``,
-  ``ivf-int8``, ``ivf-pq``, ``sharded``; :func:`register_backend` adds
-  more,
+  one ``search(queries, k)`` surface: ``exact``, ``ivf``, ``ivf-int8``,
+  ``sharded`` (each clears a recall@10 floor against ``exact``);
+  :func:`register_backend` adds more,
 - :mod:`~repro.serve.workload.arrivals` — seed-deterministic arrival
   processes (Poisson, diurnal sinusoid, burst trains, staged ramps) and
   closed-loop concurrency :class:`RampStage` ramps,
@@ -18,7 +18,9 @@ is the single-tenant Poisson special case, spelled as a spec:
   QPS``, per-tenant and aggregate) evaluating to pass/fail verdicts,
 - :mod:`~repro.serve.workload.spec` — the JSON workload document
   (:class:`WorkloadSpec`) the CLI consumes, and the synthetic clustered
-  store (:class:`StoreSpec`, :func:`clustered_matrix`) it serves over,
+  store (:class:`StoreSpec`, :func:`clustered_matrix`) it serves over;
+  its loaders read JSON through :mod:`~repro.serve.workload.fields`, so
+  a mistyped field is a ``ValueError`` naming it,
 - :mod:`~repro.serve.workload.runner` — :func:`run_workload`, driving a
   backend in open- or closed-loop mode with warm-up vs measurement
   windows and emitting a :class:`WorkloadReport` (the answers

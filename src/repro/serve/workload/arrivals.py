@@ -40,6 +40,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.serve.workload.fields import json_fields, json_list, json_object
 from repro.util.rng import keyed_rng
 
 __all__ = [
@@ -325,7 +326,7 @@ def arrival_times_us(process: ArrivalProcess, n: int, seed: int) -> np.ndarray:
 
 def arrivals_from_dict(data: dict) -> ArrivalProcess:
     """Parse an arrival process from its ``as_dict`` JSON form."""
-    spec = dict(data)
+    spec = dict(json_object(data, "arrivals"))
     kind = spec.pop("kind", None)
     builders = {
         "poisson": PoissonArrivals,
@@ -334,12 +335,15 @@ def arrivals_from_dict(data: dict) -> ArrivalProcess:
     }
     try:
         if kind == "staged":
-            stages = tuple(Stage(**stage) for stage in spec.pop("stages"))
+            stages = tuple(
+                Stage(**json_fields(Stage, stage, "arrivals stages entry"))
+                for stage in json_list(spec.pop("stages", None), "arrivals field 'stages'")
+            )
             if spec:
                 raise TypeError(f"unexpected keys {sorted(spec)}")
             return StagedArrivals(stages)
         if kind in builders:
-            return builders[kind](**spec)
+            return builders[kind](**json_fields(builders[kind], spec, "arrivals"))
     except TypeError as exc:
         raise ValueError(f"bad arrival spec for kind {kind!r}: {exc}") from None
     raise ValueError(

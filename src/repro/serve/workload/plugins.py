@@ -10,13 +10,17 @@ own front end).  A **backend plugin** is a named builder::
 
 registered with :func:`register_backend`.  ``options`` is the workload
 spec's ``backend_options`` mapping; builders ``pop`` what they consume
-and :func:`build_backend` rejects leftovers, so a typo in a spec fails
-loudly instead of silently running the default configuration.
+(integers only — a bool or ``2.5`` is a ``ValueError`` naming the option,
+never a silently truncated knob) and :func:`build_backend` rejects
+leftovers, so a typo in a spec fails loudly instead of silently running
+the default configuration.
 
-Built-ins: ``exact``, ``lsh``, ``ivf``, ``ivf-int8``, ``ivf-pq``, and
-``sharded`` (scatter-gather over :class:`~repro.serve.shard.ShardedIndex`
-with replicas).  External code can register more — anything that builds
-an object honoring the engine surface qualifies.
+Built-ins: ``exact``, ``ivf``, ``ivf-int8``, and ``sharded``
+(scatter-gather over :class:`~repro.serve.shard.ShardedIndex` with
+replicas) — each clears recall@10 >= 0.8 against ``exact`` at its default
+options, which the test suite checks for every registered name.  External
+code can register more — anything that builds an object honoring the
+engine surface qualifies.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.serve.engine import QueryEngine
-from repro.serve.index import ExactIndex, LSHIndex
+from repro.serve.index import ExactIndex
 from repro.serve.ivf import IVFIndex, default_nlist
-from repro.serve.quant import Int8Store, PQStore
+from repro.serve.quant import Int8Store
 from repro.serve.shard import ShardedEngine, ShardedIndex
 from repro.serve.store import EmbeddingStore
+from repro.serve.workload.fields import integer, json_object
 from repro.util.rng import DEFAULT_SEED
 
 __all__ = [
@@ -85,7 +90,7 @@ def build_backend(
         raise ValueError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
         )
-    remaining = dict(options or {})
+    remaining = dict(json_object({} if options is None else options, "backend_options"))
     engine = builder(store, remaining, int(seed), dict(engine_kwargs))
     if remaining:
         raise ValueError(
@@ -103,19 +108,13 @@ def _build_exact(store, options, seed, engine_kwargs):
     return _engine(ExactIndex(store), engine_kwargs)
 
 
-@register_backend("lsh")
-def _build_lsh(store, options, seed, engine_kwargs):
-    kwargs = {
-        key: options.pop(key)
-        for key in ("bits", "tables", "probes")
-        if key in options
-    }
-    return _engine(LSHIndex(store, seed=seed, **kwargs), engine_kwargs)
+def _option(options: dict, name: str, default: int) -> int:
+    return integer(options.pop(name, default), f"backend option {name!r}")
 
 
 def _ivf_shape(store, options):
-    nlist = int(options.pop("nlist", default_nlist(len(store))))
-    nprobe = int(options.pop("nprobe", 8))
+    nlist = _option(options, "nlist", default_nlist(len(store)))
+    nprobe = _option(options, "nprobe", 8)
     return nlist, nprobe
 
 
@@ -137,26 +136,11 @@ def _build_ivf_int8(store, options, seed, engine_kwargs):
     )
 
 
-@register_backend("ivf-pq")
-def _build_ivf_pq(store, options, seed, engine_kwargs):
-    nlist, nprobe = _ivf_shape(store, options)
-    codes = PQStore.build(
-        store,
-        m=int(options.pop("m", 8)),
-        bits=int(options.pop("bits", 8)),
-        seed=seed,
-    )
-    return _engine(
-        IVFIndex(store, nlist=nlist, nprobe=nprobe, seed=seed, codes=codes),
-        engine_kwargs,
-    )
-
-
 @register_backend("sharded")
 def _build_sharded(store, options, seed, engine_kwargs):
     index = ShardedIndex(
         store,
-        num_shards=int(options.pop("shards", 2)),
-        replicas=int(options.pop("replicas", 1)),
+        num_shards=_option(options, "shards", 2),
+        replicas=_option(options, "replicas", 1),
     )
     return ShardedEngine(index, **engine_kwargs)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
+from repro.serve.workload.fields import json_fields, number
+
 __all__ = [
     "LATENCY_METRICS",
     "SLO_METRICS",
@@ -90,14 +92,14 @@ class SLORule:
         ``max`` is sugar for an upper bound, ``min`` for a lower bound;
         exactly one of ``max``/``min``/``threshold`` must be present.
         """
-        spec = dict(data)
+        spec = json_fields(cls, data, "slos entry")
         bounds = [key for key in ("max", "min", "threshold") if key in spec]
         if len(bounds) != 1:
             raise ValueError(
                 f"SLO rule needs exactly one of max/min/threshold, got {spec}"
             )
         bound = bounds[0]
-        value = float(spec.pop(bound))
+        value = float(number(spec.pop(bound), f"slos entry field {bound!r}"))
         op = spec.pop("op", None)
         if bound == "max":
             op = "<="

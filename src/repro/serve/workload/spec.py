@@ -48,6 +48,7 @@ from repro.serve.workload.arrivals import (
     RampStage,
     arrivals_from_dict,
 )
+from repro.serve.workload.fields import json_fields, json_list, json_object
 from repro.serve.workload.slo import SLORule
 from repro.serve.workload.tenants import TenantMix
 from repro.util.rng import DEFAULT_SEED, keyed_rng
@@ -133,7 +134,7 @@ class StoreSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "StoreSpec":
         try:
-            return cls(**data)
+            return cls(**json_fields(cls, data, "store"))
         except TypeError as exc:
             raise ValueError(f"bad store spec: {exc}") from None
 
@@ -177,6 +178,8 @@ class WorkloadSpec:
             )
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
+        if self.seed < 0:  # keyed_rng keys are non-negative
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.flush_horizon_us >= 0:  # also rejects NaN
             raise ValueError(
                 f"flush_horizon_us must be non-negative, got {self.flush_horizon_us}"
@@ -221,26 +224,29 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
-        spec = dict(data)
-        kwargs: dict = {}
+        """Parse the JSON form; a bad field is a ``ValueError`` naming it."""
+        spec = dict(json_object(data, "workload spec"))
         if spec.get("flush_horizon_us", 0.0) is None:
             spec["flush_horizon_us"] = math.inf
-        if "store" in spec:
-            store = spec.pop("store")
-            kwargs["store"] = None if store is None else StoreSpec.from_dict(store)
-        if "arrivals" in spec:
-            kwargs["arrivals"] = arrivals_from_dict(spec.pop("arrivals"))
-        if "ramp" in spec:
-            kwargs["ramp"] = tuple(
-                RampStage(**stage) for stage in spec.pop("ramp")
-            )
-        if "tenants" in spec:
-            kwargs["tenants"] = TenantMix.from_dict(spec.pop("tenants"))
-        if "slos" in spec:
-            kwargs["slos"] = tuple(
-                SLORule.from_dict(rule) for rule in spec.pop("slos")
-            )
+        spec = json_fields(cls, spec, "workload spec")
+        kwargs: dict = {}
         try:
+            if "store" in spec:
+                store = spec.pop("store")
+                kwargs["store"] = None if store is None else StoreSpec.from_dict(store)
+            if "arrivals" in spec:
+                kwargs["arrivals"] = arrivals_from_dict(spec.pop("arrivals"))
+            if "ramp" in spec:
+                kwargs["ramp"] = tuple(
+                    RampStage(**json_fields(RampStage, stage, "ramp entry"))
+                    for stage in json_list(spec.pop("ramp"), "ramp")
+                )
+            if "tenants" in spec:
+                kwargs["tenants"] = TenantMix.from_dict(spec.pop("tenants"))
+            if "slos" in spec:
+                kwargs["slos"] = tuple(
+                    SLORule.from_dict(rule) for rule in json_list(spec.pop("slos"), "slos")
+                )
             return cls(**spec, **kwargs)
         except TypeError as exc:
             raise ValueError(f"bad workload spec: {exc}") from None

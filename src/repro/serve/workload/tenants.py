@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from repro.serve.workload.fields import json_fields, json_list, number
 from repro.util.rng import keyed_rng
 
 __all__ = [
@@ -120,12 +121,15 @@ class TenantSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
-        spec = dict(data)
+        spec = json_fields(cls, data, "tenants entry")
         vocab = spec.pop("vocab", None)
         if vocab is not None:
+            vocab = json_list(vocab, "tenants entry field 'vocab'")
             if len(vocab) != 2:
                 raise ValueError(f"vocab must be [start, stop], got {vocab}")
-            spec["vocab_start"], spec["vocab_stop"] = float(vocab[0]), float(vocab[1])
+            spec["vocab_start"], spec["vocab_stop"] = (
+                float(number(bound, "tenants entry field 'vocab'")) for bound in vocab
+            )
         try:
             return cls(**spec)
         except TypeError as exc:
@@ -213,4 +217,7 @@ class TenantMix:
 
     @classmethod
     def from_dict(cls, data: list[dict]) -> "TenantMix":
-        return cls(tuple(TenantSpec.from_dict(entry) for entry in data))
+        entries = json_list(data, "tenants")
+        if not entries:
+            raise ValueError("tenants must list at least one tenant")
+        return cls(tuple(TenantSpec.from_dict(entry) for entry in entries))

@@ -1,11 +1,11 @@
-"""ExactIndex / LSHIndex: correctness, determinism, recall floors."""
+"""ExactIndex: correctness, determinism, the total order; recall_at_k."""
 
 import numpy as np
 import pytest
 
 import repro.serve.index as index_module
 from repro.serve.engine import QueryEngine
-from repro.serve.index import ExactIndex, Index, LSHIndex, recall_at_k, top_k_desc
+from repro.serve.index import ExactIndex, Index, recall_at_k, top_k_desc
 from repro.serve.ivf import IVFIndex
 from repro.serve.shard import ShardedIndex, ShardPlan
 from repro.serve.store import EmbeddingStore
@@ -110,7 +110,7 @@ class TestExactIndex:
         with pytest.raises(TypeError, match="query_block"):
             ShardedIndex(store, query_block=32)
 
-    @pytest.mark.parametrize("build", [ExactIndex, LSHIndex, IVFIndex])
+    @pytest.mark.parametrize("build", [ExactIndex, IVFIndex])
     @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected_naming_the_row(self, build, poison):
         """NaN/inf fail at the boundary, not as the -1/-inf padding the
@@ -133,7 +133,7 @@ class TestExactIndex:
     def test_satisfies_protocol(self):
         store = make_store(V=10)
         assert isinstance(ExactIndex(store), Index)
-        assert isinstance(LSHIndex(store), Index)
+        assert isinstance(IVFIndex(store), Index)
 
 
 class TestExactScanKernel:
@@ -362,96 +362,6 @@ class TestExactScanParity:
         want = reference.search(np.stack([store.matrix[store.id_of(w)] for w in words]), 10)
         for row, (ids, scores) in enumerate(engine.query(words, 10)):
             assert_same_answers((ids, scores), (want[0][row], want[1][row]))
-
-
-class TestLSHIndex:
-    def test_recall_floor_random_vectors(self):
-        store = make_store(V=800, d=32)
-        exact = ExactIndex(store)
-        lsh = LSHIndex(store, seed=3)
-        queries = store.matrix[default_rng(9).choice(len(store), 64)]
-        assert recall_at_k(lsh, exact, queries, k=10) >= 0.8
-
-    def test_same_seed_bit_identical(self):
-        store = make_store()
-        queries = store.matrix[:16]
-        a = LSHIndex(store, seed=5).search(queries, 10)
-        b = LSHIndex(store, seed=5).search(queries, 10)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_different_seeds_differ(self):
-        store = make_store()
-        a = LSHIndex(store, seed=1)
-        b = LSHIndex(store, seed=2)
-        assert any(
-            not np.array_equal(pa, pb) for pa, pb in zip(a._planes, b._planes)
-        )
-
-    def test_scores_are_exact_cosine(self):
-        store = make_store()
-        lsh = LSHIndex(store, seed=3)
-        query = store.matrix[5]
-        ids, scores = lsh.search(query, 5)
-        normalized = store.normalized()
-        qn = query / np.linalg.norm(query)
-        for i, s in zip(ids[0], scores[0]):
-            if i < 0:
-                continue
-            assert s == pytest.approx(float(normalized[i] @ qn), abs=1e-5)
-
-    def test_candidates_sorted_unique(self):
-        store = make_store()
-        lsh = LSHIndex(store, seed=3)
-        cands = lsh.candidates(store.matrix[0])
-        assert cands.size > 0
-        assert np.all(np.diff(cands) > 0)
-
-    def test_more_probes_no_worse_recall(self):
-        store = make_store(V=600, d=24)
-        exact = ExactIndex(store)
-        queries = store.matrix[default_rng(4).choice(len(store), 48)]
-        low = recall_at_k(LSHIndex(store, probes=0, seed=7), exact, queries, k=10)
-        high = recall_at_k(LSHIndex(store, probes=8, seed=7), exact, queries, k=10)
-        assert high >= low
-
-    def test_padding_when_candidates_scarce(self):
-        store = make_store(V=40)
-        lsh = LSHIndex(store, bits=10, tables=1, probes=0, seed=1)
-        ids, scores = lsh.search(store.matrix[:4], 30)
-        assert np.all((ids >= -1) & (ids < 40))
-        assert np.all(np.isneginf(scores[ids == -1]))
-
-    def test_invalid_args(self):
-        store = make_store(V=10)
-        with pytest.raises(ValueError, match="bits"):
-            LSHIndex(store, bits=0)
-        with pytest.raises(ValueError, match="tables"):
-            LSHIndex(store, tables=0)
-        with pytest.raises(ValueError, match="probes"):
-            LSHIndex(store, probes=-1)
-
-    def test_k_covering_vocab_is_exhaustive(self):
-        store = make_store(V=30)
-        exact = ExactIndex(store)
-        lsh = LSHIndex(store, bits=10, tables=1, probes=0, seed=1)
-        queries = store.matrix[:6]
-        assert recall_at_k(lsh, exact, queries, k=len(store)) == 1.0
-
-
-class TestLSHBenchRegression:
-    def test_defaults_clear_bench_recall_floor(self):
-        """The serve benchmark's exact configuration (V=4000, d=64,
-        Gaussian store, seed 11): the multi-probe defaults must reach
-        recall@10 >= 0.85 — the regression that motivated widening them
-        to tables=6 / probes=24."""
-        rng = keyed_rng(3, 0x42454E43)  # the benchmark's store stream
-        matrix = rng.normal(size=(4000, 64)).astype(np.float32)
-        store = EmbeddingStore(matrix, [f"w{i:04d}" for i in range(4000)])
-        lsh = LSHIndex(store, seed=11)
-        assert (lsh.tables, lsh.probes) == (6, 24)
-        sample = store.matrix[keyed_rng(11, 0x524340).choice(len(store), 128)]
-        assert recall_at_k(lsh, ExactIndex(store), sample, k=10) >= 0.85
 
 
 class TestRecallAtK:

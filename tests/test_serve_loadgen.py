@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.serve.engine import QueryEngine
-from repro.serve.index import ExactIndex, LSHIndex
+from repro.serve.index import ExactIndex
+from repro.serve.ivf import IVFIndex
 from repro.serve.loadgen import LoadConfig, generate_queries, run_load
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload import PoissonArrivals, TenantMix, WorkloadSpec, run_workload
@@ -89,7 +90,7 @@ class TestRunLoad:
         )
         spec = WorkloadSpec(
             name="load",
-            backend="lsh",
+            backend="ivf",
             store=None,
             mode="open",
             num_queries=150,
@@ -104,9 +105,9 @@ class TestRunLoad:
         )
 
         def engine():
-            return QueryEngine(LSHIndex(store, seed=5), max_batch=16, cache_size=32)
+            return QueryEngine(IVFIndex(store, seed=5), max_batch=16, cache_size=32)
 
-        loaded = run_load(engine(), config, index_label="lsh")
+        loaded = run_load(engine(), config, index_label="ivf")
         explicit = run_workload(spec, store=store, engine=engine())
         assert loaded.modeled() == explicit.modeled()
         assert loaded.spec_dict == explicit.spec_dict == spec.as_dict()
@@ -134,14 +135,14 @@ class TestRunLoad:
 
     def test_answers_and_cache_invariant_to_max_batch(self):
         store = make_store()
-        index = LSHIndex(store, seed=5)
+        index = IVFIndex(store, seed=5)
         config = LoadConfig(num_queries=150, seed=12)
         signatures = set()
         for max_batch in (1, 13, 150):
             report = run_load(
                 QueryEngine(index, max_batch=max_batch, cache_size=32),
                 config,
-                index_label="lsh",
+                index_label="ivf",
             )
             signatures.add(
                 (

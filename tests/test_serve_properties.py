@@ -1,4 +1,4 @@
-"""Hypothesis battery over the serving indexes (Exact / LSH / IVF).
+"""Hypothesis battery over the serving indexes (Exact / IVF).
 
 Contracts hunted over random stores/seeds: batched search is *bitwise*
 identical to one-query-at-a-time search, IVF recall@k is monotone
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from repro.serve.engine import QueryEngine
-from repro.serve.index import ExactIndex, LSHIndex, recall_at_k
+from repro.serve.index import ExactIndex, recall_at_k
 from repro.serve.ivf import IVFIndex
 from repro.serve.shard import ShardedIndex, ShardPlan
 from repro.serve.store import EmbeddingStore
@@ -30,7 +30,7 @@ from tests.test_serve_index import full_product_topk
 _MATRIX_DOMAIN = 0x50525250  # "PRP" — property-test stores
 _QUERY_DOMAIN = 0x505251  # "PQR" — property-test queries
 
-INDEX_KINDS = ("exact", "lsh", "ivf")
+INDEX_KINDS = ("exact", "ivf")
 
 
 def make_store(V, d, seed, duplicates=0):
@@ -49,8 +49,6 @@ def make_queries(store, n, seed):
 def build_index(kind, store, seed):
     if kind == "exact":
         return ExactIndex(store, block_rows=32)
-    if kind == "lsh":
-        return LSHIndex(store, seed=seed)
     return IVFIndex(store, nlist=max(2, len(store) // 10), nprobe=2, seed=seed)
 
 

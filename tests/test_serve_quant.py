@@ -1,4 +1,4 @@
-"""Int8Store / PQStore: error bounds, persistence, meta validation."""
+"""Int8Store: error bounds, persistence, meta validation."""
 
 import json
 import mmap
@@ -6,7 +6,7 @@ import mmap
 import numpy as np
 import pytest
 
-from repro.serve.quant import Int8Store, PQStore, open_codes
+from repro.serve.quant import Int8Store, open_codes
 from repro.serve.store import EmbeddingStore, read_meta, write_meta
 from repro.util.rng import keyed_rng
 
@@ -62,65 +62,6 @@ class TestInt8RoundTrip:
             Int8Store(np.zeros((2, 3), dtype=np.int8), np.zeros(3, dtype=np.float32))
 
 
-class TestPQRoundTrip:
-    def test_row_l2_error_within_persisted_bound(self):
-        store = make_store()
-        pq = PQStore.build(store, m=8, bits=6, seed=5)
-        errors = np.linalg.norm(pq.decode() - store.normalized(), axis=1)
-        # The bound is the measured max — it must hold with equality.
-        assert float(errors.max()) == pq.reconstruction_bound()
-        assert np.all(errors <= pq.reconstruction_bound())
-
-    def test_compression_layout(self):
-        store = make_store(d=32)
-        pq = PQStore.build(store, m=4, bits=8)
-        assert pq.codes.shape == (len(store), 4)
-        assert pq.codes.dtype == np.uint8
-        assert pq.codebooks.shape == (4, 256, 8)
-        assert pq.memory_bytes() < store.normalized().nbytes
-
-    def test_adc_scoring_matches_decode(self):
-        store = make_store()
-        pq = PQStore.build(store, m=8, bits=6)
-        q = store.normalized()[3]
-        ctx = pq.prepare_query(q)
-        assert ctx.shape == (pq.m, pq.entries)
-        scores = pq.score(pq.codes[:25], ctx)
-        np.testing.assert_allclose(scores, pq.decode()[:25] @ q, atol=1e-4)
-
-    def test_entries_capped_at_vocab(self):
-        store = make_store(V=10, d=8)
-        pq = PQStore.build(store, m=2, bits=8)
-        assert pq.entries == 10
-
-    def test_same_seed_bit_identical(self):
-        store = make_store()
-        a = PQStore.build(store, m=4, bits=5, seed=9)
-        b = PQStore.build(store, m=4, bits=5, seed=9)
-        np.testing.assert_array_equal(a.codes, b.codes)
-        np.testing.assert_array_equal(a.codebooks, b.codebooks)
-        assert a.reconstruction_bound() == b.reconstruction_bound()
-
-    def test_validation(self):
-        store = make_store(d=32)
-        with pytest.raises(ValueError, match="m must divide"):
-            PQStore.build(store, m=5)
-        with pytest.raises(ValueError, match="bits must be"):
-            PQStore.build(store, bits=9)
-        with pytest.raises(ValueError, match="codebooks shape"):
-            PQStore(
-                np.zeros((4, 2), dtype=np.uint8),
-                np.zeros((3, 4, 8), dtype=np.float32),
-                bound=0.0,
-            )
-        with pytest.raises(ValueError, match="entry"):
-            PQStore(
-                np.full((4, 2), 7, dtype=np.uint8),
-                np.zeros((2, 4, 8), dtype=np.float32),
-                bound=0.0,
-            )
-
-
 class TestPersistence:
     def saved_store(self, tmp_path, V=120, d=16):
         store = make_store(V=V, d=d)
@@ -135,23 +76,12 @@ class TestPersistence:
         np.testing.assert_array_equal(reopened.codes, int8.codes)
         np.testing.assert_array_equal(reopened.scales, int8.scales)
 
-    def test_pq_save_open_round_trip(self, tmp_path):
-        store = self.saved_store(tmp_path)
-        pq = PQStore.build(store, m=4, bits=6)
-        pq.save(tmp_path)
-        reopened = PQStore.open(tmp_path)
-        np.testing.assert_array_equal(reopened.codes, pq.codes)
-        np.testing.assert_array_equal(reopened.codebooks, pq.codebooks)
-        assert reopened.reconstruction_bound() == pq.reconstruction_bound()
-
     def test_open_codes_loads_every_variant(self, tmp_path):
         store = self.saved_store(tmp_path)
         Int8Store.build(store).save(tmp_path)
-        PQStore.build(store, m=4, bits=6).save(tmp_path)
         variants = open_codes(tmp_path, store=store)
-        assert sorted(variants) == ["int8", "pq"]
+        assert sorted(variants) == ["int8"]
         assert isinstance(variants["int8"], Int8Store)
-        assert isinstance(variants["pq"], PQStore)
 
     def test_open_codes_empty_without_section(self, tmp_path):
         self.saved_store(tmp_path)
@@ -189,12 +119,11 @@ class TestMetaValidation:
             Int8Store.open(tmp_path)
 
     def test_unknown_variant_rejected(self, tmp_path):
-        def mutate(meta):
-            meta["codes"]["opq"] = {"file": "nope.npz"}
-
-        self.corrupt(tmp_path, mutate)
-        with pytest.raises(ValueError, match="unknown\\s+variant 'opq'"):
-            open_codes(tmp_path)
+        """Also a retired variant: a ``codes.pq`` section no longer loads."""
+        for variant in ("opq", "pq"):
+            self.corrupt(tmp_path, lambda m, v=variant: m["codes"].update({v: {"file": "x.npz"}}))
+            with pytest.raises(ValueError, match=f"unknown\\s+variant '{variant}'"):
+                open_codes(tmp_path)
 
     def test_store_shape_mismatch_named_in_error(self, tmp_path):
         self.corrupt(tmp_path, lambda m: None)
@@ -212,16 +141,6 @@ class TestMetaValidation:
         store.save(tmp_path)
         with pytest.raises(ValueError, match="codes"):
             Int8Store.open(tmp_path)
-
-    def test_pq_bound_must_be_number(self, tmp_path):
-        store = make_store(V=40, d=8)
-        store.save(tmp_path)
-        PQStore.build(store, m=4, bits=4).save(tmp_path)
-        meta = read_meta(tmp_path)
-        meta["codes"]["pq"]["bound"] = True
-        write_meta(tmp_path, meta)
-        with pytest.raises(ValueError, match=r"codes\.pq\.bound must be float"):
-            PQStore.open(tmp_path)
 
 
 class TestMemmapScale:

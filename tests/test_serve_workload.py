@@ -27,6 +27,7 @@ Contracts pinned here:
   ``BENCH_serve.json`` ``exact`` answer hash.
 """
 
+import copy
 import json
 from pathlib import Path
 
@@ -37,7 +38,7 @@ import pytest
 
 from repro.serve.engine import QueryEngine
 from repro.serve.index import ExactIndex
-from repro.serve.loadgen import LoadConfig, generate_queries, run_load
+from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, generate_queries, run_load
 from repro.serve.shard import ShardedEngine
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload import (
@@ -410,19 +411,33 @@ class TestSLO:
 # ---------------------------------------------------------------------------
 class TestPlugins:
     def test_builtins_registered(self):
-        assert {"exact", "lsh", "ivf", "ivf-int8", "ivf-pq", "sharded"} <= set(
-            available_backends()
-        )
+        assert {"exact", "ivf", "ivf-int8", "sharded"} <= set(available_backends())
+
+    def test_every_registered_backend_clears_the_recall_floor(self):
+        """Shipping a backend means recall@10 >= 0.8 against ``exact`` at its
+        default options — walked over the registry, so a new backend is held
+        to the floor without anyone adding it to a list."""
+        store = StoreSpec(4000, 32, 80).build(7)
+        rows = keyed_rng(7, RECALL_DOMAIN).choice(len(store), 128, replace=False)
+        words = [store.word_of(int(row)) for row in rows]
+        truth, _ = ExactIndex(store).search(store.matrix[rows], 10)
+        for name in available_backends():
+            answers = build_backend(name, store).query(words, 10)
+            hits = sum(
+                len(set(ids.tolist()) & set(want.tolist()))
+                for (ids, _), want in zip(answers, truth)
+            )
+            assert hits / truth.size >= 0.8, (name, hits / truth.size)
 
     @pytest.mark.parametrize(
         "name,options",
         [
             ("exact", {}),
-            ("lsh", {"bits": 12, "tables": 4}),
+            ("ivf", {}),
             ("ivf", {"nlist": 8, "nprobe": 4}),
             ("ivf-int8", {"nlist": 8}),
-            ("ivf-pq", {"nlist": 8, "m": 4, "bits": 4}),
-            ("sharded", {"shards": 3, "replicas": 2}),
+            ("ivf-int8", {"nlist": 8, "nprobe": 2}),
+            ("sharded", {"shards": 3.0, "replicas": 2}),  # integral floats are ints
         ],
     )
     def test_every_builtin_serves_queries(self, name, options):
@@ -443,6 +458,21 @@ class TestPlugins:
     def test_unconsumed_options_rejected(self):
         with pytest.raises(ValueError, match="does not understand options \\['nprob'\\]"):
             build_backend("ivf", make_store(), {"nlist": 8, "nprob": 4})
+
+    @pytest.mark.parametrize(
+        "name,options,field",
+        [
+            ("ivf", {"nprobe": 2.5}, "nprobe"),
+            ("ivf", {"nlist": True}, "nlist"),
+            ("ivf-int8", {"nlist": "8"}, "nlist"),
+            ("sharded", {"shards": 2.9}, "shards"),
+            ("exact", [["nprobe", 3]], "backend_options"),
+        ],
+    )
+    def test_mistyped_options_rejected_naming_the_option(self, name, options, field):
+        """No option is silently truncated by ``int()``; integral floats are fine."""
+        with pytest.raises(ValueError, match=f"{field}.* must be"):
+            build_backend(name, make_store(), options)
 
     def test_register_custom_backend(self):
         @register_backend("test-custom")
@@ -523,6 +553,100 @@ class TestWorkloadSpec:
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a.words[0] == "tok00" and len(a) == 50
         assert not np.array_equal(a.matrix, spec.build(4).matrix)
+
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"num_queries": 2.5}, "num_queries"),
+            ({"max_batch": True}, "max_batch"),
+            ({"backend_options": [["nprobe", 3]]}, "backend_options"),
+            ({"tenants": 5}, "tenants"),
+            ({"k": "10"}, "k"),
+            ({"store": {"vocab_size": 2.5}}, "vocab_size"),
+            ({"arrivals": {"kind": "poisson", "qps": "fast"}}, "qps"),
+            ({"arrivals": {"kind": "staged"}}, "stages"),
+            ({"ramp": [{"concurrency": 1.5}]}, "concurrency"),
+            ({"slos": [{"metric": "qps", "min": [1]}]}, "min"),
+            ({"tenants": [{"name": "t", "vocab": [0, "1"]}]}, "vocab"),
+            ({"seed": -1}, "seed"),
+        ],
+    )
+    def test_json_boundary_names_the_field(self, patch, field):
+        with pytest.raises(ValueError, match=f"{field}'? must"):
+            WorkloadSpec.from_dict({"name": "x", **patch})
+        assert WorkloadSpec.from_dict({"name": "x", "num_queries": 64.0}).num_queries == 64
+
+
+#: benchmarks/workloads/smoke.json, the spec the CI SLO gate runs.
+SMOKE_SPEC = json.loads((REPO_ROOT / "benchmarks/workloads/smoke.json").read_text())
+
+#: A store wide enough for the smoke spec's ``nlist``; cheap to index.
+FUZZ_STORE = StoreSpec(256, 8, 8).build(7)
+
+#: Type swaps and value mutations: every JSON type plus numeric edges.
+SWAPS = ["x", "", "10", True, False, None, 0, -1, 2.5, 3.0, 10**12, [], [1], {}, {"k": 1}]
+
+
+def _paths(node, path=()):
+    """Every path into ``node`` (object keys and list indexes)."""
+    if path:
+        yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+SMOKE_PATHS = list(_paths(SMOKE_SPEC))
+
+
+def _parent(document, path):
+    for key in path[:-1]:
+        document = document[key]
+    return document
+
+
+class TestWorkloadSpecFuzz:
+    """Deleted, type-swapped and mutated fields of the smoke spec: loading
+    and building its backend either succeed or raise a ``ValueError``
+    that names a field — never a bare ``TypeError``/``KeyError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(SMOKE_PATHS),
+                st.one_of(st.just("delete"), st.sampled_from(SWAPS)),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    def test_mutated_smoke_spec_fails_only_naming_a_field(self, edits):
+        document = json.loads(json.dumps(SMOKE_SPEC))
+        names = set()  # the path's keys, its siblings and its children
+        for path, value in edits:
+            names |= {key for key in path if isinstance(key, str)}
+            parent = _parent(SMOKE_SPEC, path)
+            for node in (parent, parent[path[-1]]):
+                names |= set(node) if isinstance(node, dict) else set()
+            try:
+                parent = _parent(document, path)
+                if value == "delete":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)  # later edits may write into it
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit removed or replaced this path
+        try:
+            spec = WorkloadSpec.from_dict(document)
+            build_backend(
+                spec.backend, FUZZ_STORE, spec.backend_options, seed=spec.seed,
+                max_batch=spec.max_batch, cache_size=spec.cache_size,
+            )
+        except ValueError as exc:
+            assert any(name in str(exc) for name in names), (edits, str(exc))
 
 
 # ---------------------------------------------------------------------------
