@@ -21,68 +21,45 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from repro.cluster import FaultConfig, FaultReport, FaultSchedule
-from repro.core import (
-    AvgCombiner,
-    ModelCombiner,
-    SumCombiner,
-    combine_pair,
-    combine_sequence,
-    get_combiner,
-)
-from repro.eval import evaluate_analogies, most_similar
-from repro.serve import (
-    EmbeddingStore,
-    ExactIndex,
-    LoadConfig,
-    QueryEngine,
-    WorkloadReport,
-    run_load,
-)
-from repro.text import (
-    AnalogyQuestionSet,
-    Corpus,
-    SyntheticCorpusSpec,
-    UnigramTable,
-    Vocabulary,
-    generate_corpus,
-)
-from repro.w2v import (
-    GraphWord2Vec,
-    SharedMemoryWord2Vec,
-    Word2VecModel,
-    Word2VecParams,
-)
+from repro._exports import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AvgCombiner",
-    "ModelCombiner",
-    "SumCombiner",
-    "combine_pair",
-    "combine_sequence",
-    "get_combiner",
-    "evaluate_analogies",
-    "most_similar",
-    "AnalogyQuestionSet",
-    "Corpus",
-    "SyntheticCorpusSpec",
-    "UnigramTable",
-    "Vocabulary",
-    "generate_corpus",
-    "GraphWord2Vec",
-    "SharedMemoryWord2Vec",
-    "Word2VecModel",
-    "Word2VecParams",
-    "FaultConfig",
-    "FaultSchedule",
-    "FaultReport",
-    "EmbeddingStore",
-    "ExactIndex",
-    "QueryEngine",
-    "LoadConfig",
-    "WorkloadReport",
-    "run_load",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cluster": ("FaultConfig", "FaultReport", "FaultSchedule"),
+        "core": (
+            "AvgCombiner",
+            "ModelCombiner",
+            "SumCombiner",
+            "combine_pair",
+            "combine_sequence",
+            "get_combiner",
+        ),
+        "eval": ("evaluate_analogies", "most_similar"),
+        "serve": (
+            "EmbeddingStore",
+            "ExactIndex",
+            "LoadConfig",
+            "QueryEngine",
+            "WorkloadReport",
+            "run_load",
+        ),
+        "text": (
+            "AnalogyQuestionSet",
+            "Corpus",
+            "SyntheticCorpusSpec",
+            "UnigramTable",
+            "Vocabulary",
+            "generate_corpus",
+        ),
+        "w2v": (
+            "GraphWord2Vec",
+            "SharedMemoryWord2Vec",
+            "Word2VecModel",
+            "Word2VecParams",
+        ),
+    },
+)
+__all__.append("__version__")

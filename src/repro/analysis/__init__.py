@@ -28,49 +28,33 @@ instead of trusting them:
   ``REPRO_SANITIZE=1``.
 """
 
-from repro.analysis.dataflow import DATAFLOW_RULE_IDS, analyze_paths
-from repro.analysis.effects import declare_effects
-from repro.analysis.lint import (
-    Finding,
-    Rule,
-    RULES,
-    lint_paths,
-    lint_source,
-    main,
-    render_json,
-    render_text,
-)
-from repro.analysis.runtime import (
-    SANITIZE_ENV_VAR,
-    DoAllRaceSanitizer,
-    GluonSyncChecker,
-    SanitizedExecutor,
-    SanitizeError,
-    SanitizeFinding,
-    note_read,
-    note_write,
-    sanitize_from_env,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DATAFLOW_RULE_IDS",
-    "Finding",
-    "Rule",
-    "RULES",
-    "analyze_paths",
-    "declare_effects",
-    "lint_paths",
-    "lint_source",
-    "main",
-    "render_json",
-    "render_text",
-    "SANITIZE_ENV_VAR",
-    "DoAllRaceSanitizer",
-    "GluonSyncChecker",
-    "SanitizedExecutor",
-    "SanitizeError",
-    "SanitizeFinding",
-    "note_read",
-    "note_write",
-    "sanitize_from_env",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dataflow": ("DATAFLOW_RULE_IDS", "analyze_paths"),
+        "effects": ("declare_effects",),
+        "lint": (
+            "Finding",
+            "Rule",
+            "RULES",
+            "lint_paths",
+            "lint_source",
+            "main",
+            "render_json",
+            "render_text",
+        ),
+        "runtime": (
+            "SANITIZE_ENV_VAR",
+            "DoAllRaceSanitizer",
+            "GluonSyncChecker",
+            "SanitizedExecutor",
+            "SanitizeError",
+            "SanitizeFinding",
+            "note_read",
+            "note_write",
+            "sanitize_from_env",
+        ),
+    },
+)

@@ -13,20 +13,18 @@
   ("vertical") distributed Word2Vec (§6 related work).
 """
 
-from repro.baselines.minibatch import MinibatchAllreduceSGD
-from repro.baselines.param_server import AsyncParameterServerSGD
-from repro.baselines.sgns_reference import (
-    GensimStyleWord2Vec,
-    MemoryBudgetExceeded,
-    Word2VecCReference,
-)
-from repro.baselines.vertical import VerticalPartitionWord2Vec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Word2VecCReference",
-    "GensimStyleWord2Vec",
-    "MemoryBudgetExceeded",
-    "MinibatchAllreduceSGD",
-    "AsyncParameterServerSGD",
-    "VerticalPartitionWord2Vec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "minibatch": ("MinibatchAllreduceSGD",),
+        "param_server": ("AsyncParameterServerSGD",),
+        "sgns_reference": (
+            "GensimStyleWord2Vec",
+            "MemoryBudgetExceeded",
+            "Word2VecCReference",
+        ),
+        "vertical": ("VerticalPartitionWord2Vec",),
+    },
+)

@@ -9,32 +9,23 @@ counts recorded by :class:`repro.gluon.comm.SimulatedNetwork`.  See DESIGN.md
 §3 for why this substitution preserves the paper's claims.
 """
 
-from repro.cluster.faults import (
-    CrashEvent,
-    FaultConfig,
-    FaultReport,
-    FaultSchedule,
-    TransientFaultInjector,
-    UnrecoverableFaultError,
-    parse_fault_spec,
-)
-from repro.cluster.metrics import ClusterMetrics, TimeBreakdown
-from repro.cluster.network import NetworkModel
-from repro.cluster.simulator import DistributedRunReport
-from repro.cluster.trace import build_chrome_trace, trace_json
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NetworkModel",
-    "ClusterMetrics",
-    "TimeBreakdown",
-    "DistributedRunReport",
-    "build_chrome_trace",
-    "trace_json",
-    "FaultConfig",
-    "FaultSchedule",
-    "CrashEvent",
-    "FaultReport",
-    "TransientFaultInjector",
-    "UnrecoverableFaultError",
-    "parse_fault_spec",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "faults": (
+            "CrashEvent",
+            "FaultConfig",
+            "FaultReport",
+            "FaultSchedule",
+            "TransientFaultInjector",
+            "UnrecoverableFaultError",
+            "parse_fault_spec",
+        ),
+        "metrics": ("ClusterMetrics", "TimeBreakdown"),
+        "network": ("NetworkModel",),
+        "simulator": ("DistributedRunReport",),
+        "trace": ("build_chrome_trace", "trace_json"),
+    },
+)

@@ -10,35 +10,26 @@ decreases every contributing loss without exceeding any single gradient's
 step size — so the sequential learning rate remains safe at any host count.
 """
 
-from repro.core.combiners import (
-    AvgCombiner,
-    GradientCombiner,
-    KeepFirstCombiner,
-    ModelCombiner,
-    SumCombiner,
-    get_combiner,
-)
-from repro.core.projection import (
-    combine_pair,
-    combine_sequence,
-    cosine,
-    orthogonal_component,
-    project_onto,
-)
-from repro.core.validity import direction_validity, ValidityReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GradientCombiner",
-    "SumCombiner",
-    "AvgCombiner",
-    "ModelCombiner",
-    "KeepFirstCombiner",
-    "get_combiner",
-    "project_onto",
-    "orthogonal_component",
-    "cosine",
-    "combine_pair",
-    "combine_sequence",
-    "direction_validity",
-    "ValidityReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "combiners": (
+            "AvgCombiner",
+            "GradientCombiner",
+            "KeepFirstCombiner",
+            "ModelCombiner",
+            "SumCombiner",
+            "get_combiner",
+        ),
+        "projection": (
+            "combine_pair",
+            "combine_sequence",
+            "cosine",
+            "orthogonal_component",
+            "project_onto",
+        ),
+        "validity": ("direction_validity", "ValidityReport"),
+    },
+)

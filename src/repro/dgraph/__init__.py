@@ -15,24 +15,19 @@ parallel with a bounded staleness window; ``staleness=0`` is the lock-step
 BSP schedule).
 """
 
-from repro.dgraph.bsp import BSPEngine, RecoveryPolicy, RoundStats
-from repro.dgraph.dist_graph import DistGraph
-from repro.dgraph.engine import (
-    Engine,
-    TrainingEngine,
-    compensate_delta,
-    resolve_training_engine,
-)
-from repro.dgraph.graph import Graph
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Graph",
-    "DistGraph",
-    "BSPEngine",
-    "RoundStats",
-    "RecoveryPolicy",
-    "Engine",
-    "TrainingEngine",
-    "resolve_training_engine",
-    "compensate_delta",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bsp": ("BSPEngine", "RecoveryPolicy", "RoundStats"),
+        "dist_graph": ("DistGraph",),
+        "engine": (
+            "Engine",
+            "TrainingEngine",
+            "compensate_delta",
+            "resolve_training_engine",
+        ),
+        "graph": ("Graph",),
+    },
+)

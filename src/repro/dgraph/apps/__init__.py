@@ -5,22 +5,17 @@ exercise partitioning, label synchronization with value reductions, BSP
 quiescence, and (for delta-stepping) the priority worklist.
 """
 
-from repro.dgraph.apps.bfs import bfs_levels
-from repro.dgraph.apps.cc import connected_components
-from repro.dgraph.apps.kcore import kcore
-from repro.dgraph.apps.mst import SpanningForest, minimum_spanning_forest
-from repro.dgraph.apps.pagerank import pagerank
-from repro.dgraph.apps.sssp import sssp_bellman_ford, sssp_delta_stepping
-from repro.dgraph.apps.triangles import count_triangles
+from repro._exports import lazy_exports
 
-__all__ = [
-    "bfs_levels",
-    "connected_components",
-    "count_triangles",
-    "kcore",
-    "minimum_spanning_forest",
-    "SpanningForest",
-    "pagerank",
-    "sssp_bellman_ford",
-    "sssp_delta_stepping",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bfs": ("bfs_levels",),
+        "cc": ("connected_components",),
+        "kcore": ("kcore",),
+        "mst": ("SpanningForest", "minimum_spanning_forest"),
+        "pagerank": ("pagerank",),
+        "sssp": ("sssp_bellman_ford", "sssp_delta_stepping"),
+        "triangles": ("count_triangles",),
+    },
+)

@@ -8,33 +8,25 @@ walks or node2vec's (p, q)-biased second-order walks) are fed to any of the
 Word2Vec trainers, including distributed GraphWord2Vec.
 """
 
-from repro.embeddings.deepwalk import (
-    DeepWalkConfig,
-    NodeEmbedding,
-    deepwalk_corpus,
-    random_walks,
-    train_node_embedding,
-)
-from repro.embeddings.sbm import community_separation, stochastic_block_model
-from repro.embeddings.sequences import (
-    SequenceFamilySpec,
-    generate_sequences,
-    kmer_tokenize,
-    sequence_corpus,
-    train_kmer_embedding,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DeepWalkConfig",
-    "NodeEmbedding",
-    "deepwalk_corpus",
-    "random_walks",
-    "train_node_embedding",
-    "stochastic_block_model",
-    "community_separation",
-    "SequenceFamilySpec",
-    "generate_sequences",
-    "kmer_tokenize",
-    "sequence_corpus",
-    "train_kmer_embedding",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "deepwalk": (
+            "DeepWalkConfig",
+            "NodeEmbedding",
+            "deepwalk_corpus",
+            "random_walks",
+            "train_node_embedding",
+        ),
+        "sbm": ("community_separation", "stochastic_block_model"),
+        "sequences": (
+            "SequenceFamilySpec",
+            "generate_sequences",
+            "kmer_tokenize",
+            "sequence_corpus",
+            "train_kmer_embedding",
+        ),
+    },
+)

@@ -1,24 +1,18 @@
 """Model evaluation: analogical reasoning, similarity queries, WordSim."""
 
-from repro.eval.analogy import AnalogyAccuracy, evaluate_analogies
-from repro.eval.diagnostics import EmbeddingDiagnostics, diagnose_embedding
-from repro.eval.similarity import cosine_similarity, most_similar
-from repro.eval.wordsim import (
-    SimilarityPair,
-    build_planted_similarity,
-    evaluate_similarity,
-    word_category_knn_accuracy,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AnalogyAccuracy",
-    "evaluate_analogies",
-    "EmbeddingDiagnostics",
-    "diagnose_embedding",
-    "cosine_similarity",
-    "most_similar",
-    "SimilarityPair",
-    "build_planted_similarity",
-    "evaluate_similarity",
-    "word_category_knn_accuracy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analogy": ("AnalogyAccuracy", "evaluate_analogies"),
+        "diagnostics": ("EmbeddingDiagnostics", "diagnose_embedding"),
+        "similarity": ("cosine_similarity", "most_similar"),
+        "wordsim": (
+            "SimilarityPair",
+            "build_planted_similarity",
+            "evaluate_similarity",
+            "word_category_knn_accuracy",
+        ),
+    },
+)

@@ -10,24 +10,10 @@ corpora ~10^3-10^4 x smaller, dim 200 -> 64, negatives 15 -> 10, epochs
 16 -> 8 (figures) so the full suite completes on one laptop core.
 """
 
-from repro.experiments import (
-    datasets,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    stats,
-    table1,
-    table23,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "datasets",
-    "table1",
-    "table23",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {},
+    submodules=("datasets", "fig6", "fig7", "fig8", "fig9", "stats", "table1", "table23"),
+)

@@ -8,33 +8,22 @@ single-core simulation) and a thread-pool one — behind the same API, so
 operator code is written once, Galois-style.
 """
 
-from repro.galois.accumulators import GAccumulator, GReduceMax, GReduceMin
-from repro.galois.do_all import (
-    DoAllError,
-    DoAllExecutor,
-    SerialExecutor,
-    ThreadPoolDoAll,
-    do_all,
-    executor_from_env,
-    resolve_executor,
-)
-from repro.galois.timers import StatTimer, TimerRegistry
-from repro.galois.worklist import ChunkedLIFO, ChunkedWorklist, OrderedByIntegerMetric
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChunkedWorklist",
-    "ChunkedLIFO",
-    "OrderedByIntegerMetric",
-    "DoAllError",
-    "DoAllExecutor",
-    "SerialExecutor",
-    "ThreadPoolDoAll",
-    "do_all",
-    "executor_from_env",
-    "resolve_executor",
-    "GAccumulator",
-    "GReduceMax",
-    "GReduceMin",
-    "StatTimer",
-    "TimerRegistry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "accumulators": ("GAccumulator", "GReduceMax", "GReduceMin"),
+        "do_all": (
+            "DoAllError",
+            "DoAllExecutor",
+            "SerialExecutor",
+            "ThreadPoolDoAll",
+            "do_all",
+            "executor_from_env",
+            "resolve_executor",
+        ),
+        "timers": ("StatTimer", "TimerRegistry"),
+        "worklist": ("ChunkedLIFO", "ChunkedWorklist", "OrderedByIntegerMetric"),
+    },
+)

@@ -19,7 +19,9 @@ surface together (a lone error re-raises as itself, preserving its type).
 
 from __future__ import annotations
 
-import concurrent.futures
+# By name: ``concurrent.futures`` imports its thread module on first
+# attribute access, which would otherwise land in the first timed round.
+from concurrent.futures import ThreadPoolExecutor
 import os
 import threading
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
@@ -100,17 +102,17 @@ class ThreadPoolDoAll:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.workers = int(workers)
         self.chunk_size = None if chunk_size is None else int(chunk_size)
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
+        self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._closed = False
 
     # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:
             if self._closed:
                 raise RuntimeError("ThreadPoolDoAll is closed")
             if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
+                self._pool = ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="do_all"
                 )
             return self._pool

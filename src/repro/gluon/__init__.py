@@ -18,31 +18,16 @@ byte accounting:
   (RepModel-Naive, RepModel-Opt, PullModel; paper §4.4).
 """
 
-from repro.gluon.bitvector import BitVector
-from repro.gluon.comm import MessageStats, SimulatedNetwork
-from repro.gluon.partition_stats import PartitionStats, analyze_partitions
-from repro.gluon.partitioner import (
-    Partition,
-    partition_edges,
-    replicate_all_partitions,
-)
-from repro.gluon.plans import CommPlan, PullModel, RepModelNaive, RepModelOpt, get_plan
-from repro.gluon.sync import FieldSync, GluonSynchronizer
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BitVector",
-    "MessageStats",
-    "SimulatedNetwork",
-    "Partition",
-    "PartitionStats",
-    "analyze_partitions",
-    "partition_edges",
-    "replicate_all_partitions",
-    "CommPlan",
-    "RepModelNaive",
-    "RepModelOpt",
-    "PullModel",
-    "get_plan",
-    "FieldSync",
-    "GluonSynchronizer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bitvector": ("BitVector",),
+        "comm": ("MessageStats", "SimulatedNetwork"),
+        "partition_stats": ("PartitionStats", "analyze_partitions"),
+        "partitioner": ("Partition", "partition_edges", "replicate_all_partitions"),
+        "plans": ("CommPlan", "PullModel", "RepModelNaive", "RepModelOpt", "get_plan"),
+        "sync": ("FieldSync", "GluonSynchronizer"),
+    },
+)

@@ -47,74 +47,37 @@ is a pure function of the seed; only measured wall-clock fields
 (latency, throughput) vary run to run.
 """
 
-from repro.serve.engine import CacheStats, EngineStats, LRUCache, QueryEngine
-from repro.serve.index import ExactIndex, Index, recall_at_k
-from repro.serve.ivf import IVFIndex, default_nlist, kmeans
-from repro.serve.frontier import (
-    FrontierConfig,
-    check_frontier_floors,
-    frontier_store,
-    sweep_frontier,
-)
-from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, run_load
-from repro.serve.quant import Int8Store, open_codes
-from repro.serve.shard import (
-    ShardedEngine,
-    ShardedIndex,
-    ShardGeneration,
-    ShardPlan,
-)
-from repro.serve.store import EmbeddingStore
-from repro.serve.workload import (
-    SLORule,
-    SLOVerdict,
-    TenantMix,
-    TenantSpec,
-    WorkloadReport,
-    WorkloadSpec,
-    available_backends,
-    build_backend,
-    clustered_matrix,
-    format_reports,
-    register_backend,
-    run_workload,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EmbeddingStore",
-    "Index",
-    "ExactIndex",
-    "IVFIndex",
-    "default_nlist",
-    "kmeans",
-    "Int8Store",
-    "open_codes",
-    "recall_at_k",
-    "QueryEngine",
-    "LRUCache",
-    "CacheStats",
-    "EngineStats",
-    "ShardPlan",
-    "ShardGeneration",
-    "ShardedIndex",
-    "ShardedEngine",
-    "LoadConfig",
-    "RECALL_DOMAIN",
-    "run_load",
-    "FrontierConfig",
-    "clustered_matrix",
-    "frontier_store",
-    "sweep_frontier",
-    "check_frontier_floors",
-    "WorkloadSpec",
-    "WorkloadReport",
-    "run_workload",
-    "format_reports",
-    "build_backend",
-    "register_backend",
-    "available_backends",
-    "TenantSpec",
-    "TenantMix",
-    "SLORule",
-    "SLOVerdict",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("CacheStats", "EngineStats", "LRUCache", "QueryEngine"),
+        "index": ("ExactIndex", "Index", "recall_at_k"),
+        "ivf": ("IVFIndex", "default_nlist", "kmeans"),
+        "frontier": (
+            "FrontierConfig",
+            "check_frontier_floors",
+            "frontier_store",
+            "sweep_frontier",
+        ),
+        "loadgen": ("RECALL_DOMAIN", "LoadConfig", "run_load"),
+        "quant": ("Int8Store", "open_codes"),
+        "shard": ("ShardedEngine", "ShardedIndex", "ShardGeneration", "ShardPlan"),
+        "store": ("EmbeddingStore",),
+        "workload": (
+            "SLORule",
+            "SLOVerdict",
+            "TenantMix",
+            "TenantSpec",
+            "WorkloadReport",
+            "WorkloadSpec",
+            "available_backends",
+            "build_backend",
+            "clustered_matrix",
+            "format_reports",
+            "register_backend",
+            "run_workload",
+        ),
+    },
+)

@@ -60,6 +60,7 @@ from repro.galois.do_all import (
 )
 from repro.galois.timers import StatTimer
 from repro.serve.index import Index
+from repro.util.checks import positive_integer
 
 __all__ = ["CacheStats", "LRUCache", "EngineStats", "QueryTicket", "QueryEngine"]
 
@@ -248,10 +249,9 @@ class QueryEngine:
     # -- submission --------------------------------------------------------
     def submit(self, word: str, k: int = 10) -> QueryTicket:
         """Enqueue one query; flushes automatically at ``max_batch``."""
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        k = positive_integer(k, "k")
         self.index.store.id_of(word)  # unknown words fail at submit time
-        ticket = QueryTicket(word, int(k))
+        ticket = QueryTicket(word, k)
         self._pending.append(ticket)
         if len(self._pending) >= self.max_batch:
             self.flush()

@@ -23,6 +23,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.serve.store import EmbeddingStore
+from repro.util.checks import positive_integer
 
 __all__ = ["Index", "ExactIndex", "recall_at_k", "top_k_desc"]
 
@@ -196,9 +197,7 @@ class ExactIndex:
         return best_ids, best_scores
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        k = min(k, len(self._store))
+        k = min(positive_integer(k, "k"), len(self._store))
         q = _normalize_queries(queries, self._store.dim)
         n = q.shape[0]
         out_ids = np.empty((n, k), dtype=np.int64)
@@ -219,8 +218,7 @@ def recall_at_k(
 
     Averaged over queries; the standard recall@k score for ANN indexes.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    k = positive_integer(k, "k")
     exact_ids, _ = exact.search(queries, k)
     approx_ids, _ = approx.search(queries, k)
     hits = 0

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.serve.index import _normalize_queries, top_k_desc
 from repro.serve.store import EmbeddingStore
+from repro.util.checks import positive_integer
 from repro.util.rng import DEFAULT_SEED, keyed_rng
 
 __all__ = ["IVFIndex", "kmeans", "assign_cells", "default_nlist"]
@@ -262,10 +263,8 @@ class IVFIndex:
         return self._codes.score(self._cell_codes[positions], ctx)
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
         V = len(self._store)
-        k = min(k, V)
+        k = min(positive_integer(k, "k"), V)
         q = _normalize_queries(queries, self._store.dim)
         n = q.shape[0]
         out_ids = np.full((n, k), -1, dtype=np.int64)

@@ -69,6 +69,7 @@ from repro.gluon.proxies import block_boundaries
 from repro.serve.engine import LRUCache, QueryEngine
 from repro.serve.index import ExactIndex, _check_queries, top_k_desc
 from repro.serve.store import EmbeddingStore
+from repro.util.checks import positive_integer
 
 __all__ = ["ShardPlan", "ShardGeneration", "ShardedIndex", "ShardedEngine"]
 
@@ -395,8 +396,7 @@ class ShardedIndex:
 
     # -- search ------------------------------------------------------------
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+        k = positive_integer(k, "k")
         plan = self.plan
         generation = self._generation  # pin: promote() must not split a call
         # Validate only, ahead of the round counter, so a rejected call

@@ -33,58 +33,32 @@ function of the spec and bit-stable across executor widths; only
 measured wall-clock stats — what SLO verdicts judge — vary run to run.
 """
 
-from repro.serve.workload.arrivals import (
-    ArrivalProcess,
-    BurstArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    RampStage,
-    Stage,
-    StagedArrivals,
-    arrival_times_us,
-    arrivals_from_dict,
-)
-from repro.serve.workload.plugins import (
-    available_backends,
-    build_backend,
-    register_backend,
-)
-from repro.serve.workload.runner import WorkloadReport, format_reports, run_workload
-from repro.serve.workload.slo import (
-    SLORule,
-    SLOVerdict,
-    all_pass,
-    evaluate_slos,
-    format_verdicts,
-)
-from repro.serve.workload.spec import StoreSpec, WorkloadSpec, clustered_matrix
-from repro.serve.workload.tenants import QOS_CLASSES, TenantMix, TenantSpec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DiurnalArrivals",
-    "BurstArrivals",
-    "StagedArrivals",
-    "Stage",
-    "RampStage",
-    "arrival_times_us",
-    "arrivals_from_dict",
-    "register_backend",
-    "available_backends",
-    "build_backend",
-    "QOS_CLASSES",
-    "TenantSpec",
-    "TenantMix",
-    "SLORule",
-    "SLOVerdict",
-    "evaluate_slos",
-    "all_pass",
-    "format_verdicts",
-    "StoreSpec",
-    "clustered_matrix",
-    "WorkloadSpec",
-    "WorkloadReport",
-    "run_workload",
-    "format_reports",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "arrivals": (
+            "ArrivalProcess",
+            "BurstArrivals",
+            "DiurnalArrivals",
+            "PoissonArrivals",
+            "RampStage",
+            "Stage",
+            "StagedArrivals",
+            "arrival_times_us",
+            "arrivals_from_dict",
+        ),
+        "plugins": ("available_backends", "build_backend", "register_backend"),
+        "runner": ("WorkloadReport", "format_reports", "run_workload"),
+        "slo": (
+            "SLORule",
+            "SLOVerdict",
+            "all_pass",
+            "evaluate_slos",
+            "format_verdicts",
+        ),
+        "spec": ("StoreSpec", "WorkloadSpec", "clustered_matrix"),
+        "tenants": ("QOS_CLASSES", "TenantMix", "TenantSpec"),
+    },
+)

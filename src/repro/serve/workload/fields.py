@@ -8,52 +8,34 @@ So a dataclass fed raw JSON accepts ``{"max_batch": true}`` and
 the backend plugins read every value through these checks instead: a
 wrong type is a ``ValueError`` that names the field.  Integral floats
 (``8.0``) are accepted as integers; the dataclass constructors themselves
-are unchanged.
+are unchanged.  The scalar checks live in :mod:`repro.util.checks`, which
+the serving entry points share.
 """
 
 from __future__ import annotations
 
-import numbers
 import typing
 
-__all__ = ["integer", "number", "json_object", "json_list", "json_fields"]
+from repro.util.checks import got, integer, number
 
-
-def _got(value) -> str:
-    return f"got {value!r} ({type(value).__name__})"
-
-
-def integer(value, name: str) -> int:
-    """``value`` as an ``int``; bools and fractional numbers are rejected."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, {_got(value)}")
-    return int(value)
-
-
-def number(value, name: str):
-    """``value`` unchanged if it is a real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, {_got(value)}")
-    return value
+__all__ = ["json_object", "json_list", "json_fields"]
 
 
 def _string(value, name: str) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, {_got(value)}")
+        raise ValueError(f"{name} must be a string, {got(value)}")
     return value
 
 
 def json_object(value, name: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, {_got(value)}")
+        raise ValueError(f"{name} must be a JSON object, {got(value)}")
     return value
 
 
 def json_list(value, name: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{name} must be a JSON list, {_got(value)}")
+        raise ValueError(f"{name} must be a JSON list, {got(value)}")
     return value
 
 

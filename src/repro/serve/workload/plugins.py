@@ -33,7 +33,8 @@ from repro.serve.ivf import IVFIndex, default_nlist
 from repro.serve.quant import Int8Store
 from repro.serve.shard import ShardedEngine, ShardedIndex
 from repro.serve.store import EmbeddingStore
-from repro.serve.workload.fields import integer, json_object
+from repro.serve.workload.fields import json_object
+from repro.util.checks import integer
 from repro.util.rng import DEFAULT_SEED
 
 __all__ = [

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from repro.serve.workload.fields import json_fields, number
+from repro.serve.workload.fields import json_fields
+from repro.util.checks import number
 
 __all__ = [
     "LATENCY_METRICS",

@@ -32,7 +32,8 @@ import math
 
 import numpy as np
 
-from repro.serve.workload.fields import json_fields, json_list, number
+from repro.serve.workload.fields import json_fields, json_list
+from repro.util.checks import number
 from repro.util.rng import keyed_rng
 
 __all__ = [

@@ -8,34 +8,23 @@ synthetic corpus generator that substitutes for the paper's 1-billion /
 news / wiki datasets (see DESIGN.md §3).
 """
 
-from repro.text.corpus import Corpus
-from repro.text.negative_sampling import UnigramTable
-from repro.text.phrases import PhraseModel, apply_phrases, learn_phrases
-from repro.text.synthetic import (
-    AnalogyQuestion,
-    AnalogyQuestionSet,
-    RelationFamily,
-    SyntheticCorpusSpec,
-    generate_corpus,
-)
-from repro.text.tokenize import simple_tokenize
-from repro.text.topics import TopicCorpusSpec, generate_topic_corpus, topic_coherence
-from repro.text.vocab import Vocabulary
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Vocabulary",
-    "Corpus",
-    "UnigramTable",
-    "PhraseModel",
-    "learn_phrases",
-    "apply_phrases",
-    "simple_tokenize",
-    "RelationFamily",
-    "SyntheticCorpusSpec",
-    "AnalogyQuestion",
-    "AnalogyQuestionSet",
-    "generate_corpus",
-    "TopicCorpusSpec",
-    "generate_topic_corpus",
-    "topic_coherence",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "corpus": ("Corpus",),
+        "negative_sampling": ("UnigramTable",),
+        "phrases": ("PhraseModel", "apply_phrases", "learn_phrases"),
+        "synthetic": (
+            "AnalogyQuestion",
+            "AnalogyQuestionSet",
+            "RelationFamily",
+            "SyntheticCorpusSpec",
+            "generate_corpus",
+        ),
+        "tokenize": ("simple_tokenize",),
+        "topics": ("TopicCorpusSpec", "generate_topic_corpus", "topic_coherence"),
+        "vocab": ("Vocabulary",),
+    },
+)

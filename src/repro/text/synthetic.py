@@ -40,6 +40,8 @@ __all__ = [
     "SyntheticCorpusSpec",
     "AnalogyQuestion",
     "AnalogyQuestionSet",
+    "choice_cdf",
+    "choice_from_cdf",
     "default_families",
     "generate_corpus",
 ]
@@ -167,6 +169,25 @@ class SyntheticCorpusSpec:
         )
 
 
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The table ``Generator.choice(len(p), p=p)`` builds on every call."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def choice_from_cdf(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """``rng.choice(len(p), size=n, p=p)`` for ``cdf = choice_cdf(p)``.
+
+    After validating ``p`` and summing it, ``Generator.choice`` draws
+    exactly this: ``n`` uniforms and an inverse-CDF lookup.  So the values
+    and the stream's position are the same, without the per-call
+    validation and ``cumsum`` (most of a corpus build's time, since a
+    corpus makes one draw per filler run).
+    """
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 def _marker_words(family: RelationFamily, role: str, count: int) -> list[str]:
     return [f"{family.name}.{role}{j}" for j in range(count)]
 
@@ -196,10 +217,10 @@ def generate_corpus(
     ranks = np.arange(1, spec.filler_vocab + 1, dtype=np.float64)
     filler_p = ranks ** (-spec.zipf_exponent)
     filler_p /= filler_p.sum()
+    filler_cdf = choice_cdf(filler_p)
 
     def draw_fillers(n: int) -> list[str]:
-        idx = rng.choice(spec.filler_vocab, size=n, p=filler_p)
-        return [fillers[i] for i in idx]
+        return [fillers[i] for i in choice_from_cdf(rng, filler_cdf, n)]
 
     lo, hi = spec.phrases_per_sentence
     if lo < 1 or hi < lo:

@@ -1,12 +1,11 @@
 """Small shared utilities: seeded RNG management, table rendering."""
 
-from repro.util.rng import SeedSequenceTree, default_rng, spawn_rngs
-from repro.util.tables import format_table, format_row
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SeedSequenceTree",
-    "default_rng",
-    "spawn_rngs",
-    "format_table",
-    "format_row",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("SeedSequenceTree", "default_rng", "spawn_rngs"),
+        "tables": ("format_table", "format_row"),
+    },
+)

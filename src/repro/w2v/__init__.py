@@ -15,17 +15,15 @@
   Gluon substrate with pluggable combiners and communication plans.
 """
 
-from repro.w2v.distributed import DistributedTrainResult, GraphWord2Vec
-from repro.w2v.huffman import HuffmanTree
-from repro.w2v.model import Word2VecModel
-from repro.w2v.params import Word2VecParams
-from repro.w2v.shared_memory import SharedMemoryWord2Vec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Word2VecParams",
-    "Word2VecModel",
-    "HuffmanTree",
-    "SharedMemoryWord2Vec",
-    "GraphWord2Vec",
-    "DistributedTrainResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "distributed": ("DistributedTrainResult", "GraphWord2Vec"),
+        "huffman": ("HuffmanTree",),
+        "model": ("Word2VecModel",),
+        "params": ("Word2VecParams",),
+        "shared_memory": ("SharedMemoryWord2Vec",),
+    },
+)

@@ -1,6 +1,12 @@
 """The documented public surface imports and resolves."""
 
 import importlib
+import os
+from pathlib import Path
+import pkgutil
+import subprocess
+import sys
+import types
 
 import pytest
 
@@ -32,6 +38,59 @@ def test_all_resolves(package):
         assert hasattr(module, name), f"{package}.{name} missing"
 
 
+@pytest.mark.parametrize("package", PACKAGES)
+def test_export_table_resolves_every_way(package):
+    """Each lazily exported name resolves by every route, and agrees."""
+    module = importlib.import_module(package)
+    exported = module.__all__
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    assert set(star) - {"__builtins__"} == set(exported)
+    assert set(exported) <= set(dir(module))
+    submodules = {info.name for info in pkgutil.iter_modules(module.__path__)}
+    for name in exported:
+        value = getattr(module, name)
+        scope: dict = {}
+        exec(f"from {package} import {name}", scope)
+        assert scope[name] is value is star[name], f"{package}.{name}"
+        if isinstance(value, types.ModuleType):
+            assert name in submodules and value.__name__ == f"{package}.{name}"
+    with pytest.raises(AttributeError, match=f"module '{package}' has no attribute"):
+        getattr(module, "no_such_export")
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_submodules_resolve_as_attributes(package):
+    module = importlib.import_module(package)
+    for info in pkgutil.iter_modules(module.__path__):
+        if info.name == "__main__":
+            continue
+        sub = importlib.import_module(f"{package}.{info.name}")
+        value = getattr(module, info.name)
+        if info.name in module.__all__ and not isinstance(value, types.ModuleType):
+            # An export named like its module (galois.do_all the function).
+            assert value is getattr(sub, info.name)
+        else:
+            assert value is sub
+
+
+def test_exports_win_over_same_named_submodules():
+    """Importing ``repro.galois.do_all`` first must not shadow the function."""
+    code = (
+        "import repro.galois.do_all, repro.dgraph.apps.kcore, repro.dgraph.apps.pagerank\n"
+        "from repro.galois import do_all\n"
+        "from repro.dgraph.apps import kcore, pagerank\n"
+        "print(*(callable(f) and not isinstance(f, type(repro)) "
+        "for f in (do_all, kcore, pagerank)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True", "True"]
+
+
 def test_version():
     import repro
 
@@ -53,8 +112,6 @@ def test_quickstart_docstring_names_exist():
 
 
 def test_every_module_has_docstring():
-    import pkgutil
-
     import repro
 
     missing = []

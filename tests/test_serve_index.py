@@ -364,6 +364,53 @@ class TestExactScanParity:
             assert_same_answers((ids, scores), (want[0][row], want[1][row]))
 
 
+class TestKBoundary:
+    """``k`` is a positive integer at every entry point, or a ValueError naming it.
+
+    Before, ``2.5`` and ``True`` were served as 2 and 1 results by the
+    engine and crashed inside NumPy in the indexes, and ``"3"`` escaped as a
+    bare ``TypeError`` from the ``k <= 0`` comparison.
+    """
+
+    BAD = [2.5, True, False, "3", None, np.float32(2.5), float("inf")]
+
+    def indexes(self, store):
+        plan = ShardPlan(len(store), num_shards=2, replicas=1)
+        return [ExactIndex(store), IVFIndex(store, nlist=4), ShardedIndex(store, plan=plan)]
+
+    @pytest.mark.parametrize("k", BAD, ids=repr)
+    def test_search_rejects_non_integer_k(self, k):
+        store = make_store(V=40)
+        for index in self.indexes(store):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                index.search(store.matrix[:2], k)
+
+    @pytest.mark.parametrize("k", BAD, ids=repr)
+    def test_submit_rejects_non_integer_k(self, k):
+        engine = QueryEngine(ExactIndex(make_store(V=40)))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            engine.submit("w0001", k)
+        assert engine.pending == 0
+        with pytest.raises(ValueError, match="k must be an integer"):
+            recall_at_k(engine.index, engine.index, engine.index.store.matrix[:2], k=k)
+
+    @pytest.mark.parametrize("k", [3, np.int64(3), np.int32(3), 3.0, np.float32(3.0)])
+    def test_integral_k_is_served(self, k):
+        store = make_store(V=40)
+        queries = store.matrix[:2]
+        for index in self.indexes(store):
+            ids, _ = index.search(queries, k)
+            assert ids.shape == (2, 3)
+        engine = QueryEngine(ExactIndex(store))
+        ticket = engine.submit("w0001", k)
+        engine.flush()
+        assert type(ticket.k) is int and ticket.result[0].shape == (3,)
+        # One cache entry per (word, k) whatever integer type k arrived as.
+        engine.submit("w0001", 3)
+        engine.flush()
+        assert engine.stats.cache.hits == 1
+
+
 class TestRecallAtK:
     def test_exact_vs_itself_is_one(self):
         store = make_store(V=100)
