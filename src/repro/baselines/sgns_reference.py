@@ -42,7 +42,13 @@ class MemoryBudgetExceeded(MemoryError):
 
 
 class Word2VecCReference:
-    """Strict sequential SGNS at center-word granularity ("W2V")."""
+    """Strict sequential SGNS at center-word granularity ("W2V").
+
+    It draws its own negatives and keeps word2vec.c's per-pair ones: each
+    center's ``(pairs, k)`` draw gives every context pair its own ``k``,
+    where every other SG-NS trainer shares one row per center
+    (:func:`repro.w2v.sgd.sample_center_negatives`).
+    """
 
     def __init__(
         self,

@@ -579,11 +579,11 @@ class SSPTrainingEngine(TrainingEngine):
             if not ids.size:
                 out.append((ids, np.empty((0, field.dim)), None))
                 continue
-            new = field.arrays[host][ids]
+            delta = np.take(field.arrays[host], ids, axis=0).astype(np.float64)
             if checker is not None:
                 checker.note_capture(field, host, ids)
-            old = old.astype(np.float64)
-            out.append((ids, new.astype(np.float64) - old, old if lam > 0 else None))
+            delta -= old
+            out.append((ids, delta, old.astype(np.float64) if lam > 0 else None))
         return out
 
     def _recover_step(

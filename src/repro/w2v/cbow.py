@@ -9,7 +9,10 @@ context row — word2vec.c's ``neu1``/``neu1e`` scheme, batched.
 The batch is a ragged structure: all context rows concatenated with a
 segment id per row mapping it to its example.  It is built from Skip-Gram's
 (center, neighbour) pairs — the same draws in the same order — regrouped by
-center, so both architectures consume a chunk's random stream identically.
+center, so both architectures consume a chunk's random stream identically:
+each draws one negatives row per center
+(:func:`repro.w2v.sgd.sample_center_negatives`), which Skip-Gram shares
+across the center's pairs and CBOW gives the center's one example.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.text.negative_sampling import UnigramTable
 from repro.w2v.hs import hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.scatter import scatter_sub, sparse_update
-from repro.w2v.sgd import _window_pairs, sample_negatives
+from repro.w2v.sgd import _window_pairs, sample_center_negatives
 
 __all__ = ["CbowBatch", "build_cbow_batch", "cbow_ns_update", "cbow_hs_update"]
 
@@ -87,17 +90,15 @@ def build_cbow_batch(
     are then empty).
     """
     kept, centers, contexts = _window_pairs(sentences, window, keep_prob, rng)
+    negatives, mask, _row = sample_center_negatives(
+        table, kept, centers, num_negatives, rng
+    )
     order = np.lexsort((contexts, centers))
     centers, rows_arr = centers[order], kept[contexts[order]]
     starts = np.flatnonzero(np.diff(centers, prepend=-1))
     centers_arr = kept[centers[starts]]
     counts_arr = np.diff(starts, append=len(centers))
     segments = np.repeat(np.arange(len(starts)), counts_arr)
-    if table is not None and num_negatives > 0:
-        negatives, mask = sample_negatives(table, centers_arr, num_negatives, rng)
-    else:
-        negatives = np.empty((len(centers_arr), 0), dtype=np.int64)
-        mask = np.empty((len(centers_arr), 0), dtype=bool)
     return CbowBatch(
         centers=centers_arr,
         context_rows=rows_arr,
@@ -132,7 +133,7 @@ def cbow_ns_update(
     lr = np.float32(learning_rate)
     h = _context_means(embedding, batch)  # (B, D)
     targets = np.concatenate([batch.centers[:, None], batch.negatives], axis=1)
-    t = training[targets]  # (B, K+1, D)
+    t = np.take(training, targets, axis=0)  # (B, K+1, D)
     scores = np.matmul(t, h[:, :, None])[:, :, 0]
     sig = expit(scores)
     grad_scale = sig.copy()

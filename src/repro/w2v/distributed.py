@@ -81,6 +81,7 @@ from repro.gluon.proxies import master_block_slice
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.corpus import Corpus
 from repro.text.negative_sampling import UnigramTable
+from repro.util.heap import hold_heap
 from repro.util.rng import SeedSequenceTree
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.io import CheckpointState, load_checkpoint_blob, save_checkpoint_blob
@@ -168,6 +169,7 @@ class GraphWord2Vec:
         Sanitizers observe and never perturb, so a sanitized run
         is bit-identical to an unsanitized one.  ``None`` (default) defers
         to the ``REPRO_SANITIZE`` environment variable."""
+        hold_heap()
         if num_hosts <= 0:
             raise ValueError(f"num_hosts must be positive, got {num_hosts}")
         if host_speed_factors is not None:

@@ -8,8 +8,9 @@ Follows word2vec.c's training schedule:
   every in-window neighbor forms a positive pair where the neighbor is the
   **input** (embedding layer, ``syn0``) and the center the **output**
   (training layer, ``syn1neg``),
-- each pair draws ``k`` negatives from the unigram^0.75 table (collisions
-  with the positive target are redrawn once, then dropped by zero weight),
+- each center draws ``k`` negatives from the unigram^0.75 table, shared by
+  every pair of its window (Ji et al.'s HogBatch sampling; collisions with
+  the center are redrawn once, then dropped by zero weight),
 - the SGD step for a pair with targets ``T`` (1 positive + k negatives),
   labels ``y``, input embedding ``e``:
 
@@ -19,9 +20,10 @@ Follows word2vec.c's training schedule:
 Generation is one pass per worklist chunk (:func:`_window_pairs`): the
 chunk is one flat token array with a sentence id per token, each of the
 three draws above is one call over the whole chunk (uniforms, then spans,
-then negatives), and the pairs at distance ``d`` are the centers whose
-span reaches ``d`` and whose neighbour ``d`` away lies in the same
-sentence — offset arithmetic, no loop over sentences.
+then one negatives row per distinct center), and the pairs at distance
+``d`` are the centers whose span reaches ``d`` and whose neighbour ``d``
+away lies in the same sentence — offset arithmetic, no loop over
+sentences.
 
 Updates are applied one slice at a time as two sparse-times-dense products
 (:mod:`repro.w2v.scatter`): gradients in a slice are computed against the
@@ -45,6 +47,7 @@ __all__ = [
     "TrainingBatch",
     "subsample_sentence",
     "sample_negatives",
+    "sample_center_negatives",
     "build_training_batch",
     "sgns_update",
     "apply_in_slices",
@@ -176,12 +179,34 @@ def sample_negatives(
     return neg, ~collide
 
 
+def sample_center_negatives(
+    table: UnigramTable | None,
+    kept: np.ndarray,
+    centers: np.ndarray,
+    num_negatives: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One negatives row per distinct center of a chunk: ``(negatives, mask, row)``.
+
+    ``centers`` are the pairs' center positions in ``kept``.  The ``(C, k)``
+    draw covers the distinct positions in ascending order, with
+    :func:`sample_negatives`' one collision redraw against each center's
+    word; ``row[j]`` is pair ``j``'s center among them, so every pair of a
+    center shares its row and mask.  With ``k = 0`` nothing is drawn and
+    ``table`` may be ``None`` (hierarchical softmax).
+    """
+    seen = np.zeros(len(kept), dtype=bool)
+    seen[centers] = True
+    negatives, mask = sample_negatives(table, kept[seen], num_negatives, rng)
+    return negatives, mask, (np.cumsum(seen) - 1)[centers]
+
+
 def build_training_batch(
     sentences: list[np.ndarray],
     *,
     window: int,
     keep_prob: np.ndarray,
-    table: UnigramTable,
+    table: UnigramTable | None,
     num_negatives: int,
     rng: np.random.Generator,
 ) -> TrainingBatch:
@@ -191,13 +216,19 @@ def build_training_batch(
     positive edges from windows, negative edges from the noise distribution,
     regenerated fresh every epoch from the worklist.  The center is the
     output and its neighbour the input (word2vec.c's convention); pairs
-    come in :func:`_window_pairs` order and the negatives are drawn last.
+    come in :func:`_window_pairs` order and the negatives are drawn last,
+    one row per center (:func:`sample_center_negatives`) shared by all its
+    pairs.
     """
     kept, centers, contexts = _window_pairs(sentences, window, keep_prob, rng)
-    inputs, outputs = kept[contexts], kept[centers]
-    negatives, mask = sample_negatives(table, outputs, num_negatives, rng)
+    negatives, mask, row = sample_center_negatives(
+        table, kept, centers, num_negatives, rng
+    )
     return TrainingBatch(
-        inputs=inputs, outputs=outputs, negatives=negatives, negative_mask=mask
+        inputs=kept[contexts],
+        outputs=kept[centers],
+        negatives=negatives[row],
+        negative_mask=mask[row],
     )
 
 
@@ -217,9 +248,9 @@ def sgns_update(
     if B == 0:
         return 0.0
     lr = np.float32(learning_rate)
-    e = embedding[batch.inputs]  # (B, D)
+    e = np.take(embedding, batch.inputs, axis=0)  # (B, D)
     targets = np.concatenate([batch.outputs[:, None], batch.negatives], axis=1)
-    t = training[targets]  # (B, K+1, D)
+    t = np.take(training, targets, axis=0)  # (B, K+1, D)
     scores = np.matmul(t, e[:, :, None])[:, :, 0]
     sig = expit(scores)
     # labels: column 0 positive; masked-out negatives get zero gradient.

@@ -22,6 +22,7 @@ from repro.galois.do_all import DoAllExecutor, do_all, resolve_executor
 from repro.galois.worklist import ChunkedWorklist
 from repro.text.corpus import Corpus
 from repro.text.negative_sampling import UnigramTable
+from repro.util.heap import hold_heap
 from repro.util.rng import SeedSequenceTree
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.model import Word2VecModel
@@ -67,6 +68,7 @@ class SharedMemoryWord2Vec:
         the same chunk-scheduled path serially (deterministic, and
         pair-count-identical to any worker count); the default (no executor,
         ``workers=None``) is the classic fully sequential path."""
+        hold_heap()
         self.corpus = corpus.split_long_sentences(params.max_sentence_length)
         self.params = params
         self.compute_loss = compute_loss

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from repro.text.negative_sampling import UnigramTable
 from repro.w2v.cbow import CbowBatch, cbow_ns_update
 from repro.w2v.hs import hs_update
 from repro.w2v.huffman import HuffmanTree
-from repro.w2v.sgd import TrainingBatch, sgns_update
+from repro.w2v.sgd import TrainingBatch, build_training_batch, sgns_update
 
 
 def reference_sgns(emb, trn, inputs, outputs, negatives, mask, lr):
@@ -32,19 +33,42 @@ def reference_sgns(emb, trn, inputs, outputs, negatives, mask, lr):
     return emb0 + d_emb, trn0 + d_trn
 
 
+def random_batch(rng, V):
+    B, K = 6, 3
+    return TrainingBatch(
+        inputs=rng.integers(0, V, B),
+        outputs=rng.integers(0, V, B),
+        negatives=rng.integers(0, V, (B, K)),
+        negative_mask=rng.random((B, K)) < 0.8,
+    )
+
+
+def shared_negatives_batch(rng, V):
+    """A built chunk: every pair of a center repeats the center's output row
+    and its one negatives row, so one slice updates those rows several
+    times and the duplicates must sum."""
+    batch = build_training_batch(
+        [rng.integers(0, V, 9), rng.integers(0, V, 6)], window=3,
+        keep_prob=np.ones(V), table=UnigramTable(np.ones(V)),
+        num_negatives=4, rng=rng,
+    )
+    _, repeats = np.unique(batch.negatives, axis=0, return_counts=True)
+    assert repeats.max() > 1
+    return batch
+
+
 class TestSGNSAgainstReference:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches(self, seed):
+    @pytest.mark.parametrize(
+        "make_batch, seed",
+        [pytest.param(random_batch, s, id=str(s)) for s in (0, 1, 2)]
+        + [pytest.param(shared_negatives_batch, s, id=f"shared-{s}") for s in (0, 5)],
+    )
+    def test_matches(self, make_batch, seed):
         rng = np.random.default_rng(seed)
-        V, D, B, K = 8, 5, 6, 3
+        V, D = 8, 5
         emb = rng.normal(size=(V, D)).astype(np.float32)
         trn = rng.normal(size=(V, D)).astype(np.float32)
-        batch = TrainingBatch(
-            inputs=rng.integers(0, V, B),
-            outputs=rng.integers(0, V, B),
-            negatives=rng.integers(0, V, (B, K)),
-            negative_mask=rng.random((B, K)) < 0.8,
-        )
+        batch = make_batch(rng, V)
         expected_emb, expected_trn = reference_sgns(
             emb, trn, batch.inputs, batch.outputs, batch.negatives,
             batch.negative_mask, 0.1,

@@ -4,8 +4,10 @@ import pytest
 from scipy.special import expit
 
 from repro.text.negative_sampling import UnigramTable
+from repro.w2v.cbow import build_cbow_batch
 from repro.w2v.sgd import (
     TrainingBatch,
+    _window_pairs,
     apply_in_slices,
     build_training_batch,
     sample_negatives,
@@ -289,20 +291,24 @@ def flat_draws(sentences, window, keep_prob, rng):
 
 
 def reference_sg_pairs(kept, spans, window):
-    """The per-sentence pair loop, fed one sentence's flat draws."""
+    """The per-sentence pair loop, fed one sentence's flat draws.
+
+    Returns ``(ins, outs, centers)``: lists of id arrays and the centers'
+    positions in ``kept``.
+    """
     L = len(kept)
-    ins, outs = [], []
+    ins, outs, centers = [], [], []
     for d in range(1, window + 1):
         if d >= L:
             break
         wide = spans >= d
         left = np.nonzero(wide[d:])[0] + d
-        outs.append(kept[left])
-        ins.append(kept[left - d])
         right = np.nonzero(wide[: L - d])[0]
-        outs.append(kept[right])
-        ins.append(kept[right + d])
-    return ins, outs
+        for positions, neighbours in ((left, left - d), (right, right + d)):
+            outs.append(kept[positions])
+            ins.append(kept[neighbours])
+            centers.append(positions)
+    return ins, outs, centers
 
 
 #: Sentences over a per-sentence vocabulary: sentence ``j`` uses ids
@@ -330,7 +336,10 @@ def keep_probabilities(mode, V, seed):
 @example([np.array([0, 1, 2, 3]), np.array([4, 5, 6])], 1, "all", 2)  # window = 1
 @example([np.array([0, 1]), np.array([4, 5, 6])], 3, "all", 3)  # a length-2 sentence
 def test_chunk_builder_matches_per_sentence_reference(sentences, window, mode, seed):
-    """Flat generation == the per-sentence loop fed the same draws, bit for bit."""
+    """Flat generation == the per-sentence loop fed the same draws, bit for bit.
+
+    The loop draws negatives once per distinct center, after the pairs.
+    """
     V = 4 * max(len(sentences), 1)
     keep_prob = keep_probabilities(mode, V, seed)
     table = UnigramTable(np.arange(1, V + 1, dtype=float))
@@ -339,15 +348,62 @@ def test_chunk_builder_matches_per_sentence_reference(sentences, window, mode, s
         num_negatives=3, rng=np.random.default_rng(seed),
     )
     rng = np.random.default_rng(seed)
-    ins, outs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    empty = np.empty(0, dtype=np.int64)
+    ins, outs, centers, words = [empty], [empty], [empty], [empty]
     for kept, spans in flat_draws(sentences, window, keep_prob, rng):
-        sentence_ins, sentence_outs = reference_sg_pairs(kept, spans, window)
+        sentence_ins, sentence_outs, sentence_centers = reference_sg_pairs(kept, spans, window)
         ins += sentence_ins
         outs += sentence_outs
-    ins, outs = np.concatenate(ins), np.concatenate(outs)
-    negatives, mask = sample_negatives(table, outs, 3, rng)
+        offset = sum(len(w) for w in words)
+        centers += [c + offset for c in sentence_centers]
+        words.append(kept)
+    ins, outs, centers = np.concatenate(ins), np.concatenate(outs), np.concatenate(centers)
+    # Negatives: one draw over the distinct center positions, ascending,
+    # each row shared by all pairs of that center.
+    distinct = np.unique(centers)
+    per_center, per_center_mask = sample_negatives(
+        table, np.concatenate(words)[distinct], 3, rng
+    )
+    row = np.searchsorted(distinct, centers)
+    negatives, mask = per_center[row], per_center_mask[row]
     assert np.array_equal(batch.inputs, ins)
     assert np.array_equal(batch.outputs, outs)
     assert np.array_equal(batch.negatives, negatives)
     assert np.array_equal(batch.negative_mask, mask)
     assert np.array_equal(batch.inputs // 4, batch.outputs // 4)  # same sentence
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunks, st.integers(1, 7), keep_modes, st.integers(0, 4), st.integers(0, 2**16))
+@example([np.array([0, 1, 2, 3, 0, 1])], 3, "all", 0, 0)  # no negatives
+@example([], 3, "all", 3, 0)  # empty chunk
+@example([np.array([0, 1, 2]), np.array([4, 5])], 2, "none", 3, 0)  # every token dropped
+@example([np.array([0]), np.array([4]), np.array([8])], 3, "all", 3, 0)  # all length 1
+@example([np.array([0, 1, 2]), np.array([4, 5, 6, 7])], 7, "all", 2, 1)  # window > length
+def test_negatives_are_shared_per_center(sentences, window, mode, k, seed):
+    """Every pair of a center carries that center's one negatives row.
+
+    The row is the one CBOW draws for the center's example, and its mask is
+    False exactly where a negative equals the pair's output.  (The pairs
+    themselves are pinned by the per-sentence reference above.)
+    """
+    V = 4 * max(len(sentences), 1)
+    keep_prob = keep_probabilities(mode, V, seed)
+    # A skewed table over a tiny vocabulary: collisions survive the redraw.
+    table = UnigramTable(np.arange(V, 0, -1, dtype=float) ** 3)
+    kwargs = dict(window=window, keep_prob=keep_prob, table=table, num_negatives=k)
+    batch = build_training_batch(sentences, **kwargs, rng=np.random.default_rng(seed))
+    cbow = build_cbow_batch(sentences, **kwargs, rng=np.random.default_rng(seed))
+    _kept, centers, _contexts = _window_pairs(
+        sentences, window, keep_prob, np.random.default_rng(seed)
+    )
+
+    assert batch.negatives.shape == batch.negative_mask.shape == (len(batch), k)
+    example_of = np.searchsorted(np.unique(centers), centers)
+    assert np.array_equal(batch.negatives, cbow.negatives[example_of])
+    assert np.array_equal(batch.negative_mask, cbow.negative_mask[example_of])
+    for position in np.unique(centers):
+        rows = np.flatnonzero(centers == position)
+        assert (batch.negatives[rows] == batch.negatives[rows[0]]).all()
+        assert (batch.negative_mask[rows] == batch.negative_mask[rows[0]]).all()
+    assert np.array_equal(batch.negative_mask, batch.negatives != batch.outputs[:, None])
