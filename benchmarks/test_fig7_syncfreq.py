@@ -15,7 +15,10 @@ def test_fig7_sync_frequency(once):
     avg = {p.sync_rounds: p.total for p in result.points if p.combiner == "AVG"}
     # More frequent synchronization helps (allowing small noise at the top).
     assert mc[48] > mc[12] - 0.02
-    assert mc[48] >= avg[48] * 0.9  # MC competitive or better at high S
+    # MC competitive or better at high S.  The slack is for float
+    # rounding only: accuracies are correct/total, and 27/56 >= 0.9 * 30/56
+    # holds exactly but reads 0.48214285714285710 < 0.48214285714285726.
+    assert mc[48] >= avg[48] * 0.9 - 1e-12
     # MC gains at least as much from frequency as AVG does (paper: 2.2
     # points vs "very little change") — asserted loosely.
     mc_gain = mc[48] - mc[12]

@@ -41,15 +41,14 @@ def main() -> None:
     model = SharedMemoryWord2Vec(corpus, params, seed=7).train()
     print(f"trained on {corpus}")
 
-    # 2. Freeze it into a store and round-trip the serving format.  The
-    #    raw layout is memory-mappable: open(..., mmap=True) shares pages
-    #    with the OS cache instead of copying the matrix per process.
+    # 2. Freeze it into a store and round-trip the serving format: one
+    #    checksummed file that open() memory-maps, so serving processes
+    #    share the OS page cache instead of copying the matrix each.
     store = EmbeddingStore.from_model(model, corpus.vocabulary)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "store"
-        store.save(path, format="raw")
-        reopened = EmbeddingStore.open(path, mmap=True)
+        reopened = EmbeddingStore.open(store.save(Path(tmp) / "store"))
         assert np.array_equal(store.matrix, reopened.matrix)
+        assert reopened.content_sha256() == store.content_sha256()
         print(f"store round-trip ok: {reopened} (memory-mapped)")
 
     # 3. Exact vs IVF: recall against ground truth, and latency under the

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.util.artifact import write_atomic
+
 __all__ = ["merge_bench_row"]
 
 
@@ -14,8 +16,9 @@ def merge_bench_row(path: Path | str, key: str, row) -> None:
     Read-modify-write (a missing file starts empty); the file is written
     with sorted keys, two-space indent and a trailing newline so that
     re-recording one row leaves every other line of the diff untouched.
+    The write replaces the file whole, so a killed run leaves the old one.
     """
     path = Path(path)
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload[key] = row
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])

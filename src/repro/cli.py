@@ -4,10 +4,10 @@ Subcommands::
 
     repro datasets                         # Table 1 of the presets
     repro train [--dataset NAME | --corpus FILE] [--hosts H] [...]
-    repro neighbors --model M.npz --dataset NAME --word W
-    repro eval --model M.npz --dataset NAME
+    repro neighbors --model MODEL --dataset NAME --word W
+    repro eval --model MODEL --dataset NAME
     repro experiment {table1,table2,table3,fig6,fig7,fig8,fig9}
-    repro serve-bench [--model M.npz] [--queries N] [--json FILE]
+    repro serve-bench [--model MODEL] [--queries N] [--json FILE]
     repro serve-bench --workload SPEC.json   # SLO-gated workload harness
 
 Invoke as ``python -m repro`` or ``python -m repro.cli``.
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write Chrome-trace events of the modeled timeline (chrome://tracing)",
     )
-    train.add_argument("--save", type=Path, help="write the trained model (.npz)")
+    train.add_argument("--save", type=Path, help="write the trained model (a model artifact)")
 
     neighbors = sub.add_parser("neighbors", help="nearest-neighbor queries")
     neighbors.add_argument("--model", type=Path, required=True)
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the recall-vs-QPS frontier (--frontier), or an SLO-gated "
              "multi-tenant workload (--workload)",
     )
-    serve.add_argument("--model", type=Path, help="saved model (.npz); trains fresh if omitted")
+    serve.add_argument("--model", type=Path, help="saved model (from train --save); trains fresh if omitted")
     serve.add_argument("--dataset", default="tiny-sim", help="synthetic preset name")
     serve.add_argument("--dim", type=int, default=None,
                        help="embedding dim (default: 48 when training fresh, "
@@ -336,24 +336,40 @@ def _cmd_train(args) -> int:
     if questions is not None:
         print(evaluate_analogies(model, corpus.vocabulary, questions))
     if args.save is not None:
-        args.save.write_bytes(model.to_bytes())
+        from repro.util.artifact import write_atomic
+
+        write_atomic(args.save, [model.to_bytes()])
         print(f"model written to {args.save}")
     return 0
 
 
-def _cmd_neighbors(args) -> int:
-    from repro.eval.similarity import most_similar
-    from repro.experiments import datasets
+def _load_model(path: Path, corpus):
+    """The model saved at ``path`` if it fits ``corpus``, else ``None``
+    after printing why (unreadable, damaged, or another vocabulary)."""
     from repro.w2v.model import Word2VecModel
 
-    corpus, _ = datasets.load(args.dataset)
-    model = Word2VecModel.from_bytes(args.model.read_bytes())
+    try:
+        model = Word2VecModel.from_bytes(path.read_bytes())
+    except (OSError, ValueError) as err:
+        print(f"error: --model {path}: {err}", file=sys.stderr)
+        return None
     if model.vocab_size != len(corpus.vocabulary):
         print(
             f"error: model vocab ({model.vocab_size}) does not match dataset "
             f"({len(corpus.vocabulary)})",
             file=sys.stderr,
         )
+        return None
+    return model
+
+
+def _cmd_neighbors(args) -> int:
+    from repro.eval.similarity import most_similar
+    from repro.experiments import datasets
+
+    corpus, _ = datasets.load(args.dataset)
+    model = _load_model(args.model, corpus)
+    if model is None:
         return 2
     for word, score in most_similar(model, corpus.vocabulary, args.word, topn=args.topn):
         print(f"{score:+.3f}  {word}")
@@ -364,10 +380,11 @@ def _cmd_eval(args) -> int:
     from repro.eval.analogy import evaluate_analogies
     from repro.eval.wordsim import build_planted_similarity, evaluate_similarity
     from repro.experiments import datasets
-    from repro.w2v.model import Word2VecModel
 
     corpus, questions = datasets.load(args.dataset)
-    model = Word2VecModel.from_bytes(args.model.read_bytes())
+    model = _load_model(args.model, corpus)
+    if model is None:
+        return 2
     accuracy = evaluate_analogies(
         model, corpus.vocabulary, questions, method=args.method
     )
@@ -549,17 +566,11 @@ def _cmd_serve_bench(args) -> int:
 
     from repro.experiments import datasets
     from repro.serve import EmbeddingStore, ExactIndex, LoadConfig, QueryEngine, run_load
-    from repro.w2v.model import Word2VecModel
 
     corpus, _ = datasets.load(args.dataset)
     if args.model is not None:
-        model = Word2VecModel.from_bytes(args.model.read_bytes())
-        if model.vocab_size != len(corpus.vocabulary):
-            print(
-                f"error: model vocab ({model.vocab_size}) does not match dataset "
-                f"({len(corpus.vocabulary)})",
-                file=sys.stderr,
-            )
+        model = _load_model(args.model, corpus)
+        if model is None:
             return 2
     else:
         from repro.w2v.params import Word2VecParams

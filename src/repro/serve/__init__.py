@@ -4,9 +4,9 @@ Training (``repro.w2v``) produces a dense embedding matrix; this package
 serves nearest-neighbor queries over it at scale:
 
 - :mod:`repro.serve.store` — :class:`EmbeddingStore`, an immutable,
-  memory-mappable snapshot of a trained embedding (float32 matrix +
-  pre-computed L2 norms + word table) with ``save``/``open`` so serving
-  never re-parses text formats,
+  memory-mapped snapshot of a trained embedding (float32 matrix +
+  pre-computed L2 norms + word table) saved and opened as one checksummed
+  artifact, so serving never re-parses text formats,
 - :mod:`repro.serve.index` — the :class:`Index` search contract with an
   exact blocked-matmul top-k (:class:`ExactIndex`), plus
   :func:`recall_at_k` to measure an approximate index against it,
@@ -15,8 +15,8 @@ serves nearest-neighbor queries over it at scale:
   with exact float32 rescoring or int8-code scoring — the approximate
   index the recall-vs-QPS frontier says to pick,
 - :mod:`repro.serve.quant` — :class:`Int8Store` (per-dimension scalar
-  quantization), saved next to the float32 snapshot with a documented
-  reconstruction-error bound,
+  quantization) with a documented reconstruction-error bound, saved as an
+  artifact bound to the content sha256 of its source store,
 - :mod:`repro.serve.engine` — :class:`QueryEngine`, micro-batching with a
   bounded LRU result cache, executing batches on a
   :class:`~repro.galois.do_all.DoAllExecutor`,
@@ -62,7 +62,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "sweep_frontier",
         ),
         "loadgen": ("RECALL_DOMAIN", "LoadConfig", "run_load"),
-        "quant": ("Int8Store", "open_codes"),
+        "quant": ("Int8Store",),
         "shard": ("ShardedEngine", "ShardedIndex", "ShardGeneration", "ShardPlan"),
         "store": ("EmbeddingStore",),
         "workload": (

@@ -19,11 +19,11 @@ folds the scales into the query once (``q * scale``), so scoring a
 candidate block is one int8-to-float cast and a matrix-vector product.
 The index sees only the protocol, never the code format.
 
-Persistence: ``save(directory)`` drops a ``codes_int8.npz`` next to an
-existing store's ``vectors.*`` and records the layout under the
-``codes.int8`` key of ``meta.json`` (validated field-by-field on
-``open`` — error messages name the offending ``codes.<variant>.<field>``;
-a section naming any other variant is rejected).
+Persistence: ``save(path)`` writes one ``int8`` artifact
+(:mod:`repro.util.artifact`) holding the codes, the scales and the content
+sha256 of the store they were built from; ``open(path, store=...)`` refuses
+codes built from any other store, and every damaged or mismatched file is a
+``ValueError`` naming the field.
 """
 
 from __future__ import annotations
@@ -32,50 +32,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serve.store import EmbeddingStore, meta_field, read_meta, write_meta
+from repro.serve.store import EmbeddingStore
+from repro.util import artifact
 
-__all__ = ["Int8Store", "open_codes"]
-
-_INT8_NPZ = "codes_int8.npz"
-
-
-def _codes_meta(meta: dict, variant: str, path: Path) -> dict:
-    section = meta_field(meta, "codes", dict, where=str(path))
-    if variant not in section:
-        raise ValueError(f"{path}: meta.json has no codes.{variant} section")
-    if not isinstance(section[variant], dict):
-        raise ValueError(f"{path}: meta.json field codes.{variant} must be an object")
-    return section[variant]
-
-
-def _variant_field(section: dict, variant: str, name: str, kind, where: str):
-    if name not in section:
-        raise ValueError(f"{where}: meta.json missing field codes.{variant}.{name}")
-    value = section[name]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            f"{where}: meta.json field codes.{variant}.{name} must be "
-            f"{kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _check_store_shape(section: dict, variant: str, V: int, dim: int, where: str):
-    for name, expected in (("vocab_size", V), ("dim", dim)):
-        found = _variant_field(section, variant, name, int, where)
-        if found != expected:
-            raise ValueError(
-                f"{where}: meta.json field codes.{variant}.{name} is {found}, "
-                f"store has {expected}"
-            )
+__all__ = ["Int8Store"]
 
 
 class Int8Store:
     """Per-dimension symmetric int8 quantization of the normalized matrix."""
 
-    variant = "int8"
-
-    def __init__(self, codes: np.ndarray, scales: np.ndarray):
+    def __init__(self, codes: np.ndarray, scales: np.ndarray, store_sha256: str):
         codes = np.ascontiguousarray(codes, dtype=np.int8)
         scales = np.ascontiguousarray(scales, dtype=np.float32)
         if codes.ndim != 2:
@@ -88,6 +54,8 @@ class Int8Store:
             raise ValueError("scales must be strictly positive")
         self.codes = codes
         self.scales = scales
+        #: :meth:`EmbeddingStore.content_sha256` of the source store.
+        self.store_sha256 = store_sha256
 
     @property
     def vocab_size(self) -> int:
@@ -105,7 +73,7 @@ class Int8Store:
         peak = np.abs(normalized).max(axis=0)
         scales = np.where(peak > 0, peak, 1.0).astype(np.float32) / 127.0
         codes = np.clip(np.rint(normalized / scales), -127, 127).astype(np.int8)
-        return cls(codes, scales)
+        return cls(codes, scales, store.content_sha256())
 
     def decode(self, rows: np.ndarray | None = None) -> np.ndarray:
         """Reconstructed float32 rows (all rows when ``rows`` is None)."""
@@ -132,65 +100,30 @@ class Int8Store:
         return int(self.codes.nbytes + self.scales.nbytes)
 
     # -- persistence -------------------------------------------------------
-    def save(self, directory: str | Path) -> Path:
-        """Write codes next to the saved store under ``directory``."""
-        directory = Path(directory)
-        meta = read_meta(directory)
-        with open(directory / _INT8_NPZ, "wb") as handle:
-            np.savez_compressed(handle, codes=self.codes, scales=self.scales)
-        meta.setdefault("codes", {})["int8"] = {
-            "file": _INT8_NPZ,
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "source": "normalized",
-        }
-        write_meta(directory, meta)
-        return directory
+    def save(self, path: str | Path) -> Path:
+        """Atomically write the codes to the file ``path``; returns it."""
+        artifact.write(
+            path,
+            "int8",
+            {"store_sha256": self.store_sha256},
+            {"codes": self.codes, "scales": self.scales},
+        )
+        return Path(path)
 
     @classmethod
-    def open(cls, directory: str | Path) -> "Int8Store":
-        directory = Path(directory)
-        meta = read_meta(directory)
-        where = str(directory)
-        section = _codes_meta(meta, "int8", directory)
-        V = _variant_field(section, "int8", "vocab_size", int, where)
-        dim = _variant_field(section, "int8", "dim", int, where)
-        filename = _variant_field(section, "int8", "file", str, where)
-        with np.load(directory / filename) as data:
-            codes, scales = data["codes"], data["scales"]
-        if codes.shape != (V, dim):
+    def open(cls, path: str | Path, store: EmbeddingStore | None = None) -> "Int8Store":
+        """Load saved codes; with ``store``, require they were built from it."""
+        fields, arrays, _ = artifact.read(path, "int8")
+        recorded = fields["store_sha256"]
+        if store is not None and recorded != store.content_sha256():
             raise ValueError(
-                f"{where}: codes_int8 shape {codes.shape} does not match "
-                f"meta.json codes.int8 ({V}, {dim})"
+                f"{path}: int8 artifact field 'fields.store_sha256' is "
+                f"{recorded[:16]}..., but the store's content sha256 is "
+                f"{store.content_sha256()[:16]}...: the codes were built "
+                "from another store"
             )
-        return cls(codes, scales)
+        return cls(arrays["codes"], arrays["scales"], recorded)
 
     def __repr__(self) -> str:
         return f"Int8Store(vocab={self.vocab_size}, dim={self.dim})"
 
-
-def open_codes(directory: str | Path, store: EmbeddingStore | None = None):
-    """Load every code variant saved under ``directory``.
-
-    Returns ``{variant: codes}``; when ``store`` is given, each variant's
-    recorded shape is validated against it (errors name the field).
-    """
-    directory = Path(directory)
-    meta = read_meta(directory)
-    out: dict[str, object] = {}
-    if "codes" not in meta:
-        return out
-    section = meta_field(meta, "codes", dict, where=str(directory))
-    openers = {"int8": Int8Store.open}
-    for variant in sorted(section):
-        if variant not in openers:
-            raise ValueError(
-                f"{directory}: meta.json codes section names unknown "
-                f"variant {variant!r} (known: {sorted(openers)})"
-            )
-        if store is not None:
-            _check_store_shape(
-                section[variant], variant, len(store), store.dim, str(directory)
-            )
-        out[variant] = openers[variant](directory)
-    return out

@@ -320,15 +320,21 @@ class ShardedIndex:
     def promote(self, store: EmbeddingStore) -> ShardGeneration:
         """Atomically swap in ``store`` as the next generation.
 
-        The new store must match the plan's row count (and the words must
-        stay aligned — same vocabulary, new vectors).  In-flight queries
-        submitted to an engine but not yet flushed are answered by the
-        new generation; nothing is drained or dropped.
+        The new store must match the plan's row count and dim, and its
+        word table must equal the live one row for row — same vocabulary,
+        new vectors (a ``ValueError`` naming ``words`` otherwise).
+        In-flight queries submitted to an engine but not yet flushed are
+        answered by the new generation; nothing is drained or dropped.
         """
         if len(store) != self.plan.num_rows or store.dim != self.store.dim:
             raise ValueError(
                 f"promoted store shape ({len(store)}, {store.dim}) does not "
                 f"match serving shape ({self.plan.num_rows}, {self.store.dim})"
+            )
+        if store.words != self.store.words:
+            raise ValueError(
+                "promoted store's words differ from the live generation's "
+                "(promote swaps vectors, not vocabularies)"
             )
         old = self._generation
         new = self._build_generation(old.number + 1, store)

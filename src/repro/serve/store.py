@@ -3,80 +3,32 @@
 An :class:`EmbeddingStore` is the unit a serving process loads: the float32
 embedding matrix, its pre-computed row L2 norms, and the word table, frozen
 read-only.  Stores are built once from a trained model, a checkpoint, or a
-word2vec text file, then persisted with :meth:`EmbeddingStore.save` so that
-serving never re-parses text formats:
-
-- ``format="npz"`` — one compressed ``vectors.npz`` (matrix + norms),
-- ``format="raw"`` — raw little-endian float32 files that
-  :meth:`EmbeddingStore.open` can memory-map, for stores larger than RAM.
-
-Both layouts live in a directory next to a ``meta.json`` sidecar carrying
-the word table and shape, which is validated against the arrays on open —
-validation errors always name the offending ``meta.json`` field.  The
-sidecar may additionally carry a ``codes`` section describing quantized
-code layouts (:mod:`repro.serve.quant`) stored alongside the float32
-snapshot; :func:`read_meta` / :func:`write_meta` / :func:`meta_field` are
-the shared helpers those variants use to extend the sidecar without
-re-implementing its validation.
+word2vec text file, then persisted with :meth:`EmbeddingStore.save` as one
+``store`` artifact (:mod:`repro.util.artifact`: matrix, norms and words in
+a single checksummed file, written atomically) so that serving never
+re-parses text formats.  :meth:`EmbeddingStore.open` memory-maps that file,
+so processes serving one store share its pages, and rejects a damaged or
+mismatched one with a ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from repro.text.vocab import Vocabulary
+from repro.util import artifact
 from repro.w2v.model import Word2VecModel
 
-__all__ = ["EmbeddingStore", "meta_field", "read_meta", "write_meta"]
-
-_FORMAT_VERSION = 1
-_META_NAME = "meta.json"
-_NPZ_NAME = "vectors.npz"
-_RAW_MATRIX_NAME = "vectors.f32"
-_RAW_NORMS_NAME = "norms.f32"
+__all__ = ["EmbeddingStore"]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.flags.writeable = False
     return view
-
-
-def read_meta(directory: str | Path) -> dict:
-    """Parse ``meta.json`` under ``directory`` (raises when absent)."""
-    meta_path = Path(directory) / _META_NAME
-    if not meta_path.is_file():
-        raise FileNotFoundError(f"no {_META_NAME} under {directory}")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: meta.json must be a JSON object")
-    return meta
-
-
-def write_meta(directory: str | Path, meta: dict) -> Path:
-    """Rewrite ``meta.json`` under ``directory`` atomically-enough."""
-    meta_path = Path(directory) / _META_NAME
-    meta_path.write_text(json.dumps(meta, ensure_ascii=False), encoding="utf-8")
-    return meta_path
-
-
-def meta_field(meta: dict, name: str, kind: type, where: str = "meta.json"):
-    """Fetch a required typed field; errors name the missing/bad field."""
-    if name not in meta:
-        raise ValueError(f"{where}: meta.json missing field {name!r}")
-    value = meta[name]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(
-            f"{where}: meta.json field {name!r} must be {kind.__name__}, "
-            f"got {type(value).__name__}"
-        )
-    return value
 
 
 class EmbeddingStore:
@@ -119,6 +71,7 @@ class EmbeddingStore:
         self._words = words
         self._ids = ids
         self._normalized: np.ndarray | None = None
+        self._sha256: str | None = None
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -137,10 +90,8 @@ class EmbeddingStore:
 
     @classmethod
     def from_checkpoint(cls, blob: bytes, vocabulary: Vocabulary) -> "EmbeddingStore":
-        """Snapshot the canonical model inside a training checkpoint."""
-        from repro.w2v.io import load_checkpoint_blob
-
-        return cls.from_model(load_checkpoint_blob(blob).model, vocabulary)
+        """Snapshot the canonical embedding inside a training checkpoint."""
+        return cls.from_model(artifact.read(blob, "checkpoint")[1]["embedding"], vocabulary)
 
     @classmethod
     def from_word2vec_text(cls, source: TextIO | str) -> "EmbeddingStore":
@@ -204,107 +155,33 @@ class EmbeddingStore:
     def memory_bytes(self) -> int:
         return int(self._matrix.nbytes + self._norms.nbytes)
 
-    # -- persistence -------------------------------------------------------
-    def save(self, directory: str | Path, format: str = "npz") -> Path:
-        """Persist under ``directory`` (created if missing); returns the path.
+    def content_sha256(self) -> str:
+        """The sha256 naming this store's content: its artifact's digest."""
+        if self._sha256 is None:
+            self._sha256 = artifact.digest("store", *self._artifact())
+        return self._sha256
 
-        ``format="npz"`` writes one compressed archive; ``format="raw"``
-        writes plain little-endian float32 files that :meth:`open` can
-        memory-map.  Either way ``meta.json`` carries the word table.
-        """
-        if format not in ("npz", "raw"):
-            raise ValueError(f"unknown store format {format!r} (use 'npz' or 'raw')")
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        meta = {
-            "format_version": _FORMAT_VERSION,
-            "format": format,
-            "vocab_size": len(self),
-            "dim": self.dim,
-            "dtype": "<f4",
-            "words": self._words,
-        }
-        if format == "npz":
-            with open(directory / _NPZ_NAME, "wb") as handle:
-                np.savez_compressed(handle, matrix=self._matrix, norms=self._norms)
-        else:
-            matrix = np.ascontiguousarray(self._matrix, dtype="<f4")
-            norms = np.ascontiguousarray(self._norms, dtype="<f4")
-            (directory / _RAW_MATRIX_NAME).write_bytes(matrix.tobytes())
-            (directory / _RAW_NORMS_NAME).write_bytes(norms.tobytes())
-        (directory / _META_NAME).write_text(
-            json.dumps(meta, ensure_ascii=False), encoding="utf-8"
-        )
-        return directory
+    # -- persistence -------------------------------------------------------
+    def _artifact(self) -> tuple[dict, dict]:
+        return {"words": self._words}, {"matrix": self._matrix, "norms": self._norms}
+
+    def save(self, path: str | Path) -> Path:
+        """Atomically write the store to the file ``path``; returns it."""
+        self._sha256 = artifact.write(path, "store", *self._artifact())
+        return Path(path)
 
     @classmethod
-    def open(cls, directory: str | Path, mmap: bool = False) -> "EmbeddingStore":
-        """Load a saved store; ``mmap=True`` maps raw-format matrices.
+    def open(cls, path: str | Path) -> "EmbeddingStore":
+        """Map a saved store read-only (arrays are views of the file's pages).
 
-        Shapes in ``meta.json`` are validated against the arrays so a
-        truncated or mismatched store fails loudly instead of serving
-        garbage.
+        The file is checked whole (digest, shapes, word count) before any
+        row is served, so a torn or mismatched store fails loudly instead
+        of serving garbage.
         """
-        directory = Path(directory)
-        meta = read_meta(directory)
-        where = str(directory)
-        if meta_field(meta, "format_version", int, where) != _FORMAT_VERSION:
-            raise ValueError(
-                f"{where}: unsupported meta.json field 'format_version' "
-                f"{meta['format_version']!r} (expected {_FORMAT_VERSION})"
-            )
-        fmt = meta_field(meta, "format", str, where)
-        V = meta_field(meta, "vocab_size", int, where)
-        dim = meta_field(meta, "dim", int, where)
-        words = meta_field(meta, "words", list, where)
-        if len(words) != V:
-            raise ValueError(
-                f"{where}: meta.json field 'words' lists {len(words)} entries "
-                f"but field 'vocab_size' is {V}"
-            )
-        if fmt == "npz":
-            if mmap:
-                raise ValueError("mmap=True requires a raw-format store")
-            with np.load(directory / _NPZ_NAME) as data:
-                matrix, norms = data["matrix"], data["norms"]
-        elif fmt == "raw":
-            # Validate both file sizes against the meta.json shape before
-            # reading anything: a truncated file must fail with an error
-            # naming the meta.json fields it contradicts, not surface as
-            # a numpy reshape error (or, for norms, a constructor shape
-            # error) halfway through loading.
-            matrix_bytes = V * dim * 4
-            matrix_path = directory / _RAW_MATRIX_NAME
-            if matrix_path.stat().st_size != matrix_bytes:
-                raise ValueError(
-                    f"{where}: {_RAW_MATRIX_NAME} is "
-                    f"{matrix_path.stat().st_size} bytes but meta.json fields "
-                    f"'vocab_size'/'dim' imply {matrix_bytes} "
-                    f"({V}x{dim} float32)"
-                )
-            norms_path = directory / _RAW_NORMS_NAME
-            norms_bytes = V * 4
-            if norms_path.stat().st_size != norms_bytes:
-                raise ValueError(
-                    f"{where}: {_RAW_NORMS_NAME} is "
-                    f"{norms_path.stat().st_size} bytes but meta.json field "
-                    f"'vocab_size' implies {norms_bytes} ({V} float32 norms)"
-                )
-            if mmap:
-                matrix = np.memmap(matrix_path, dtype="<f4", mode="r", shape=(V, dim))
-            else:
-                matrix = np.fromfile(matrix_path, dtype="<f4").reshape(V, dim)
-            norms = np.fromfile(norms_path, dtype="<f4")
-        else:
-            raise ValueError(
-                f"{where}: unknown meta.json field 'format' value {fmt!r} "
-                "(use 'npz' or 'raw')"
-            )
-        if matrix.shape != (V, dim):
-            raise ValueError(
-                f"stored matrix shape {matrix.shape} does not match meta ({V}, {dim})"
-            )
-        return cls(matrix, words, norms=norms)
+        fields, arrays, sha = artifact.read(path, "store")
+        store = cls(arrays["matrix"], fields["words"], arrays["norms"])
+        store._sha256 = sha
+        return store
 
     def __repr__(self) -> str:
         return f"EmbeddingStore(words={len(self)}, dim={self.dim})"

@@ -1,4 +1,5 @@
-"""Small shared utilities: seeded RNG management, table rendering."""
+"""Small shared utilities: seeded RNG management, table rendering, and the
+one on-disk artifact format (:mod:`repro.util.artifact`)."""
 
 from repro._exports import lazy_exports
 

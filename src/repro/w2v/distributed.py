@@ -81,10 +81,10 @@ from repro.gluon.proxies import master_block_slice
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.corpus import Corpus
 from repro.text.negative_sampling import UnigramTable
+from repro.util import artifact
 from repro.util.heap import hold_heap
 from repro.util.rng import SeedSequenceTree
 from repro.w2v.huffman import HuffmanTree
-from repro.w2v.io import CheckpointState, load_checkpoint_blob, save_checkpoint_blob
 from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
 from repro.w2v.steps import RoundWork, build_round_work, output_rows_for
@@ -611,10 +611,9 @@ class GraphWord2Vec:
         )
         if self.engine.staleness or self.engine.delay_compensation:
             # s=0, λ=0 is the lock-step (BSP) schedule under either engine
-            # name, and checkpoints written before the engine was a
-            # parameter carry this unscoped fingerprint.  Any s>0 (or
-            # compensated) run replays a different interleaving, so its
-            # checkpoints are its own.
+            # name, so its checkpoints carry this unscoped fingerprint.
+            # Any s>0 (or compensated) run replays a different
+            # interleaving, so its checkpoints are its own.
             base += (
                 f"|engine={self.engine.name}|s={self.engine.staleness}"
                 f"|lam={self.engine.delay_compensation}"
@@ -631,18 +630,17 @@ class GraphWord2Vec:
         restarts at resume, so a resumed run's report covers only
         post-resume work.
         """
-        model = self.canonical_model()
-        return save_checkpoint_blob(
-            CheckpointState(
-                embedding=model.embedding,
-                training=model.training,
-                completed_epochs=self._completed_epochs,
-                completed_rounds=self._completed_rounds,
-                partial_pairs=self._partial_pairs,
-                pairs_total=self._pairs_total,
-                epoch_pairs=list(self._epoch_pairs),
-                fingerprint=self._config_fingerprint(),
-            )
+        return artifact.encode(
+            "checkpoint",
+            {
+                "completed_epochs": int(self._completed_epochs),
+                "completed_rounds": int(self._completed_rounds),
+                "partial_pairs": int(self._partial_pairs),
+                "pairs_total": int(self._pairs_total),
+                "epoch_pairs": [int(p) for p in self._epoch_pairs],
+                "fingerprint": self._config_fingerprint(),
+            },
+            self._canonical,
         )
 
     def load_checkpoint(self, blob: bytes) -> int:
@@ -654,20 +652,20 @@ class GraphWord2Vec:
         post-sync state for the RepModel plans and is a valid (fully
         refreshed) state for PullModel.
         """
-        state = load_checkpoint_blob(blob)
-        if state.fingerprint != self._config_fingerprint():
+        fields, arrays, _ = artifact.read(blob, "checkpoint")
+        if fields["fingerprint"] != self._config_fingerprint():
             raise ValueError(
                 "checkpoint belongs to a different training configuration"
             )
-        for name, values in (("embedding", state.embedding), ("training", state.training)):
-            np.copyto(self._canonical[name], values)
+        for name in ("embedding", "training"):
+            np.copyto(self._canonical[name], arrays[name])
             for h in range(self.num_hosts):
-                self._fields[name].land(h, slice(None), values)
-        self._completed_epochs = state.completed_epochs
-        self._completed_rounds = state.completed_rounds
-        self._partial_pairs = state.partial_pairs
-        self._pairs_total = state.pairs_total
-        self._epoch_pairs = list(state.epoch_pairs)
+                self._fields[name].land(h, slice(None), arrays[name])
+        self._completed_epochs = fields["completed_epochs"]
+        self._completed_rounds = fields["completed_rounds"]
+        self._partial_pairs = fields["partial_pairs"]
+        self._pairs_total = fields["pairs_total"]
+        self._epoch_pairs = fields["epoch_pairs"]
         self._work_cache.clear()
         self._epoch_chunks_cache.clear()
         # Every replica row is canonical again: nothing is pending-stale.
@@ -679,7 +677,7 @@ class GraphWord2Vec:
             self.sync_checker.reset_state()
             for name in ("embedding", "training"):
                 self.sync_checker.watch(self._fields[name])
-        return state.completed_epochs
+        return self._completed_epochs
 
     # ------------------------------------------------------------------
     # Model assembly

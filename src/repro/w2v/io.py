@@ -1,4 +1,4 @@
-"""Model interchange: word2vec text format and training checkpoints.
+"""Model interchange: the word2vec text format.
 
 word2vec.c, gensim and most embedding tooling exchange vectors as
 
@@ -8,21 +8,13 @@ word2vec.c, gensim and most embedding tooling exchange vectors as
 
 These helpers write a trained model's embedding layer in that format and
 read such files back, so embeddings trained here can be consumed by (or
-compared against) external tools, and vice versa.
-
-The module also owns the *checkpoint* wire format used by
-:meth:`repro.w2v.distributed.GraphWord2Vec.save_checkpoint`.  Checkpoints
-are **round-granular**: they record the canonical model at a
-synchronization-round boundary plus the ``(completed_epochs,
-completed_rounds)`` cursor and pair-accounting state, so a run killed
-mid-epoch resumes exactly (work generation is a pure function of the seed
-tree).  The same state is what crash recovery restores from (see
-:mod:`repro.cluster.faults`).
+compared against) external tools, and vice versa.  Models, checkpoints
+and serving stores persist as artifacts (:mod:`repro.util.artifact`);
+this text format is for interchange only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -30,13 +22,7 @@ import numpy as np
 from repro.text.vocab import Vocabulary
 from repro.w2v.model import Word2VecModel
 
-__all__ = [
-    "save_word2vec_text",
-    "load_word2vec_text",
-    "CheckpointState",
-    "save_checkpoint_blob",
-    "load_checkpoint_blob",
-]
+__all__ = ["save_word2vec_text", "load_word2vec_text"]
 
 
 def save_word2vec_text(
@@ -78,110 +64,6 @@ def save_word2vec_text(
     finally:
         if close:
             handle.close()
-
-
-@dataclass
-class CheckpointState:
-    """Everything a checkpoint carries, decoded.
-
-    ``completed_rounds`` counts synchronization rounds finished inside the
-    *current* (uncounted) epoch; ``partial_pairs`` are the training pairs
-    those rounds processed, so a resumed run's per-epoch pair accounting
-    matches an uninterrupted one.
-    """
-
-    embedding: np.ndarray
-    training: np.ndarray
-    completed_epochs: int
-    completed_rounds: int = 0
-    partial_pairs: int = 0
-    pairs_total: int = 0
-    epoch_pairs: list[int] = field(default_factory=list)
-    fingerprint: str = ""
-
-    @property
-    def model(self) -> Word2VecModel:
-        return Word2VecModel(self.embedding, self.training)
-
-
-def save_checkpoint_blob(state: CheckpointState) -> bytes:
-    """Serialize a :class:`CheckpointState` (compressed ``.npz`` container)."""
-    import io
-
-    buf = io.BytesIO()
-    np.savez_compressed(
-        buf,
-        embedding=state.embedding,
-        training=state.training,
-        completed_epochs=np.int64(state.completed_epochs),
-        completed_rounds=np.int64(state.completed_rounds),
-        partial_pairs=np.int64(state.partial_pairs),
-        pairs_total=np.int64(state.pairs_total),
-        epoch_pairs=np.asarray(state.epoch_pairs, dtype=np.int64),
-        fingerprint=np.frombuffer(state.fingerprint.encode(), dtype=np.uint8),
-    )
-    return buf.getvalue()
-
-
-#: Per checkpoint key: the rank and dtype kinds its value must have, and
-#: the default of keys epoch-granular blobs predate (``None``: required).
-_CHECKPOINT_KEYS = {
-    "embedding": (2, "f", None),
-    "training": (2, "f", None),
-    "completed_epochs": (0, "iu", None),
-    "completed_rounds": (0, "iu", np.int64(0)),
-    "partial_pairs": (0, "iu", np.int64(0)),
-    "pairs_total": (0, "iu", np.int64(0)),
-    "epoch_pairs": (1, "iu", np.empty(0, dtype=np.int64)),
-    "fingerprint": (1, "u", None),
-}
-
-
-def load_checkpoint_blob(blob: bytes) -> CheckpointState:
-    """Decode a checkpoint produced by :func:`save_checkpoint_blob`.
-
-    Epoch-granular blobs from before round-granular checkpointing decode
-    with a zero round cursor (they were taken at epoch boundaries).  Bytes
-    that are no readable ``.npz`` container raise ``ValueError("not a
-    checkpoint ...")``; a missing key or a value of the wrong rank, dtype
-    or sign raises a ``ValueError`` naming the key.
-    """
-    import io
-
-    try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as loaded:
-            data = {key: loaded[key] for key in loaded.files}
-    # Damaged bytes make zipfile, zlib and the .npy header parser raise an
-    # open-ended set of types (BadZipFile, zlib.error, EOFError,
-    # NotImplementedError, SyntaxError, tokenize.TokenError, ...; a bare
-    # .npy array is a TypeError here); to the caller each means the same,
-    # and the cause stays chained.
-    except Exception as err:
-        raise ValueError(f"not a checkpoint ({type(err).__name__}: {err})") from err
-    for key, (ndim, kinds, default) in _CHECKPOINT_KEYS.items():
-        value = data.setdefault(key, default)
-        if value is None:
-            raise ValueError(f"checkpoint key {key!r} is missing")
-        if value.ndim != ndim or value.dtype.kind not in kinds or (kinds == "iu" and (value < 0).any()):
-            raise ValueError(
-                f"checkpoint key {key!r} must be a {ndim}-D "
-                f"{'float' if kinds == 'f' else 'non-negative integer'} array, "
-                f"got {value.dtype} {value.tolist() if value.size < 4 else value.shape}"
-            )
-    try:
-        fingerprint = bytes(data["fingerprint"]).decode()
-    except UnicodeDecodeError as err:
-        raise ValueError(f"checkpoint key 'fingerprint' is not UTF-8 ({err})") from err
-    return CheckpointState(
-        embedding=data["embedding"],
-        training=data["training"],
-        completed_epochs=int(data["completed_epochs"]),
-        completed_rounds=int(data["completed_rounds"]),
-        partial_pairs=int(data["partial_pairs"]),
-        pairs_total=int(data["pairs_total"]),
-        epoch_pairs=[int(p) for p in data["epoch_pairs"]],
-        fingerprint=fingerprint,
-    )
 
 
 def load_word2vec_text(source: TextIO | str) -> tuple[list[str], np.ndarray]:

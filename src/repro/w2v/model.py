@@ -9,9 +9,10 @@ Initialization follows word2vec.c: embeddings uniform in
 from __future__ import annotations
 
 from dataclasses import dataclass
-import io
 
 import numpy as np
+
+from repro.util import artifact
 
 __all__ = ["Word2VecModel"]
 
@@ -82,14 +83,19 @@ class Word2VecModel:
 
     # -- persistence -----------------------------------------------------------
     def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        np.savez_compressed(buf, embedding=self.embedding, training=self.training)
-        return buf.getvalue()
+        """This model as a ``model`` artifact (:mod:`repro.util.artifact`)."""
+        return artifact.encode(
+            "model", {}, {"embedding": self.embedding, "training": self.training}
+        )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Word2VecModel":
-        with np.load(io.BytesIO(blob)) as data:
-            return cls(data["embedding"], data["training"])
+        """Decode :meth:`to_bytes` output into read-only views of ``blob``.
+
+        Damaged or foreign bytes raise a ``ValueError`` naming the field.
+        """
+        arrays = artifact.read(blob, "model")[1]
+        return cls(arrays["embedding"], arrays["training"])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word2VecModel):

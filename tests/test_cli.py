@@ -42,7 +42,7 @@ class TestCommands:
         assert "wiki-sim" in out
 
     def test_train_shared_memory_and_save(self, tmp_path, capsys):
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.w2v"
         code = main(
             [
                 "train", "--dataset", "tiny-sim", "--dim", "16", "--epochs", "1",
@@ -138,7 +138,7 @@ class TestCommands:
         assert code == 0
 
     def test_eval_similarity_and_mul(self, tmp_path, capsys):
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.w2v"
         main(
             [
                 "train", "--dataset", "tiny-sim", "--dim", "16", "--epochs", "1",
@@ -158,7 +158,7 @@ class TestCommands:
         assert "Spearman" in out
 
     def test_eval_and_neighbors(self, tmp_path, capsys):
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.w2v"
         main(
             [
                 "train", "--dataset", "tiny-sim", "--dim", "16", "--epochs", "1",
@@ -187,7 +187,7 @@ class TestCommands:
         from repro.w2v.model import Word2VecModel
 
         model = Word2VecModel.initialize(5, 4, np.random.default_rng(0))
-        path = tmp_path / "wrong.npz"
+        path = tmp_path / "wrong.w2v"
         path.write_bytes(model.to_bytes())
         code = main(
             ["neighbors", "--model", str(path), "--dataset", "tiny-sim", "--word", "x"]
@@ -198,7 +198,7 @@ class TestCommands:
     def test_serve_bench_end_to_end(self, tmp_path, capsys):
         import json
 
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.w2v"
         main(
             [
                 "train", "--dataset", "tiny-sim", "--dim", "16", "--epochs", "1",
@@ -233,11 +233,31 @@ class TestCommands:
         trace = json.loads(trace_path.read_text())
         assert trace["traceEvents"]
 
+    @pytest.mark.parametrize("command", ["eval", "serve-bench"])
+    @pytest.mark.parametrize("content", [
+        b"",
+        "truncated",
+        b"PK\x03\x04 a zip archive, not a model",
+        b"1 2\nword 0.5 0.25\n",
+    ], ids=["empty", "truncated", "zip", "text"])
+    def test_damaged_model_is_one_named_error(self, tmp_path, capsys, command, content):
+        from repro.w2v.model import Word2VecModel
+
+        if content == "truncated":
+            model = Word2VecModel.initialize(5, 4, np.random.default_rng(0))
+            content = model.to_bytes()[:-7]
+        path = tmp_path / "damaged.w2v"
+        path.write_bytes(content)
+        assert main([command, "--model", str(path), "--dataset", "tiny-sim"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: --model {path}: model artifact field '")
+
     def test_serve_bench_vocab_mismatch(self, tmp_path, capsys):
         from repro.w2v.model import Word2VecModel
 
         model = Word2VecModel.initialize(5, 4, np.random.default_rng(0))
-        path = tmp_path / "wrong.npz"
+        path = tmp_path / "wrong.w2v"
         path.write_bytes(model.to_bytes())
         code = main(
             ["serve-bench", "--model", str(path), "--dataset", "tiny-sim"]

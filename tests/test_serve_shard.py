@@ -376,6 +376,17 @@ class TestGenerations:
         with pytest.raises(ValueError, match="does not match"):
             sharded.promote(small)
 
+    def test_promote_rejects_another_vocabulary(self):
+        """Same shape, other word table: refused at the index and the engine."""
+        store = make_store()
+        engine = ShardedEngine(ShardedIndex(store, num_shards=2), max_batch=4)
+        renamed = EmbeddingStore(store.matrix, [f"x{i}" for i in range(len(store))])
+        reordered = EmbeddingStore(store.matrix, store.words[::-1])
+        for other in (renamed, reordered):
+            with pytest.raises(ValueError, match="words differ"):
+                engine.promote(other)
+        assert engine.index.generation.number == 0
+
     def test_checkpoint_promotion_closes_train_serve_loop(self):
         from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
         from repro.w2v.distributed import GraphWord2Vec

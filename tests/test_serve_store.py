@@ -7,9 +7,12 @@ import pytest
 
 from repro.serve.store import EmbeddingStore
 from repro.text.vocab import Vocabulary
+from repro.util import artifact
 from repro.util.rng import default_rng
-from repro.w2v.io import save_checkpoint_blob, CheckpointState, save_word2vec_text
+from repro.w2v.io import save_word2vec_text
 from repro.w2v.model import Word2VecModel
+
+from tests.test_artifact import SMALL, reseal
 
 
 @pytest.fixture
@@ -103,25 +106,33 @@ class TestSources:
     def test_from_checkpoint(self):
         vocab = Vocabulary({"a": 1, "b": 1})
         model = Word2VecModel.initialize(2, 4, default_rng(3))
-        blob = save_checkpoint_blob(
-            CheckpointState(model.embedding, model.training, completed_epochs=1)
+        blob = artifact.encode(
+            "checkpoint", SMALL["checkpoint"][0],
+            {"embedding": model.embedding, "training": model.training},
         )
         store = EmbeddingStore.from_checkpoint(blob, vocab)
         np.testing.assert_array_equal(store.matrix, model.embedding)
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("format", ["npz", "raw"])
-    def test_round_trip(self, store, tmp_path, format):
-        path = store.save(tmp_path / "s", format=format)
+    # The ids name the two layouts stores were once saved in; each case
+    # round-trips a store whose arrays come the way that layout gave them:
+    # in memory ("npz" was loaded whole) or mapped from a file ("raw").
+    @pytest.mark.parametrize("source", ["npz", "raw"])
+    def test_round_trip(self, store, tmp_path, source):
+        if source == "raw":
+            store = EmbeddingStore.open(store.save(tmp_path / "mapped"))
+        path = store.save(tmp_path / "s")
         reopened = EmbeddingStore.open(path)
         assert reopened.words == store.words
         np.testing.assert_array_equal(reopened.matrix, store.matrix)
         np.testing.assert_array_equal(reopened.norms, store.norms)
+        fresh = EmbeddingStore(store.matrix, store.words)
+        assert reopened.content_sha256() == store.content_sha256() == fresh.content_sha256()
 
     def test_raw_mmap_round_trip(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="raw")
-        reopened = EmbeddingStore.open(path, mmap=True)
+        path = store.save(tmp_path / "s")
+        reopened = EmbeddingStore.open(path)
         # No copy: the matrix view's buffer chain bottoms out at the memmap.
         base = reopened.matrix
         while base is not None and not isinstance(base, np.memmap):
@@ -129,72 +140,70 @@ class TestPersistence:
         assert isinstance(base, np.memmap)
         np.testing.assert_array_equal(np.asarray(reopened.matrix), store.matrix)
 
-    def test_mmap_requires_raw(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="npz")
-        with pytest.raises(ValueError, match="raw-format"):
-            EmbeddingStore.open(path, mmap=True)
-
     def test_unicode_words_survive(self, tmp_path):
         matrix = default_rng(2).normal(size=(2, 3)).astype(np.float32)
         store = EmbeddingStore(matrix, ["naïve", "東京"])
         reopened = EmbeddingStore.open(store.save(tmp_path / "s"))
         assert reopened.words == ["naïve", "東京"]
 
-    def test_unknown_format_rejected(self, store, tmp_path):
-        with pytest.raises(ValueError, match="unknown store format"):
-            store.save(tmp_path / "s", format="parquet")
-
     def test_missing_meta(self, tmp_path):
+        """No store file at the path: the OS error, not a ValueError."""
         with pytest.raises(FileNotFoundError):
-            EmbeddingStore.open(tmp_path)
+            EmbeddingStore.open(tmp_path / "absent")
 
     def test_truncated_raw_rejected(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="raw")
-        raw = path / "vectors.f32"
-        raw.write_bytes(raw.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="bytes"):
+        path = store.save(tmp_path / "s")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="store artifact field 'sha256'"):
             EmbeddingStore.open(path)
+
+    def craft(self, tmp_path, words, matrix, norms):
+        """A well-sealed store artifact whose parts disagree."""
+        path = tmp_path / "s"
+        path.write_bytes(
+            artifact.encode("store", {"words": words}, {"matrix": matrix, "norms": norms})
+        )
+        return path
 
     def test_truncated_matrix_error_names_meta_fields(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="raw")
-        raw = path / "vectors.f32"
-        raw.write_bytes(raw.read_bytes()[:-4])
-        with pytest.raises(ValueError, match=r"vectors\.f32 .*'vocab_size'/'dim'"):
+        path = self.craft(tmp_path, store.words, store.matrix[:-1], store.norms[:-1])
+        with pytest.raises(ValueError, match=r"'fields\.words' has length 6 where V is 5"):
             EmbeddingStore.open(path)
-        # mmap mode validates the same way, before mapping.
-        with pytest.raises(ValueError, match=r"vectors\.f32"):
-            EmbeddingStore.open(path, mmap=True)
 
     def test_truncated_norms_error_names_meta_field(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="raw")
-        raw = path / "norms.f32"
-        raw.write_bytes(raw.read_bytes()[:-4])
-        with pytest.raises(ValueError, match=r"norms\.f32 .*'vocab_size'"):
+        path = self.craft(tmp_path, store.words, store.matrix, store.norms[:-1])
+        with pytest.raises(ValueError, match=r"'arrays\.norms\.shape' has length 5 where V is 6"):
             EmbeddingStore.open(path)
 
     def test_oversized_norms_rejected_up_front(self, store, tmp_path):
-        path = store.save(tmp_path / "s", format="raw")
-        raw = path / "norms.f32"
-        raw.write_bytes(raw.read_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(ValueError, match=r"norms\.f32"):
+        path = self.craft(tmp_path, store.words, store.matrix, np.append(store.norms, 1.0))
+        with pytest.raises(ValueError, match=r"'arrays\.norms\.shape' has length 7 where V is 6"):
+            EmbeddingStore.open(path)
+        path = store.save(path)
+        path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
+        with pytest.raises(ValueError, match="'sha256'"):
             EmbeddingStore.open(path)
 
     def test_meta_word_count_mismatch(self, store, tmp_path):
-        import json
-
         path = store.save(tmp_path / "s")
-        meta = json.loads((path / "meta.json").read_text())
-        meta["words"] = meta["words"][:-1]
-        (path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="words"):
+
+        def drop_last_word(header):
+            header["fields"]["words"].pop()
+
+        path.write_bytes(reseal(path.read_bytes(), drop_last_word))
+        with pytest.raises(ValueError, match=r"'fields\.words' has length 5 where V is 6"):
             EmbeddingStore.open(path)
 
     def test_bad_format_version(self, store, tmp_path):
-        import json
-
         path = store.save(tmp_path / "s")
-        meta = json.loads((path / "meta.json").read_text())
-        meta["format_version"] = 99
-        (path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="format_version"):
+        path.write_bytes(reseal(path.read_bytes(), version=99))
+        with pytest.raises(ValueError, match="'version' is 99"):
             EmbeddingStore.open(path)
+
+    def test_save_replaces_without_touching_an_open_store(self, store, tmp_path):
+        """The writer never writes in place, so a mapped store keeps its rows."""
+        path = store.save(tmp_path / "s")
+        live = EmbeddingStore.open(path)
+        EmbeddingStore(store.matrix * 2, store.words).save(path)
+        np.testing.assert_array_equal(live.matrix, store.matrix)
+        np.testing.assert_array_equal(EmbeddingStore.open(path).matrix, store.matrix * 2)

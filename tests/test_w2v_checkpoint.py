@@ -1,12 +1,12 @@
-import io
-
 from hypothesis import given, settings, strategies as st
-import numpy as np
 import pytest
 
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
+from repro.util import artifact
 from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.params import Word2VecParams
+
+from tests.test_artifact import editing, flipped, reseal
 
 
 @pytest.fixture(scope="module")
@@ -146,31 +146,6 @@ class TestRoundGranularCheckpoint:
         assert sum(result.epoch_pairs) == sum(straight.epoch_pairs)
         assert result.epoch_pairs == straight.epoch_pairs
 
-    def test_epoch_granular_blob_still_loads(self, corpus):
-        """Blobs without a round cursor (the old format) decode cleanly."""
-        import io
-
-        import numpy as np
-
-        trainer = make(corpus)
-        trainer.train(until_epoch=2)
-        model = trainer.canonical_model()
-        buf = io.BytesIO()
-        np.savez_compressed(
-            buf,
-            embedding=model.embedding,
-            training=model.training,
-            completed_epochs=np.int64(2),
-            fingerprint=np.frombuffer(
-                trainer._config_fingerprint().encode(), dtype=np.uint8
-            ),
-        )
-        fresh = make(corpus)
-        assert fresh.load_checkpoint(buf.getvalue()) == 2
-        assert fresh._completed_rounds == 0
-        straight = make(corpus).train().model
-        assert fresh.train().model == straight
-
 
 @pytest.fixture(scope="module")
 def checkpoint(corpus):
@@ -180,39 +155,23 @@ def checkpoint(corpus):
     return trainer, trainer.save_checkpoint()
 
 
-def repacked(blob, drop=(), **values):
-    """``blob`` without the keys in ``drop`` and with ``values`` set."""
-    with np.load(io.BytesIO(blob)) as data:
-        arrays = {key: data[key] for key in data.files if key not in drop}
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **{**arrays, **values})
-    return buf.getvalue()
-
-
-def flipped(blob, bits):
-    damaged = bytearray(blob)
-    for bit in bits:
-        damaged[bit // 8] ^= 1 << (bit % 8)
-    return bytes(damaged)
-
-
 class TestCheckpointBoundary:
     """Damaged or hand-made bytes end in success or a ``ValueError`` that
-    names the key or says "not a checkpoint", never a library exception."""
+    names the checkpoint artifact's field, never a library exception."""
 
     @pytest.mark.parametrize("damage, match", [
-        (lambda b: b"", "not a checkpoint"),
-        (lambda b: b[: len(b) // 2], "not a checkpoint"),
-        (lambda b: flipped(b, [len(b) * 8 // 3]), "not a checkpoint"),  # CRC
-        (lambda b: repacked(b, ["completed_epochs"]), "'completed_epochs' is missing"),
-        (lambda b: repacked(b, completed_epochs=np.array([1, 2])), "'completed_epochs' must be a 0-D"),
-        (lambda b: repacked(b, completed_epochs=np.int64(-3)), "'completed_epochs' .* got int64 -3"),
-        (lambda b: repacked(b, training=np.zeros(4)), "'training' must be a 2-D float array"),
-        (lambda b: repacked(b, fingerprint=np.array([0xFF], np.uint8)), "'fingerprint' is not UTF-8"),
+        (lambda b: b"", "'prefix' is truncated"),
+        (lambda b: b[: len(b) // 2], "'sha256'"),
+        (lambda b: flipped(b, [len(b) * 8 // 3]), "'sha256'"),
+        (lambda b: reseal(b, editing("fields.completed_epochs", drop=True)), r"'fields\.completed_epochs' is missing"),
+        (lambda b: reseal(b, editing("fields.completed_epochs", [1, 2])), r"'fields\.completed_epochs' must be count, got list"),
+        (lambda b: reseal(b, editing("fields.completed_epochs", -3)), r"'fields\.completed_epochs' must be count, got int"),
+        (lambda b: reseal(b, editing("arrays.training.shape", [4])), r"'arrays\.training\.shape' must be 2 counts"),
+        (lambda b: reseal(b, head=b'{"fingerprint": "\xff"}'), r"'header' is not UTF-8 JSON"),
     ], ids=["empty", "truncated", "bit-flip", "missing", "vector", "negative", "1-D", "not-utf8"])
     def test_damage_is_a_named_value_error(self, checkpoint, damage, match):
         trainer, blob = checkpoint
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"checkpoint artifact field {match}"):
             trainer.load_checkpoint(damage(blob))
 
     @settings(max_examples=150, deadline=None)
@@ -221,14 +180,12 @@ class TestCheckpointBoundary:
         trainer, blob = checkpoint
         kind = data.draw(st.sampled_from(["truncate", "flip", "drop"]))
         if kind == "truncate":
-            damaged = blob[: data.draw(st.integers(0, len(blob)))]
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1))]
         elif kind == "flip":
-            damaged = flipped(blob, data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4)))
+            damaged = flipped(blob, data.draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4, unique=True)))
         else:
-            with np.load(io.BytesIO(blob)) as arrays:
-                keys = sorted(arrays.files)
-            damaged = repacked(blob, data.draw(st.lists(st.sampled_from(keys), min_size=1)))
-        try:
+            keys = [f"fields.{key}" for key in artifact.SCHEMAS["checkpoint"][1]]
+            keys += [f"arrays.{key}" for key in artifact.SCHEMAS["checkpoint"][0]]
+            damaged = reseal(blob, editing(data.draw(st.sampled_from(keys)), drop=True))
+        with pytest.raises(ValueError, match="checkpoint artifact field '"):
             trainer.load_checkpoint(damaged)
-        except ValueError as err:
-            assert "checkpoint" in str(err)
