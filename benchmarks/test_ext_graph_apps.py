@@ -8,11 +8,7 @@ that GraphWord2Vec builds on, exercised independently of Word2Vec.
 
 import numpy as np
 
-from repro.dgraph.apps import (
-    bfs_levels,
-    connected_components,
-    sssp_bellman_ford,
-)
+from repro.dgraph.apps import connected_components, sssp_bellman_ford
 from repro.dgraph.dist_graph import DistGraph
 from repro.dgraph.generators import power_law
 from repro.gluon.comm import SimulatedNetwork
@@ -39,13 +35,6 @@ def test_ext_graph_apps_scaling(once):
             rows.append(["sssp", hosts, dg.total_replication_factor(), net.total_bytes, net.total_messages])
 
             net = SimulatedNetwork(hosts)
-            dg = DistGraph.build(src, dst, n, hosts, policy="oec")
-            levels = bfs_levels(dg, source=0, network=net)
-            baselines.setdefault("bfs", levels)
-            assert np.allclose(levels, baselines["bfs"], equal_nan=True)
-            rows.append(["bfs", hosts, dg.total_replication_factor(), net.total_bytes, net.total_messages])
-
-            net = SimulatedNetwork(hosts)
             dg = DistGraph.build(sym_src, sym_dst, n, hosts)
             labels = connected_components(dg, network=net)
             baselines.setdefault("cc", labels)
@@ -67,6 +56,6 @@ def test_ext_graph_apps_scaling(once):
     )
     by = {(app, h): (v, m) for app, h, _rf, v, m in rows}
     # Single host never communicates; volume grows with host count.
-    for app in ("sssp", "bfs", "cc"):
+    for app in ("sssp", "cc"):
         assert by[(app, 1)][0] == 0
         assert by[(app, 8)][0] > by[(app, 2)][0] > 0

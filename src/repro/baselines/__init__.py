@@ -6,9 +6,6 @@
   which is also why gensim runs out of memory on the paper's wiki corpus).
 - :mod:`repro.baselines.minibatch` — synchronous data-parallel mini-batch
   SGD with an ALLREDUCE (sum or average) after every mini-batch (§2.3).
-- :mod:`repro.baselines.param_server` — DistBelief-style asynchronous
-  parameter server with stale gradient pushes (§1), optionally with
-  Zheng-et-al. delay compensation (ref [29]).
 - :mod:`repro.baselines.vertical` — Ordentlich et al.'s column-partitioned
   ("vertical") distributed Word2Vec (§6 related work).
 """
@@ -19,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "minibatch": ("MinibatchAllreduceSGD",),
-        "param_server": ("AsyncParameterServerSGD",),
         "sgns_reference": (
             "GensimStyleWord2Vec",
             "MemoryBudgetExceeded",

@@ -246,8 +246,8 @@ class SSPTrainingEngine(TrainingEngine):
     ``staleness=0`` is the lock-step BSP schedule; ``staleness=s`` lets
     each host run up to ``s`` rounds past the slowest host before blocking.
     ``delay_compensation=λ`` applies :func:`~repro.dgraph.engine.
-    compensate_delta` to contributions at fold time (the parameter-server
-    baseline's correction, as a comparator configuration).
+    compensate_delta` to stale contributions at fold time (Zheng et al.'s
+    correction for asynchronous SGD, as a comparator configuration).
     """
 
     name = "async"

@@ -13,10 +13,9 @@ Two engine families share this module:
   its ``staleness=0`` schedule, not a second driver.  Trainer code never
   imports it concretely — it calls :func:`resolve_training_engine`.
 
-The delay-compensation arithmetic of the parameter-server baseline
-(:mod:`repro.baselines.param_server`) lives here as :func:`compensate_delta`
-so the training engine can offer the same correction as a comparator
-configuration (``delay_compensation=λ``) without duplicating the formula.
+Zheng et al.'s delay compensation for stale asynchronous SGD (paper ref
+[29]) lives here as :func:`compensate_delta`; the training engine applies
+it to stale contributions when run with ``delay_compensation=λ``.
 """
 
 from __future__ import annotations

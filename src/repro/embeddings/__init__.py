@@ -2,10 +2,10 @@
 
 The paper's introduction motivates embedding targets beyond words — social
 networks (DeepWalk), biological sequences, code.  This package implements
-the graph case end to end on this repository's own substrates: random-walk
-corpora generated from :class:`repro.dgraph.graph.Graph` (uniform DeepWalk
-walks or node2vec's (p, q)-biased second-order walks) are fed to any of the
-Word2Vec trainers, including distributed GraphWord2Vec.
+only the graph case, end to end on this repository's own substrates:
+random-walk corpora generated from :class:`repro.dgraph.graph.Graph`
+(uniform DeepWalk walks or node2vec's (p, q)-biased second-order walks) are
+fed to any of the Word2Vec trainers, including distributed GraphWord2Vec.
 """
 
 from repro._exports import lazy_exports
@@ -21,12 +21,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "train_node_embedding",
         ),
         "sbm": ("community_separation", "stochastic_block_model"),
-        "sequences": (
-            "SequenceFamilySpec",
-            "generate_sequences",
-            "kmer_tokenize",
-            "sequence_corpus",
-            "train_kmer_embedding",
-        ),
     },
 )

@@ -6,13 +6,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "analogy": ("AnalogyAccuracy", "evaluate_analogies"),
-        "diagnostics": ("EmbeddingDiagnostics", "diagnose_embedding"),
         "similarity": ("cosine_similarity", "most_similar"),
-        "wordsim": (
-            "SimilarityPair",
-            "build_planted_similarity",
-            "evaluate_similarity",
-            "word_category_knn_accuracy",
-        ),
+        "wordsim": ("SimilarityPair", "build_planted_similarity", "evaluate_similarity"),
     },
 )

@@ -27,7 +27,6 @@ __all__ = [
     "SimilarityPair",
     "build_planted_similarity",
     "evaluate_similarity",
-    "word_category_knn_accuracy",
 ]
 
 
@@ -108,39 +107,3 @@ def evaluate_similarity(
 
     rho, _p = spearmanr(gold, cos)
     return float(rho)
-
-
-def word_category_knn_accuracy(
-    model: Word2VecModel | np.ndarray,
-    vocabulary: Vocabulary,
-    word_labels: dict[str, int],
-    k: int = 5,
-) -> float:
-    """Leave-one-out k-NN categorization accuracy over labeled words.
-
-    The word-level analogue of the node-embedding community metric: each
-    labeled, in-vocabulary word is classified by the majority label of its
-    k nearest labeled neighbors (cosine).  Words with negative labels are
-    excluded (the topic-corpus convention for filler words).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(model, Word2VecModel):
-        embedding = model.normalized_embedding().astype(np.float64)
-    else:
-        embedding = np.asarray(model, dtype=np.float64)
-        norms = np.linalg.norm(embedding, axis=1, keepdims=True)
-        embedding = embedding / np.where(norms > 0, norms, 1.0)
-    words = [w for w, label in word_labels.items() if label >= 0 and w in vocabulary]
-    if len(words) <= k:
-        raise ValueError(f"need more than k={k} labeled words, got {len(words)}")
-    ids = np.array([vocabulary.id_of(w) for w in words])
-    labels = np.array([word_labels[w] for w in words])
-    vectors = embedding[ids]
-    sims = vectors @ vectors.T
-    np.fill_diagonal(sims, -np.inf)
-    neighbors = np.argsort(-sims, axis=1)[:, :k]
-    predictions = np.array(
-        [np.bincount(labels[row]).argmax() for row in neighbors]
-    )
-    return float((predictions == labels).mean())

@@ -215,6 +215,12 @@ class IVFIndex:
                     f"codes cover ({codes.vocab_size}, {codes.dim}), "
                     f"store is ({V}, {store.dim})"
                 )
+            if codes.store_sha256 != store.content_sha256():
+                raise ValueError(
+                    f"codes were built from the store with content sha256 "
+                    f"{codes.store_sha256[:16]}..., not from this store "
+                    f"({store.content_sha256()[:16]}...)"
+                )
             self._cell_matrix = None
             self._cell_codes = np.ascontiguousarray(codes.codes[order])
 

@@ -15,7 +15,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "corpus": ("Corpus",),
         "negative_sampling": ("UnigramTable",),
-        "phrases": ("PhraseModel", "apply_phrases", "learn_phrases"),
         "synthetic": (
             "AnalogyQuestion",
             "AnalogyQuestionSet",
@@ -24,7 +23,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "generate_corpus",
         ),
         "tokenize": ("simple_tokenize",),
-        "topics": ("TopicCorpusSpec", "generate_topic_corpus", "topic_coherence"),
         "vocab": ("Vocabulary",),
     },
 )

@@ -69,10 +69,12 @@ def save_word2vec_text(
 def load_word2vec_text(source: TextIO | str) -> tuple[list[str], np.ndarray]:
     """Read a word2vec text file; returns ``(words, vectors)``.
 
-    ``vectors[i]`` corresponds to ``words[i]`` in file order.  The header
-    is validated against the content: malformed or non-integer headers,
-    rows whose width disagrees with ``dim``, duplicate words, truncated
-    files and files with more rows than the header declares all raise
+    ``vectors[i]`` corresponds to ``words[i]`` in file order.  Trailing
+    whitespace ends a row (word2vec.c writes a space after every value).
+    The header is validated against the content: malformed or non-integer
+    headers, rows whose width disagrees with ``dim``, empty or duplicate
+    words, components that are not finite float32 numbers, truncated files
+    and files with more rows than the header declares all raise
     ``ValueError`` naming the offending line, instead of silently
     misparsing.
     """
@@ -97,37 +99,50 @@ def load_word2vec_text(source: TextIO | str) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"invalid dimensions in header: {V} x {dim}")
         words: list[str] = []
         seen: dict[str, int] = {}
-        vectors = np.empty((V, dim), dtype=np.float32)
+        # Rows are collected rather than preallocated from the header, so a
+        # hostile header cannot demand an arbitrary allocation.
+        rows: list[np.ndarray] = []
         for i in range(V):
+            lineno = i + 2
             line = handle.readline()
             if not line:
                 raise ValueError(f"truncated file: expected {V} rows, got {i}")
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise ValueError(
-                    f"line {i + 2}: expected word + {dim} values, got {len(parts) - 1}"
+                    f"line {lineno}: expected word + {dim} values, got {len(parts) - 1}"
                 )
             word = parts[0]
+            if not word:
+                raise ValueError(f"line {lineno}: empty word")
             if word in seen:
                 raise ValueError(
-                    f"line {i + 2}: duplicate word {word!r} "
+                    f"line {lineno}: duplicate word {word!r} "
                     f"(first seen on line {seen[word] + 2})"
                 )
             seen[word] = i
             words.append(word)
             try:
-                vectors[i] = [float(x) for x in parts[1:]]
+                # Past float32's range a value casts to inf, rejected below.
+                with np.errstate(over="ignore"):
+                    row = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError:
                 raise ValueError(
-                    f"line {i + 2}: non-numeric vector component for {word!r}"
+                    f"line {lineno}: non-numeric vector component for {word!r}"
                 ) from None
-        trailing = handle.readline()
-        if trailing.strip():
-            raise ValueError(
-                f"header declares {V} rows but the file has more; "
-                "vocab size and content disagree"
-            )
-        return words, vectors
+            if not np.isfinite(row).all():
+                raise ValueError(
+                    f"line {lineno}: vector component for {word!r} is not a "
+                    "finite float32"
+                )
+            rows.append(row)
+        for extra in handle:
+            if extra.strip():
+                raise ValueError(
+                    f"header declares {V} rows but the file has more; "
+                    "vocab size and content disagree"
+                )
+        return words, np.array(rows)
     finally:
         if close:
             handle.close()

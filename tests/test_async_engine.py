@@ -183,6 +183,20 @@ class TestEngineSeam:
         # λ=0 is the exact identity (bit-parity path).
         assert compensate_delta(delta, drift, 0.0, lr) is delta
 
+    def test_delay_compensation_changes_stale_runs_only(self):
+        # Compensation corrects drift, and only a stale contribution has
+        # drift: under the same stragglers it is inert at s=0 and acts at s=2.
+        stragglers = FaultConfig(straggler_prob=0.4, straggler_factor=(4.0, 6.0))
+
+        def model(staleness, dc):
+            return GraphWord2Vec(
+                corpus(), PARAMS, num_hosts=HOSTS, seed=SEED, sync_rounds_per_epoch=4,
+                faults=stragglers, engine="async", staleness=staleness, delay_compensation=dc,
+            ).train().model
+
+        assert model(0, 0.0) == model(0, 0.5)
+        assert model(2, 0.0) != model(2, 0.5)
+
 
 # ----------------------------------------------------------------------
 # The recorded interleaving

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.minibatch import MinibatchAllreduceSGD
-from repro.baselines.param_server import AsyncParameterServerSGD
 from repro.baselines.sgns_reference import (
     GensimStyleWord2Vec,
     MemoryBudgetExceeded,
@@ -117,74 +116,3 @@ class TestMinibatchAllreduce:
             MinibatchAllreduceSGD(corpus, FAST, num_workers=0)
         with pytest.raises(ValueError):
             MinibatchAllreduceSGD(corpus, FAST, reduction="median")
-
-
-class TestAsyncParameterServer:
-    def test_trains(self, data):
-        corpus, _ = data
-        trainer = AsyncParameterServerSGD(
-            corpus, FAST.with_(epochs=1), num_workers=3, seed=3
-        )
-        before = trainer.model.embedding.copy()
-        trainer.train()
-        assert not np.allclose(trainer.model.embedding, before)
-
-    def test_staleness_zero_applies_immediately(self, data):
-        corpus, _ = data
-        fresh = AsyncParameterServerSGD(
-            corpus, FAST.with_(epochs=1), num_workers=2, staleness=0, seed=3
-        ).train()
-        stale = AsyncParameterServerSGD(
-            corpus, FAST.with_(epochs=1), num_workers=2, staleness=4, seed=3
-        ).train()
-        assert fresh != stale  # staleness changes the trajectory
-
-    def test_comm_charged(self, data):
-        corpus, _ = data
-        trainer = AsyncParameterServerSGD(corpus, FAST.with_(epochs=1), seed=3)
-        trainer.train()
-        assert trainer.network.stats.bytes_by_phase["pull"] > 0
-        assert trainer.network.stats.bytes_by_phase["push"] > 0
-
-    def test_invalid(self, data):
-        corpus, _ = data
-        with pytest.raises(ValueError):
-            AsyncParameterServerSGD(corpus, FAST, staleness=-1)
-        with pytest.raises(ValueError):
-            AsyncParameterServerSGD(corpus, FAST, delay_compensation=-0.1)
-
-    def test_delay_compensation_changes_stale_runs_only(self, data):
-        corpus, _ = data
-        params = FAST.with_(epochs=1)
-
-        def run(staleness, dc):
-            return AsyncParameterServerSGD(
-                corpus, params, num_workers=2, staleness=staleness,
-                delay_compensation=dc, seed=3,
-            ).train()
-
-        # With zero staleness there is no drift, so compensation is a no-op.
-        assert run(0, 0.0) == run(0, 0.5)
-        # With staleness, compensation alters the trajectory.
-        assert run(3, 0.0) != run(3, 0.5)
-
-    def test_delay_compensation_reduces_staleness_error(self, data):
-        """Compensated stale training should land closer to fresh training."""
-        corpus, _ = data
-        params = FAST.with_(epochs=2)
-
-        def final_embedding(staleness, dc):
-            model = AsyncParameterServerSGD(
-                corpus, params, num_workers=2, staleness=staleness,
-                delay_compensation=dc, seed=3,
-            ).train()
-            return model.embedding.astype(np.float64)
-
-        fresh = final_embedding(0, 0.0)
-        stale = final_embedding(4, 0.0)
-        compensated = final_embedding(4, 0.5)
-        err_stale = np.linalg.norm(stale - fresh)
-        err_comp = np.linalg.norm(compensated - fresh)
-        # Compensation should not make things dramatically worse; typically
-        # it helps.  Loose bound: within 25% of the uncompensated error.
-        assert err_comp <= err_stale * 1.25

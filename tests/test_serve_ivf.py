@@ -177,6 +177,12 @@ class TestQuantizedRescoring:
         with pytest.raises(ValueError, match="codes cover"):
             IVFIndex(store, nlist=5, codes=Int8Store.build(other))
 
+    def test_codes_from_another_store_of_the_same_shape_rejected(self):
+        store = make_store(V=200, d=8, seed=1)
+        other = make_store(V=200, d=8, seed=2)
+        with pytest.raises(ValueError, match="codes were built from the store"):
+            IVFIndex(store, nlist=5, codes=Int8Store.build(other))
+
     def test_repr_names_rescoring(self):
         store = make_store(V=50)
         assert "float32" in repr(IVFIndex(store, nlist=5))
