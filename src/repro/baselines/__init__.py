@@ -4,8 +4,6 @@
   art: a word2vec.c-style trainer ("W2V", strict per-center-word SGD) and a
   gensim-style trainer ("GEM", epoch-materialized pairs in large batches,
   which is also why gensim runs out of memory on the paper's wiki corpus).
-- :mod:`repro.baselines.minibatch` — synchronous data-parallel mini-batch
-  SGD with an ALLREDUCE (sum or average) after every mini-batch (§2.3).
 - :mod:`repro.baselines.vertical` — Ordentlich et al.'s column-partitioned
   ("vertical") distributed Word2Vec (§6 related work).
 """
@@ -15,7 +13,6 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "minibatch": ("MinibatchAllreduceSGD",),
         "sgns_reference": (
             "GensimStyleWord2Vec",
             "MemoryBudgetExceeded",

@@ -19,8 +19,8 @@ Combiners provided (paper §3 and §5.3):
 
 - :class:`SumCombiner` — Δ = Σ_h Δ_h (ALLREDUCE-sum; diverges for aligned
   gradients once the effective step exceeds the stable learning rate),
-- :class:`AvgCombiner` — Δ = (1/k)Σ Δ_h over the k contributors
-  (mini-batch averaging; converges but increasingly batch-like with hosts),
+- :class:`AvgCombiner` — Δ = (1/H) Σ Δ_h over the H hosts (mini-batch
+  averaging; a host that did not touch a row counts as zero),
 - :class:`ModelCombiner` — the paper's combiner: fold each contribution in
   via projection onto the orthogonal complement of the running combination,
 - :class:`KeepFirstCombiner` — baseline that drops all but the first
@@ -59,7 +59,12 @@ _EPS_SQ = 1e-30
 
 
 class CombineState(ABC):
-    """Accumulates per-host contributions for one sync round."""
+    """Accumulates per-host contributions for one sync round.
+
+    Contract: one :meth:`accumulate` call per host, in fold order, also for
+    a host whose contribution is empty — AVG divides by the number of
+    calls, so skipping an empty host would change its mean.
+    """
 
     def __init__(self, num_rows: int, dim: int):
         if num_rows < 0 or dim <= 0:
@@ -151,20 +156,17 @@ class SumCombiner(GradientCombiner):
 # --------------------------------------------------------------------------
 # AVG
 # --------------------------------------------------------------------------
-class _AvgState(CombineState):
+class _AvgState(_SumState):
     def __init__(self, num_rows: int, dim: int):
         super().__init__(num_rows, dim)
-        self._acc = np.zeros((num_rows, dim), dtype=np.float64)
-        self._counts = np.zeros(num_rows, dtype=np.int64)
+        self._count = 0
 
     def accumulate(self, rows: np.ndarray, deltas: np.ndarray) -> None:
-        rows, deltas = self._validate(rows, deltas)
-        self._acc[rows] += deltas
-        self._counts[rows] += 1
+        super().accumulate(rows, deltas)
+        self._count += 1
 
     def result(self) -> np.ndarray:
-        divisor = np.maximum(self._counts, 1).astype(np.float64)
-        return self._acc / divisor[:, None]
+        return self._acc / max(self._count, 1)
 
 
 class AvgCombiner(GradientCombiner):

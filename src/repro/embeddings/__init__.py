@@ -20,6 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "random_walks",
             "train_node_embedding",
         ),
-        "sbm": ("community_separation", "stochastic_block_model"),
+        "sbm": ("community_separation", "knn_label_accuracy", "stochastic_block_model"),
     },
 )

@@ -24,6 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "resolve_executor",
         ),
         "timers": ("StatTimer", "TimerRegistry"),
-        "worklist": ("ChunkedLIFO", "ChunkedWorklist", "OrderedByIntegerMetric"),
+        "worklist": ("ChunkedWorklist", "OrderedByIntegerMetric"),
     },
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 T = TypeVar("T")
 
-__all__ = ["ChunkedWorklist", "ChunkedLIFO", "OrderedByIntegerMetric"]
+__all__ = ["ChunkedWorklist", "OrderedByIntegerMetric"]
 
 
 class ChunkedWorklist(Generic[T]):
@@ -107,42 +107,6 @@ class ChunkedWorklist(Generic[T]):
             start += size
         assert start == n
         return out
-
-
-class ChunkedLIFO(Generic[T]):
-    """LIFO worklist handing out chunks from the top of the stack.
-
-    Galois' dChunkedLIFO: favors recently-generated work (deeper in the
-    computation DAG), which improves locality for algorithms like residual
-    PageRank.  Items within a chunk keep their push order.
-    """
-
-    def __init__(self, items: Iterable[T] = (), chunk_size: int = 64):
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = int(chunk_size)
-        self._items: list[T] = list(items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, item: T) -> None:
-        self._items.append(item)
-
-    def push_many(self, items: Iterable[T]) -> None:
-        self._items.extend(items)
-
-    def empty(self) -> bool:
-        return not self._items
-
-    def pop_chunk(self) -> list[T]:
-        """Remove and return the most recent chunk (possibly short)."""
-        if not self._items:
-            return []
-        take = min(self.chunk_size, len(self._items))
-        chunk = self._items[-take:]
-        del self._items[-take:]
-        return chunk
 
 
 class OrderedByIntegerMetric(Generic[T]):

@@ -237,8 +237,9 @@ class GluonSynchronizer:
             # order), so all masters share one state and combine by
             # *source*: whatever host h sent, to whichever masters, is one
             # wave — unique rows, ``touched[h]`` being strictly ascending —
-            # and the waves run in rotated source order.  At most H
-            # ``accumulate`` calls, not one per (master, source).
+            # and the waves run in rotated source order.  Exactly H
+            # ``accumulate`` calls (empty waves too), not one per (master,
+            # source).
             by_src: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(H)]
             for m, (lo, hi) in enumerate(zip(cuts.diagonal().tolist(), cuts.diagonal(1).tolist())):
                 for s, payload in self.network.drain(m):
@@ -264,8 +265,7 @@ class GluonSynchronizer:
             state = combiner.create(len(union), dim)
             for s in ((fold_offset + k) % H for k in range(H)):
                 ids, vals = waves[s]
-                if len(ids):
-                    state.accumulate(pos[ids], vals)
+                state.accumulate(pos[ids], vals)
             combined = state.result()
 
             changed_per_master: list[np.ndarray] = []

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.minibatch import MinibatchAllreduceSGD
 from repro.baselines.sgns_reference import (
     GensimStyleWord2Vec,
     MemoryBudgetExceeded,
@@ -72,47 +71,3 @@ class TestGensimStyle:
         corpus, _ = data
         with pytest.raises(ValueError):
             GensimStyleWord2Vec(corpus, FAST, job_pairs=0)
-
-
-class TestMinibatchAllreduce:
-    def test_mean_trains(self, data):
-        corpus, _ = data
-        trainer = MinibatchAllreduceSGD(
-            corpus, FAST.with_(epochs=1), num_workers=3, reduction="mean", seed=3
-        )
-        before = trainer.model.embedding.copy()
-        trainer.train()
-        assert not np.allclose(trainer.model.embedding, before)
-
-    def test_sum_takes_bigger_steps_than_mean(self, data):
-        corpus, _ = data
-        params = FAST.with_(epochs=1)
-        mean_t = MinibatchAllreduceSGD(corpus, params, num_workers=4, reduction="mean", seed=3)
-        sum_t = MinibatchAllreduceSGD(corpus, params, num_workers=4, reduction="sum", seed=3)
-        init = mean_t.model.embedding.copy()
-        mean_t.train()
-        sum_t.train()
-        mean_step = np.abs(mean_t.model.embedding - init).sum()
-        sum_step = np.abs(sum_t.model.embedding - init).sum()
-        assert sum_step > mean_step
-
-    def test_allreduce_per_minibatch(self, data):
-        corpus, _ = data
-        trainer = MinibatchAllreduceSGD(
-            corpus,
-            FAST.with_(epochs=1),
-            num_workers=2,
-            sentences_per_worker_batch=4,
-            seed=3,
-        )
-        trainer.train()
-        expected_batches = -(-corpus.num_sentences // (2 * 4))  # ceil
-        assert trainer.allreduce_count == expected_batches
-        assert trainer.network.total_bytes > 0
-
-    def test_invalid_args(self, data):
-        corpus, _ = data
-        with pytest.raises(ValueError):
-            MinibatchAllreduceSGD(corpus, FAST, num_workers=0)
-        with pytest.raises(ValueError):
-            MinibatchAllreduceSGD(corpus, FAST, reduction="median")

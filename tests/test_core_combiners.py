@@ -66,11 +66,13 @@ class TestSum:
 
 class TestAvg:
     def test_divides_by_contributor_count(self):
+        # Every contribution counts, also for the rows it did not touch:
+        # row 1 is (0 + 9) / 2, not 9 / 1.
         state = AvgCombiner().create(2, 1)
         state.accumulate(np.array([0]), np.array([[4.0]]))
         state.accumulate(np.array([0, 1]), np.array([[2.0], [9.0]]))
         out = state.result()
-        assert np.allclose(out, [[3.0], [9.0]])
+        assert np.allclose(out, [[3.0], [4.5]])
 
     def test_untouched_rows_zero(self):
         state = AvgCombiner().create(3, 1)

@@ -2,7 +2,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from repro.galois.worklist import ChunkedLIFO, ChunkedWorklist, OrderedByIntegerMetric
+from repro.galois.worklist import ChunkedWorklist, OrderedByIntegerMetric
 
 
 class TestChunkedWorklist:
@@ -94,26 +94,6 @@ class TestChunkedWorklist:
         assert flattened == items
         sizes = [len(p) for p in parts]
         assert max(sizes) - min(sizes) <= 1
-
-
-class TestChunkedLIFO:
-    def test_lifo_order(self):
-        wl = ChunkedLIFO(range(10), chunk_size=4)
-        assert wl.pop_chunk() == [6, 7, 8, 9]
-        wl.push(99)
-        assert wl.pop_chunk() == [3, 4, 5, 99]
-        assert wl.pop_chunk() == [0, 1, 2]
-        assert wl.empty()
-        assert wl.pop_chunk() == []
-
-    def test_push_many_and_len(self):
-        wl = ChunkedLIFO(chunk_size=2)
-        wl.push_many([1, 2, 3])
-        assert len(wl) == 3
-
-    def test_invalid_chunk(self):
-        with pytest.raises(ValueError):
-            ChunkedLIFO(chunk_size=0)
 
 
 class TestOBIM:

@@ -14,6 +14,7 @@ received sets, and every phase record's per-host bytes and message count
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pytest
 
 from repro.cluster.faults import TransientFaultInjector
 from repro.core.combiners import get_combiner
@@ -39,9 +40,9 @@ def reference_fold(net, bounds, field, touched, deltas, combiner, plan, canonica
             if wire > 0:
                 net.send(h, m, wire)
         for m in range(H):
-            srcs = sorted((h for h in range(H) if sels[h][m].any()), key=lambda h: (h - offset) % H)
-            union = np.unique(np.concatenate([touched[h][sels[h][m]] for h in srcs])) if srcs else EMPTY
-            if srcs:
+            srcs = sorted(range(H), key=lambda h: (h - offset) % H)  # empty contributions too
+            union = np.unique(np.concatenate([touched[h][sels[h][m]] for h in srcs]))
+            if len(union):
                 state = combiner.create(len(union), dim)
                 for h in srcs:
                     state.accumulate(np.searchsorted(union, touched[h][sels[h][m]]), deltas[h][sels[h][m]])
@@ -115,6 +116,31 @@ def contributions(rng, shape, H, V, dim, bounds):
         for h in range(0, H, 2):
             deltas[h][:] = 0.0
     return touched, deltas
+
+
+@pytest.mark.parametrize("touched", [
+    # Host 2 sends an empty wave; rows 0, 1 and 5 have 3, 2 and 1 contributors.
+    [[0, 1, 5], [0, 1], [], [0, 3]],
+    # Row 0 has all 4 contributors, row 6 one.
+    [[0, 2], [0, 6], [0], [0, 2]],
+])
+def test_avg_fold_is_the_sum_fold_over_h_bitwise(touched):
+    """AVG is the mean over all H hosts, whoever touched a row."""
+    H, V, dim = 4, 8, 3
+    rng = np.random.default_rng(5)
+    touched = [np.array(t, dtype=np.int64) for t in touched]
+    deltas = [rng.normal(size=(len(t), dim)) for t in touched]
+
+    def folded(name):
+        sync = GluonSynchronizer(replicate_all_partitions(V, H), SimulatedNetwork(H))
+        field = FieldSync("f", [np.zeros((V, dim)) for _ in range(H)])
+        canonical = [np.zeros((V, dim)) for _ in range(H)]
+        sync.fold(field, touched, deltas, get_combiner(name), get_plan("opt"),
+                  canonical=canonical, land=field.land)
+        return field.arrays
+
+    for avg, total in zip(folded("avg"), folded("sum")):
+        assert avg.tobytes() == (total / H).tobytes()
 
 
 SHAPES = ["random", "all_empty", "one_row_all_hosts", "own_block_only", "zero_norm"]

@@ -4,6 +4,7 @@ import importlib
 import os
 from pathlib import Path
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -89,6 +90,23 @@ def test_exports_win_over_same_named_submodules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "True"]
+
+
+def test_documented_embeddings_names_resolve():
+    """Every public name docs/api.md's ``repro.embeddings`` section lists —
+    bare or module-qualified (``sbm.x``) — imports from the package."""
+    import repro.embeddings as package
+
+    api = (Path(__file__).resolve().parents[1] / "docs" / "api.md").read_text()
+    section = api.split("\n## repro.embeddings ", 1)[1].split("\n## ", 1)[0]
+    public = set()
+    for info in pkgutil.iter_modules(package.__path__):
+        public |= set(importlib.import_module(f"repro.embeddings.{info.name}").__all__)
+    listed = {tok.rsplit(".", 1)[-1] for tok in re.findall(r"`([\w.]+)`", section)}
+    assert "knn_label_accuracy" in listed & public
+    for name in sorted(listed & public):
+        scope: dict = {}
+        exec(f"from repro.embeddings import {name}", scope)
 
 
 def test_version():

@@ -37,7 +37,8 @@ def reference_combine(model, round_touches, round_deltas, combiner_name, fold_of
         elif combiner_name == "sum":
             combined = np.sum(grads, axis=0)
         elif combiner_name == "avg":
-            combined = np.mean(grads, axis=0)
+            # Every host contributes, one that did not touch the row a zero.
+            combined = np.sum(grads, axis=0) / H
         elif combiner_name == "keep_first":
             combined = grads[0]
         else:

@@ -37,6 +37,45 @@ class TestDefaultSyncRounds:
             default_sync_rounds(0)
 
 
+class TestMinibatchAllreduce:
+    """Synchronous mini-batch SGD with a mean ALLREDUCE is GraphWord2Vec
+    with the AVG combiner and one sync per mini-batch."""
+
+    @staticmethod
+    def minibatch(corpus, params, hosts, combiner="avg", sentences_per_host=8):
+        minibatches = -(-corpus.num_sentences // (hosts * sentences_per_host))  # ceil
+        return GraphWord2Vec(
+            corpus, params, num_hosts=hosts, combiner=combiner,
+            sync_rounds_per_epoch=minibatches, seed=3,
+        )
+
+    def test_mean_trains(self, corpus_and_questions):
+        corpus, _ = corpus_and_questions
+        trainer = self.minibatch(corpus, FAST.with_(epochs=1), hosts=3)
+        before = trainer.canonical_model().embedding
+        after = trainer.train().model.embedding
+        assert not np.allclose(after, before)
+
+    def test_sum_takes_bigger_steps_than_mean(self, corpus_and_questions):
+        corpus, _ = corpus_and_questions
+        params = FAST.with_(epochs=1)
+        mean_t = self.minibatch(corpus, params, hosts=4)
+        sum_t = self.minibatch(corpus, params, hosts=4, combiner="sum")
+        init = mean_t.canonical_model().embedding
+        mean_step = np.abs(mean_t.train().model.embedding - init).sum()
+        sum_step = np.abs(sum_t.train().model.embedding - init).sum()
+        assert sum_step > mean_step
+
+    def test_allreduce_per_minibatch(self, corpus_and_questions):
+        corpus, _ = corpus_and_questions
+        trainer = self.minibatch(corpus, FAST.with_(epochs=1), hosts=2, sentences_per_host=4)
+        trainer.train()
+        expected_batches = -(-corpus.num_sentences // (2 * 4))  # ceil
+        folds = [r for r in trainer.network.phase_records if r.name == "reduce:embedding"]
+        assert len(folds) == expected_batches
+        assert trainer.network.total_bytes > 0
+
+
 class TestSharedMemory:
     def test_training_moves_model(self, corpus_and_questions):
         corpus, _ = corpus_and_questions
