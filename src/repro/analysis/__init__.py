@@ -33,13 +33,12 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "dataflow": ("DATAFLOW_RULE_IDS", "analyze_paths"),
+        "dataflow": ("DATAFLOW_RULE_IDS",),
         "effects": ("declare_effects",),
         "lint": (
             "Finding",
             "Rule",
             "RULES",
-            "lint_paths",
             "lint_source",
             "main",
             "render_json",

@@ -60,10 +60,10 @@ import re
 from typing import Optional, Sequence
 
 from .callgraph import Program
-from .lint import Finding, _collect_files, _finalize_findings, _is_rng_module
+from .lint import Finding, _is_rng_module
 from .summaries import SeedSite, SummaryBuilder
 
-__all__ = ["DATAFLOW_RULE_IDS", "analyze_files", "analyze_paths"]
+__all__ = ["DATAFLOW_RULE_IDS", "analyze_files"]
 
 DATAFLOW_RULE_IDS = frozenset(
     {"REPRO101", "REPRO102", "REPRO111", "REPRO112", "REPRO121", "REPRO122"}
@@ -212,10 +212,8 @@ def _seed_pass(program: Program, sb: SummaryBuilder) -> list:
     for site in sites:
         for atoms in _instantiate_keys(site, sb):
             if all(a[0] == "const" for a in atoms):
-                by_key.setdefault((site.family, atoms), {})[(site.path, site.line)] = site
-    for (family, atoms), site_map in sorted(
-        by_key.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
-    ):
+                by_key.setdefault(atoms, {})[(site.path, site.line)] = site
+    for atoms, site_map in sorted(by_key.items(), key=lambda kv: repr(kv[0])):
         if len(site_map) < 2:
             continue
         ordered = [site_map[k] for k in sorted(site_map)]
@@ -381,7 +379,7 @@ def _gluon_pass(program: Program, sb: SummaryBuilder) -> list:
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
 def analyze_files(files: Sequence) -> list:
     """Raw dataflow findings (0-based columns, unsuppressed) for ``files``."""
@@ -394,25 +392,3 @@ def analyze_files(files: Sequence) -> list:
     for f in findings:
         unique.setdefault((f.rule, f.path, f.line, f.col, f.message), f)
     return list(unique.values())
-
-
-def analyze_paths(paths: Sequence, select=None) -> list:
-    """Finalized dataflow findings for ``paths`` (files or directories).
-
-    Applies the shared suppression machinery and 1-based column
-    normalization, exactly like ``lint_paths`` does for the local rules.
-    """
-    files = _collect_files(paths)
-    raw = analyze_files(files)
-    by_path: dict = {}
-    for f in raw:
-        by_path.setdefault(f.path, []).append(f)
-    sources = {str(f): f.read_text(encoding="utf-8") for f in files}
-    out: list = []
-    for path in sorted(by_path):
-        source = sources.get(path)
-        if source is None:
-            continue
-        out.extend(_finalize_findings(by_path[path], source, select))
-    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return out

@@ -66,7 +66,6 @@ __all__ = [
     "RULES",
     "LOCAL_RULE_IDS",
     "lint_source",
-    "lint_paths",
     "render_text",
     "render_json",
     "main",
@@ -237,8 +236,6 @@ _WALLCLOCK_FNS = frozenset(
 _SANCTIONED_CTORS = frozenset(
     {
         "GAccumulator",
-        "GReduceMax",
-        "GReduceMin",
         "ChunkedWorklist",
         "Worklist",
         "DoAllRaceSanitizer",
@@ -785,18 +782,6 @@ def _collect_files(paths: Sequence[str | Path]) -> list[Path]:
         else:
             raise FileNotFoundError(f"not a python file or directory: {p}")
     return files
-
-
-def lint_paths(
-    paths: Sequence[str | Path], select: Iterable[str] | None = None
-) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    findings: list[Finding] = []
-    for file in _collect_files(paths):
-        findings.extend(
-            lint_source(file.read_text(encoding="utf-8"), str(file), select=select)
-        )
-    return findings
 
 
 def _unused_suppressions(

@@ -15,7 +15,7 @@ single call:
   (data the analysis cannot attribute), and ``"master"`` (derived from a
   ``master_block_slice`` call — the confined-read contract).
 - **Seed sites** — calls into :mod:`repro.util.rng` (``derive_seed``,
-  ``keyed_rng``, ``spawn_rngs``) with each key argument abstracted to a
+  ``keyed_rng``) with each key argument abstracted to a
   constant, a parameter reference, or an opaque atom.
 - **Flags / barriers** — whether the function marks written rows for the
   synchronizer (``set_many``, or ``set`` on a ``BitVector``) and whether
@@ -41,7 +41,7 @@ __all__ = ["Effect", "SeedSite", "CallSite", "Summary", "SummaryBuilder"]
 _MAX_DEPTH = 3
 _MAX_EFFECTS = 400
 
-_SEED_FUNCS = {"derive_seed", "keyed_rng", "spawn_rngs"}
+_SEED_FUNCS = {"derive_seed", "keyed_rng"}
 _BARRIER_FUNCS = {"fold", "sync_value"}
 _MUTATOR_METHODS = {
     "append",
@@ -59,8 +59,6 @@ _MUTATOR_METHODS = {
 # repro.analysis.lint for REPRO005).
 _SANCTIONED_TYPES = {
     "GAccumulator",
-    "GReduceMax",
-    "GReduceMin",
     "ChunkedWorklist",
     "Worklist",
     "DoAllRaceSanitizer",
@@ -96,7 +94,6 @@ class Effect:
 @dataclass(frozen=True)
 class SeedSite:
     fn: str
-    family: str  # "keyed" (derive_seed/keyed_rng) or "spawn"
     atoms: tuple  # ("const", v) | ("param", name) | ("opaque", ...)
     ref_tags: frozenset  # tags referenced anywhere in the key expression
     path: str
@@ -459,7 +456,7 @@ class SummaryBuilder:
 
         # Seed sites -------------------------------------------------
         if last in _SEED_FUNCS:
-            self._record_seed(s, call, last, finfo, path)
+            self._record_seed(s, call, finfo, path)
 
         # Barriers ---------------------------------------------------
         if last in _BARRIER_FUNCS:
@@ -570,12 +567,8 @@ class SummaryBuilder:
             return lam
         return None
 
-    def _record_seed(self, s, call: ast.Call, last: str, finfo, path) -> None:
+    def _record_seed(self, s, call: ast.Call, finfo, path) -> None:
         args = list(call.args)
-        family = "keyed"
-        if last == "spawn_rngs":
-            family = "spawn"
-            args = args[1:]
         if any(isinstance(a, ast.Starred) for a in args):
             return
         atoms = tuple(self.atom_of(a, finfo) for a in args)
@@ -583,7 +576,6 @@ class SummaryBuilder:
         s.seeds.append(
             SeedSite(
                 fn=finfo.qname,
-                family=family,
                 atoms=atoms,
                 ref_tags=ref_tags,
                 path=path,

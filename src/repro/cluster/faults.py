@@ -247,22 +247,8 @@ class FaultSchedule:
         return bool(self._crashes)
 
     @property
-    def has_stragglers(self) -> bool:
-        return bool(self._stragglers)
-
-    @property
     def has_message_faults(self) -> bool:
         return self.config.has_transient
-
-    @property
-    def transient_only(self) -> bool:
-        """True when no fault in this schedule can change the final model.
-
-        (All faults leave the model untouched by construction — crashes are
-        replayed from checkpoints — but transient-only schedules additionally
-        leave the modeled *compute* timeline untouched.)
-        """
-        return not self.has_crashes
 
     def all_crashes(self) -> list[CrashEvent]:
         return [ev for key in sorted(self._crashes) for ev in self._crashes[key]]

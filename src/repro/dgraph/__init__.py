@@ -7,12 +7,11 @@ bulk-synchronous execution driver, and the classic applications the paper's
 background section describes (sssp via Bellman-Ford and delta-stepping,
 PageRank, connected components), all synchronized through Gluon.
 
-Execution engines live behind two seams (:mod:`repro.dgraph.engine`): the
-:class:`Engine` protocol for value-mode drivers (:class:`BSPEngine`), and
-:class:`TrainingEngine` for the trainer's round loop, implemented by
-:class:`~repro.dgraph.async_engine.SSPTrainingEngine` (stale-synchronous
-parallel with a bounded staleness window; ``staleness=0`` is the lock-step
-BSP schedule).
+The applications run on :class:`BSPEngine`; the trainer's round loop runs
+behind the :class:`TrainingEngine` seam (:mod:`repro.dgraph.engine`),
+implemented by :class:`~repro.dgraph.async_engine.SSPTrainingEngine`
+(stale-synchronous parallel with a bounded staleness window;
+``staleness=0`` is the lock-step BSP schedule).
 """
 
 from repro._exports import lazy_exports
@@ -20,10 +19,9 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "bsp": ("BSPEngine", "RecoveryPolicy", "RoundStats"),
+        "bsp": ("BSPEngine", "RoundStats"),
         "dist_graph": ("DistGraph",),
         "engine": (
-            "Engine",
             "TrainingEngine",
             "compensate_delta",
             "resolve_training_engine",

@@ -6,27 +6,26 @@ labels through Gluon (communication), until global quiescence.  The
 :class:`BSPEngine` encodes that loop once so applications only provide the
 per-host compute function and the sync call.
 
-Fault tolerance.  A :class:`RecoveryPolicy` attaches a
-:class:`~repro.cluster.faults.FaultSchedule` to the loop: a host scheduled
-to crash loses its round, the engine restores it from the round-boundary
-checkpoint the application provides, and the lost compute is replayed
-before the barrier — the replay lands on the restored state, so a
-deterministic operator converges to the same fixpoint as a fault-free run.
 Transient message faults (drops/corruption) are retried with backoff
 *inside* the synchronization phase; attach
 ``schedule.message_injector()`` to the application's
 :class:`~repro.gluon.comm.SimulatedNetwork` to enable them.
+
+Under ``REPRO_SANITIZE=1`` (:func:`~repro.analysis.runtime.sanitize_from_env`)
+an engine built without a ``sync_checker`` audits its rounds with a
+:class:`~repro.analysis.runtime.GluonSyncChecker`, so the applications on
+the loop (sssp, cc) are checked whenever the sanitizers are on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Callable
 
-from repro.cluster.faults import FaultReport, FaultSchedule
+from repro.analysis.runtime import GluonSyncChecker, SanitizeError, sanitize_from_env
 from repro.gluon.sync import ValueSyncResult
 
-__all__ = ["BSPEngine", "RoundStats", "RecoveryPolicy"]
+__all__ = ["BSPEngine", "RoundStats"]
 
 
 @dataclass
@@ -36,26 +35,6 @@ class RoundStats:
     round_index: int
     local_work: int  # items processed across hosts this round
     sync_changed: bool
-    #: Hosts that crashed this round and were recovered (empty when none).
-    crashed_hosts: tuple[int, ...] = ()
-
-
-@dataclass
-class RecoveryPolicy:
-    """Checkpoint-based fail-stop recovery for the BSP loop.
-
-    ``checkpoint()`` captures the application state at a round boundary
-    (called only on rounds with a scheduled crash); ``restore(state,
-    host)`` rebuilds the crashed host's partition from it.  The engine
-    then *redistributes* the lost round: the dead host's work item is
-    replayed via the ordinary compute callable on the restored state.
-    Costs are tallied into :attr:`report`.
-    """
-
-    schedule: FaultSchedule
-    checkpoint: Callable[[], Any]
-    restore: Callable[[Any, int], None]
-    report: FaultReport = field(default_factory=FaultReport)
 
 
 class BSPEngine:
@@ -73,25 +52,22 @@ class BSPEngine:
         self,
         num_hosts: int,
         max_rounds: int = 10_000,
-        recovery: RecoveryPolicy | None = None,
-        sync_checker: Any | None = None,
+        sync_checker: GluonSyncChecker | None = None,
     ):
-        """``sync_checker`` (a
-        :class:`~repro.analysis.runtime.GluonSyncChecker`) observes each
-        round's outcome for protocol violations — e.g. a synchronization
-        that changes labels in a round where no host did local work."""
+        """``sync_checker`` observes each round's outcome for protocol
+        violations — e.g. a synchronization that changes labels in a round
+        where no host did local work — and :meth:`run` raises
+        :class:`~repro.analysis.runtime.SanitizeError` at quiescence if it
+        collected any.  ``None`` attaches a fresh checker when
+        ``REPRO_SANITIZE`` is set."""
         if num_hosts <= 0:
             raise ValueError(f"num_hosts must be positive, got {num_hosts}")
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-        if recovery is not None and recovery.schedule.num_hosts != num_hosts:
-            raise ValueError(
-                f"fault schedule built for {recovery.schedule.num_hosts} hosts, "
-                f"engine has {num_hosts}"
-            )
         self.num_hosts = num_hosts
         self.max_rounds = max_rounds
-        self.recovery = recovery
+        if sync_checker is None and sanitize_from_env():
+            sync_checker = GluonSyncChecker()
         self.sync_checker = sync_checker
         self.history: list[RoundStats] = []
 
@@ -103,30 +79,10 @@ class BSPEngine:
     ) -> int:
         """Execute rounds to quiescence; returns the number of rounds run."""
         self.history.clear()
-        policy = self.recovery
         for round_index in range(self.max_rounds):
-            crashes = (
-                policy.schedule.crashes_at(0, round_index)
-                if policy is not None
-                else ()
-            )
-            crashed = tuple(sorted(ev.host for ev in crashes))
-            snapshot = policy.checkpoint() if crashes else None
-
             local_work = 0
             for host in range(self.num_hosts):
-                if host in crashed:
-                    continue  # lost mid-round; replayed below
                 local_work += int(compute(host, round_index))
-
-            if crashes:
-                config = policy.schedule.config
-                for ev in crashes:
-                    policy.report.crashes += 1
-                    policy.report.detect_s += config.detect_timeout_s
-                    policy.restore(snapshot, ev.host)
-                    # Redistribute the lost round: replay on restored state.
-                    local_work += int(compute(ev.host, round_index))
 
             result = sync()
             if self.sync_checker is not None:
@@ -135,7 +91,6 @@ class BSPEngine:
                 round_index=round_index,
                 local_work=local_work,
                 sync_changed=result.any_changed,
-                crashed_hosts=crashed,
             )
             self.history.append(stats)
             pending = (
@@ -144,6 +99,10 @@ class BSPEngine:
                 else False
             )
             if local_work == 0 and not result.any_changed and not pending:
+                if self.sync_checker is not None and self.sync_checker.findings:
+                    raise SanitizeError(
+                        self.sync_checker.findings, context=f"BSP round {round_index}"
+                    )
                 return round_index + 1
         raise RuntimeError(
             f"BSP loop did not quiesce within {self.max_rounds} rounds"

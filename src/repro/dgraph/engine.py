@@ -1,17 +1,11 @@
-"""The execution-engine seams: value-mode rounds and the trainer's round loop.
+"""The execution-engine seam: the trainer's round loop.
 
-Two engine families share this module:
-
-- :class:`Engine` — the structural protocol of the *value-mode* round loop
-  (:class:`~repro.dgraph.bsp.BSPEngine` satisfies it), so graph-analytics
-  applications can be written against the seam instead of the concrete BSP
-  driver.
-- :class:`TrainingEngine` — the seam :class:`~repro.w2v.distributed.
-  GraphWord2Vec` trains through.  Its one implementation,
-  :class:`~repro.dgraph.async_engine.SSPTrainingEngine`, runs the rounds
-  under a bounded-staleness clock; the paper's barrier-synchronous loop is
-  its ``staleness=0`` schedule, not a second driver.  Trainer code never
-  imports it concretely — it calls :func:`resolve_training_engine`.
+:class:`TrainingEngine` is the seam :class:`~repro.w2v.distributed.
+GraphWord2Vec` trains through.  Its one implementation,
+:class:`~repro.dgraph.async_engine.SSPTrainingEngine`, runs the rounds
+under a bounded-staleness clock; the paper's barrier-synchronous loop is
+its ``staleness=0`` schedule, not a second driver.  Trainer code never
+imports it concretely — it calls :func:`resolve_training_engine`.
 
 Zheng et al.'s delay compensation for stale asynchronous SGD (paper ref
 [29]) lives here as :func:`compensate_delta`; the training engine applies
@@ -21,7 +15,7 @@ it to stale contributions when run with ``delay_compensation=λ``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -30,32 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.w2v.model import Word2VecModel
 
 __all__ = [
-    "Engine",
     "TrainingEngine",
     "resolve_training_engine",
     "compensate_delta",
 ]
-
-
-@runtime_checkable
-class Engine(Protocol):
-    """Structural protocol of a value-mode execution driver.
-
-    ``compute(host, round_index) -> int`` does host-local work;
-    ``sync()`` performs the Gluon synchronization; the driver owns the
-    round loop and the recovery policy.  :class:`~repro.dgraph.bsp.
-    BSPEngine` is the canonical implementation.
-    """
-
-    num_hosts: int
-    history: list
-
-    def run(
-        self,
-        compute: Callable[[int, int], int],
-        sync: Callable[[], Any],
-        work_pending: Callable[[int], bool] | None = None,
-    ) -> int: ...
 
 
 def compensate_delta(

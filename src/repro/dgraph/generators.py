@@ -1,7 +1,7 @@
-"""Synthetic graph generators for tests, benchmarks, and examples.
+"""Synthetic graph generator for tests, benchmarks, and examples.
 
-All return ``(src, dst, num_nodes)`` edge arrays (directed unless stated)
-and are deterministic in their seed.
+:func:`power_law` returns ``(src, dst, num_nodes)`` directed edge arrays
+and is deterministic in its seed.
 """
 
 from __future__ import annotations
@@ -10,22 +10,7 @@ import numpy as np
 
 from repro.util.rng import default_rng
 
-__all__ = ["erdos_renyi", "power_law", "ring", "grid_2d"]
-
-
-def erdos_renyi(
-    num_nodes: int, edge_probability: float, seed: int | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """G(n, p) directed graph without self loops."""
-    if num_nodes <= 0:
-        raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-    if not 0 <= edge_probability <= 1:
-        raise ValueError(f"edge_probability must be in [0, 1], got {edge_probability}")
-    rng = default_rng(seed)
-    mask = rng.random((num_nodes, num_nodes)) < edge_probability
-    np.fill_diagonal(mask, False)
-    src, dst = np.nonzero(mask)
-    return src.astype(np.int64), dst.astype(np.int64), num_nodes
+__all__ = ["power_law"]
 
 
 def power_law(
@@ -51,37 +36,3 @@ def power_law(
     dst = rng.choice(num_nodes, size=num_edges, p=p)
     keep = src != dst
     return src[keep].astype(np.int64), dst[keep].astype(np.int64), num_nodes
-
-
-def ring(num_nodes: int, symmetric: bool = True) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cycle graph 0-1-2-...-0; symmetric adds both directions."""
-    if num_nodes < 2:
-        raise ValueError(f"ring needs >= 2 nodes, got {num_nodes}")
-    src = np.arange(num_nodes, dtype=np.int64)
-    dst = (src + 1) % num_nodes
-    if symmetric:
-        return np.concatenate([src, dst]), np.concatenate([dst, src]), num_nodes
-    return src, dst, num_nodes
-
-
-def grid_2d(
-    rows: int, cols: int, symmetric: bool = True
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """rows x cols lattice with 4-neighborhood edges."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be positive")
-    src_list, dst_list = [], []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                src_list.append(node)
-                dst_list.append(node + 1)
-            if r + 1 < rows:
-                src_list.append(node)
-                dst_list.append(node + cols)
-    src = np.array(src_list, dtype=np.int64)
-    dst = np.array(dst_list, dtype=np.int64)
-    if symmetric:
-        return np.concatenate([src, dst]), np.concatenate([dst, src]), rows * cols
-    return src, dst, rows * cols

@@ -78,12 +78,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.indices)
 
-    def out_degree(self, node: int | np.ndarray | None = None) -> np.ndarray | int:
-        degrees = np.diff(self.indptr)
-        if node is None:
-            return degrees
-        return degrees[node]
-
     def out_neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 

@@ -6,7 +6,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "analogy": ("AnalogyAccuracy", "evaluate_analogies"),
-        "similarity": ("cosine_similarity", "most_similar"),
+        "similarity": ("most_similar",),
         "wordsim": ("SimilarityPair", "build_planted_similarity", "evaluate_similarity"),
     },
 )

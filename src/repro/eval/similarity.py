@@ -17,24 +17,12 @@ from __future__ import annotations
 
 import weakref
 
-import numpy as np
-
 from repro.serve.index import ExactIndex
 from repro.serve.store import EmbeddingStore
 from repro.text.vocab import Vocabulary
 from repro.w2v.model import Word2VecModel
 
-__all__ = ["cosine_similarity", "most_similar"]
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """cos between two vectors; 0.0 when either is zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))
+__all__ = ["most_similar"]
 
 
 # (id(model), id(vocabulary)) -> ExactIndex over a snapshot of the pair.

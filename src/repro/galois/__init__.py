@@ -13,7 +13,7 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "accumulators": ("GAccumulator", "GReduceMax", "GReduceMin"),
+        "accumulators": ("GAccumulator",),
         "do_all": (
             "DoAllError",
             "DoAllExecutor",
@@ -23,7 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "executor_from_env",
             "resolve_executor",
         ),
-        "timers": ("StatTimer", "TimerRegistry"),
+        "timers": ("StatTimer",),
         "worklist": ("ChunkedWorklist", "OrderedByIntegerMetric"),
     },
 )

@@ -1,7 +1,7 @@
-"""Reducible accumulators (Galois ``GAccumulator`` / ``GReduce*``).
+"""Reducible accumulators (Galois ``GAccumulator``).
 
-Operators running under ``do_all`` report statistics (pairs processed, loss,
-max degree seen, ...) through accumulators that support thread-local update
+Operators running under ``do_all`` report statistics (pairs processed,
+loss, ...) through accumulators that support thread-local update
 and a final reduction.  Correctness under :class:`~repro.galois.do_all.
 ThreadPoolDoAll` rests on a strict single-writer discipline: every cell is
 written only by the thread that owns it, so ``update`` never performs a
@@ -22,7 +22,7 @@ from typing import Callable, Generic, TypeVar
 
 T = TypeVar("T")
 
-__all__ = ["GAccumulator", "GReduceMax", "GReduceMin"]
+__all__ = ["GAccumulator"]
 
 
 class _Cell(Generic[T]):
@@ -93,24 +93,6 @@ class GAccumulator(_Reducible[float]):
     def __iadd__(self, value: float) -> "GAccumulator":
         self.update(value)
         return self
-
-    @property
-    def value(self) -> float:
-        return self.reduce()
-
-
-class GReduceMax(_Reducible[float]):
-    def __init__(self, identity: float = float("-inf")):
-        super().__init__(identity, max)
-
-    @property
-    def value(self) -> float:
-        return self.reduce()
-
-
-class GReduceMin(_Reducible[float]):
-    def __init__(self, identity: float = float("inf")):
-        super().__init__(identity, min)
 
     @property
     def value(self) -> float:

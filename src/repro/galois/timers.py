@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import time
 from typing import Callable
 
-__all__ = ["StatTimer", "TimerRegistry"]
+__all__ = ["StatTimer"]
 
 
 @dataclass
@@ -61,22 +61,3 @@ class StatTimer:
             raise ValueError(f"negative time {seconds}")
         self.total += seconds
         self.count += 1
-
-
-class TimerRegistry:
-    """Named timer collection (one per host in the simulator)."""
-
-    def __init__(self) -> None:
-        self._timers: dict[str, StatTimer] = {}
-
-    def get(self, name: str) -> StatTimer:
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = self._timers[name] = StatTimer(name)
-        return timer
-
-    def totals(self) -> dict[str, float]:
-        return {name: t.total for name, t in self._timers.items()}
-
-    def reset(self) -> None:
-        self._timers.clear()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -250,9 +250,6 @@ class SimulatedNetwork:
     @property
     def total_messages(self) -> int:
         return self.stats.total_messages
-
-    def records_for(self, name: str) -> Iterator[PhaseRecord]:
-        return (r for r in self.phase_records if r.name == name)
 
 
 class _PhaseContext:

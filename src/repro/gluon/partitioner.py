@@ -102,10 +102,6 @@ class Partition:
         lo, hi = self.master_bounds[self.host], self.master_bounds[self.host + 1]
         return np.arange(lo, hi, dtype=np.int64)
 
-    def replication_factor_contrib(self) -> int:
-        """Proxies on this host (summed over hosts / N = replication factor)."""
-        return self.num_local
-
 
 def _grid_shape(num_hosts: int) -> tuple[int, int]:
     """Most-square pr x pc factorization with pr <= pc (CVC convention)."""

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "block_boundaries",
-    "block_owner",
     "block_owner_array",
     "master_block_slice",
 ]
@@ -37,15 +36,8 @@ def block_boundaries(num_nodes: int, num_hosts: int) -> np.ndarray:
     return bounds
 
 
-def block_owner(node: int, bounds: np.ndarray) -> int:
-    """Host whose master block contains global node id ``node``."""
-    if not 0 <= node < bounds[-1]:
-        raise IndexError(f"node {node} out of range [0, {bounds[-1]})")
-    return int(np.searchsorted(bounds, node, side="right") - 1)
-
-
 def block_owner_array(nodes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`block_owner` over an id array."""
+    """Host whose master block contains each global node id of ``nodes``."""
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= bounds[-1]):
         raise IndexError("node id out of range")

@@ -29,7 +29,7 @@ serves nearest-neighbor queries over it at scale:
   answer fingerprints (:class:`ShardedEngine`),
 - :mod:`repro.serve.workload` — the one load harness: backend plugins
   over the one ``search(queries, k)`` surface, seeded arrival processes
-  (Poisson, diurnal, bursts, staged ramps), open- and closed-loop load,
+  (Poisson, bursts), open- and closed-loop load,
   per-tenant Zipf/vocab/QoS mixes, warm-up vs measurement windows, and
   SLO rules whose pass/fail verdicts land in ``BENCH_serve.json`` and
   gate CI (:class:`WorkloadSpec`, :func:`run_workload`); every run

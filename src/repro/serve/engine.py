@@ -162,12 +162,6 @@ class EngineStats:
     batch_seconds: list[float] = field(default_factory=list)
     cache: CacheStats = field(default_factory=CacheStats)
 
-    def batch_size_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for size in self.batch_sizes:
-            hist[size] = hist.get(size, 0) + 1
-        return dict(sorted(hist.items()))
-
 
 @dataclass
 class QueryTicket:

@@ -233,15 +233,6 @@ class IVFIndex:
     def centroids(self) -> np.ndarray:
         return self._centroids
 
-    def cell_sizes(self) -> np.ndarray:
-        """Member count per cell (sums to the vocab size)."""
-        return np.diff(self._offsets)
-
-    def cell_of(self, row: int) -> int:
-        """The cell a store row was assigned to."""
-        position = int(np.flatnonzero(self._row_of_position == row)[0])
-        return int(np.searchsorted(self._offsets, position, side="right") - 1)
-
     def probe_cells(self, query: np.ndarray, nprobe: int | None = None) -> np.ndarray:
         """The ranked cell ids one (raw) query would probe."""
         q = _normalize_queries(query, self._store.dim)[0]

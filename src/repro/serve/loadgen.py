@@ -25,6 +25,7 @@ from repro.serve.workload.arrivals import PoissonArrivals
 from repro.serve.workload.runner import WorkloadReport, run_workload
 from repro.serve.workload.spec import WorkloadSpec
 from repro.serve.workload.tenants import TenantMix
+from repro.util.checks import positive_finite
 from repro.util.rng import DEFAULT_SEED
 
 __all__ = ["LoadConfig", "RECALL_DOMAIN", "generate_queries", "run_load"]
@@ -58,12 +59,11 @@ class LoadConfig:
             )
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.zipf_exponent < 0:
+        if not (self.zipf_exponent >= 0 and math.isfinite(self.zipf_exponent)):
             raise ValueError(
-                f"zipf_exponent must be non-negative, got {self.zipf_exponent}"
+                f"zipf_exponent must be non-negative and finite, got {self.zipf_exponent}"
             )
-        if self.arrival_qps <= 0:
-            raise ValueError(f"arrival_qps must be positive, got {self.arrival_qps}")
+        positive_finite(self.arrival_qps, "arrival_qps")
 
 
 def generate_queries(vocab_size: int, config: LoadConfig) -> np.ndarray:

@@ -10,8 +10,8 @@ is the single-tenant Poisson special case, spelled as a spec:
   ``sharded`` (each clears a recall@10 floor against ``exact``);
   :func:`register_backend` adds more,
 - :mod:`~repro.serve.workload.arrivals` — seed-deterministic arrival
-  processes (Poisson, diurnal sinusoid, burst trains, staged ramps) and
-  closed-loop concurrency :class:`RampStage` ramps,
+  processes (Poisson, burst trains) and closed-loop concurrency
+  :class:`RampStage` ramps,
 - :mod:`~repro.serve.workload.tenants` — weighted tenant mixes with
   per-tenant Zipf skew, vocabulary subsets, and QoS classes,
 - :mod:`~repro.serve.workload.slo` — SLO rules (``p99 < X ms at Y
@@ -41,11 +41,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "arrivals": (
             "ArrivalProcess",
             "BurstArrivals",
-            "DiurnalArrivals",
             "PoissonArrivals",
             "RampStage",
-            "Stage",
-            "StagedArrivals",
             "arrival_times_us",
             "arrivals_from_dict",
         ),

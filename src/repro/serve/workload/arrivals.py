@@ -7,25 +7,20 @@ open-loop batching decisions of :mod:`repro.serve.workload.runner`, and
 because they never read the wall clock, the batch composition they
 induce is bit-stable run to run and invariant to executor width.
 
-Four processes cover the traffic shapes the serving tier has to survive:
+Two processes cover the traffic shapes the serving tier has to survive:
 
 - :class:`PoissonArrivals` — memoryless traffic at a constant offered
   rate (exponential inter-arrival gaps).  This is the process the PR-4
   load generator hard-coded; :func:`arrival_times_us` reproduces that
   stream bit-for-bit for the same seed.
-- :class:`DiurnalArrivals` — an inhomogeneous Poisson process whose rate
-  follows a day-night sinusoid around a base rate.
 - :class:`BurstArrivals` — periodic burst trains: a quiet base rate
   interrupted every period by a short high-rate window (thundering
   herds, cache-stampede shapes).
-- :class:`StagedArrivals` — piecewise-constant offered rate (load-ramp
-  staircases); the final stage extends until the stream is exhausted.
 
-The inhomogeneous processes are generated by time-warping: draw the
-partial sums of a unit-rate Poisson process, then invert the cumulative
-intensity ``Λ(t)`` (analytically for the piecewise-constant processes,
-on a dense grid for the sinusoid).  One rng draw per query, so streams
-of different lengths share a prefix.
+Bursts are generated by time-warping: draw the partial sums of a
+unit-rate Poisson process, then invert the piecewise-linear cumulative
+intensity ``Λ(t)`` exactly.  One rng draw per query, so streams of
+different lengths share a prefix.
 
 :class:`RampStage` describes closed-loop *concurrency* ramps — how many
 simulated users issue queries simultaneously — consumed by the runner's
@@ -40,16 +35,14 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.serve.workload.fields import json_fields, json_list, json_object
+from repro.serve.workload.fields import json_fields, json_object
+from repro.util.checks import positive_finite
 from repro.util.rng import keyed_rng
 
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "DiurnalArrivals",
     "BurstArrivals",
-    "StagedArrivals",
-    "Stage",
     "RampStage",
     "arrival_times_us",
     "arrivals_from_dict",
@@ -61,11 +54,6 @@ __all__ = [
 _ARRIVAL_DOMAIN = 0x415256  # "ARV"
 
 _US = 1e6
-
-#: Grid points per sinusoid period when inverting the diurnal intensity.
-_DIURNAL_GRID_PER_PERIOD = 256
-_DIURNAL_GRID_MIN = 4096
-_DIURNAL_GRID_MAX = 1 << 20
 
 
 @runtime_checkable
@@ -101,8 +89,7 @@ class PoissonArrivals:
     qps: float = 2000.0
 
     def __post_init__(self) -> None:
-        if self.qps <= 0:
-            raise ValueError(f"qps must be positive, got {self.qps}")
+        positive_finite(self.qps, "qps")
 
     def times_us(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Exactly the PR-4 formulation (gaps, then cumsum, then scale):
@@ -112,61 +99,6 @@ class PoissonArrivals:
 
     def as_dict(self) -> dict:
         return {"kind": "poisson", "qps": self.qps}
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals:
-    """Sinusoid-modulated Poisson: ``rate(t) = base_qps * (1 + amplitude * sin(2πt/period_s))``.
-
-    ``amplitude`` in ``[0, 1)`` keeps the rate strictly positive.  The
-    cumulative intensity ``Λ(t) = base_qps * (t + amplitude * (1 - cos(ωt)) / ω)``
-    is inverted on a dense grid (``Λ`` is strictly increasing, and
-    ``Λ(t) >= base_qps * t`` bounds the horizon), so the draw is one rng
-    exponential per query plus a deterministic interpolation.
-    """
-
-    base_qps: float = 2000.0
-    amplitude: float = 0.5
-    period_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.base_qps <= 0:
-            raise ValueError(f"base_qps must be positive, got {self.base_qps}")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError(
-                f"amplitude must be in [0, 1), got {self.amplitude}"
-            )
-        if self.period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {self.period_s}")
-
-    def times_us(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        sums = _unit_poisson_sums(_check_n(n), rng)
-        if sums.size == 0:
-            return sums * _US
-        omega = 2.0 * math.pi / self.period_s
-        horizon = sums[-1] / self.base_qps  # Λ(t) >= base_qps * t
-        points = int(
-            min(
-                _DIURNAL_GRID_MAX,
-                max(
-                    _DIURNAL_GRID_MIN,
-                    _DIURNAL_GRID_PER_PERIOD * math.ceil(horizon / self.period_s),
-                ),
-            )
-        )
-        grid = np.linspace(0.0, horizon, points)
-        intensity = self.base_qps * (
-            grid + self.amplitude * (1.0 - np.cos(omega * grid)) / omega
-        )
-        return np.interp(sums, intensity, grid) * _US
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": "diurnal",
-            "base_qps": self.base_qps,
-            "amplitude": self.amplitude,
-            "period_s": self.period_s,
-        }
 
 
 def _invert_piecewise(
@@ -196,10 +128,7 @@ class BurstArrivals:
 
     def __post_init__(self) -> None:
         for name in ("base_qps", "burst_qps", "period_s", "burst_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}"
-                )
+            positive_finite(getattr(self, name), name)
         if self.burst_s >= self.period_s:
             raise ValueError(
                 f"burst_s ({self.burst_s}) must be shorter than period_s "
@@ -239,60 +168,6 @@ class BurstArrivals:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """One constant-rate segment of a staged ramp."""
-
-    qps: float
-    seconds: float
-
-    def __post_init__(self) -> None:
-        if self.qps <= 0:
-            raise ValueError(f"qps must be positive, got {self.qps}")
-        if self.seconds <= 0:
-            raise ValueError(f"seconds must be positive, got {self.seconds}")
-
-    def as_dict(self) -> dict:
-        return {"qps": self.qps, "seconds": self.seconds}
-
-
-@dataclass(frozen=True)
-class StagedArrivals:
-    """A staircase of offered rates (open-loop load ramp).
-
-    The stream runs each :class:`Stage` for its duration in order; if
-    queries remain after the last stage's window, the last stage's rate
-    continues until the stream is exhausted.
-    """
-
-    stages: tuple[Stage, ...]
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("StagedArrivals needs at least one stage")
-
-    def times_us(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        sums = _unit_poisson_sums(_check_n(n), rng)
-        if sums.size == 0:
-            return sums * _US
-        knots_t = [0.0]
-        knots_i = [0.0]
-        for stage in self.stages:
-            knots_t.append(knots_t[-1] + stage.seconds)
-            knots_i.append(knots_i[-1] + stage.qps * stage.seconds)
-        if knots_i[-1] < sums[-1]:  # extend the final rate to cover the stream
-            last = self.stages[-1]
-            knots_t.append(knots_t[-1] + (sums[-1] - knots_i[-1]) / last.qps + 1.0)
-            knots_i.append(knots_i[-1] + (knots_t[-1] - knots_t[-2]) * last.qps)
-        return _invert_piecewise(sums, np.asarray(knots_t), np.asarray(knots_i))
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": "staged",
-            "stages": [stage.as_dict() for stage in self.stages],
-        }
-
-
-@dataclass(frozen=True)
 class RampStage:
     """One closed-loop concurrency stage: ``concurrency`` simulated users
     issue ``queries`` queries in lock-step waves; ``queries == 0`` means
@@ -328,25 +203,12 @@ def arrivals_from_dict(data: dict) -> ArrivalProcess:
     """Parse an arrival process from its ``as_dict`` JSON form."""
     spec = dict(json_object(data, "arrivals"))
     kind = spec.pop("kind", None)
-    builders = {
-        "poisson": PoissonArrivals,
-        "diurnal": DiurnalArrivals,
-        "burst": BurstArrivals,
-    }
+    builders = {"poisson": PoissonArrivals, "burst": BurstArrivals}
     try:
-        if kind == "staged":
-            stages = tuple(
-                Stage(**json_fields(Stage, stage, "arrivals stages entry"))
-                for stage in json_list(spec.pop("stages", None), "arrivals field 'stages'")
-            )
-            if spec:
-                raise TypeError(f"unexpected keys {sorted(spec)}")
-            return StagedArrivals(stages)
         if kind in builders:
             return builders[kind](**json_fields(builders[kind], spec, "arrivals"))
     except TypeError as exc:
         raise ValueError(f"bad arrival spec for kind {kind!r}: {exc}") from None
     raise ValueError(
-        f"unknown arrival kind {kind!r}; expected one of "
-        f"{sorted([*builders, 'staged'])}"
+        f"unknown arrival kind {kind!r}; expected one of {sorted(builders)}"
     )

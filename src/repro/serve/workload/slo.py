@@ -23,7 +23,6 @@ from repro.serve.workload.fields import json_fields
 from repro.util.checks import number
 
 __all__ = [
-    "LATENCY_METRICS",
     "SLO_METRICS",
     "SLORule",
     "SLOVerdict",
@@ -31,9 +30,6 @@ __all__ = [
     "all_pass",
     "format_verdicts",
 ]
-
-#: Per-query latency percentiles over the measurement window, in ms.
-LATENCY_METRICS = ("p50_ms", "p95_ms", "p99_ms")
 
 #: Every metric a rule may pin, with its default comparison direction.
 SLO_METRICS = {

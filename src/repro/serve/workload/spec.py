@@ -51,6 +51,7 @@ from repro.serve.workload.arrivals import (
 from repro.serve.workload.fields import json_fields, json_list, json_object
 from repro.serve.workload.slo import SLORule
 from repro.serve.workload.tenants import TenantMix
+from repro.util.checks import positive_finite
 from repro.util.rng import DEFAULT_SEED, keyed_rng
 
 __all__ = ["StoreSpec", "WorkloadSpec", "MODES", "clustered_matrix"]
@@ -79,8 +80,7 @@ def clustered_matrix(
     """
     if not 1 <= clusters <= vocab_size:
         raise ValueError(f"clusters must be in [1, {vocab_size}], got {clusters}")
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    positive_finite(spread, "spread")
     rng = keyed_rng(seed, _CLUSTER_DOMAIN, vocab_size, dim, clusters)
     centers = rng.normal(size=(clusters, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -112,8 +112,7 @@ class StoreSpec:
             raise ValueError(
                 f"clusters must be in [1, {self.vocab_size}], got {self.clusters}"
             )
-        if self.spread <= 0:
-            raise ValueError(f"spread must be positive, got {self.spread}")
+        positive_finite(self.spread, "spread")
 
     def build(self, seed: int) -> EmbeddingStore:
         matrix = clustered_matrix(

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from repro.serve.workload.fields import json_fields, json_list
-from repro.util.checks import number
+from repro.util.checks import number, positive_finite
 from repro.util.rng import keyed_rng
 
 __all__ = [
@@ -82,11 +82,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
-        if self.zipf_exponent < 0:
+        positive_finite(self.weight, "weight")
+        if not (self.zipf_exponent >= 0 and math.isfinite(self.zipf_exponent)):
             raise ValueError(
-                f"zipf_exponent must be non-negative, got {self.zipf_exponent}"
+                f"zipf_exponent must be non-negative and finite, got {self.zipf_exponent}"
             )
         if not 0.0 <= self.vocab_start < self.vocab_stop <= 1.0:
             raise ValueError(

@@ -123,7 +123,7 @@ class AnalogyQuestion:
 
 @dataclass
 class AnalogyQuestionSet:
-    """All questions, grouped on demand by family or kind."""
+    """All questions, grouped on demand by family."""
 
     questions: list[AnalogyQuestion]
 
@@ -132,9 +132,6 @@ class AnalogyQuestionSet:
 
     def __iter__(self) -> Iterator[AnalogyQuestion]:
         return iter(self.questions)
-
-    def by_kind(self, kind: str) -> list[AnalogyQuestion]:
-        return [q for q in self.questions if q.kind == kind]
 
     def by_family(self, family: str) -> list[AnalogyQuestion]:
         return [q for q in self.questions if q.family == family]

@@ -9,9 +9,8 @@ dependency-free — serious pipelines should tokenize upstream.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
 
-__all__ = ["simple_tokenize", "sentences_from_lines"]
+__all__ = ["simple_tokenize"]
 
 _NON_WORD = re.compile(r"[^\w']+", flags=re.UNICODE)
 
@@ -19,11 +18,3 @@ _NON_WORD = re.compile(r"[^\w']+", flags=re.UNICODE)
 def simple_tokenize(text: str) -> list[str]:
     """Lowercase, split on non-word characters, drop empties."""
     return [token for token in _NON_WORD.split(text.lower()) if token]
-
-
-def sentences_from_lines(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Tokenize an iterable of lines, skipping empty results."""
-    for line in lines:
-        tokens = simple_tokenize(line)
-        if tokens:
-            yield tokens

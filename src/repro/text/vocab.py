@@ -110,11 +110,6 @@ class Vocabulary:
         view.flags.writeable = False
         return view
 
-    @property
-    def total_words(self) -> int:
-        """Total training-word occurrences (Table 1's 'Training Words')."""
-        return self._total
-
     def frequency(self, word: str) -> float:
         return float(self._counts[self.id_of(word)]) / self._total
 

@@ -6,7 +6,7 @@ from repro._exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "rng": ("SeedSequenceTree", "default_rng", "spawn_rngs"),
+        "rng": ("SeedSequenceTree", "default_rng"),
         "tables": ("format_table", "format_row"),
     },
 )

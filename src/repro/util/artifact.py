@@ -149,7 +149,8 @@ def read(source: bytes | str | Path, kind: str) -> tuple[dict, dict[str, np.ndar
     where = "" if isinstance(source, (bytes, bytearray)) else f"{source}: "
 
     def fail(field: str, problem: str) -> ValueError:
-        return ValueError(f"{where}{kind} artifact field {field!r} {problem}")
+        # Quoted, not repr'd: a damaged header's key may itself hold a quote.
+        return ValueError(f"{where}{kind} artifact field '{field}' {problem}")
 
     if not where:
         buf = np.frombuffer(source, dtype=np.uint8)

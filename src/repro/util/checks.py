@@ -5,14 +5,17 @@ for a count, and a string where a number belongs escapes the comparison as
 a bare ``TypeError``.  Public entry points read such arguments through
 these checks instead: a wrong type is a ``ValueError`` that names the
 field.  Integral values of any real type (``8.0``, ``np.int64(8)``) are
-accepted as integers.
+accepted as integers.  ``json.load`` reads ``NaN`` and ``Infinity``, and
+both pass a ``<= 0`` check; rates and scales go through
+:func:`positive_finite`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
-__all__ = ["got", "integer", "number", "positive_integer"]
+__all__ = ["got", "integer", "number", "positive_finite", "positive_integer"]
 
 
 def got(value) -> str:
@@ -33,6 +36,13 @@ def positive_integer(value, name: str) -> int:
     value = integer(value, name)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def positive_finite(value, name: str):
+    """``value`` unchanged if it is finite and above 0."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 

@@ -17,7 +17,6 @@ __all__ = [
     "default_rng",
     "derive_seed",
     "keyed_rng",
-    "spawn_rngs",
     "SeedSequenceTree",
     "hash64",
 ]
@@ -49,19 +48,6 @@ def keyed_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(tuple(int(k) for k in key))
     )
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Return ``n`` independent generators derived from ``seed``.
-
-    Streams are statistically independent (SeedSequence spawning) and stable:
-    ``spawn_rngs(s, n)[i]`` is the same stream for every call with the same
-    ``s``, independent of ``n`` for ``i < n``.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(n)]
 
 
 class SeedSequenceTree:

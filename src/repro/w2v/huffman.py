@@ -125,11 +125,3 @@ class HuffmanTree:
             point_matrix=point_matrix,
             code_lengths=lengths,
         )
-
-    def expected_code_length(self, counts: np.ndarray) -> float:
-        """Frequency-weighted mean code length (compression quality)."""
-        counts = np.asarray(counts, dtype=np.float64)
-        total = counts.sum()
-        if total <= 0:
-            raise ValueError("counts sum to zero")
-        return float((self.code_lengths * counts).sum() / total)

@@ -6,11 +6,11 @@ word2vec.c, gensim and most embedding tooling exchange vectors as
     <word> <v_0> <v_1> ... <v_{dim-1}>
     ...
 
-These helpers write a trained model's embedding layer in that format and
-read such files back, so embeddings trained here can be consumed by (or
-compared against) external tools, and vice versa.  Models, checkpoints
-and serving stores persist as artifacts (:mod:`repro.util.artifact`);
-this text format is for interchange only.
+This module reads such files, so vectors trained by external tools can be
+served and compared against the ones trained here;
+:meth:`repro.serve.store.EmbeddingStore.from_word2vec_text` is the entry
+point.  Models, checkpoints and serving stores persist as artifacts
+(:mod:`repro.util.artifact`); this text format is for interchange only.
 """
 
 from __future__ import annotations
@@ -19,51 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from repro.text.vocab import Vocabulary
-from repro.w2v.model import Word2VecModel
-
-__all__ = ["save_word2vec_text", "load_word2vec_text"]
-
-
-def save_word2vec_text(
-    model: Word2VecModel | np.ndarray,
-    vocabulary: Vocabulary,
-    destination: TextIO | str,
-    precision: int = 6,
-) -> None:
-    """Write the embedding in word2vec text format.
-
-    ``destination`` is a file path or text stream.  Rows are written in
-    node-id order; words containing whitespace are rejected (they would
-    corrupt the format).
-    """
-    embedding = model.embedding if isinstance(model, Word2VecModel) else np.asarray(model)
-    if embedding.ndim != 2:
-        raise ValueError("embedding must be 2-D")
-    if embedding.shape[0] != len(vocabulary):
-        raise ValueError(
-            f"embedding rows ({embedding.shape[0]}) != vocabulary size "
-            f"({len(vocabulary)})"
-        )
-    handle: TextIO
-    close = False
-    if isinstance(destination, str):
-        handle = open(destination, "w", encoding="utf-8")
-        close = True
-    else:
-        handle = destination
-    try:
-        V, dim = embedding.shape
-        handle.write(f"{V} {dim}\n")
-        for node_id in range(V):
-            word = vocabulary.word_of(node_id)
-            if any(ch.isspace() for ch in word):
-                raise ValueError(f"word {word!r} contains whitespace")
-            values = " ".join(f"{v:.{precision}g}" for v in embedding[node_id])
-            handle.write(f"{word} {values}\n")
-    finally:
-        if close:
-            handle.close()
+__all__ = ["load_word2vec_text"]
 
 
 def load_word2vec_text(source: TextIO | str) -> tuple[list[str], np.ndarray]:

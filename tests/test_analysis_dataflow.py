@@ -1,13 +1,16 @@
 """Tests for the interprocedural dataflow analyzer (REPRO1xx rules).
 
 Each rule family gets at least one failing and one passing fixture,
-exercised through :func:`repro.analysis.dataflow.analyze_paths` so the
-shared suppression and column machinery is covered too.  The final tests
+exercised through the ``python -m repro.analysis --dataflow`` entry point
+(:func:`repro.analysis.lint.main`, in process) so the shared suppression
+and column machinery is covered too.  The final tests
 gate the shipped tree: ``--dataflow`` over ``src/repro`` must be clean.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 import subprocess
@@ -16,17 +19,27 @@ import textwrap
 
 import pytest
 
-from repro.analysis.dataflow import DATAFLOW_RULE_IDS, analyze_paths
+from repro.analysis.dataflow import DATAFLOW_RULE_IDS
+from repro.analysis.lint import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
+
+
+def dataflow_findings(mod: Path) -> list[dict]:
+    """The finalized dataflow findings ``--dataflow`` reports for ``mod``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["--dataflow", "--format", "json", str(mod)])
+    findings = json.loads(out.getvalue())["findings"]
+    return [f for f in findings if f["rule"] in DATAFLOW_RULE_IDS]
 
 
 def rules_in(tmp_path: Path, source: str, name: str = "fixture.py") -> list[str]:
     """Write ``source`` as a module and return the rule ids found in it."""
     mod = tmp_path / name
     mod.write_text(textwrap.dedent(source), encoding="utf-8")
-    return sorted(f.rule for f in analyze_paths([mod]))
+    return sorted(f["rule"] for f in dataflow_findings(mod))
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -338,9 +351,9 @@ def test_findings_have_one_based_columns(tmp_path):
         ),
         encoding="utf-8",
     )
-    findings = [f for f in analyze_paths([mod]) if f.rule == "REPRO111"]
+    findings = [f for f in dataflow_findings(mod) if f["rule"] == "REPRO111"]
     assert findings
-    assert all(f.col >= 1 for f in findings)
+    assert all(f["col"] >= 1 for f in findings)
 
 
 def test_dataflow_rule_ids_catalogued():

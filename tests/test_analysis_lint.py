@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.analysis import RULES, lint_paths, lint_source, render_json, render_text
+from repro.analysis import RULES, lint_source, main, render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -281,20 +281,22 @@ def test_rule_catalog_is_complete():
         assert rule.name and rule.summary
 
 
-def test_lint_paths_on_file_and_missing_path(tmp_path):
+def test_main_on_file_and_missing_path(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import random\n")
-    assert rules_of(lint_paths([bad])) == ["REPRO001"]
-    with pytest.raises(FileNotFoundError):
-        lint_paths([tmp_path / "nope.txt"])
+    assert main(["--format", "json", str(bad)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["rule"] for f in payload["findings"]] == ["REPRO001"]
+    assert main([str(tmp_path / "nope.txt")]) == 2
+    assert "not a python file or directory" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
 # The shipped tree is clean, and the CLI exit codes hold
 # ----------------------------------------------------------------------
-def test_shipped_tree_lints_clean():
-    findings = lint_paths([SRC])
-    assert findings == [], render_text(findings)
+def test_shipped_tree_lints_clean(capsys):
+    code = main([str(SRC)])
+    assert code == 0, capsys.readouterr().out
 
 
 def run_cli(*args, cwd=None):

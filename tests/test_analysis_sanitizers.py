@@ -349,11 +349,11 @@ class TestBSPPhantomSync:
         engine = BSPEngine(num_hosts=1, sync_checker=checker)
         # Labels "change" in round 0 although compute did nothing: a
         # synchronizer inventing updates.
+        # The engine raises at quiescence, after the second round.
         results = iter([_FakeSyncResult(True), _FakeSyncResult(False)])
-        rounds = engine.run(
-            compute=lambda host, r: 0, sync=lambda: next(results)
-        )
-        assert rounds == 2
+        with pytest.raises(SanitizeError, match="phantom-sync"):
+            engine.run(compute=lambda host, r: 0, sync=lambda: next(results))
+        assert len(engine.history) == 2
         assert [f.kind for f in checker.findings] == ["phantom-sync"]
 
 

@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis.runtime import GluonSyncChecker, SanitizeError
 from repro.cluster.faults import FaultConfig
-from repro.dgraph import BSPEngine, Engine
 from repro.dgraph.async_engine import SSPTrainingEngine, build_interleaving
 from repro.dgraph.engine import TrainingEngine, compensate_delta, resolve_training_engine
 from repro.gluon.bitvector import BitVector
@@ -149,9 +148,6 @@ def lockstep_oracle(plan):
 # The engine seam
 # ----------------------------------------------------------------------
 class TestEngineSeam:
-    def test_bsp_engine_satisfies_protocol(self):
-        assert isinstance(BSPEngine(num_hosts=2), Engine)
-
     def test_resolution(self):
         # One engine: "bsp" names its staleness-0 schedule, not a class.
         bsp = resolve_training_engine("bsp")

@@ -1,13 +1,17 @@
+import dataclasses
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.analysis.runtime import GluonSyncChecker, SanitizeError
 from repro.dgraph.apps.cc import connected_components
 from repro.dgraph.apps.pagerank import pagerank
 from repro.dgraph.apps.sssp import sssp_bellman_ford, sssp_delta_stepping
 from repro.dgraph.dist_graph import DistGraph
 from repro.dgraph.graph import Graph
 from repro.gluon.comm import SimulatedNetwork
+from repro.gluon.sync import GluonSynchronizer
 
 
 def random_weighted_graph(n=24, p=0.15, seed=3):
@@ -158,3 +162,67 @@ class TestConnectedComponents:
         a = connected_components(DistGraph.build(src, dst, 6, 1))
         b = connected_components(DistGraph.build(src, dst, 6, 3))
         assert np.array_equal(a, b)
+
+
+def symmetric_graph(hosts, policy):
+    src, dst, w, n = random_weighted_graph(seed=5)
+    both_src, both_dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    weights = np.concatenate([w, w])
+    return DistGraph.build(both_src, both_dst, n, hosts, policy=policy, edge_data=weights)
+
+
+#: The BSP applications, each run on a fresh DistGraph.
+BSP_APPS = {
+    "sssp": lambda dg: sssp_bellman_ford(dg, source=0),
+    "cc": connected_components,
+}
+
+
+class TestSanitizedApps:
+    """Under ``REPRO_SANITIZE=1`` the BSP loop of sssp and cc audits every
+    round with a :class:`GluonSyncChecker`."""
+
+    @pytest.mark.parametrize("policy", ["oec", "iec", "cvc"])
+    @pytest.mark.parametrize("app", sorted(BSP_APPS))
+    def test_clean_runs_are_audited_and_unchanged(self, app, policy, monkeypatch):
+        plain = BSP_APPS[app](symmetric_graph(3, policy))
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        audited = []
+        observe = GluonSyncChecker.observe_bsp_round
+
+        def spy(checker, round_index, local_work, result):
+            audited.append(round_index)
+            observe(checker, round_index, local_work, result)
+
+        monkeypatch.setattr(GluonSyncChecker, "observe_bsp_round", spy)
+        sanitized = BSP_APPS[app](symmetric_graph(3, policy))
+        np.testing.assert_array_equal(sanitized, plain)
+        assert audited and audited == list(range(len(audited)))
+
+    @pytest.mark.parametrize("app", sorted(BSP_APPS))
+    def test_phantom_sync_raises(self, app, monkeypatch):
+        """A sync that reports a changed label in the quiescent round, where
+        no host did local work, is a phantom-sync finding."""
+        sync_value = GluonSynchronizer.sync_value
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return sync_value(self, *args, **kwargs)
+
+        monkeypatch.setattr(GluonSynchronizer, "sync_value", counting)
+        BSP_APPS[app](symmetric_graph(3, "cvc"))
+        last = len(calls)
+        calls.clear()
+
+        def phantom(self, *args, **kwargs):
+            result = counting(self, *args, **kwargs)
+            if len(calls) != last:
+                return result
+            changed = [np.array([0], dtype=np.int64), *result.changed_local[1:]]
+            return dataclasses.replace(result, changed_local=changed)
+
+        monkeypatch.setattr(GluonSynchronizer, "sync_value", phantom)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(SanitizeError, match=f"phantom-sync.*BSP round {last - 1}"):
+            BSP_APPS[app](symmetric_graph(3, "cvc"))

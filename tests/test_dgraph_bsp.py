@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster.faults import FaultConfig, FaultSchedule
-from repro.dgraph.bsp import BSPEngine, RecoveryPolicy, RoundStats
+from repro.analysis.runtime import GluonSyncChecker, SanitizeError
+from repro.dgraph.bsp import BSPEngine, RoundStats
 from repro.gluon.comm import PhaseRecord
 from repro.gluon.sync import ValueSyncResult
 
@@ -34,7 +34,10 @@ class TestBSPEngine:
         assert rounds == 3
         assert [s.local_work for s in engine.history] == [3, 2, 0]
 
-    def test_sync_changes_extend_execution(self):
+    def test_sync_changes_extend_execution(self, monkeypatch):
+        # A sync change without local work is a phantom sync by
+        # construction; this checks the loop rule, not the sanitizer.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         sync_changes = iter([[[1]], [[]], [[]]])
 
         def compute(host, round_index):
@@ -82,151 +85,17 @@ class TestBSPEngine:
         assert isinstance(stats, RoundStats)
         assert stats.round_index == 0
         assert not stats.sync_changed
-        assert stats.crashed_hosts == ()
 
 
-def crash_schedule(num_hosts, rounds, seed=3):
-    """A schedule guaranteed to contain at least one crash."""
-    schedule = FaultSchedule.generate(
-        FaultConfig(crash_prob=0.9),
-        seed=seed,
-        num_hosts=num_hosts,
-        epochs=1,
-        rounds_per_epoch=rounds,
-    )
-    assert schedule.has_crashes
-    return schedule
-
-
-class TestBSPRecovery:
-    """Fail-stop recovery: restore from checkpoint, replay the lost round."""
-
-    def run_label_propagation(self, num_hosts, recovery=None, max_rounds=64):
-        """A toy deterministic fixpoint: labels spread to the global min.
-
-        Per-host state is a slice of a shared label array; compute lowers
-        each host's labels toward the minimum it has seen, sync shares the
-        global minimum (all-reduce).  Deterministic, so fault-free and
-        recovered runs must reach the same fixpoint.
-        """
-        labels = np.arange(10, 10 + num_hosts, dtype=np.int64)
-        state = {"labels": labels}
-
-        def compute(host, round_index):
-            # One relaxation step: move toward the running minimum.
-            lo = state["labels"].min()
-            if state["labels"][host] > lo:
-                state["labels"][host] -= 1
-                return 1
-            return 0
-
-        def sync():
-            return make_result([[] for _ in range(num_hosts)])
-
-        engine = BSPEngine(num_hosts, max_rounds=max_rounds, recovery=recovery)
-        rounds = engine.run(compute, sync)
-        return engine, rounds, state["labels"].copy()
-
-    def test_recovered_run_reaches_same_fixpoint(self):
-        H = 3
-        _, _, clean = self.run_label_propagation(H)
-
-        schedule = crash_schedule(H, rounds=16)
-        snapshots = {"taken": 0}
-        state_ref = {}
-
-        def checkpoint():
-            snapshots["taken"] += 1
-            return state_ref["labels"].copy()
-
-        def restore(snapshot, host):
-            state_ref["labels"][host] = snapshot[host]
-
-        # Re-run with the engine's own state threading through the policy.
-        labels = np.arange(10, 10 + H, dtype=np.int64)
-        state_ref["labels"] = labels
-
-        def compute(host, round_index):
-            lo = state_ref["labels"].min()
-            if state_ref["labels"][host] > lo:
-                state_ref["labels"][host] -= 1
-                return 1
-            return 0
-
-        def sync():
-            return make_result([[] for _ in range(H)])
-
-        policy = RecoveryPolicy(schedule=schedule, checkpoint=checkpoint, restore=restore)
-        engine = BSPEngine(H, max_rounds=64, recovery=policy)
-        engine.run(compute, sync)
-        assert np.array_equal(state_ref["labels"], clean)
-        assert snapshots["taken"] > 0
-        assert policy.report.crashes > 0
-        assert policy.report.detect_s == pytest.approx(
-            policy.report.crashes * schedule.config.detect_timeout_s
-        )
-
-    def test_crashed_hosts_recorded_in_history(self):
-        H = 2
-        schedule = crash_schedule(H, rounds=8)
-        policy = RecoveryPolicy(
-            schedule=schedule, checkpoint=lambda: None, restore=lambda s, h: None
-        )
-        engine = BSPEngine(H, max_rounds=16, recovery=policy)
-        work = iter([1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
-
-        def compute(host, round_index):
-            return next(work, 0) if host == 0 else 0
-
-        engine.run(compute, lambda: make_result([[] for _ in range(H)]))
-        recorded = [s.crashed_hosts for s in engine.history]
-        expected = [
-            tuple(sorted(ev.host for ev in schedule.crashes_at(0, r)))
-            for r in range(len(engine.history))
-        ]
-        assert recorded == expected
-        assert any(recorded), "schedule must crash within the executed rounds"
-
-    def test_crashed_host_work_replayed(self):
-        """The dead host's round still contributes its work item."""
-        H = 2
-        schedule = crash_schedule(H, rounds=8)
-        crash_rounds = {ev.round_index for ev in schedule.all_crashes()}
-        first_crash = min(crash_rounds)
-        calls = []
-
-        def compute(host, round_index):
-            calls.append((host, round_index))
-            return 1 if round_index <= first_crash else 0
-
-        policy = RecoveryPolicy(
-            schedule=schedule, checkpoint=lambda: None, restore=lambda s, h: None
-        )
-        engine = BSPEngine(H, max_rounds=16, recovery=policy)
-        engine.run(compute, lambda: make_result([[] for _ in range(H)]))
-        # Every (host, round) pair executed exactly once, crash or not.
-        executed = [c for c in calls if c[1] <= first_crash]
-        assert sorted(executed) == sorted(
-            (h, r) for r in range(first_crash + 1) for h in range(H)
-        )
-
-    def test_schedule_host_mismatch_rejected(self):
-        schedule = FaultSchedule.empty(4, 1, 1)
-        policy = RecoveryPolicy(
-            schedule=schedule, checkpoint=lambda: None, restore=lambda s, h: None
-        )
-        with pytest.raises(ValueError, match="hosts"):
-            BSPEngine(2, recovery=policy)
-
-    def test_no_crashes_no_checkpoints(self):
-        """Checkpoint callable is never invoked on crash-free rounds."""
-        taken = []
-        policy = RecoveryPolicy(
-            schedule=FaultSchedule.empty(2, 1, 8),
-            checkpoint=lambda: taken.append(1),
-            restore=lambda s, h: None,
-        )
-        engine = BSPEngine(2, recovery=policy)
-        engine.run(lambda h, r: 0, lambda: make_result([[], []]))
-        assert not taken
-        assert policy.report.crashes == 0
+class TestBSPSanitize:
+    def test_env_attaches_a_checker(self, monkeypatch):
+        """Under ``REPRO_SANITIZE`` a phantom sync — labels change in a
+        round where no host worked — raises at quiescence."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert BSPEngine(1).sync_checker is None
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        engine = BSPEngine(1)
+        assert isinstance(engine.sync_checker, GluonSyncChecker)
+        changes = iter([[[1]], [[]]])
+        with pytest.raises(SanitizeError, match="phantom-sync.*BSP round 0"):
+            engine.run(lambda h, r: 0, lambda: make_result(next(changes)))

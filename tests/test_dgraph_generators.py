@@ -1,37 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.dgraph.generators import erdos_renyi, grid_2d, power_law, ring
-from repro.dgraph.graph import Graph
-
-
-class TestErdosRenyi:
-    def test_no_self_loops(self):
-        src, dst, n = erdos_renyi(30, 0.2, seed=0)
-        assert np.all(src != dst)
-        assert n == 30
-
-    def test_density_tracks_p(self):
-        src, _, n = erdos_renyi(50, 0.1, seed=1)
-        expected = 0.1 * 50 * 49
-        assert 0.5 * expected < len(src) < 1.5 * expected
-
-    def test_extremes(self):
-        src, _, _ = erdos_renyi(10, 0.0, seed=0)
-        assert len(src) == 0
-        src, _, _ = erdos_renyi(10, 1.0, seed=0)
-        assert len(src) == 90
-
-    def test_deterministic(self):
-        a = erdos_renyi(20, 0.3, seed=5)
-        b = erdos_renyi(20, 0.3, seed=5)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            erdos_renyi(0, 0.5)
-        with pytest.raises(ValueError):
-            erdos_renyi(5, 1.5)
+from repro.dgraph.generators import power_law
 
 
 class TestPowerLaw:
@@ -50,37 +20,3 @@ class TestPowerLaw:
             power_law(10, 5, exponent=0)
         with pytest.raises(ValueError):
             power_law(-1, 5)
-
-
-class TestRing:
-    def test_symmetric_degree_two(self):
-        src, dst, n = ring(8)
-        g = Graph.from_edges(src, dst, n)
-        assert np.all(g.out_degree() == 2)
-
-    def test_directed(self):
-        src, dst, n = ring(5, symmetric=False)
-        assert len(src) == 5
-        assert dst.tolist() == [1, 2, 3, 4, 0]
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            ring(1)
-
-
-class TestGrid:
-    def test_edge_count(self):
-        src, _, n = grid_2d(3, 4, symmetric=False)
-        # Horizontal: 3*(4-1)=9; vertical: (3-1)*4=8.
-        assert len(src) == 17
-        assert n == 12
-
-    def test_corner_degree(self):
-        src, dst, n = grid_2d(3, 3)
-        g = Graph.from_edges(src, dst, n)
-        assert g.out_degree(0) == 2  # corner
-        assert g.out_degree(4) == 4  # center
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            grid_2d(0, 3)

@@ -78,7 +78,7 @@ def test_transient_faults_never_change_the_model(
         epochs=PARAMS.epochs,
         rounds_per_epoch=trainer.sync_rounds,
     )
-    assert schedule.transient_only
+    assert not schedule.has_crashes
     faulty = GraphWord2Vec(
         corpus(), PARAMS, num_hosts=HOSTS, seed=SEED, plan=plan, faults=schedule
     ).train()

@@ -100,9 +100,8 @@ class TestFaultSchedule:
     def test_empty_schedule_has_nothing(self):
         schedule = FaultSchedule.empty(4, epochs=3, rounds_per_epoch=5)
         assert not schedule.has_crashes
-        assert not schedule.has_stragglers
+        assert not schedule._stragglers
         assert not schedule.has_message_faults
-        assert schedule.transient_only
         assert schedule.message_injector() is None
 
     def test_crash_events_well_formed(self):
@@ -121,7 +120,7 @@ class TestFaultSchedule:
         schedule = FaultSchedule.generate(
             config, seed=11, num_hosts=3, epochs=2, rounds_per_epoch=4
         )
-        assert schedule.has_stragglers
+        assert schedule._stragglers
         for factor in schedule._stragglers.values():
             assert 2.0 <= factor <= 3.0
 

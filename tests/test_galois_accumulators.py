@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from repro.galois.accumulators import GAccumulator, GReduceMax, GReduceMin
+from repro.galois.accumulators import GAccumulator
 from repro.galois.do_all import ThreadPoolDoAll
 
 
@@ -89,30 +89,3 @@ class TestGAccumulator:
             for t in threads:
                 t.join()
             assert 0.0 <= acc.value <= 2000.0
-
-
-class TestGReduceMax:
-    def test_max(self):
-        m = GReduceMax()
-        for v in (1.0, 9.0, 3.0):
-            m.update(v)
-        assert m.value == 9.0
-
-    def test_identity_when_empty(self):
-        assert GReduceMax().value == float("-inf")
-
-    def test_threaded(self):
-        m = GReduceMax()
-        ThreadPoolDoAll(workers=3).run([float(i) for i in range(50)], m.update)
-        assert m.value == 49.0
-
-
-class TestGReduceMin:
-    def test_min(self):
-        m = GReduceMin()
-        for v in (4.0, -2.0, 7.0):
-            m.update(v)
-        assert m.value == -2.0
-
-    def test_identity_when_empty(self):
-        assert GReduceMin().value == float("inf")

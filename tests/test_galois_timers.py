@@ -1,6 +1,6 @@
 import pytest
 
-from repro.galois.timers import StatTimer, TimerRegistry
+from repro.galois.timers import StatTimer
 
 
 class TestStatTimer:
@@ -33,21 +33,3 @@ class TestStatTimer:
     def test_add_negative_rejected(self):
         with pytest.raises(ValueError):
             StatTimer("x").add(-1.0)
-
-
-class TestTimerRegistry:
-    def test_get_creates_once(self):
-        reg = TimerRegistry()
-        assert reg.get("compute") is reg.get("compute")
-
-    def test_totals(self):
-        reg = TimerRegistry()
-        reg.get("a").add(1.0)
-        reg.get("b").add(2.0)
-        assert reg.totals() == {"a": 1.0, "b": 2.0}
-
-    def test_reset(self):
-        reg = TimerRegistry()
-        reg.get("a").add(1.0)
-        reg.reset()
-        assert reg.totals() == {}

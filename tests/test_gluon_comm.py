@@ -80,14 +80,6 @@ class TestPhases:
         # One shared default record, not one per message.
         assert len(net.phase_records) == 1
 
-    def test_records_for(self):
-        net = SimulatedNetwork(2)
-        with net.phase("x"):
-            net.send(0, 1, 0)
-        with net.phase("y"):
-            net.send(0, 1, 0)
-        assert len(list(net.records_for("x"))) == 1
-
     def test_conservation_sent_equals_received(self):
         net = SimulatedNetwork(4)
         rng = np.random.default_rng(0)

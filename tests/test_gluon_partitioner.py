@@ -125,7 +125,7 @@ class TestReplicateAll:
 
     def test_replication_factor(self):
         parts = replicate_all_partitions(6, 3)
-        total = sum(p.replication_factor_contrib() for p in parts)
+        total = sum(p.num_local for p in parts)
         assert total / 6 == 3.0
 
 

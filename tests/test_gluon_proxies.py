@@ -2,7 +2,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from repro.gluon.proxies import block_boundaries, block_owner, block_owner_array
+from repro.gluon.proxies import block_boundaries, block_owner_array
 
 
 class TestBlockBoundaries:
@@ -29,23 +29,21 @@ class TestBlockBoundaries:
 class TestBlockOwner:
     def test_basic(self):
         b = block_boundaries(10, 4)  # [0,3,6,8,10]
-        assert block_owner(0, b) == 0
-        assert block_owner(2, b) == 0
-        assert block_owner(3, b) == 1
-        assert block_owner(9, b) == 3
+        assert block_owner_array([0, 2, 3, 9], b).tolist() == [0, 0, 1, 3]
 
     def test_out_of_range(self):
         b = block_boundaries(4, 2)
         with pytest.raises(IndexError):
-            block_owner(4, b)
+            block_owner_array([4], b)
         with pytest.raises(IndexError):
-            block_owner(-1, b)
+            block_owner_array([-1], b)
 
     def test_array_form_matches_scalar(self):
         b = block_boundaries(17, 5)
         nodes = np.arange(17)
         owners = block_owner_array(nodes, b)
-        assert [block_owner(int(n), b) for n in nodes] == owners.tolist()
+        scalar = [next(h for h in range(5) if b[h] <= n < b[h + 1]) for n in nodes]
+        assert scalar == owners.tolist()
 
     def test_array_out_of_range(self):
         b = block_boundaries(4, 2)

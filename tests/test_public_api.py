@@ -1,5 +1,7 @@
-"""The documented public surface imports and resolves."""
+"""The documented public surface imports and resolves, and every public
+name has a reader outside the tests."""
 
+import ast
 import importlib
 import os
 from pathlib import Path
@@ -138,3 +140,75 @@ def test_every_module_has_docstring():
         if not (module.__doc__ or "").strip():
             missing.append(info.name)
     assert not missing, f"modules without docstrings: {missing}"
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Public names that nothing outside ``tests/`` reads, kept on purpose.
+KEEPERS = {
+    "repro.core.projection.cosine": "the readable §3 projection math, a spec",
+    "repro.core.projection.combine_pair": "§3 model combination of two gradients, a spec",
+    "repro.core.projection.combine_sequence": "the MC oracle of test_sync_properties",
+    "repro.core.validity.direction_validity": "the §3 descent-direction validity oracle",
+    "repro.experiments.stats.repeat_runs": "the multi-seed protocol ROADMAP item M runs on",
+    "repro.analysis.lint.lint_source": "lints one source in process; the rule battery's driver",
+}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Identifiers ``node`` loads, imports or reads as attributes."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rsplit(".", 1)[-1])
+    return found
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    )
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def orphans(root: Path = REPO_ROOT) -> set[str]:
+    """Public top-level names of ``src/repro`` that no code outside
+    ``tests/`` reads: no module of ``src/``, ``bench/``, ``benchmarks/`` or
+    ``examples/`` but their own, and no statement of their own module but
+    their definition.  Export tables list names as strings and read none."""
+    readers: dict[str, set[Path]] = {}
+    statements: dict[Path, list[tuple[ast.stmt, set[str]]]] = {}
+    for folder in ("src/repro", "bench", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            statements[path] = [(node, _reads(node)) for node in tree.body]
+            for _, names in statements[path]:
+                for name in names:
+                    readers.setdefault(name, set()).add(path)
+    found = set()
+    for path in (root / "src" / "repro").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for node, _ in statements[path]:
+            for name in _defined(node):
+                if name.startswith("_") or readers.get(name, set()) - {path}:
+                    continue
+                if not any(name in names for other, names in statements[path] if other is not node):
+                    found.add(f"{module}.{name}")
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    """A public name only its own unit test reads is dead code: delete it
+    with its test, or give the reason to keep it in ``KEEPERS``."""
+    found = orphans()
+    assert not found - set(KEEPERS), f"no reader outside tests/: {sorted(found - set(KEEPERS))}"
+    stale = set(KEEPERS) - found
+    assert not stale, f"KEEPERS entries that are gone or now have a reader: {sorted(stale)}"

@@ -94,7 +94,6 @@ class TestBatchingPolicy:
         engine = QueryEngine(make_index(), max_batch=4)
         engine.query([f"w{i:03d}" for i in range(10)])
         assert engine.stats.batch_sizes == [4, 4, 2]
-        assert engine.stats.batch_size_histogram() == {2: 1, 4: 2}
         assert engine.stats.queries == 10
         assert len(engine.stats.batch_seconds) == 3
 

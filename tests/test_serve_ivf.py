@@ -80,7 +80,7 @@ class TestIVFIndex:
     def test_cell_layout_partitions_store(self):
         store = make_store()
         ivf = IVFIndex(store, nlist=16, seed=3)
-        sizes = ivf.cell_sizes()
+        sizes = np.diff(ivf._offsets)
         assert sizes.sum() == len(store)
         assert sorted(ivf._row_of_position.tolist()) == list(range(len(store)))
 
@@ -88,8 +88,12 @@ class TestIVFIndex:
         store = make_store(V=60)
         ivf = IVFIndex(store, nlist=6, seed=3)
         assignment = assign_cells(store.normalized(), ivf.centroids)
-        for row in (0, 17, 59):
-            assert ivf.cell_of(row) == assignment[row]
+        # Cell c holds positions offsets[c]:offsets[c + 1] of the layout.
+        cell_of_row = np.empty(len(store), dtype=np.int64)
+        cell_of_row[ivf._row_of_position] = np.repeat(
+            np.arange(ivf.nlist), np.diff(ivf._offsets)
+        )
+        np.testing.assert_array_equal(cell_of_row, assignment)
 
     def test_same_seed_rebuild_bit_identical(self):
         store = make_store()

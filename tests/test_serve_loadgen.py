@@ -52,10 +52,12 @@ class TestGenerateQueries:
             generate_queries(0, LoadConfig())
         with pytest.raises(ValueError, match="num_queries"):
             LoadConfig(num_queries=-1)
-        with pytest.raises(ValueError, match="zipf_exponent"):
-            LoadConfig(zipf_exponent=-1)
-        with pytest.raises(ValueError, match="arrival_qps"):
-            LoadConfig(arrival_qps=0)
+        for bad in (-1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="zipf_exponent"):
+                LoadConfig(zipf_exponent=bad)
+        for bad in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="arrival_qps"):
+                LoadConfig(arrival_qps=bad)
         with pytest.raises(ValueError, match="k must be positive"):
             LoadConfig(k=0)
 

@@ -9,10 +9,10 @@ from repro.serve.store import EmbeddingStore
 from repro.text.vocab import Vocabulary
 from repro.util import artifact
 from repro.util.rng import default_rng
-from repro.w2v.io import save_word2vec_text
 from repro.w2v.model import Word2VecModel
 
 from tests.test_artifact import SMALL, reseal
+from tests.test_w2v_io import word2vec_text
 
 
 @pytest.fixture
@@ -92,16 +92,11 @@ class TestSources:
             EmbeddingStore.from_model(np.zeros((3, 4), dtype=np.float32), vocab)
 
     def test_from_word2vec_text(self):
-        vocab = Vocabulary({"naïve": 1, "café": 2})
-        model = Word2VecModel.initialize(2, 3, default_rng(0))
-        buf = io.StringIO()
-        save_word2vec_text(model, vocab, buf, precision=9)
-        buf.seek(0)
-        store = EmbeddingStore.from_word2vec_text(buf)
+        matrix = default_rng(0).normal(size=(2, 3)).astype(np.float32)
+        text = word2vec_text(["naïve", "café"], matrix)
+        store = EmbeddingStore.from_word2vec_text(io.StringIO(text))
         assert set(store.words) == {"naïve", "café"}
-        np.testing.assert_allclose(
-            store.vector(vocab.word_of(0)), model.embedding[0], rtol=1e-6
-        )
+        np.testing.assert_array_equal(store.vector("naïve"), matrix[0])
 
     def test_from_checkpoint(self):
         vocab = Vocabulary({"a": 1, "b": 1})

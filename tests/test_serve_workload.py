@@ -4,10 +4,10 @@ Contracts pinned here:
 
 - **Arrivals** — every process is seed-deterministic, non-decreasing and
   non-negative; :class:`PoissonArrivals` reproduces the PR-4 load
-  generator's schedule bit-for-bit; the piecewise-constant processes
-  (burst, staged) invert their cumulative intensity *exactly* (checked
-  against hand-computed warps of a stubbed unit-rate stream); burst
-  trains concentrate arrivals inside the burst windows.
+  generator's schedule bit-for-bit; burst trains invert their
+  piecewise-constant cumulative intensity *exactly* (checked against
+  hand-computed warps of a stubbed unit-rate stream) and concentrate
+  arrivals inside the burst windows.
 - **Tenants** — a single-tenant mix reproduces the legacy
   ``generate_queries`` stream bit-for-bit; every tenant's ids stay in
   its vocabulary slice; weights skew the assignment; the interleaved
@@ -43,12 +43,9 @@ from repro.serve.shard import ShardedEngine
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload import (
     BurstArrivals,
-    DiurnalArrivals,
     PoissonArrivals,
     RampStage,
     SLORule,
-    Stage,
-    StagedArrivals,
     StoreSpec,
     TenantMix,
     TenantSpec,
@@ -70,12 +67,11 @@ from repro.util.rng import keyed_rng
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 _STORE_DOMAIN = 0x574C53  # "WLS" — workload-test stores
+NAN, INF = json.loads("[NaN, Infinity]")
 
 PROCESSES = [
     PoissonArrivals(qps=1500.0),
-    DiurnalArrivals(base_qps=1000.0, amplitude=0.6, period_s=0.5),
     BurstArrivals(base_qps=200.0, burst_qps=4000.0, period_s=0.5, burst_s=0.05),
-    StagedArrivals((Stage(qps=500.0, seconds=0.2), Stage(qps=2000.0, seconds=0.2))),
 ]
 
 
@@ -117,15 +113,10 @@ class TestArrivals:
         assert np.all(np.diff(times) >= 0.0)
         assert not np.array_equal(times, arrival_times_us(process, 300, 10))
 
-    @pytest.mark.parametrize(
-        "process",
-        [PROCESSES[0], PROCESSES[2], PROCESSES[3]],
-        ids=["poisson", "burst", "staged"],
-    )
+    @pytest.mark.parametrize("process", PROCESSES, ids=lambda p: p.as_dict()["kind"])
     def test_streams_share_a_prefix(self, process):
         # One rng draw per query + exact inversion -> longer streams extend
-        # shorter ones (the diurnal grid inversion is only approximately
-        # prefix-stable, so it is excluded).
+        # shorter ones.
         short = arrival_times_us(process, 100, 21)
         long = arrival_times_us(process, 250, 21)
         np.testing.assert_array_equal(short, long[:100])
@@ -133,22 +124,6 @@ class TestArrivals:
     def test_empty_stream(self):
         for process in PROCESSES:
             assert arrival_times_us(process, 0, 3).shape == (0,)
-
-    def test_staged_inverts_exactly(self):
-        # Unit gaps -> unit-rate partial sums 1..4; stage one covers
-        # Lambda in [0, 6] at 2 qps, so arrival i lands at t = i/2.
-        staged = StagedArrivals((Stage(qps=2.0, seconds=3.0),))
-        times = staged.times_us(4, _UnitGapRng())
-        np.testing.assert_allclose(times, np.array([0.5, 1.0, 1.5, 2.0]) * 1e6)
-
-    def test_staged_final_stage_extends(self):
-        # Stage one exhausts at Lambda = 2 (two arrivals); the final 4 qps
-        # stage absorbs the rest: sums 3 and 4 land 0.25s apart after t=1.
-        staged = StagedArrivals(
-            (Stage(qps=2.0, seconds=1.0), Stage(qps=4.0, seconds=0.25))
-        )
-        times = staged.times_us(4, _UnitGapRng())
-        np.testing.assert_allclose(times, np.array([0.5, 1.0, 1.25, 1.5]) * 1e6)
 
     def test_burst_inverts_exactly(self):
         # period 1s = 0.5s at 3 qps (Lambda gain 1.5) + 0.5s at 1 qps
@@ -171,24 +146,11 @@ class TestArrivals:
         # a uniform process would put only 10% in the windows.
         assert in_burst > 0.5
 
-    def test_diurnal_zero_amplitude_is_poisson(self):
-        flat = arrival_times_us(
-            DiurnalArrivals(base_qps=800.0, amplitude=0.0, period_s=1.0), 400, 6
-        )
-        poisson = arrival_times_us(PoissonArrivals(qps=800.0), 400, 6)
-        np.testing.assert_allclose(flat, poisson, rtol=1e-9)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="qps"):
             PoissonArrivals(qps=0.0)
-        with pytest.raises(ValueError, match="amplitude"):
-            DiurnalArrivals(amplitude=1.0)
         with pytest.raises(ValueError, match="burst_s"):
             BurstArrivals(period_s=0.1, burst_s=0.1)
-        with pytest.raises(ValueError, match="at least one stage"):
-            StagedArrivals(())
-        with pytest.raises(ValueError, match="seconds"):
-            Stage(qps=10.0, seconds=0.0)
         with pytest.raises(ValueError, match="concurrency"):
             RampStage(concurrency=0)
         with pytest.raises(ValueError, match="non-negative"):
@@ -204,9 +166,7 @@ class TestArrivals:
         with pytest.raises(ValueError, match="bad arrival spec"):
             arrivals_from_dict({"kind": "poisson", "qqps": 10.0})
         with pytest.raises(ValueError, match="bad arrival spec"):
-            arrivals_from_dict(
-                {"kind": "staged", "stages": [{"qps": 1.0, "seconds": 1.0}], "x": 1}
-            )
+            arrivals_from_dict({"kind": ["poisson"]})
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -564,11 +524,25 @@ class TestWorkloadSpec:
             ({"k": "10"}, "k"),
             ({"store": {"vocab_size": 2.5}}, "vocab_size"),
             ({"arrivals": {"kind": "poisson", "qps": "fast"}}, "qps"),
-            ({"arrivals": {"kind": "staged"}}, "stages"),
+            ({"arrivals": {"kind": "burst", "burst_s": "x"}}, "burst_s"),
             ({"ramp": [{"concurrency": 1.5}]}, "concurrency"),
             ({"slos": [{"metric": "qps", "min": [1]}]}, "min"),
             ({"tenants": [{"name": "t", "vocab": [0, "1"]}]}, "vocab"),
             ({"seed": -1}, "seed"),
+            # json.load reads NaN and Infinity; rates, weights and scales
+            # must be finite, not NaN or all-zero timestamps downstream.
+            ({"arrivals": {"kind": "poisson", "qps": INF}}, "qps"),
+            ({"arrivals": {"kind": "poisson", "qps": NAN}}, "qps"),
+            ({"arrivals": {"kind": "burst", "base_qps": NAN}}, "base_qps"),
+            ({"arrivals": {"kind": "burst", "burst_qps": NAN}}, "burst_qps"),
+            ({"arrivals": {"kind": "burst", "burst_s": NAN}}, "burst_s"),
+            ({"arrivals": {"kind": "burst", "period_s": INF}}, "period_s"),
+            ({"tenants": [{"name": "t", "weight": NAN}]}, "weight"),
+            ({"tenants": [{"name": "t", "weight": INF}]}, "weight"),
+            ({"tenants": [{"name": "t", "zipf_exponent": NAN}]}, "zipf_exponent"),
+            ({"tenants": [{"name": "t", "zipf_exponent": INF}]}, "zipf_exponent"),
+            ({"store": {"spread": NAN}}, "spread"),
+            ({"store": {"spread": INF}}, "spread"),
         ],
     )
     def test_json_boundary_names_the_field(self, patch, field):
@@ -770,7 +744,7 @@ class TestRunner:
             max_batch=64,
         )
         report = run_workload(spec)
-        # Stage one (9 queries, waves of 3) splits its second wave at the
+        # Ramp stage one (9 queries, waves of 3) splits its second wave at the
         # warm-up boundary; stage two drains the remaining 11 in waves of 5.
         assert report.batch_sizes == [3, 2, 3, 1, 5, 5, 1]
         assert report.warmup_batches == 2

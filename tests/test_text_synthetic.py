@@ -97,9 +97,7 @@ class TestGenerateCorpus:
 
     def test_kind_split(self):
         _, questions = generate_corpus(small_spec(), seed=0)
-        assert questions.by_kind(SEMANTIC)
-        assert questions.by_kind(SYNTACTIC)
-        assert len(questions.by_kind(SEMANTIC)) + len(questions.by_kind(SYNTACTIC)) == len(questions)
+        assert {q.kind for q in questions} == {SEMANTIC, SYNTACTIC}
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 
 from repro.text.corpus import Corpus
-from repro.text.tokenize import sentences_from_lines, simple_tokenize
+from repro.text.tokenize import simple_tokenize
 
 
 class TestSimpleTokenize:
@@ -21,12 +21,6 @@ class TestSimpleTokenize:
     @given(st.text(max_size=100))
     def test_never_produces_empty_tokens(self, text):
         assert all(t for t in simple_tokenize(text))
-
-
-class TestSentencesFromLines:
-    def test_skips_empty_lines(self):
-        lines = ["Hello world", "", "  !!!  ", "again"]
-        assert list(sentences_from_lines(lines)) == [["hello", "world"], ["again"]]
 
 
 class TestCorpusFromFile:

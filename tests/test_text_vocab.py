@@ -11,7 +11,7 @@ class TestConstruction:
     def test_from_sentences_counts(self):
         vocab = Vocabulary.from_sentences([["the", "quick", "the"], ["fox"]])
         assert len(vocab) == 3
-        assert vocab.total_words == 4
+        assert vocab.counts.sum() == 4
         assert vocab.counts[vocab.id_of("the")] == 2
 
     def test_min_count_filters(self):

@@ -1,8 +1,7 @@
 from hypothesis import given, strategies as st
 import numpy as np
-import pytest
 
-from repro.util.rng import SeedSequenceTree, default_rng, hash64, spawn_rngs
+from repro.util.rng import SeedSequenceTree, default_rng, hash64
 
 
 class TestDefaultRng:
@@ -16,26 +15,6 @@ class TestDefaultRng:
 
     def test_none_uses_library_default(self):
         assert default_rng().integers(1 << 30) == default_rng(None).integers(1 << 30)
-
-
-class TestSpawnRngs:
-    def test_streams_are_stable_prefixes(self):
-        few = spawn_rngs(9, 2)
-        many = spawn_rngs(9, 5)
-        for a, b in zip(few, many):
-            assert a.integers(1 << 30) == b.integers(1 << 30)
-
-    def test_streams_are_distinct(self):
-        rngs = spawn_rngs(3, 4)
-        draws = [r.random(16).tobytes() for r in rngs]
-        assert len(set(draws)) == 4
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_zero_count_ok(self):
-        assert spawn_rngs(0, 0) == []
 
 
 class TestSeedSequenceTree:
