@@ -11,14 +11,13 @@ instead of trusting them:
   rules (unseeded RNG use, wall-clock in compute paths, nondeterministic
   set/dict iteration in sync code, closure mutation inside ``do_all``
   operators).  Run it as ``python -m repro.analysis [paths]``.
-- :mod:`repro.analysis.dataflow` — interprocedural dataflow passes over a
+- :mod:`repro.analysis.dataflow` — interprocedural passes over a
   whole-package call graph (:mod:`repro.analysis.callgraph`) and
-  per-function effect/seed summaries (:mod:`repro.analysis.summaries`):
-  seed-key collisions and underkeyed streams (``REPRO101/102``),
-  statically-possible cross-chunk ``do_all`` overlaps (``REPRO111/112``),
-  and gluon sync-protocol violations (``REPRO121/122``).  Run with
-  ``python -m repro.analysis --dataflow [paths]``; numeric kernels opt
-  out of body analysis with :func:`repro.analysis.effects.declare_effects`.
+  per-function effect summaries (:mod:`repro.analysis.summaries`):
+  statically-possible cross-chunk ``do_all`` overlaps (``REPRO111/112``).
+  Run with ``python -m repro.analysis --dataflow [paths]``; numeric
+  kernels opt out of body analysis with
+  :func:`repro.analysis.effects.declare_effects`.
 - :mod:`repro.analysis.runtime` — runtime sanitizers: a ``do_all`` data-race
   detector that shadow-records per-chunk NumPy access sets, and a
   :class:`~repro.analysis.runtime.GluonSyncChecker` that tracks per-field

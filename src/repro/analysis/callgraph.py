@@ -17,7 +17,7 @@ for the rule passes:
    ``("listof", T)``.  Types the program does not define (``np.ndarray``,
    or classes outside the analyzed file set) stay nominal: the dotted
    annotation text is kept so rules can still match on the class *name*
-   (``FieldSync``, ``BitVector``) without resolving the class body.
+   (``GAccumulator``) without resolving the class body.
 
 Everything here is approximate by design.  The analyzer trades soundness
 at the edges (unresolvable calls simply produce no edge) for zero false
@@ -72,11 +72,10 @@ def type_basename(tref: Optional[TypeRef]) -> Optional[str]:
 class ModuleInfo:
     name: str
     path: str
-    source: str
     tree: ast.Module
     is_package: bool = False
     imports: dict = field(default_factory=dict)  # alias -> dotted target
-    constants: dict = field(default_factory=dict)  # NAME -> int|str|float literal
+    constants: set = field(default_factory=set)  # names bound to an int|str|float literal
     functions: dict = field(default_factory=dict)  # top-level name -> FunctionInfo
     classes: dict = field(default_factory=dict)  # top-level name -> ClassInfo
 
@@ -122,10 +121,6 @@ class FunctionInfo:
             return names[1:]
         return names
 
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
-
 
 def _module_name_for(path: Path) -> str:
     parts = list(path.resolve().with_suffix("").parts)
@@ -169,7 +164,6 @@ class Program:
 
     def __init__(self) -> None:
         self.modules: dict = {}  # module name -> ModuleInfo
-        self.modules_by_path: dict = {}  # str path -> ModuleInfo
         self.functions: dict = {}  # qname -> FunctionInfo
         self.classes: dict = {}  # qname -> ClassInfo
         self._declared_by_name: dict = {}  # bare name -> [FunctionInfo with effects]
@@ -185,20 +179,14 @@ class Program:
         program = cls()
         for path in files:
             path = Path(path)
-            source = path.read_text(encoding="utf-8")
-            try:
-                tree = ast.parse(source, filename=str(path))
-            except SyntaxError:
-                raise
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             mod = ModuleInfo(
                 name=_module_name_for(path),
                 path=str(path),
-                source=source,
                 tree=tree,
                 is_package=path.name == "__init__.py",
             )
             program.modules[mod.name] = mod
-            program.modules_by_path[mod.path] = mod
             program._index_module(mod)
         # Attribute types need the full function index, so resolve lazily
         # via class_attr_types(); nothing else to do up front.
@@ -223,16 +211,15 @@ class Program:
                         continue
                     mod.imports[alias.asname or alias.name] = f"{base}.{alias.name}" if base else alias.name
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    value = node.value
-                    if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
-                        value = value.operand
-                        if isinstance(value, ast.Constant) and isinstance(value.value, (int, float)):
-                            mod.constants[target.id] = -value.value
-                        continue
-                    if isinstance(value, ast.Constant) and isinstance(value.value, (int, float, str)):
-                        mod.constants[target.id] = value.value
+                target, value = node.targets[0], node.value
+                if isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub):
+                    value = value.operand
+                if (
+                    isinstance(target, ast.Name)
+                    and isinstance(value, ast.Constant)
+                    and isinstance(value.value, (int, float, str))
+                ):
+                    mod.constants.add(target.id)
 
         self._index_body(mod, mod.tree.body, prefix=mod.name, cls=None, parent=None)
 
@@ -241,12 +228,14 @@ class Program:
             if isinstance(node, _FUNC_NODES):
                 self._index_function(mod, node, prefix, cls, parent)
             elif isinstance(node, ast.ClassDef) and parent is None and cls is None:
+                # A generic base ``Base[T]`` is ``Base`` for method lookup.
+                bases = [b.value if isinstance(b, ast.Subscript) else b for b in node.bases]
                 cinfo = ClassInfo(
                     qname=f"{prefix}.{node.name}",
                     name=node.name,
                     module=mod,
                     node=node,
-                    bases=tuple(filter(None, (dotted_name(b) for b in node.bases))),
+                    bases=tuple(filter(None, map(dotted_name, bases))),
                 )
                 mod.classes[node.name] = cinfo
                 self.classes[cinfo.qname] = cinfo
@@ -297,9 +286,6 @@ class Program:
             if name in scope.children:
                 return scope.children[name]
             scope = scope.parent
-        if finfo.cls is not None and name in finfo.cls.methods:
-            # Bare method-name calls do not happen in Python; skip.
-            pass
         mod = finfo.module
         if name in mod.functions:
             return mod.functions[name]
@@ -314,9 +300,6 @@ class Program:
                 or dotted
             )
         return None
-
-    def class_for_basename(self, dotted: str) -> Optional[ClassInfo]:
-        return self.classes.get(dotted)
 
     def lookup_method(self, cinfo: ClassInfo, name: str, _seen=None) -> Optional[FunctionInfo]:
         if _seen is None:
@@ -631,9 +614,10 @@ def _shallow_defs(body):
 
 
 def _shallow_stmts(node):
-    """All statements in a function body, not descending into nested defs."""
+    """All statements in a function body, not descending into nested defs
+    (a lambda's body is an expression: none)."""
     out = []
-    stack = list(node.body)
+    stack = list(node.body) if isinstance(node.body, list) else []
     while stack:
         stmt = stack.pop()
         if isinstance(stmt, (*_FUNC_NODES, ast.ClassDef)):

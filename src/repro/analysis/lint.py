@@ -29,11 +29,10 @@ Project-specific rules that encode the repository's determinism contract
   accumulators/worklists (:mod:`repro.galois.accumulators`), or
   single-writer cells indexed by the operator's own parameter.
 
-The interprocedural rule families (``REPRO101/102`` seed flow,
-``REPRO111/112`` do_all effect overlaps, ``REPRO121/122`` gluon sync
-protocol) live in :mod:`repro.analysis.dataflow` and run with
-``--dataflow``; they report through the same reporters and suppression
-machinery as the local rules above.
+The interprocedural ``do_all`` effect rules (``REPRO111/112``) live in
+:mod:`repro.analysis.dataflow` and run with ``--dataflow``; they report
+through the same reporters and suppression machinery as the local rules
+above.
 
 Suppression: append ``# repro: noqa[REPRO003]`` (or bare
 ``# repro: noqa`` for all rules) to the offending line, or opt a whole
@@ -136,18 +135,6 @@ RULES: dict[str, Rule] = {
         "or param-indexed single-writer cells",
     ),
     # Interprocedural dataflow rules (repro.analysis.dataflow, --dataflow).
-    "REPRO101": Rule(
-        "REPRO101",
-        "seed-collision",
-        "two stochastic sites instantiate the same constant seed key; their "
-        "'independent' streams are bit-identical",
-    ),
-    "REPRO102": Rule(
-        "REPRO102",
-        "seed-underkeyed",
-        "seed key ignores an available per-host/per-round parameter; every "
-        "value of it sees the same RNG stream",
-    ),
     "REPRO111": Rule(
         "REPRO111",
         "doall-write-overlap",
@@ -159,18 +146,6 @@ RULES: dict[str, Rule] = {
         "doall-read-overlap",
         "do_all operator reads shared storage the same loop writes, outside "
         "its own item (cross-chunk read-write overlap)",
-    ),
-    "REPRO121": Rule(
-        "REPRO121",
-        "gluon-unflagged-write",
-        "FieldSync mirror write can reach a round barrier without set_many "
-        "flagging; the fold never reduces the delta",
-    ),
-    "REPRO122": Rule(
-        "REPRO122",
-        "gluon-stale-read",
-        "FieldSync mirror read outside master_block_slice confinement may "
-        "observe pre-sync staleness beyond PullModel's contract",
     ),
     "REPRO900": Rule(
         "REPRO900",
@@ -233,6 +208,7 @@ _WALLCLOCK_FNS = frozenset(
 
 #: Constructors whose instances an operator may mutate from a closure:
 #: thread-safe reducibles and worklists with single-writer discipline.
+#: The dataflow summaries never descend into a method called on one.
 _SANCTIONED_CTORS = frozenset(
     {
         "GAccumulator",
@@ -888,7 +864,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--dataflow",
         action="store_true",
-        help="also run the interprocedural dataflow passes (REPRO1xx)",
+        help="also run the interprocedural do_all passes (REPRO111/112)",
     )
     parser.add_argument(
         "--report-unused-noqa",

@@ -11,20 +11,16 @@ single call:
   of intermediate subscripts (``works[host]`` → ``{host}``), and
   ``index`` the tags of the final subscript (``None`` means the whole
   object).  Tags name the parameters an index expression is derived
-  from, plus the special tags ``"const"`` (literal-only), ``"other"``
-  (data the analysis cannot attribute), and ``"master"`` (derived from a
-  ``master_block_slice`` call — the confined-read contract).
-- **Seed sites** — calls into :mod:`repro.util.rng` (``derive_seed``,
-  ``keyed_rng``) with each key argument abstracted to a
-  constant, a parameter reference, or an opaque atom.
-- **Flags / barriers** — whether the function marks written rows for the
-  synchronizer (``set_many``, or ``set`` on a ``BitVector``) and whether
-  it reaches a round barrier (``fold``/``sync_value``).
+  from, plus the special tags ``"const"`` (literal-only) and ``"other"``
+  (data the analysis cannot attribute).
 - **Call sites and ``do_all`` operators** — resolved edges with argument
   bindings, so effects compose transitively (depth-limited).
 
 Functions carrying ``@declare_effects`` are *not* descended into: their
-declaration is the summary (see :mod:`repro.analysis.effects`).
+declaration is the summary (see :mod:`repro.analysis.effects`).  Neither
+are methods called on a sanctioned receiver (an accumulator, a worklist):
+their single-writer discipline is the contract, so a reducer's own cells
+are never reported as the operator's writes.
 """
 
 from __future__ import annotations
@@ -35,14 +31,13 @@ import re
 from typing import Optional
 
 from .callgraph import FunctionInfo, Program, dotted_name, type_basename
+from .lint import _SANCTIONED_CTORS
 
-__all__ = ["Effect", "SeedSite", "CallSite", "Summary", "SummaryBuilder"]
+__all__ = ["Effect", "CallSite", "Summary", "SummaryBuilder"]
 
 _MAX_DEPTH = 3
 _MAX_EFFECTS = 400
 
-_SEED_FUNCS = {"derive_seed", "keyed_rng"}
-_BARRIER_FUNCS = {"fold", "sync_value"}
 _MUTATOR_METHODS = {
     "append",
     "extend",
@@ -54,14 +49,6 @@ _MUTATOR_METHODS = {
     "setdefault",
     "push",
     "clear",
-}
-# Receivers whose mutation is chunk-safe by design (mirrors the list in
-# repro.analysis.lint for REPRO005).
-_SANCTIONED_TYPES = {
-    "GAccumulator",
-    "ChunkedWorklist",
-    "Worklist",
-    "DoAllRaceSanitizer",
 }
 
 _DECLARED_SPEC_RE = re.compile(r"^(?:(self)\.)?(\w+)(?:\[(\w+)\])?$")
@@ -77,8 +64,6 @@ class Effect:
     path: str
     line: int
     col: int
-    gluon: Optional[str] = None  # "arrays" when a FieldSync replica is touched
-    via: str = ""  # qname of the function that performs the access
 
     def describe(self) -> str:
         kind, name = self.root
@@ -91,21 +76,9 @@ class Effect:
         return base + "".join(f".{a}" for a in self.attrs)
 
 
-@dataclass(frozen=True)
-class SeedSite:
-    fn: str
-    atoms: tuple  # ("const", v) | ("param", name) | ("opaque", ...)
-    ref_tags: frozenset  # tags referenced anywhere in the key expression
-    path: str
-    line: int
-    col: int
-
-
 @dataclass
 class CallSite:
-    caller: str
     callees: list
-    bound_exprs: dict  # callee param name -> actual AST expression
     bindings_abs: dict  # callee param name -> Effect-shaped abstraction or None
     binding_tags: dict  # callee param name -> frozenset of caller tags
     recv_abs: Optional["Abstraction"]
@@ -119,23 +92,20 @@ class Abstraction:
     root: tuple
     attrs: tuple
     select: frozenset
-    gluon: Optional[str] = None
 
 
 @dataclass
 class Summary:
-    finfo: FunctionInfo
     effects: list = field(default_factory=list)
-    seeds: list = field(default_factory=list)
     calls: list = field(default_factory=list)
     doall_ops: list = field(default_factory=list)  # (op FunctionInfo, call node)
-    has_flags: bool = False
-    has_barrier: bool = False
 
 
 def _shallow_nodes(fn_node):
-    """Every AST node in a function body, excluding nested defs/lambdas."""
-    stack = list(fn_node.body)
+    """Every AST node in a function body (a lambda's is one expression),
+    excluding nested defs/lambdas."""
+    body = fn_node.body
+    stack = list(body) if isinstance(body, list) else [body]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
@@ -155,7 +125,6 @@ class SummaryBuilder:
         self._derivs: dict = {}
         self._closure_cache: dict = {}
         self._lambda_counter = 0
-        self._callers: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Tag and abstraction machinery
@@ -224,11 +193,7 @@ class SummaryBuilder:
         local_tags = self.name_tags(finfo)
         params = set(finfo.params)
         for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func) or ""
-                if name.rsplit(".", 1)[-1] == "master_block_slice":
-                    tags.add("master")
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name):
                 saw_symbol = True
                 if node.id in params:
                     tags.add(node.id)
@@ -257,14 +222,10 @@ class SummaryBuilder:
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target = node.targets[0]
                     if isinstance(target, ast.Name):
-                        ab = self._abstract(node.value, finfo, allow_index=False)
+                        ab = self.abstract_expr(node.value, finfo)
                         if ab is not None and ab.root[0] in ("param", "self", "closure", "global"):
                             derivs[target.id] = ab
         return derivs
-
-    def abstract_expr(self, expr, finfo: FunctionInfo):
-        """Abstraction of a value/receiver expression (subscripts -> select)."""
-        return self._abstract(expr, finfo, allow_index=False)
 
     def abstract_target(self, expr, finfo: FunctionInfo):
         """(Abstraction, index_tags) for a store target; index is the tags
@@ -274,25 +235,19 @@ class SummaryBuilder:
         if isinstance(node, ast.Subscript):
             index = self.tags_of_expr(node.slice, finfo)
             node = node.value
-        ab = self._abstract(node, finfo, allow_index=False)
+        ab = self.abstract_expr(node, finfo)
         return ab, index
 
-    def _abstract(self, expr, finfo: FunctionInfo, *, allow_index: bool, depth: int = 0):
-        if depth > 8:
-            return None
+    def abstract_expr(self, expr, finfo: FunctionInfo):
+        """Abstraction of a value/receiver expression (subscripts -> select)."""
         attrs = []
         select = set()
-        gluon = None
         node = expr
         while True:
             if isinstance(node, ast.Subscript):
                 select |= self.tags_of_expr(node.slice, finfo)
                 node = node.value
             elif isinstance(node, ast.Attribute):
-                if node.attr == "arrays" and gluon is None:
-                    owner_t = self.program.expr_type(node.value, finfo)
-                    if type_basename(owner_t) == "FieldSync":
-                        gluon = "arrays"
                 attrs.append(node.attr)
                 node = node.value
             else:
@@ -301,40 +256,39 @@ class SummaryBuilder:
         root = self._root_of(node, finfo)
         if root is None:
             return None
-        base_root, base_attrs, base_select, base_gluon = root
+        base_root, base_attrs, base_select = root
         return Abstraction(
             root=base_root,
             attrs=base_attrs + tuple(attrs),
             select=frozenset(base_select) | frozenset(select),
-            gluon=gluon or base_gluon,
         )
 
     def _root_of(self, node, finfo: FunctionInfo):
-        """Resolve the base of an access chain -> (root, attrs, select, gluon)."""
+        """Resolve the base of an access chain -> (root, attrs, select)."""
         if not isinstance(node, ast.Name):
             return None
         name = node.id
         if name in ("self", "cls") and finfo.cls is not None:
-            return ("self", "self"), (), frozenset(), None
+            return ("self", "self"), (), frozenset()
         if name in finfo.params:
-            return ("param", name), (), frozenset(), None
+            return ("param", name), (), frozenset()
         derivs = self._local_derivations(finfo)
         if name in derivs:
             d = derivs[name]
-            return d.root, d.attrs, d.select, d.gluon
+            return d.root, d.attrs, d.select
         # Assigned locally but with no trackable derivation?
         if name in self.local_names(finfo):
-            return ("var", name), (), frozenset(), None
+            return ("var", name), (), frozenset()
         # Enclosing function scopes (closure capture).
         scope = finfo.parent
         while scope is not None:
             if name in scope.params or name in self.local_names(scope):
                 pd = self._local_derivations(scope).get(name)
                 if pd is not None:
-                    return pd.root, pd.attrs, pd.select, pd.gluon
+                    return pd.root, pd.attrs, pd.select
                 if name in scope.params:
-                    return ("param", name), (), frozenset(), None
-                return ("closure", name), (), frozenset(), None
+                    return ("param", name), (), frozenset()
+                return ("closure", name), (), frozenset()
             scope = scope.parent
         mod = finfo.module
         if name in mod.functions or name in mod.classes or name in mod.imports:
@@ -342,7 +296,7 @@ class SummaryBuilder:
         if name in mod.constants:
             return None
         # Unknown: module-level mutable state or a builtin.
-        return ("global", f"{mod.name}:{name}"), (), frozenset(), None
+        return ("global", f"{mod.name}:{name}"), (), frozenset()
 
     # ------------------------------------------------------------------
     # Direct summaries
@@ -351,7 +305,7 @@ class SummaryBuilder:
         cached = self._summaries.get(finfo.qname)
         if cached is not None:
             return cached
-        self._summaries[finfo.qname] = s = Summary(finfo=finfo)
+        self._summaries[finfo.qname] = s = Summary()
         path = finfo.module.path
         sanctioned_locals = self._sanctioned_locals(finfo)
 
@@ -383,8 +337,6 @@ class SummaryBuilder:
                             path,
                             node.lineno,
                             node.col_offset,
-                            gluon=ab.gluon,
-                            via=finfo.qname,
                         )
                     )
             elif isinstance(node, ast.Call):
@@ -394,34 +346,21 @@ class SummaryBuilder:
         return s
 
     def _sanctioned_locals(self, finfo: FunctionInfo) -> set:
+        """Names bound to a sanctioned constructor here or in an enclosing
+        scope (closed-over accumulators count too)."""
         out = set()
-        for node in _shallow_nodes(finfo.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-                if (
-                    isinstance(target, ast.Name)
-                    and isinstance(value, ast.Call)
-                    and (dotted_name(value.func) or "").rsplit(".", 1)[-1] in _SANCTIONED_TYPES
-                ):
-                    out.add(target.id)
-        # Closed-over sanctioned accumulators count too.
-        scope = finfo.parent
+        scope = finfo
         while scope is not None:
-            out |= self._sanctioned_locals_shallow(scope)
+            for node in _shallow_nodes(scope.node):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                    if (
+                        isinstance(target, ast.Name)
+                        and isinstance(value, ast.Call)
+                        and (dotted_name(value.func) or "").rsplit(".", 1)[-1] in _SANCTIONED_CTORS
+                    ):
+                        out.add(target.id)
             scope = scope.parent
-        return out
-
-    def _sanctioned_locals_shallow(self, finfo: FunctionInfo) -> set:
-        out = set()
-        for node in _shallow_nodes(finfo.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-                if (
-                    isinstance(target, ast.Name)
-                    and isinstance(value, ast.Call)
-                    and (dotted_name(value.func) or "").rsplit(".", 1)[-1] in _SANCTIONED_TYPES
-                ):
-                    out.add(target.id)
         return out
 
     def _record_store(self, s, target, finfo, path) -> None:
@@ -444,8 +383,6 @@ class SummaryBuilder:
                 path,
                 target.lineno,
                 target.col_offset,
-                gluon=ab.gluon,
-                via=finfo.qname,
             )
         )
 
@@ -454,14 +391,6 @@ class SummaryBuilder:
         fname = dotted_name(func) or ""
         last = fname.rsplit(".", 1)[-1]
 
-        # Seed sites -------------------------------------------------
-        if last in _SEED_FUNCS:
-            self._record_seed(s, call, finfo, path)
-
-        # Barriers ---------------------------------------------------
-        if last in _BARRIER_FUNCS:
-            s.has_barrier = True
-
         # np.copyto(dst, src) ---------------------------------------
         if last == "copyto" and len(call.args) >= 2:
             ab, index = self.abstract_target(call.args[0], finfo)
@@ -469,7 +398,7 @@ class SummaryBuilder:
                 s.effects.append(
                     Effect(
                         "w", ab.root, ab.attrs, ab.select, index, path, call.lineno,
-                        call.col_offset, gluon=ab.gluon, via=finfo.qname,
+                        call.col_offset,
                     )
                 )
             ab2, index2 = self.abstract_target(call.args[1], finfo)
@@ -477,32 +406,28 @@ class SummaryBuilder:
                 s.effects.append(
                     Effect(
                         "r", ab2.root, ab2.attrs, ab2.select, index2, path, call.lineno,
-                        call.col_offset, gluon=ab2.gluon, via=finfo.qname,
+                        call.col_offset,
                     )
                 )
 
-        # Flag-setting and mutator methods --------------------------
+        # Mutator methods; sanctioned receivers end the walk here --------
         if isinstance(func, ast.Attribute):
             recv = func.value
-            if func.attr == "set_many":
-                s.has_flags = True
-            elif func.attr == "set":
-                recv_t = self.program.expr_type(recv, finfo)
-                if type_basename(recv_t) == "BitVector":
-                    s.has_flags = True
+            recv_name = recv.id if isinstance(recv, ast.Name) else None
+            if (
+                recv_name in sanctioned_locals
+                or type_basename(self.program.expr_type(recv, finfo)) in _SANCTIONED_CTORS
+            ):
+                return
             if func.attr in _MUTATOR_METHODS:
-                recv_name = recv.id if isinstance(recv, ast.Name) else None
-                recv_t = self.program.expr_type(recv, finfo)
-                sanctioned = recv_name in sanctioned_locals or type_basename(recv_t) in _SANCTIONED_TYPES
-                if not sanctioned:
-                    ab = self.abstract_expr(recv, finfo)
-                    if ab is not None and ab.root[0] != "var":
-                        s.effects.append(
-                            Effect(
-                                "w", ab.root, ab.attrs, ab.select, None, path, call.lineno,
-                                call.col_offset, gluon=ab.gluon, via=finfo.qname,
-                            )
+                ab = self.abstract_expr(recv, finfo)
+                if ab is not None and ab.root[0] != "var":
+                    s.effects.append(
+                        Effect(
+                            "w", ab.root, ab.attrs, ab.select, None, path, call.lineno,
+                            call.col_offset,
                         )
+                    )
 
         # do_all operators -------------------------------------------
         if last == "do_all":
@@ -532,9 +457,7 @@ class SummaryBuilder:
                     recv_abs = self.abstract_expr(recv, finfo)
             s.calls.append(
                 CallSite(
-                    caller=finfo.qname,
                     callees=callees,
-                    bound_exprs=bound,
                     bindings_abs={k: self.abstract_expr(v, finfo) for k, v in bound.items()},
                     binding_tags={k: self.tags_of_expr(v, finfo) for k, v in bound.items()},
                     recv_abs=recv_abs,
@@ -566,51 +489,6 @@ class SummaryBuilder:
             self.program.functions[qname] = lam
             return lam
         return None
-
-    def _record_seed(self, s, call: ast.Call, finfo, path) -> None:
-        args = list(call.args)
-        if any(isinstance(a, ast.Starred) for a in args):
-            return
-        atoms = tuple(self.atom_of(a, finfo) for a in args)
-        ref_tags = frozenset().union(*(self.tags_of_expr(a, finfo) for a in args)) if args else frozenset()
-        s.seeds.append(
-            SeedSite(
-                fn=finfo.qname,
-                atoms=atoms,
-                ref_tags=ref_tags,
-                path=path,
-                line=call.lineno,
-                col=call.col_offset,
-            )
-        )
-
-    def atom_of(self, arg, finfo):
-        """Abstract one seed-key argument: const, param reference, or opaque."""
-        try:
-            value = ast.literal_eval(arg)
-            if isinstance(value, (int, str)):
-                return ("const", value)
-        except (ValueError, SyntaxError, TypeError):
-            pass
-        node = arg
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("int", "str")
-            and len(node.args) == 1
-        ):
-            node = node.args[0]
-        if isinstance(node, ast.Name):
-            if node.id in finfo.params:
-                return ("param", node.id)
-            if node.id in finfo.module.constants:
-                return ("const", finfo.module.constants[node.id])
-        return (
-            "opaque",
-            finfo.qname,
-            getattr(arg, "lineno", 0),
-            getattr(arg, "col_offset", 0),
-        )
 
     # ------------------------------------------------------------------
     # Transitive (closure) summaries
@@ -660,20 +538,10 @@ class SummaryBuilder:
                     index = frozenset({bracket})
                 else:
                     index = frozenset({"other"})
-                gluon = None
-                if not is_self:
-                    ann = None
-                    for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs):
-                        if a.arg == name:
-                            ann = a.annotation
-                    tref = self.program.resolve_annotation(ann, finfo.module)
-                    if type_basename(tref) == "FieldSync":
-                        gluon = "arrays"
                 out.append(
                     Effect(
                         mode, root, attrs, frozenset(), index, path,
                         getattr(node, "lineno", 1), getattr(node, "col_offset", 0),
-                        gluon=gluon, via=finfo.qname,
                     )
                 )
         return out
@@ -693,7 +561,6 @@ class SummaryBuilder:
                 path=caller.module.path,
                 line=call.line,
                 col=call.col,
-                gluon=eff.gluon or ab.gluon,
             )
         if kind == "self":
             if call.recv_is_self:
@@ -712,7 +579,6 @@ class SummaryBuilder:
                     path=caller.module.path,
                     line=call.line,
                     col=call.col,
-                    gluon=eff.gluon or ab.gluon,
                 )
             return None
         if kind == "global":
@@ -735,62 +601,10 @@ class SummaryBuilder:
             return None
         out = set()
         for tag in tags:
-            if tag in ("const", "other", "master"):
+            if tag in ("const", "other"):
                 out.add(tag)
             elif tag in call.binding_tags:
                 out |= call.binding_tags[tag]
             else:
                 out.add("other")
         return frozenset(out)
-
-    def closure_flags(self, finfo: FunctionInfo, depth: int = _MAX_DEPTH, _stack=frozenset()) -> bool:
-        s = self.summary(finfo)
-        if s.has_flags:
-            return True
-        if depth <= 0 or finfo.declared_effects is not None:
-            return False
-        for call in s.calls:
-            for callee in call.callees:
-                if callee.qname in _stack or callee.qname == finfo.qname:
-                    continue
-                if self.closure_flags(callee, depth - 1, _stack | {finfo.qname}):
-                    return True
-        return False
-
-    def closure_barrier(self, finfo: FunctionInfo, depth: int = _MAX_DEPTH, _stack=frozenset()) -> bool:
-        s = self.summary(finfo)
-        if s.has_barrier:
-            return True
-        if depth <= 0 or finfo.declared_effects is not None:
-            return False
-        for call in s.calls:
-            for callee in call.callees:
-                if callee.qname in _stack or callee.qname == finfo.qname:
-                    continue
-                if self.closure_barrier(callee, depth - 1, _stack | {finfo.qname}):
-                    return True
-        return False
-
-    def callers_map(self) -> dict:
-        """qname -> set of caller qnames (call edges + do_all operator edges)."""
-        if self._callers is not None:
-            return self._callers
-        self._callers = callers = {}
-        for finfo in list(self.program.functions.values()):
-            s = self.summary(finfo)
-            for call in s.calls:
-                for callee in call.callees:
-                    callers.setdefault(callee.qname, set()).add(finfo.qname)
-            for op_fi, _call in s.doall_ops:
-                callers.setdefault(op_fi.qname, set()).add(finfo.qname)
-        return callers
-
-    def caller_sites(self, qname: str):
-        """All (caller FunctionInfo, CallSite) pairs targeting ``qname``."""
-        out = []
-        for finfo in list(self.program.functions.values()):
-            s = self.summary(finfo)
-            for call in s.calls:
-                if any(c.qname == qname for c in call.callees):
-                    out.append((finfo, call))
-        return out

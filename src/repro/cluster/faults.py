@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 import math
 
 from repro.gluon.comm import HEADER_BYTES
-from repro.util.rng import derive_seed, keyed_rng
+from repro.util.rng import Domain, derive_seed, keyed_rng
 
 __all__ = [
     "FaultConfig",
@@ -181,7 +181,7 @@ class FaultSchedule:
             raise ValueError(f"num_hosts must be positive, got {num_hosts}")
         if epochs < 0 or rounds_per_epoch < 0:
             raise ValueError("epochs and rounds_per_epoch must be non-negative")
-        rng = keyed_rng(int(seed), 0xFA017)
+        rng = keyed_rng(int(seed), Domain.FAULT_SCHEDULE)
         crashes: dict[tuple[int, int], tuple[CrashEvent, ...]] = {}
         stragglers: dict[tuple[int, int, int], float] = {}
         lo, hi = config.straggler_factor
@@ -213,7 +213,7 @@ class FaultSchedule:
                             stragglers[(epoch, s, host)] = float(rng.uniform(lo, hi))
                 if round_events:
                     crashes[(epoch, s)] = tuple(round_events)
-        message_seed = derive_seed(int(seed), 0xFA017, 1)
+        message_seed = derive_seed(int(seed), Domain.FAULT_SCHEDULE, 1)
         return cls(
             config,
             num_hosts,
@@ -313,7 +313,7 @@ class TransientFaultInjector:
         self.corrupt_prob = float(corrupt_prob)
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
-        self._rng = keyed_rng(int(seed), 0xD20B)
+        self._rng = keyed_rng(int(seed), Domain.MESSAGE_FAULTS)
         # Cumulative counters (read via snapshot()).
         self.messages_seen = 0
         self.messages_dropped = 0

@@ -18,77 +18,50 @@ same accumulator across many ``run`` calls and resets.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Generic, TypeVar
-
-T = TypeVar("T")
 
 __all__ = ["GAccumulator"]
 
 
-class _Cell(Generic[T]):
+class _Cell:
     """One thread's slot: the running value plus the reset generation it
     belongs to.  Written only by the owning thread (single-writer)."""
 
     __slots__ = ("value", "generation")
 
-    def __init__(self, value: T, generation: int):
+    def __init__(self, value: float, generation: int):
         self.value = value
         self.generation = generation
 
 
-class _Reducible(Generic[T]):
-    """Thread-local single-writer cells + associative reduction."""
+class GAccumulator:
+    """Summing accumulator: thread-local single-writer cells reduced by
+    ``+``; ``+=`` via :meth:`update`."""
 
-    def __init__(self, identity: T, op: Callable[[T, T], T]):
-        self._identity = identity
-        self._op = op
+    def __init__(self, initial: float = 0.0):
         self._local = threading.local()
-        self._cells: list[_Cell[T]] = []
+        self._cells: list[_Cell] = []
         self._lock = threading.Lock()
         self._generation = 0
+        if initial:
+            self.update(initial)
 
-    def _cell(self) -> _Cell[T]:
-        cell: _Cell[T] | None = getattr(self._local, "cell", None)
+    def _cell(self) -> _Cell:
+        cell: _Cell | None = getattr(self._local, "cell", None)
         generation = self._generation
         if cell is None:
-            cell = _Cell(self._identity, generation)
+            cell = _Cell(0.0, generation)
             self._local.cell = cell
             with self._lock:
                 self._cells.append(cell)
         elif cell.generation != generation:
             # A reset happened since this thread last wrote; discard our own
             # stale value.  Only the owner writes, so no cross-thread race.
-            cell.value = self._identity
+            cell.value = 0.0
             cell.generation = generation
         return cell
 
-    def update(self, value: T) -> None:
-        cell = self._cell()
-        cell.value = self._op(cell.value, value)
-
-    def reduce(self) -> T:
-        generation = self._generation
-        with self._lock:
-            values = [c.value for c in self._cells if c.generation == generation]
-        out = self._identity
-        for v in values:
-            out = self._op(out, v)
-        return out
-
-    def reset(self) -> None:
-        """Invalidate all cells.  Safe against concurrent ``update`` calls:
-        owners re-zero their own cell on their next update."""
-        with self._lock:
-            self._generation += 1
-
-
-class GAccumulator(_Reducible[float]):
-    """Summing accumulator; ``+=`` via :meth:`update`."""
-
-    def __init__(self, initial: float = 0.0):
-        super().__init__(0.0, lambda a, b: a + b)
-        if initial:
-            self.update(initial)
+    def update(self, value: float) -> None:
+        self._cell().value += value
 
     def __iadd__(self, value: float) -> "GAccumulator":
         self.update(value)
@@ -96,4 +69,17 @@ class GAccumulator(_Reducible[float]):
 
     @property
     def value(self) -> float:
-        return self.reduce()
+        """The sum over every thread's cell of the current generation."""
+        generation = self._generation
+        with self._lock:
+            values = [c.value for c in self._cells if c.generation == generation]
+        out = 0.0
+        for v in values:  # left to right: sum() compensates floats on 3.12+
+            out += v
+        return out
+
+    def reset(self) -> None:
+        """Invalidate all cells.  Safe against concurrent ``update`` calls:
+        owners re-zero their own cell on their next update."""
+        with self._lock:
+            self._generation += 1

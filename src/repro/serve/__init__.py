@@ -61,7 +61,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "frontier_store",
             "sweep_frontier",
         ),
-        "loadgen": ("RECALL_DOMAIN", "LoadConfig", "run_load"),
+        "loadgen": ("LoadConfig", "run_load"),
         "quant": ("Int8Store",),
         "shard": ("ShardedEngine", "ShardedIndex", "ShardGeneration", "ShardPlan"),
         "store": ("EmbeddingStore",),

@@ -18,11 +18,11 @@ import numpy as np
 from repro.galois.timers import StatTimer
 from repro.serve.index import ExactIndex, recall_at_k
 from repro.serve.ivf import IVFIndex, default_nlist
-from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, generate_queries
+from repro.serve.loadgen import LoadConfig, generate_queries
 from repro.serve.quant import Int8Store
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload.spec import StoreSpec
-from repro.util.rng import DEFAULT_SEED, keyed_rng
+from repro.util.rng import DEFAULT_SEED, Domain, keyed_rng
 
 __all__ = [
     "FrontierConfig",
@@ -133,7 +133,7 @@ def sweep_frontier(config: FrontierConfig | None = None, store=None) -> dict:
         num_queries=config.num_queries, k=config.k, seed=config.seed
     ))
     queries = store.matrix[query_ids]
-    recall_rng = keyed_rng(config.seed, RECALL_DOMAIN)
+    recall_rng = keyed_rng(config.seed, Domain.RECALL)
     recall_queries = store.matrix[
         recall_rng.choice(V, size=min(config.recall_queries, V), replace=False)
     ]

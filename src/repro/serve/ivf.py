@@ -37,13 +37,9 @@ import numpy as np
 from repro.serve.index import _normalize_queries, top_k_desc
 from repro.serve.store import EmbeddingStore
 from repro.util.checks import positive_integer
-from repro.util.rng import DEFAULT_SEED, keyed_rng
+from repro.util.rng import DEFAULT_SEED, Domain, keyed_rng
 
 __all__ = ["IVFIndex", "kmeans", "assign_cells", "default_nlist"]
-
-#: Domain tag mixed into IVF seed derivation so the k-means streams never
-#: collide with other consumers of the same root seed.
-_IVF_DOMAIN = 0x495646  # "IVF"
 
 #: Row-block size for the blocked assignment/update passes.
 _KMEANS_BLOCK = 8192
@@ -185,7 +181,7 @@ class IVFIndex:
         self.seed = int(seed)
         normalized = store.normalized()
         if centroids is None:
-            rng = keyed_rng(self.seed, _IVF_DOMAIN, self.nlist)
+            rng = keyed_rng(self.seed, Domain.IVF, self.nlist)
             centroids = kmeans(
                 normalized, self.nlist, rng, iters=kmeans_iters, sample=train_sample
             )

@@ -28,12 +28,7 @@ from repro.serve.workload.tenants import TenantMix
 from repro.util.checks import positive_finite
 from repro.util.rng import DEFAULT_SEED
 
-__all__ = ["LoadConfig", "RECALL_DOMAIN", "generate_queries", "run_load"]
-
-#: Domain tag of the seed-deterministic uniform row sample that recall@k
-#: is measured on (``keyed_rng(seed, RECALL_DOMAIN)``) — one stream for
-#: the frontier sweep, ``serve-bench`` and the latency benchmark.
-RECALL_DOMAIN = 0x524340  # "RC@"
+__all__ = ["LoadConfig", "generate_queries", "run_load"]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.serve.workload.fields import json_fields, json_object
 from repro.util.checks import positive_finite
-from repro.util.rng import keyed_rng
+from repro.util.rng import Domain, keyed_rng
 
 __all__ = [
     "ArrivalProcess",
@@ -47,11 +47,6 @@ __all__ = [
     "arrival_times_us",
     "arrivals_from_dict",
 ]
-
-#: Domain tag for the arrival-schedule rng stream.  Shared with the PR-4
-#: load generator (``repro.serve.loadgen``) so the Poisson process it
-#: delegates here stays bit-identical for the same seed.
-_ARRIVAL_DOMAIN = 0x415256  # "ARV"
 
 _US = 1e6
 
@@ -196,7 +191,7 @@ def arrival_times_us(process: ArrivalProcess, n: int, seed: int) -> np.ndarray:
     PR-4 load generator used — so a :class:`PoissonArrivals` schedule is
     bit-identical to the legacy fixed schedule for the same seed.
     """
-    return process.times_us(n, keyed_rng(seed, _ARRIVAL_DOMAIN))
+    return process.times_us(n, keyed_rng(seed, Domain.ARRIVAL))
 
 
 def arrivals_from_dict(data: dict) -> ArrivalProcess:

@@ -52,13 +52,11 @@ from repro.serve.workload.fields import json_fields, json_list, json_object
 from repro.serve.workload.slo import SLORule
 from repro.serve.workload.tenants import TenantMix
 from repro.util.checks import positive_finite
-from repro.util.rng import DEFAULT_SEED, keyed_rng
+from repro.util.rng import DEFAULT_SEED, Domain, keyed_rng
 
 __all__ = ["StoreSpec", "WorkloadSpec", "MODES", "clustered_matrix"]
 
 MODES = ("open", "closed")
-
-_CLUSTER_DOMAIN = 0x434C53  # "CLS" — synthetic clustered matrix
 
 
 def clustered_matrix(
@@ -81,7 +79,7 @@ def clustered_matrix(
     if not 1 <= clusters <= vocab_size:
         raise ValueError(f"clusters must be in [1, {vocab_size}], got {clusters}")
     positive_finite(spread, "spread")
-    rng = keyed_rng(seed, _CLUSTER_DOMAIN, vocab_size, dim, clusters)
+    rng = keyed_rng(seed, Domain.CLUSTER, vocab_size, dim, clusters)
     centers = rng.normal(size=(clusters, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     assignment = rng.integers(0, clusters, size=vocab_size)

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.serve.workload.fields import json_fields, json_list
 from repro.util.checks import number, positive_finite
-from repro.util.rng import keyed_rng
+from repro.util.rng import Domain, keyed_rng
 
 __all__ = [
     "QOS_CLASSES",
@@ -42,13 +42,6 @@ __all__ = [
     "TenantMix",
     "zipf_probabilities",
 ]
-
-#: Domain tag for tenant assignment (which tenant issues query i).
-_TENANT_DOMAIN = 0x544E54  # "TNT"
-
-#: Domain tag for the query-mix streams.  Shared with the PR-4 load
-#: generator so the degenerate single-tenant mix is bit-compatible.
-_MIX_DOMAIN = 0x51524D  # "QRM"
 
 #: QoS classes, strictest first.  The class is carried as metadata on
 #: every query and surfaces in per-tenant reporting; SLO rules typically
@@ -168,7 +161,7 @@ class TenantMix:
         if len(self.tenants) == 1:
             return np.zeros(n, dtype=np.int64)
         weights = np.asarray([t.weight for t in self.tenants], dtype=np.float64)
-        rng = keyed_rng(seed, _TENANT_DOMAIN)
+        rng = keyed_rng(seed, Domain.TENANT)
         return rng.choice(
             len(self.tenants), size=n, p=weights / weights.sum()
         ).astype(np.int64)
@@ -194,9 +187,9 @@ class TenantMix:
                 continue
             lo, hi = tenant.vocab_slice(vocab_size)
             rng = (
-                keyed_rng(seed, _MIX_DOMAIN)
+                keyed_rng(seed, Domain.MIX)
                 if single
-                else keyed_rng(seed, _MIX_DOMAIN, index)
+                else keyed_rng(seed, Domain.MIX, index)
             )
             probabilities = zipf_probabilities(hi - lo, tenant.zipf_exponent)
             ids[mask] = lo + rng.choice(hi - lo, size=count, p=probabilities)

@@ -7,19 +7,45 @@ components need *independent but reproducible* streams per host; we derive
 them from a single root seed with ``numpy``'s ``SeedSequence`` spawning, so a
 run is a pure function of its root seed regardless of host count or
 scheduling order.
+
+Keyed streams (:func:`keyed_rng`, :func:`derive_seed`) name their purpose
+with a constant *stream tag* in the key, ``keyed_rng(seed, Domain.TENANT)``.
+Every constant tag lives in :class:`Domain`, one ``@enum.unique`` table:
+two purposes sharing a tag would draw bit-identical "independent" streams,
+and the enum makes that an import-time ``ValueError`` instead of a silent
+correlation.  A new constant stream tag is added there, never as a literal
+or a module constant at the call site.  Members are ``int``s, so
+``keyed_rng(7, Domain.IVF) == keyed_rng(7, 0x495646)`` bit for bit.
 """
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
 __all__ = [
+    "Domain",
     "default_rng",
     "derive_seed",
     "keyed_rng",
     "SeedSequenceTree",
     "hash64",
 ]
+
+
+@enum.unique
+class Domain(enum.IntEnum):
+    """The constant stream tags passed to :func:`keyed_rng` / :func:`derive_seed`."""
+
+    FAULT_SCHEDULE = 0xFA017  # crash/straggler realization, message-fault seed
+    MESSAGE_FAULTS = 0xD20B  # per-message drop/corrupt draws
+    ARRIVAL = 0x415256  # "ARV": workload arrival times
+    CLUSTER = 0x434C53  # "CLS": synthetic clustered serving matrix
+    TENANT = 0x544E54  # "TNT": tenant interleaving
+    MIX = 0x51524D  # "QRM": per-tenant query mix
+    IVF = 0x495646  # "IVF": k-means seeding of the IVF index
+    RECALL = 0x524340  # "RC@": rows recall is measured on
 
 # Default root seed used across examples/benchmarks so results are stable.
 DEFAULT_SEED = 0x5EED_C0DE

@@ -38,7 +38,7 @@ import pytest
 
 from repro.serve.engine import QueryEngine
 from repro.serve.index import ExactIndex
-from repro.serve.loadgen import RECALL_DOMAIN, LoadConfig, generate_queries, run_load
+from repro.serve.loadgen import LoadConfig, generate_queries, run_load
 from repro.serve.shard import ShardedEngine
 from repro.serve.store import EmbeddingStore
 from repro.serve.workload import (
@@ -62,7 +62,7 @@ from repro.serve.workload import (
 )
 import repro.serve.workload.plugins as plugins_module
 from repro.serve.workload.tenants import zipf_probabilities
-from repro.util.rng import keyed_rng
+from repro.util.rng import Domain, keyed_rng
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -378,7 +378,7 @@ class TestPlugins:
         default options — walked over the registry, so a new backend is held
         to the floor without anyone adding it to a list."""
         store = StoreSpec(4000, 32, 80).build(7)
-        rows = keyed_rng(7, RECALL_DOMAIN).choice(len(store), 128, replace=False)
+        rows = keyed_rng(7, Domain.RECALL).choice(len(store), 128, replace=False)
         words = [store.word_of(int(row)) for row in rows]
         truth, _ = ExactIndex(store).search(store.matrix[rows], 10)
         for name in available_backends():

@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 import numpy as np
 
-from repro.util.rng import SeedSequenceTree, default_rng, hash64
+from repro.util.rng import Domain, SeedSequenceTree, default_rng, derive_seed, hash64, keyed_rng
 
 
 class TestDefaultRng:
@@ -66,3 +66,11 @@ class TestHash64:
     def test_deterministic_property(self, a, b):
         if a == b:
             assert hash64(a) == hash64(b)
+
+
+def test_domain_members_are_their_int_tags():
+    # A member keys the stream of its int value: tags are names, not new
+    # streams, so no fault realization or answer hash depends on them.
+    for tag in Domain:
+        assert np.array_equal(keyed_rng(7, tag).random(4), keyed_rng(7, int(tag)).random(4))
+        assert derive_seed(7, tag, 1) == derive_seed(7, int(tag), 1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from repro.text.corpus import Corpus
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec, default_sync_rounds
 from repro.w2v.params import Word2VecParams
-from repro.w2v.shared_memory import SharedMemoryWord2Vec
+from repro.w2v.shared_memory import _SENTENCES_PER_CHUNK, SharedMemoryWord2Vec
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,23 @@ class TestSharedMemory:
             corpus, FAST, seed=3, executor=SerialExecutor()
         ).train()
         assert a == b
+
+    def test_chunk_streams_pinned(self):
+        # 95 sentences make three worklist chunks per epoch, so each chunk's
+        # seed-tree stream (epoch, "chunk", index) shapes the model: with one
+        # chunk, a stream keyed without its index would read the same bits.
+        spec = SyntheticCorpusSpec(
+            num_tokens=1500, pairs_per_family=3, filler_vocab=60, questions_per_family=3
+        )
+        corpus, _ = generate_corpus(spec, seed=1)
+        trainer = SharedMemoryWord2Vec(corpus, FAST, seed=3, workers=1)
+        assert len(trainer.corpus.sentences) > 2 * _SENTENCES_PER_CHUNK
+        model = trainer.train()
+        digest = hashlib.sha256(model.embedding.tobytes())
+        digest.update(model.training.tobytes())
+        assert digest.hexdigest() == (
+            "399aa97668d7186c51e1cd92f6208b62c2dc74d9ded32f6715826316c4d03686"
+        )
 
 
 class TestGraphWord2Vec:
