@@ -491,9 +491,11 @@ class GluonSyncChecker:
                     SanitizeFinding(
                         self.name,
                         "dropped-write",
-                        f"field {name!r}: host {h} wrote rows {_sample(dropped)} "
-                        f"({dropped.size} total) outside the touched set it "
-                        "handed the fold; the deltas will never be reduced",
+                        f"field {name!r}: host {h} rows {_sample(dropped)} "
+                        f"({dropped.size} total) differ from what the protocol last "
+                        "left there, outside the touched set it handed the fold: "
+                        "a write whose delta will never be reduced, or a landing "
+                        "that never stored what it received",
                         {"field": name, "host": h, "rows": _sample(dropped)},
                     )
                 )
@@ -525,16 +527,20 @@ class GluonSyncChecker:
         changed_per_master: Sequence[np.ndarray],
         accessed: Sequence[np.ndarray] | None,
         received_per_host: Sequence[np.ndarray],
+        landed_per_host: Sequence[np.ndarray],
     ) -> None:
         """Rows landed on mirrors (a fold's broadcast or a PullModel
         refresh): audit them, shadow them and roll the stale/residual
-        ledgers."""
+        ledgers.  The shadow takes what the landing stored
+        (``landed_per_host[h]``, read-my-writes adjustment included), not
+        the replica's rows: a receiver that never stored them then
+        differs from its shadow at the next fold."""
         name = field_sync.name
         changed_all = _concat_sorted(changed_per_master)  # blocks disjoint => unique
         emitted = 0
-        for h, recv in enumerate(received_per_host):
+        for h, (recv, landed) in enumerate(zip(received_per_host, landed_per_host)):
             if recv.size:
-                self._shadow[name][h][recv] = field_sync.arrays[h][recv]
+                self._shadow[name][h][recv] = landed
                 justified = np.isin(recv, changed_all)
                 if plan.requires_access_sets and accessed is not None:
                     justified |= np.isin(recv, np.asarray(accessed[h], dtype=np.int64))
@@ -565,16 +571,20 @@ class GluonSyncChecker:
             stale = np.union1d(self._stale.get((name, h), _empty_ids()), foreign)
             self._stale[(name, h)] = np.setdiff1d(stale, recv, assume_unique=True)
 
-    def after_fold(self, field_sync: Any, result: Any, sync_round: int) -> None:
-        """Exit hook: shadow each master's own folded rows, then the
-        divergence sentinel over the rows this fold wrote (``result`` is the
-        kernel's ``ReplicatedSyncResult``)."""
+    def after_fold(
+        self, field_sync: Any, result: Any, own_landed: Sequence[np.ndarray], sync_round: int
+    ) -> None:
+        """Exit hook: shadow each master's own folded rows as its landing
+        stored them (``own_landed[h]``, ``None`` with no rows), then the
+        divergence sentinel over the rows this fold wrote (``result`` is
+        the kernel's ``ReplicatedSyncResult``)."""
         name = field_sync.name
         emitted = 0
         for h, (own, recv) in enumerate(
             zip(result.changed_per_master, result.received_per_host)
         ):
-            self._shadow[name][h][own] = field_sync.arrays[h][own]
+            if own.size:
+                self._shadow[name][h][own] = own_landed[h]
             landed = np.union1d(recv, own)
             broken = landed[~np.isfinite(field_sync.arrays[h][landed]).all(axis=1)]
             if broken.size and emitted < _MAX_FINDINGS_PER_CHECK:

@@ -47,7 +47,7 @@ class Word2VecCReference:
     It draws its own negatives and keeps word2vec.c's per-pair ones: each
     center's ``(pairs, k)`` draw gives every context pair its own ``k``,
     where every other SG-NS trainer shares one row per center
-    (:func:`repro.w2v.sgd.sample_center_negatives`).
+    (:func:`repro.w2v.sgd.build_training_batch`).
     """
 
     def __init__(

@@ -34,15 +34,19 @@ fold kernel mutates — which also makes it the round-granular checkpoint
 crash recovery restores from.  Replicas are bounded-staleness mirrors:
 fold broadcasts and PullModel refreshes overwrite rows with canonical
 values *plus* the host's still-unfolded buffered deltas on those rows
-(read-my-writes), and per-(field, host) pending-stale sets drive an
+(read-my-writes), and per-(field, host) pending-stale row marks drive an
 extra ``refresh``/``refresh-request`` phase pair so a host never computes
 on a row whose master changed without a broadcast reaching it.  Fold
 order across fields is priority-scheduled dirtiest-first (rows touched by
-buffered, unfolded rounds, counted on a
-:class:`~repro.gluon.bitvector.BitVector`) through the galois
+buffered, unfolded rounds, a per-row count that buffering and folding
+keep up to date) through the galois
 :class:`~repro.galois.worklist.OrderedByIntegerMetric` worklist (only
 when ``s > 0``; at ``s = 0`` the declaration order is kept so the
 transient-fault injector sees one fixed send sequence).
+
+Work generation is one batch per wave: before a wave runs, every slot it
+steps — and, under PullModel, the next slot each step's inspection reads —
+is generated in one :func:`repro.w2v.steps.build_round_works` call.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from repro.analysis.runtime import SanitizeError, note_write
 from repro.dgraph.engine import TrainingEngine, compensate_delta
 from repro.galois.do_all import do_all
 from repro.galois.worklist import OrderedByIntegerMetric
-from repro.gluon.bitvector import BitVector
 from repro.util.rng import keyed_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -229,6 +232,21 @@ class _RunState:
         self.recovery_spans: list[tuple[int, int, float]] = []
         self.fold_records: dict[int, tuple[int, int]] = {}
         self.rec_cursor = len(trainer.network.phase_records)
+        # field -> per row, the buffered (unfolded) captures touching it,
+        # and the rows where that count is nonzero: the fold priority
+        # (kept at s > 0 only, its one reader).
+        self.row_refs: dict[str, np.ndarray] = {}
+        self.dirty: dict[str, int] = {name: 0 for name in _FIELD_ORDER}
+
+    def count_dirty(self, fname: str, ids: np.ndarray, num_nodes: int, step: int) -> None:
+        """A capture on the strictly ascending ``ids`` is buffered
+        (``step=+1``) or folded (``-1``)."""
+        refs = self.row_refs.get(fname)
+        if refs is None:
+            refs = self.row_refs[fname] = np.zeros(num_nodes, dtype=np.int64)
+        refs[ids] += step
+        edge = 1 if step > 0 else 0  # the count a row reaches as it turns dirty / clean
+        self.dirty[fname] += step * int(np.count_nonzero(refs[ids] == edge))
 
     def round_array(self, table: dict[int, np.ndarray], g: int, H: int) -> np.ndarray:
         arr = table.get(g)
@@ -344,28 +362,46 @@ class SSPTrainingEngine(TrainingEngine):
                 run.lr_of[ev.round_index] = trainer.params.learning_rate_for_epoch(e)
             steps.append((ev, crash))
 
+        # Generate round work in one batch (shared caches): every slot this
+        # wave runs and, under access-set plans, the next slot each step's
+        # inspection reads.  Entries stay cached until the step's post-pass.
+        cache = trainer._work_cache
+        wanted = []
+        for ev, _crash in steps:
+            e, s = divmod(ev.round_index, S)
+            wanted.append((e, s, ev.host))
+            nxt = trainer._next_slot(e, s)
+            if trainer.plan.requires_access_sets and nxt is not None:
+                wanted.append((*nxt, ev.host))
+        missing = [key for key in dict.fromkeys(wanted) if key not in cache]
+        if missing:
+            cache.update(zip(missing, trainer._build_works(missing)))
+        works: dict[tuple[int, int], "RoundWork"] = {
+            (ev.host, ev.round_index): cache[(*divmod(ev.round_index, S), ev.host)][0]
+            for ev, _crash in steps
+        }
+
         # PullModel refresh: rows a live step will access whose master
         # changed in a fold this host's mirror never received.  Empty at
         # s=0 (every access set is covered by the preceding fold's
         # broadcast), so no phase records are emitted there.
         if trainer.plan.requires_access_sets:
             for fname in _FIELD_ORDER:
-                need = [_empty_ids()] * trainer.num_hosts
+                stale = state["pending_stale"].get(fname)
+                if stale is None:
+                    continue
+                access: dict[int, list[np.ndarray]] = {}
                 for ev, crash in steps:
-                    if crash is not None:
-                        continue
-                    e, s = divmod(ev.round_index, S)
-                    work = trainer._get_work(e, s, ev.host)
-                    ids = (
-                        work.embedding_access
-                        if fname == "embedding"
-                        else work.output_access
-                    )
-                    pending = state["pending_stale"].get((fname, ev.host))
-                    if pending is None or not pending.size or not ids.size:
-                        continue
-                    rows = np.intersect1d(ids, pending, assume_unique=True)
-                    need[ev.host] = np.union1d(need[ev.host], rows)
+                    if crash is None:
+                        work = works[(ev.host, ev.round_index)]
+                        access.setdefault(ev.host, []).append(
+                            work.embedding_access if fname == "embedding" else work.output_access
+                        )
+                need = [_empty_ids()] * trainer.num_hosts
+                for host in sorted(access):
+                    parts = access[host]
+                    ids = parts[0] if len(parts) == 1 else np.unique(np.concatenate(parts))
+                    need[host] = ids[stale[host][ids]]
                 if any(rows.size for rows in need):
                     self._refresh(trainer, run, fname, need)
 
@@ -376,29 +412,6 @@ class SSPTrainingEngine(TrainingEngine):
                     checker.note_async_step(
                         fname, ev.host, ev.round_index, run.folds_done, self.staleness
                     )
-
-        # Generate round work serially (shared caches), skipping crashed
-        # steps — theirs is generated at the recovery point.  Entries stay
-        # cached until the step's post-pass, so in-chain inspection of a
-        # slot this wave also runs finds it instead of building it again.
-        works: dict[tuple[int, int], "RoundWork"] = {}
-        for ev, crash in steps:
-            if crash is None:
-                e, s = divmod(ev.round_index, S)
-                works[(ev.host, ev.round_index)] = trainer._get_work(e, s, ev.host)
-
-        # Materialize epoch chunks the in-chain inspection will read, in
-        # *descending* epoch order: the chunk cache prunes epochs below
-        # the most recent request, so ascending materialization would
-        # evict an epoch a straggler's inspection still needs.
-        if trainer.plan.requires_access_sets:
-            next_epochs = set()
-            for ev, _crash in steps:
-                nxt = trainer._next_slot(*divmod(ev.round_index, S))
-                if nxt is not None:
-                    next_epochs.add(nxt[0])
-            for epoch in sorted(next_epochs, reverse=True):
-                trainer._epoch_chunks(epoch)
 
         # Execute: batches of crash-free steps as parallel per-host
         # chains, crashed steps serially at their wave position (so a
@@ -468,11 +481,9 @@ class SSPTrainingEngine(TrainingEngine):
                     label=f"training[host={host}]",
                 )
                 captures = self._capture(trainer, host, work, before)
-                # The flush pre-pass materialized every epoch this wave
-                # inspects (descending, so pruning spares them all): the
-                # call only *reads* the chunk and work caches, and
-                # host-keyed state elsewhere.
-                inspected = self._inspect_next(trainer, host, g)  # repro: noqa[REPRO111]
+                # The flush pre-pass generated every slot this wave
+                # inspects: the call only *reads* the work cache.
+                inspected = self._inspect_next(trainer, host, g)
                 slots[host].append((g, measured, pairs, captures, inspected))
 
         do_all(order, run_chain, executor=trainer.executor)
@@ -488,9 +499,9 @@ class SSPTrainingEngine(TrainingEngine):
         trainer: "GraphWord2Vec", host: int, g: int
     ) -> "tuple[RoundWork, float] | None":
         """PullModel inspection after ``host``'s step ``g``: its next
-        slot's work — generated here unless some pass already has — with
-        the thread time generating it took.  ``None`` when the plan needs
-        no access sets or training ends with ``g``.  Reads shared caches
+        slot's work, which the wave's pre-pass generated, with the thread
+        time its generation is charged.  ``None`` when the plan needs no
+        access sets or training ends with ``g``.  Reads the work cache
         only, so it is safe inside the parallel chain.
         """
         if not trainer.plan.requires_access_sets:
@@ -498,7 +509,7 @@ class SSPTrainingEngine(TrainingEngine):
         nxt = trainer._next_slot(*divmod(g, trainer.sync_rounds))
         if nxt is None:
             return None
-        return trainer._work_cache.get((*nxt, host)) or trainer._build_work(*nxt, host)
+        return trainer._work_cache[(*nxt, host)]
 
     def _post_step(
         self,
@@ -533,6 +544,8 @@ class SSPTrainingEngine(TrainingEngine):
         run.pairs_buf[g] = run.pairs_buf.get(g, 0) + pairs
         for fname, capture in zip(_FIELD_ORDER, captures):
             run.contrib[fname].setdefault(g, {})[host] = capture
+            if self.staleness:
+                run.count_dirty(fname, capture[0], trainer._fields[fname].num_nodes, +1)
         if trainer.plan.requires_access_sets:
             state = trainer._async_state
             if inspected is None:
@@ -540,7 +553,6 @@ class SSPTrainingEngine(TrainingEngine):
                 state["next_access"][("training", host)] = _empty_ids()
             else:
                 next_work, inspect_s = inspected
-                trainer._work_cache[(*trainer._next_slot(e, s), host)] = inspected
                 run.round_array(run.inspect_buf, g, H)[host] += inspect_s
                 run.inspect_spans.append((host, g, inspect_s))
                 state["next_access"][("embedding", host)] = next_work.embedding_access
@@ -607,7 +619,9 @@ class SSPTrainingEngine(TrainingEngine):
         # The rebuilt replica is wholly canonical: nothing is stale, and
         # the host's uncaptured in-round work is what the replay redid.
         for fname in _FIELD_ORDER:
-            trainer._async_state["pending_stale"].pop((fname, host), None)
+            stale = trainer._async_state["pending_stale"].get(fname)
+            if stale is not None:
+                stale[host] = False
         captures = self._capture(trainer, host, work, before)
         run.round_array(run.recovery_buf, g, trainer.num_hosts)[host] += recovery_s
         run.recovery_spans.append((host, g, recovery_s))
@@ -633,7 +647,7 @@ class SSPTrainingEngine(TrainingEngine):
         """
         H = trainer.num_hosts
         sync = trainer._sync_emb if fname == "embedding" else trainer._sync_out
-        pending = trainer._async_state["pending_stale"]
+        stale = trainer._async_state["pending_stale"][fname]
         received = sync.broadcast(
             trainer._fields[fname],
             trainer.plan,
@@ -645,10 +659,7 @@ class SSPTrainingEngine(TrainingEngine):
             broadcast_phase=f"refresh:{fname}",
         )
         for h, got in enumerate(received):
-            if got.size:
-                pending[(fname, h)] = np.setdiff1d(
-                    pending[(fname, h)], got, assume_unique=True
-                )
+            stale[h][got] = False
 
     def _apply_values(
         self,
@@ -658,7 +669,7 @@ class SSPTrainingEngine(TrainingEngine):
         host: int,
         ids: np.ndarray,
         vals: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Land canonical values on a mirror, preserving read-my-writes.
 
         The row becomes canonical-as-received *plus* the host's buffered
@@ -666,7 +677,7 @@ class SSPTrainingEngine(TrainingEngine):
         updates, the next step measures only its own work (against its
         pre-kernel gather), and the buffered deltas fold later untouched.
         With no pending deltas (always at s=0) this is the plain broadcast
-        overwrite (``FieldSync.land``), bit for bit.
+        overwrite (``FieldSync.land``), bit for bit.  Returns what it stored.
         """
         field = trainer._fields[fname]
         buffered = run.contrib[fname]
@@ -675,7 +686,7 @@ class SSPTrainingEngine(TrainingEngine):
             if adjust is not None:
                 dtype = field.arrays[host].dtype
                 vals = (np.asarray(vals, dtype=np.float64) + adjust).astype(dtype)
-        field.land(host, ids, vals)
+        return field.land(host, ids, vals)
 
     @staticmethod
     def _pending_adjustment(
@@ -755,7 +766,7 @@ class SSPTrainingEngine(TrainingEngine):
         else:
             M = max(trainer._fields[name].num_nodes for name in _FIELD_ORDER)
             worklist = OrderedByIntegerMetric(
-                lambda fname: M - self._dirty_rows(run, trainer._fields[fname])
+                lambda fname: M - run.dirty[fname]
             )
             for fname in _FIELD_ORDER:
                 worklist.push(fname)
@@ -778,16 +789,6 @@ class SSPTrainingEngine(TrainingEngine):
         trainer._completed_rounds = s + 1
         if s + 1 == S:
             trainer._roll_epoch(e, epoch_callback)
-
-    @staticmethod
-    def _dirty_rows(run: _RunState, field) -> int:
-        """Rows of ``field`` some buffered, not yet folded round touches."""
-        dirty = BitVector(field.num_nodes)
-        buffered = run.contrib[field.name]
-        for g in sorted(buffered):
-            for h in sorted(buffered[g]):
-                dirty.set_many(buffered[g][h][0])
-        return dirty.count()
 
     def _fold_field(
         self,
@@ -827,6 +828,8 @@ class SSPTrainingEngine(TrainingEngine):
         deltas: list[np.ndarray] = []
         for h in range(H):
             ids, delta, drift_base = contribs[h]
+            if self.staleness:
+                run.count_dirty(fname, ids, field.num_nodes, -1)
             if lam > 0 and ids.size:
                 # Drift = how far canon moved since this delta was
                 # captured; zero exactly when the contribution is fresh.
@@ -847,22 +850,21 @@ class SSPTrainingEngine(TrainingEngine):
             accessed_next=accessed_next, fold_offset=g,
         )
 
-        # PullModel staleness ledger: rows whose canon changed this fold
-        # that a mirror did not receive are now pending-stale for it;
-        # rows it did receive are fresh again.  Per-master unions are
-        # ascending over disjoint ascending blocks, so the concatenation
-        # is already sorted.
+        # PullModel staleness ledger, one row mark per host: rows whose
+        # canon changed this fold that a mirror did not receive are now
+        # pending-stale for it; rows it did receive are fresh again.
+        # Per-master unions are ascending over disjoint ascending blocks,
+        # so the concatenation is sorted and a host's own block one slice.
         if plan.requires_access_sets:
+            stale = state["pending_stale"].get(fname)
+            if stale is None:
+                stale = state["pending_stale"][fname] = np.zeros((H, field.num_nodes), dtype=bool)
             changed_all = np.concatenate(result.changed_per_master)
             cut = np.searchsorted(changed_all, sync.bounds).tolist()
             for h in range(H):
-                foreign = np.concatenate((changed_all[:cut[h]], changed_all[cut[h + 1]:]))
-                pending = state["pending_stale"].get((fname, h), _empty_ids())
-                pending = np.union1d(pending, foreign)
-                pending = np.setdiff1d(
-                    pending, result.received_per_host[h], assume_unique=True
-                )
-                state["pending_stale"][(fname, h)] = pending
+                stale[h][changed_all[:cut[h]]] = True
+                stale[h][changed_all[cut[h + 1]:]] = True
+                stale[h][result.received_per_host[h]] = False
 
         if trainer.sync_checker is not None:
             trainer.sync_checker.note_async_fold(fname, g)

@@ -15,6 +15,16 @@ Wire-size conventions (documented so volumes are reproducible):
 - bit vectors: their word storage (``BitVector.nbytes``),
 - metadata header per message: 16 bytes.
 
+Delivery is per batch: :meth:`SimulatedNetwork.exchange` stores each
+destination's messages as one :class:`Delivery` — the message indices of
+the batch bound for it, in message order — so a phase of ``n`` messages
+among ``H`` hosts costs O(H) Python work, not O(n).  A batch's payloads
+are either one object per message or :class:`Slices`, row ranges of
+arrays the senders already hold; receivers read a delivery whole
+(:meth:`Delivery.rows`, its ``src`` / ``lo`` / ``hi`` arrays) or message
+by message (:meth:`SimulatedNetwork.drain`).  :meth:`~SimulatedNetwork.send`
+is a batch of one, so every message takes the one delivery path.
+
 Fault injection: the network optionally consults a
 :class:`~repro.cluster.faults.TransientFaultInjector` once per message.
 Transient faults (drops, corruptions) are recovered by retransmission
@@ -27,7 +37,6 @@ Without an injector the send path is exactly the fault-free one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -35,7 +44,16 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster -> gluon)
     from repro.cluster.faults import TransientFaultInjector
 
-__all__ = ["MessageStats", "PhaseRecord", "SimulatedNetwork", "HEADER_BYTES", "ID_BYTES", "VALUE_BYTES"]
+__all__ = [
+    "Delivery",
+    "MessageStats",
+    "PhaseRecord",
+    "SimulatedNetwork",
+    "Slices",
+    "HEADER_BYTES",
+    "ID_BYTES",
+    "VALUE_BYTES",
+]
 
 HEADER_BYTES = 16
 ID_BYTES = 4
@@ -96,6 +114,64 @@ class MessageStats:
         self.bytes_by_phase[phase] = self.bytes_by_phase.get(phase, 0) + nbytes
 
 
+@dataclass(frozen=True)
+class Slices:
+    """A batch's payloads as row ranges: message ``i`` carries rows
+    ``lo[i]:hi[i]`` of every array in ``bases[base[i]]``.
+
+    Senders hand the network views of arrays they already hold — a
+    source's id and delta arrays, or one gather every receiver shares —
+    instead of one payload tuple per message.
+    """
+
+    bases: Sequence[tuple[np.ndarray, ...]]
+    base: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+class Delivery:
+    """The messages of one exchange bound for one destination, in message
+    order: ``src`` are their senders, and ``index`` their positions in the
+    batch.  Under :class:`Slices`, ``base``, ``lo`` and ``hi`` are their
+    row ranges."""
+
+    def __init__(self, src: np.ndarray, index: np.ndarray, payloads, ranges=None):
+        self.src = src
+        self.index = index
+        self._payloads = payloads
+        if ranges is not None:
+            self.base, self.lo, self.hi = ranges
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def payload(self, j: int) -> Any:
+        """Message ``j``'s payload (a tuple of row slices under :class:`Slices`)."""
+        p = self._payloads
+        if p is None:
+            return None
+        if isinstance(p, Slices):
+            lo, hi = int(self.lo[j]), int(self.hi[j])
+            return tuple(a[lo:hi] for a in p.bases[int(self.base[j])])
+        return p[int(self.index[j])]
+
+    def rows(self, k: int) -> np.ndarray:
+        """Array ``k`` of every message's :class:`Slices` payload,
+        concatenated in message order.  A message that continues the
+        previous one's range of the same base extends that slice, so a
+        receiver of shared per-master ranges reads one or two slices."""
+        runs: list[list[int]] = []
+        for b, lo, hi in zip(self.base.tolist(), self.lo.tolist(), self.hi.tolist()):
+            if runs and runs[-1][0] == b and runs[-1][2] == lo:
+                runs[-1][2] = hi
+            else:
+                runs.append([b, lo, hi])
+        bases = self._payloads.bases
+        parts = [bases[b][k][lo:hi] for b, lo, hi in runs]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 class SimulatedNetwork:
     """Point-to-point transport among ``num_hosts`` simulated hosts.
 
@@ -107,7 +183,9 @@ class SimulatedNetwork:
         msgs = net.drain(dst=0)
 
     Messages outside a :meth:`phase` block are charged to the ``"default"``
-    phase.  ``drain`` returns and clears a host's inbox in arrival order.
+    phase.  ``receive`` returns and clears a host's inbox as one
+    :class:`Delivery` per exchange, ``drain`` as ``(src, payload)`` pairs,
+    both in arrival order.
     """
 
     def __init__(self, num_hosts: int, fault_injector: "TransientFaultInjector | None" = None):
@@ -119,7 +197,7 @@ class SimulatedNetwork:
         self.phase_records: list[PhaseRecord] = []
         self._active: PhaseRecord | None = None
         self._default: PhaseRecord | None = None
-        self._inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(num_hosts)]
+        self._inboxes: list[list[Delivery]] = [[] for _ in range(num_hosts)]
 
     # -- phases -------------------------------------------------------------
     def phase(self, name: str) -> "_PhaseContext":
@@ -146,14 +224,15 @@ class SimulatedNetwork:
         src: Sequence[int] | np.ndarray,
         dst: Sequence[int] | np.ndarray,
         nbytes: Sequence[int] | np.ndarray,
-        payloads: Sequence[Any] | None = None,
+        payloads: Sequence[Any] | Slices | None = None,
     ) -> None:
         """Deliver a batch of messages, charging the whole batch at once.
 
         Message ``i`` goes from ``src[i]`` to ``dst[i]`` with ``nbytes[i]``
         payload bytes (the modeled wire size *excluding* the fixed
-        per-message header, which is added here) and ``payloads[i]``
-        (``None`` for all when ``payloads`` is ``None``).  The result is
+        per-message header, which is added here) and ``payloads[i]`` — or
+        its row ranges, when ``payloads`` is a :class:`Slices` (``None``
+        for all when ``payloads`` is ``None``).  The result is
         exactly that of sending the messages one by one in the given order:
         the same per-host byte totals, statistics and fault-injector draws
         (one per message, in order), and the same inbox order.  Every entry
@@ -169,7 +248,15 @@ class SimulatedNetwork:
                 raise ValueError(f"exchange: {name} must be 1-D, got shape {arr.shape}")
         n = len(src)
         lengths = {"src": n, "dst": len(dst), "nbytes": len(nbytes)}
-        if payloads is not None:
+        if isinstance(payloads, Slices):
+            payloads = Slices(
+                payloads.bases,
+                *(np.asarray(a, dtype=np.int64) for a in (payloads.base, payloads.lo, payloads.hi)),
+            )
+            lengths.update(
+                {f"payloads.{name}": len(getattr(payloads, name)) for name in ("base", "lo", "hi")}
+            )
+        elif payloads is not None:
             lengths["payloads"] = len(payloads)
         if len(set(lengths.values())) != 1:
             raise ValueError(f"exchange: argument lengths differ: {lengths}")
@@ -189,6 +276,17 @@ class SimulatedNetwork:
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"exchange: nbytes[{i}] = {nbytes[i]} is a negative payload size")
+        if isinstance(payloads, Slices):
+            bad = np.flatnonzero(
+                (payloads.base < 0) | (payloads.base >= len(payloads.bases))
+                | (payloads.lo < 0) | (payloads.hi < payloads.lo)
+            )
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(
+                    f"exchange: payloads[{i}] names rows {payloads.lo[i]}:{payloads.hi[i]} "
+                    f"of base {payloads.base[i]} (of {len(payloads.bases)})"
+                )
         if n == 0:
             return
         wire = nbytes + HEADER_BYTES
@@ -212,11 +310,18 @@ class SimulatedNetwork:
         if retransmitted:
             record.resent_bytes += int(resent.sum())
             self.stats.record_resend(record.name, int(resent.sum()), messages=retransmitted)
-        inboxes = self._inboxes
-        for s, d, payload in zip(
-            src.tolist(), dst.tolist(), repeat(None) if payloads is None else payloads
-        ):
-            inboxes[d].append((s, payload))
+        # One delivery per destination: its messages, in message order —
+        # the batch sorted stably by destination, cut where it changes.
+        order = np.argsort(dst, kind="stable")
+        ordered = dst[order]
+        first = np.flatnonzero(np.diff(ordered, prepend=-1))
+        cuts = np.append(first, n).tolist()
+        columns = [src[order], order]
+        if isinstance(payloads, Slices):
+            columns += [payloads.base[order], payloads.lo[order], payloads.hi[order]]
+        for d, a, b in zip(ordered[first].tolist(), cuts[:-1], cuts[1:]):
+            got = [column[a:b] for column in columns]
+            self._inboxes[d].append(Delivery(got[0], got[1], payloads, got[2:] or None))
 
     def send(self, src: int, dst: int, nbytes: int, payload: Any = None) -> None:
         """Deliver one message: :meth:`exchange` of a batch of one."""
@@ -232,15 +337,23 @@ class SimulatedNetwork:
             self.phase_records.append(self._default)
         return self._default
 
-    def drain(self, dst: int) -> list[tuple[int, Any]]:
-        """Return and clear ``dst``'s inbox as ``(src, payload)`` pairs."""
+    def receive(self, dst: int) -> list[Delivery]:
+        """Return and clear ``dst``'s inbox, one :class:`Delivery` per exchange."""
         if not 0 <= dst < self.num_hosts:
             raise ValueError(f"host {dst} out of range")
-        msgs, self._inboxes[dst] = self._inboxes[dst], []
-        return msgs
+        got, self._inboxes[dst] = self._inboxes[dst], []
+        return got
+
+    def drain(self, dst: int) -> list[tuple[int, Any]]:
+        """Return and clear ``dst``'s inbox as ``(src, payload)`` pairs."""
+        return [
+            (s, got.payload(j))
+            for got in self.receive(dst)
+            for j, s in enumerate(got.src.tolist())
+        ]
 
     def pending(self, dst: int) -> int:
-        return len(self._inboxes[dst])
+        return sum(len(got) for got in self._inboxes[dst])
 
     # -- accounting ------------------------------------------------------------
     @property

@@ -21,7 +21,11 @@ Two synchronization modes cover the library's needs:
 
 All payloads flow through the :class:`~repro.gluon.comm.SimulatedNetwork` —
 masters really consume what mirrors sent — so the byte accounting and the
-data movement cannot drift apart.
+data movement cannot drift apart.  The fold sends each phase as one
+message batch whose payloads are row ranges of arrays the senders already
+hold (:class:`~repro.gluon.comm.Slices`): a 32-host phase costs a few
+dozen NumPy calls, not a Python tuple, inbox append and regrouping step
+per message.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from repro.core.combiners import GradientCombiner
 from repro.gluon.bitvector import BitVector
-from repro.gluon.comm import ID_BYTES, VALUE_BYTES, PhaseRecord, SimulatedNetwork
+from repro.gluon.comm import ID_BYTES, VALUE_BYTES, PhaseRecord, SimulatedNetwork, Slices
 from repro.gluon.partitioner import Partition
 from repro.gluon.plans import CommPlan
 from repro.gluon.proxies import master_block_slice
@@ -77,10 +81,11 @@ class FieldSync:
     def num_nodes(self) -> int:
         return self.arrays[0].shape[0]
 
-    def land(self, host: int, ids: np.ndarray | slice, vals: np.ndarray) -> None:
+    def land(self, host: int, ids: np.ndarray | slice, vals: np.ndarray) -> np.ndarray:
         """Overwrite rows of ``host``'s replica with canonical ``vals``: the
-        rows hold no unreduced work afterwards."""
+        rows hold no unreduced work afterwards.  Returns what it stored."""
         self.arrays[host][ids] = vals
+        return vals
 
 
 @dataclass
@@ -108,6 +113,13 @@ class ValueSyncResult:
         return any(len(c) for c in self.changed_local)
 
 
+def _joined(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """``parts`` concatenated, without a copy when there is at most one."""
+    if len(parts) <= 1:
+        return parts[0] if parts else empty
+    return np.concatenate(parts)
+
+
 class GluonSynchronizer:
     """Reduce/broadcast engine over a set of partitions and a network."""
 
@@ -128,6 +140,7 @@ class GluonSynchronizer:
         self._blocks = np.diff(self.bounds).astype(np.int64)  # master block sizes
         self._offdiag = ~np.eye(self.num_hosts, dtype=bool)
         self._others = [[h for h in range(self.num_hosts) if h != m] for m in range(self.num_hosts)]
+        self._others_of = np.array(self._others, dtype=np.int64).reshape(self.num_hosts, -1)
         # The node count of a foldable field: the fold needs every host to
         # hold every node (-1: the partitions are not replicate-all).
         counts = {p.num_local for p in self.partitions}
@@ -161,7 +174,7 @@ class GluonSynchronizer:
         combiner: GradientCombiner,
         plan: CommPlan,
         canonical: Sequence[np.ndarray],
-        land: Callable[[int, np.ndarray, np.ndarray], None],
+        land: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
         accessed_next: Sequence[np.ndarray] | None = None,
         fold_offset: int = 0,
     ) -> ReplicatedSyncResult:
@@ -174,7 +187,8 @@ class GluonSynchronizer:
         entries may be H arrays or one shared store), and
         ``land(h, ids, vals)`` puts canonical values on host ``h``'s
         replica — a master's freshly folded rows and everything a mirror
-        received alike, one call each.  ``accessed_next[h]`` is required by
+        received alike, one call each — and returns the values it stored
+        (what a sync checker's shadow is rebased to).  ``accessed_next[h]`` is required by
         plans with :attr:`~repro.gluon.plans.CommPlan.requires_access_sets`.
         Ownership is routed by slice, so sortedness is a checked
         precondition: ``touched[h]`` / ``accessed_next[h]`` strictly
@@ -183,7 +197,10 @@ class GluonSynchronizer:
         ``ValueError`` naming field and host, before any phase opens; so
         are partitions that are not replicate-all and, with a checker
         attached, an unwatched field.
-        Each phase is one :meth:`~repro.gluon.comm.SimulatedNetwork.exchange`.
+        Each phase is one :meth:`~repro.gluon.comm.SimulatedNetwork.exchange`
+        of one message batch: the reduce's payloads are row ranges of the
+        sources' own arrays (:class:`~repro.gluon.comm.Slices`), and the
+        masters confirm what arrived per source with one ``bincount``.
 
         ``fold_offset`` rotates the (order-dependent) inductive fold of
         contributions: host ``fold_offset % H`` is folded first this round.
@@ -223,14 +240,12 @@ class GluonSynchronizer:
             # The master's own part participates exactly like a mirror's;
             # it just never crosses the wire.
             cuts = self._cuts(touched)
-            wire = self._wire_matrix(
-                plan.reduce_wire_bytes(np.diff(cuts, axis=1), dim, self._blocks)
-            )
+            counts = np.diff(cuts, axis=1)
+            wire = self._wire_matrix(plan.reduce_wire_bytes(counts, dim, self._blocks))
             src, dst = np.nonzero(wire > 0)
-            self.network.exchange(src, dst, wire[src, dst], [
-                (touched[h][lo:hi], deltas[h][lo:hi])
-                for h, lo, hi in zip(src.tolist(), cuts[src, dst].tolist(), cuts[src, dst + 1].tolist())
-            ])
+            self.network.exchange(src, dst, wire[src, dst], Slices(
+                list(zip(touched, deltas)), src, cuts[src, dst], cuts[src, dst + 1],
+            ))
 
             # Masters consume what mirrors sent.  Combiners are row-wise (a
             # row's result depends only on its own contributions, in fold
@@ -239,23 +254,22 @@ class GluonSynchronizer:
             # wave — unique rows, ``touched[h]`` being strictly ascending —
             # and the waves run in rotated source order.  Exactly H
             # ``accumulate`` calls (empty waves too), not one per (master,
-            # source).
-            by_src: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(H)]
-            for m, (lo, hi) in enumerate(zip(cuts.diagonal().tolist(), cuts.diagonal(1).tolist())):
-                for s, payload in self.network.drain(m):
-                    by_src[s].append(payload)
-                by_src[m].append((touched[m][lo:hi], deltas[m][lo:hi]))
-            waves = []
-            for s, parts in enumerate(by_src):
-                if sum(len(ids) for ids, _ in parts) == len(touched[s]):
-                    # Every part arrived: in master order the parts tile
-                    # the source's ascending arrays, which are the wave.
-                    waves.append((touched[s], deltas[s]))
-                else:
-                    waves.append((
-                        np.concatenate([ids for ids, _ in parts]),
-                        np.concatenate([vals for _, vals in parts]),
-                    ))
+            # source).  One bincount over every delivery confirms what
+            # arrived per source; a source whose every part arrived (the
+            # master's own part never travels) is its arrays whole.
+            got = [d for m in range(H) for d in self.network.receive(m)]
+            arrived = counts.diagonal().copy()
+            if got:
+                arrived += np.bincount(
+                    np.concatenate([d.src for d in got]),
+                    weights=np.concatenate([d.hi - d.lo for d in got]),
+                    minlength=H,
+                ).astype(np.int64)
+            waves = [
+                (touched[s], deltas[s]) if arrived[s] == len(touched[s])
+                else self._arrived_wave(touched[s], deltas[s], s, cuts[s], got)
+                for s in range(H)
+            ]
             mark, pos = self._mark_and_positions(field.num_nodes)
             for ids, _ in waves:
                 mark[ids] = True
@@ -269,15 +283,20 @@ class GluonSynchronizer:
             combined = state.result()
 
             changed_per_master: list[np.ndarray] = []
+            # What each landing stored, kept only for a checker's shadow.
+            own_landed: list[np.ndarray | None] | None = None if self.checker is None else []
             cut = np.searchsorted(union, self.bounds).tolist()
             for m in range(H):
                 rows = union[cut[m]:cut[m + 1]]
+                landed = None
                 if len(rows):
                     folded = canonical[m][rows].astype(np.float64) + combined[cut[m]:cut[m + 1]]
                     new_vals = folded.astype(dtype)
                     canonical[m][rows] = new_vals
-                    land(m, rows, new_vals)
+                    landed = land(m, rows, new_vals)
                 changed_per_master.append(rows)
+                if own_landed is not None:
+                    own_landed.append(landed)
 
         received_per_host = self.broadcast(
             field, plan, changed_per_master, accessed_next, canonical, land,
@@ -286,8 +305,24 @@ class GluonSynchronizer:
         )
         result = ReplicatedSyncResult(changed_per_master, received_per_host)
         if self.checker is not None:
-            self.checker.after_fold(field, result, fold_offset)
+            self.checker.after_fold(field, result, own_landed, fold_offset)
         return result
+
+    @staticmethod
+    def _arrived_wave(
+        ids: np.ndarray, vals: np.ndarray, source: int, cuts: np.ndarray, got: list
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``source``'s arrays that reached their masters —
+        its own part and every delivered slice — in row order."""
+        parts = [(int(cuts[source]), int(cuts[source + 1]))]
+        for d in got:
+            mine = d.src == source
+            parts += zip(d.lo[mine].tolist(), d.hi[mine].tolist())
+        parts.sort()
+        return (
+            np.concatenate([ids[a:b] for a, b in parts]),
+            np.concatenate([vals[a:b] for a, b in parts]),
+        )
 
     def _sorted_ids(
         self, field: FieldSync, what: str, ids_per_host: Sequence[np.ndarray]
@@ -339,7 +374,7 @@ class GluonSynchronizer:
         changed_per_master: Sequence[np.ndarray],
         accessed: Sequence[np.ndarray] | None,
         canonical: Sequence[np.ndarray],
-        land: Callable[[int, np.ndarray, np.ndarray], None],
+        land: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
         request_phase: str,
         broadcast_phase: str,
     ) -> list[np.ndarray]:
@@ -351,7 +386,10 @@ class GluonSynchronizer:
         ``changed_per_master[m]`` and the requests it received — from
         ``canonical[m]``, and each receiver ``land``s everything it got in
         one call.  Each phase is one exchange, messages in (h, m) order for
-        requests and (m, h) order for the broadcast.  Returns per host the
+        requests and (m, h) order for the broadcast; the broadcast's
+        payloads are row ranges of one gather, so under the RepModel plans
+        a master's changed rows are gathered once and a receiver reads its
+        masters' ranges as one or two slices.  Returns per host the
         sorted global ids that landed.  With a checker attached the field
         must be watched (``ValueError`` naming it, before any phase opens).
         """
@@ -376,59 +414,63 @@ class GluonSynchronizer:
 
         empty = np.empty(0, dtype=np.int64)
         with self.network.phase(broadcast_phase):
-            srcs: list[int] = []
-            dsts: list[int] = []
-            wires: list[int] = []
-            payloads: list[tuple[np.ndarray, np.ndarray]] = []
-            for m in range(H):
-                changed = changed_per_master[m]
-                if requested is None:
-                    # No access set is an input: one selection (and one
-                    # read-only gather) serves every receiver.
-                    ids, w = plan.broadcast_selection(changed, self._blocks[m], None, dim)
-                    if w > 0:
-                        others = self._others[m]
-                        vals = canonical[m][ids]
-                        vals.flags.writeable = False
-                        srcs += [m] * len(others)
-                        dsts += others
-                        wires += [w] * len(others)
-                        payloads += [(ids, vals)] * len(others)
-                    continue
-                # Receivers of the changed set itself share one read-only
-                # gather of its rows.
-                changed_vals: np.ndarray | None = None
-                for h in self._others[m]:
-                    ids, w = plan.broadcast_selection(
-                        changed, self._blocks[m], requested[m].get(h, empty), dim
-                    )
-                    if w <= 0:
-                        continue
-                    if ids is changed:
-                        if changed_vals is None:
-                            changed_vals = canonical[m][changed]
-                            changed_vals.flags.writeable = False
-                        vals = changed_vals
-                    else:
-                        vals = canonical[m][ids]
-                    srcs.append(m)
-                    dsts.append(h)
-                    wires.append(w)
-                    payloads.append((ids, vals))
-            self.network.exchange(srcs, dsts, wires, payloads)
-            # Masters were drained in ascending order over disjoint
-            # ascending blocks: a receiver's concatenated ids are sorted.
+            empty_vals = np.empty((0, dim), dtype=canonical[0].dtype)
+            if requested is None:
+                # No access set is an input: one selection per master, its
+                # rows gathered once into one read-only flat buffer, and its
+                # H - 1 messages the same range of it — a receiver's ranges
+                # (ascending masters, its own skipped) read as two slices.
+                picks = [
+                    plan.broadcast_selection(changed_per_master[m], self._blocks[m], None, dim)
+                    for m in range(H)
+                ]
+                cuts = np.cumsum([0] + [len(ids) for ids, _w in picks])
+                flat = (
+                    np.concatenate([empty] + [ids for ids, _w in picks]),
+                    np.concatenate([empty_vals] + [canonical[m][ids] for m, (ids, _w) in enumerate(picks)]),
+                )
+                flat[1].flags.writeable = False
+                wires = np.array([w for _ids, w in picks], dtype=np.int64)
+                senders = np.flatnonzero(wires > 0)
+                src = np.repeat(senders, H - 1)
+                dst = self._others_of[senders].ravel()
+                wire = wires[src]
+                payloads = Slices([flat], np.zeros(len(src), dtype=np.int64), cuts[src], cuts[src + 1])
+            else:
+                # Per request: each message its own selection and gather.
+                src, dst, wire, bases = [], [], [], []
+                for m in range(H):
+                    for h in self._others[m]:
+                        ids, w = plan.broadcast_selection(
+                            changed_per_master[m], self._blocks[m], requested[m].get(h, empty), dim
+                        )
+                        if w > 0:
+                            src.append(m)
+                            dst.append(h)
+                            wire.append(w)
+                            bases.append((ids, canonical[m][ids]))
+                payloads = Slices(
+                    bases, np.arange(len(bases)), np.zeros(len(bases), dtype=np.int64),
+                    [len(ids) for ids, _vals in bases],
+                )
+            self.network.exchange(src, dst, wire, payloads)
+            # A receiver's deliveries come from ascending masters over
+            # disjoint ascending blocks: its concatenated ids are sorted.
             received_per_host: list[np.ndarray] = []
+            landed_per_host: list[np.ndarray] | None = None if self.checker is None else []
             for h in range(H):
-                got = [payload for _src, payload in self.network.drain(h) if len(payload[0])]
-                ids = np.concatenate([p[0] for p in got]) if got else np.empty(0, np.int64)
-                if got:
-                    land(h, ids, np.concatenate([p[1] for p in got]))
+                got = self.network.receive(h)
+                ids = _joined([d.rows(0) for d in got], empty)
+                vals = _joined([d.rows(1) for d in got], empty_vals)
+                if ids.size:
+                    vals = land(h, ids, vals)
                 received_per_host.append(ids)
+                if landed_per_host is not None:
+                    landed_per_host.append(vals)
         if self.checker is not None:
             self.checker.after_broadcast(
                 field, self.bounds, plan, changed_per_master, accessed,
-                received_per_host,
+                received_per_host, landed_per_host,
             )
         return received_per_host
 

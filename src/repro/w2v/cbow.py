@@ -11,8 +11,8 @@ segment id per row mapping it to its example.  It is built from Skip-Gram's
 (center, neighbour) pairs — the same draws in the same order — regrouped by
 center, so both architectures consume a chunk's random stream identically:
 each draws one negatives row per center
-(:func:`repro.w2v.sgd.sample_center_negatives`), which Skip-Gram shares
-across the center's pairs and CBOW gives the center's one example.
+(:func:`repro.w2v.sgd._chunk_pairs`), which Skip-Gram shares across the
+center's pairs and CBOW gives the center's one example.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from repro.text.negative_sampling import UnigramTable
 from repro.w2v.hs import hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.scatter import scatter_sub, sparse_update
-from repro.w2v.sgd import _window_pairs, sample_center_negatives
+from repro.w2v.sgd import _ChunkPairs
 
-__all__ = ["CbowBatch", "build_cbow_batch", "cbow_ns_update", "cbow_hs_update"]
+__all__ = ["CbowBatch", "cbow_batches", "cbow_ns_update", "cbow_hs_update"]
 
 _MIN_PROB = 1e-10
 
@@ -72,41 +71,32 @@ class CbowBatch:
         )
 
 
-def build_cbow_batch(
-    sentences: list[np.ndarray],
-    *,
-    window: int,
-    keep_prob: np.ndarray,
-    table: UnigramTable | None,
-    num_negatives: int,
-    rng: np.random.Generator,
-) -> CbowBatch:
-    """Subsample + window the sentences into a CBOW batch.
+def cbow_batches(pairs: _ChunkPairs) -> list[CbowBatch]:
+    """Regroup a batch of chunks' Skip-Gram pairs into one CBOW batch per chunk.
 
-    The draws and pairs are Skip-Gram's (:func:`repro.w2v.sgd._window_pairs`),
-    regrouped by center: examples in ascending token position, each with its
-    contexts in position order (left, then right).  ``table`` may be
-    ``None`` when training with hierarchical softmax (the negatives arrays
-    are then empty).
+    Examples are a chunk's distinct centers in ascending token position,
+    each with its contexts in position order (left, then right), and each
+    trained against the center's one negatives row.
     """
-    kept, centers, contexts = _window_pairs(sentences, window, keep_prob, rng)
-    negatives, mask, _row = sample_center_negatives(
-        table, kept, centers, num_negatives, rng
-    )
-    order = np.lexsort((contexts, centers))
-    centers, rows_arr = centers[order], kept[contexts[order]]
-    starts = np.flatnonzero(np.diff(centers, prepend=-1))
-    centers_arr = kept[centers[starts]]
-    counts_arr = np.diff(starts, append=len(centers))
-    segments = np.repeat(np.arange(len(starts)), counts_arr)
-    return CbowBatch(
-        centers=centers_arr,
-        context_rows=rows_arr,
-        context_segments=segments,
-        context_counts=counts_arr,
-        negatives=negatives,
-        negative_mask=mask,
-    )
+    order = np.lexsort((pairs.contexts, pairs.centers))
+    rows = pairs.inputs[order]
+    counts = np.bincount(pairs.row, minlength=len(pairs.words))
+    # Example index within its own chunk, per context row.
+    first = pairs.center_cuts[:-1]
+    local = np.arange(len(pairs.words)) - np.repeat(first, np.diff(pairs.center_cuts))
+    segments = np.repeat(local, counts)
+    pair_cuts, center_cuts = pairs.pair_cuts.tolist(), pairs.center_cuts.tolist()
+    return [
+        CbowBatch(
+            centers=pairs.words[e0:e1],
+            context_rows=rows[p0:p1],
+            context_segments=segments[p0:p1],
+            context_counts=counts[e0:e1],
+            negatives=pairs.negatives[e0:e1],
+            negative_mask=pairs.negative_mask[e0:e1],
+        )
+        for p0, p1, e0, e1 in zip(pair_cuts[:-1], pair_cuts[1:], center_cuts[:-1], center_cuts[1:])
+    ]
 
 
 def _context_means(embedding: np.ndarray, batch: CbowBatch) -> np.ndarray:

@@ -87,7 +87,7 @@ from repro.util.rng import SeedSequenceTree
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
-from repro.w2v.steps import RoundWork, build_round_work, output_rows_for
+from repro.w2v.steps import RoundWork, build_round_works, output_rows_for
 
 __all__ = ["GraphWord2Vec", "DistributedTrainResult", "default_sync_rounds"]
 
@@ -356,12 +356,8 @@ class GraphWord2Vec:
         # ``e`` is requested (compute of ``e``, or PullModel inspection of
         # ``e`` from the last round of ``e-1``), epochs ``< e`` can never be
         # asked for again — drop them so their shuffled sentence lists don't
-        # pin dead corpus memory for the rest of the run.
-        # The cache writes below are reachable from the engine's parallel
-        # ``run_chain`` operator (in-chain inspection), but never race: the
-        # wave pre-pass materializes every inspected epoch serially before
-        # fanning out, so the operator only ever hits the already-populated
-        # cache.
+        # pin dead corpus memory for the rest of the run.  Only the serial
+        # wave pre-pass generates work, so nothing here races.
         self._epoch_chunks_cache = {
             k: self._epoch_chunks_cache[k]
             for k in sorted(self._epoch_chunks_cache)
@@ -376,41 +372,52 @@ class GraphWord2Vec:
         Work is a pure function of the seed tree, so inspection (which needs
         it one sync early under PullModel) and compute see the same edges
         without storing more than ~two rounds of examples.  The engine
-        drops a slot's entry once its step has run.
+        builds a wave's slots together (:meth:`_build_works`) and drops a
+        slot's entry once its step has run.
         """
         key = (epoch, round_index, host)
         entry = self._work_cache.get(key)
         if entry is None:
-            entry = self._work_cache[key] = self._build_work(epoch, round_index, host)
+            entry = self._work_cache[key] = self._build_works([key])[0]
         return entry[0]
 
-    def _build_work(
-        self, epoch: int, round_index: int, host: int
-    ) -> tuple[RoundWork, float]:
-        """Generate one slot's work, bypassing the memo cache; returns it
-        with the thread time generation took — what PullModel inspection
-        of the slot is charged, whichever pass generated it.
+    def _build_works(
+        self, slots: list[tuple[int, int, int]]
+    ) -> list[tuple[RoundWork, float]]:
+        """Generate the ``(epoch, round, host)`` slots' work in one batch,
+        bypassing the memo cache; each with its share of the thread time
+        generation took — what PullModel inspection of the slot is charged,
+        whichever pass generated it.  The batch's time is shared in
+        proportion to the slots' examples.
 
-        A pure function of the seed tree (given materialized epoch chunks),
-        so concurrent calls for distinct hosts are safe — in-chain
-        inspection relies on this.
+        A pure function of the seed tree: slot ``(e, r, h)`` draws from
+        ``h``'s stream of round ``r``'s subtree, derived once per round.
         """
         start = time.thread_time()
-        sentences = self._epoch_chunks(epoch)[host][round_index]
-        rng = (
-            self._seeds.subtree("epoch", epoch)
-            .subtree("round", round_index)
-            .child("pairs", host)
-        )
-        work = build_round_work(
-            sentences,
+        chunks = {
+            e: self._epoch_chunks(e)
+            for e in sorted({e for e, _r, _h in slots}, reverse=True)
+        }
+        rounds = {
+            (e, r): self._seeds.subtree("epoch", e).subtree("round", r)
+            for e, r in dict.fromkeys((e, r) for e, r, _h in slots)
+        }
+        works = build_round_works(
+            [
+                (chunks[e][host][r], rounds[(e, r)].child("pairs", host))
+                for e, r, host in slots
+            ],
             params=self.params,
             keep_prob=self._keep_prob,
             table=self._table,
             tree=self._tree,
-            rng=rng,
         )
-        return work, time.thread_time() - start
+        elapsed = time.thread_time() - start
+        examples = sum(work.num_examples for work in works)
+        return [
+            (work, elapsed * (work.num_examples / examples if examples else 1 / len(works)))
+            for work in works
+        ]
 
     def _access_rows(self, host: int, work: RoundWork) -> list[np.ndarray]:
         """``host``'s replica rows on ``work``'s access sets (embedding,

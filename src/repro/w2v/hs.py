@@ -19,19 +19,21 @@ import numpy as np
 from scipy.special import expit
 
 from repro.w2v.huffman import HuffmanTree
-from repro.w2v.scatter import _sorted_unique, scatter_sub, sparse_update
+from repro.w2v.scatter import scatter_sub, sparse_update
 
-__all__ = ["hs_update", "hs_pairs_access"]
+__all__ = ["hs_update", "hs_path_points"]
 
 _MIN_PROB = 1e-10
 
 
-def hs_pairs_access(outputs: np.ndarray, tree: HuffmanTree) -> np.ndarray:
-    """Sorted unique inner-node rows the given output words train against."""
+def hs_path_points(outputs: np.ndarray, tree: HuffmanTree) -> tuple[np.ndarray, np.ndarray]:
+    """The inner-node rows the given output words train against:
+    ``(points, lengths)``, every word's root path concatenated in word
+    order, and each path's length."""
     points = tree.point_matrix[outputs]
     lengths = tree.code_lengths[outputs]
     mask = np.arange(tree.max_code_length)[None, :] < lengths[:, None]
-    return _sorted_unique(points[mask], tree.num_inner_nodes)
+    return points[mask], lengths
 
 
 def hs_update(

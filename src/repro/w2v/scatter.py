@@ -47,13 +47,6 @@ from scipy.sparse import csc_matrix
 __all__ = ["sparse_update", "scatter_sub"]
 
 
-def _sorted_unique(ids: np.ndarray, num_rows: int) -> np.ndarray:
-    """``np.unique(ids)`` for ids in ``[0, num_rows)``: a row mark, O(n + V)."""
-    mark = np.zeros(num_rows, dtype=bool)
-    mark[ids] = True
-    return np.flatnonzero(mark)
-
-
 def _row_sums(
     num_rows: int, ids: np.ndarray, weights: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

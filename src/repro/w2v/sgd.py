@@ -17,13 +17,17 @@ Follows word2vec.c's training schedule:
       σ = sigmoid(e · t_j);  g_j = (σ_j − y_j)·α
       e −= Σ_j g_j t_j;      t_j −= g_j e
 
-Generation is one pass per worklist chunk (:func:`_window_pairs`): the
-chunk is one flat token array with a sentence id per token, each of the
-three draws above is one call over the whole chunk (uniforms, then spans,
-then one negatives row per distinct center), and the pairs at distance
-``d`` are the centers whose span reaches ``d`` and whose neighbour ``d``
-away lies in the same sentence — offset arithmetic, no loop over
-sentences.
+Generation is one pass per *batch* of worklist chunks (:func:`_chunk_pairs`
+— a round's chunks on every simulated host, or a single chunk): the
+batch is one flat token array with a (chunk, sentence) segment id per
+token.  Each chunk still draws from its own generator, in a fixed order
+(uniforms, then spans, then one negatives row per distinct center), so a
+chunk's examples do not depend on its batch-mates; everything between
+the draws runs once over the batch.  The pairs at distance ``d`` are the
+centers whose span reaches ``d`` and whose neighbour ``d`` away lies in
+the same segment — offset arithmetic, no loop over sentences, chunks or
+hosts.  This is Ji et al.'s HogBatch idea (merge many tiny operations into
+one larger one) applied across the simulated hosts.
 
 Updates are applied one slice at a time as two sparse-times-dense products
 (:mod:`repro.w2v.scatter`): gradients in a slice are computed against the
@@ -35,7 +39,8 @@ empirically benign for sparse updates — §2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -47,7 +52,6 @@ __all__ = [
     "TrainingBatch",
     "subsample_sentence",
     "sample_negatives",
-    "sample_center_negatives",
     "build_training_batch",
     "sgns_update",
     "apply_in_slices",
@@ -110,38 +114,99 @@ def subsample_sentence(
     return sentence[keep]
 
 
-def _window_pairs(
-    sentences: list[np.ndarray],
+@dataclass
+class _ChunkPairs:
+    """The generated pairs of a batch of chunks, flat and chunk-major.
+
+    Positions index the batch's kept tokens.  Pairs of chunk ``i`` are
+    ``pair_cuts[i]:pair_cuts[i + 1]`` (centers, contexts, inputs, row) in
+    :func:`_chunk_pairs` order; its distinct centers, ascending, are
+    ``center_cuts[i]:center_cuts[i + 1]`` (words, negatives, mask), and
+    ``row[j]`` is pair ``j``'s center among all of the batch's.
+    """
+
+    centers: np.ndarray  # (P,) center position of each pair
+    contexts: np.ndarray  # (P,) neighbour position of each pair
+    inputs: np.ndarray  # (P,) neighbour word ids
+    row: np.ndarray  # (P,) distinct-center index of each pair
+    words: np.ndarray  # (C,) distinct center word ids
+    negatives: np.ndarray  # (C, k)
+    negative_mask: np.ndarray  # (C, k)
+    pair_cuts: np.ndarray  # (n + 1,)
+    center_cuts: np.ndarray  # (n + 1,)
+
+    def skipgram(self) -> list["TrainingBatch"]:
+        """One :class:`TrainingBatch` per chunk: the center is the output,
+        its neighbour the input, and every pair of a center shares its
+        negatives row.  The per-pair rows are gathered per chunk, so a
+        chunk's batch does not keep its batch-mates' memory alive."""
+        cuts = self.pair_cuts.tolist()
+        batches = []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            row = self.row[a:b]
+            batches.append(TrainingBatch(
+                inputs=self.inputs[a:b],
+                outputs=self.words[row],
+                negatives=self.negatives[row],
+                negative_mask=self.negative_mask[row],
+            ))
+        return batches
+
+
+def _chunk_pairs(
+    slots: Sequence[tuple[Sequence[np.ndarray], np.random.Generator]],
     window: int,
     keep_prob: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subsample and window a chunk in one pass: ``(kept, centers, contexts)``.
+    table: UnigramTable | None,
+    num_negatives: int,
+) -> _ChunkPairs:
+    """Subsample, window and negative-sample a batch of chunks in one pass.
 
-    The chunk is one flat token array with a sentence id per token.  Draws,
-    in this order: one uniform per token (subsampling), one span
-    ``U{1..window}`` per kept token.  ``(centers[j], contexts[j])`` are
-    positions in ``kept`` of a center and an in-span neighbour of the same
-    sentence, ordered by sentence, then distance, then left before right,
-    then ascending center.  Token ids outside ``[0, len(keep_prob))`` raise
-    ``ValueError`` before anything is drawn.
+    Each chunk draws from its own generator, in this order: one uniform
+    per token (subsampling), one span ``U{1..window}`` per kept token,
+    then one :func:`sample_negatives` row per distinct center, ascending
+    (``table`` may be ``None`` when ``num_negatives`` is 0).  Only the
+    draws are per chunk; everything else runs once over the chunks'
+    tokens laid end to end, with one segment id per (chunk, sentence).
+    A chunk's pairs are ordered by sentence, then distance, then left
+    before right, then ascending center.  A token id outside ``[0,
+    len(keep_prob))`` raises ``ValueError`` naming its sentence within
+    its chunk before anything is drawn from any generator.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    lengths = [len(s) for s in sentences]
+    chunks = [chunk for chunk, _rng in slots]
+    sentences = [sentence for chunk in chunks for sentence in chunk]
+    lengths = [len(sentence) for sentence in sentences]
     tokens = np.concatenate(sentences or [np.empty(0, dtype=np.int64)])
     V = len(keep_prob)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= V):
         bad = int(np.flatnonzero((tokens < 0) | (tokens >= V))[0])
         sentence = int(np.searchsorted(np.cumsum(lengths), bad, side="right"))
+        for chunk in chunks:  # name the sentence by its index in its chunk
+            if sentence < len(chunk):
+                break
+            sentence -= len(chunk)
         raise ValueError(
             f"sentence {sentence} of the chunk holds token {tokens[bad]}, "
             f"outside the vocabulary [0, {V})"
         )
-    keep = rng.random(len(tokens)) < keep_prob[tokens]
-    kept = tokens[keep]
-    segments = np.repeat(np.arange(len(sentences)), lengths)[keep]
-    spans = rng.integers(1, window + 1, len(kept))
+    # Chunk i holds sentences sentence_cuts[i]:[i + 1] and tokens
+    # token_cuts[i]:[i + 1]; kept_cuts cut the kept tokens likewise.
+    sizes = [sum(map(len, chunk)) for chunk in chunks]
+    sentence_cuts = list(accumulate(map(len, chunks), initial=0))
+    token_cuts = list(accumulate(sizes, initial=0))
+    uniforms = [rng.random(n) for (_chunk, rng), n in zip(slots, sizes)]
+    keep = (uniforms[0] if len(slots) == 1 else np.concatenate(uniforms)) < keep_prob[tokens]
+    kept_at = np.flatnonzero(keep)
+    kept = tokens[kept_at]
+    segments = np.repeat(np.arange(len(sentences)), lengths)[kept_at]
+    kept_cuts = np.searchsorted(kept_at, token_cuts)
+    ends = kept_cuts.tolist()
+    spans = [
+        rng.integers(1, window + 1, b - a) for (_chunk, rng), a, b in zip(slots, ends[:-1], ends[1:])
+    ]
+    spans = spans[0] if len(slots) == 1 else np.concatenate(spans)
     empty = np.empty(0, dtype=np.intp)
     center_parts, context_parts = [empty], [empty]
     for d in range(1, min(window, len(kept) - 1) + 1):
@@ -151,8 +216,37 @@ def _window_pairs(
         center_parts += [left, right]
         context_parts += [left - d, right + d]
     centers, contexts = np.concatenate(center_parts), np.concatenate(context_parts)
-    order = np.argsort(segments[centers], kind="stable")
-    return kept, centers[order], contexts[order]
+    center_segments = segments[centers]
+    order = np.argsort(center_segments, kind="stable")
+    centers, contexts = centers[order], contexts[order]
+    pair_cuts = np.searchsorted(center_segments[order], sentence_cuts)
+
+    seen = np.zeros(len(kept), dtype=bool)
+    seen[centers] = True
+    distinct = np.flatnonzero(seen)
+    center_cuts = np.searchsorted(distinct, kept_cuts)
+    words = kept[distinct]
+    cuts = center_cuts.tolist()
+    drawn = [
+        sample_negatives(table, words[a:b], num_negatives, rng)
+        for (_chunk, rng), a, b in zip(slots, cuts[:-1], cuts[1:])
+    ]
+    if len(drawn) == 1:
+        negatives, mask = drawn[0]
+    else:
+        negatives = np.concatenate([neg for neg, _mask in drawn])
+        mask = np.concatenate([mask for _neg, mask in drawn])
+    return _ChunkPairs(
+        centers=centers,
+        contexts=contexts,
+        inputs=kept[contexts],
+        row=(np.cumsum(seen) - 1)[centers],
+        words=words,
+        negatives=negatives,
+        negative_mask=mask,
+        pair_cuts=pair_cuts,
+        center_cuts=center_cuts,
+    )
 
 
 def sample_negatives(
@@ -179,28 +273,6 @@ def sample_negatives(
     return neg, ~collide
 
 
-def sample_center_negatives(
-    table: UnigramTable | None,
-    kept: np.ndarray,
-    centers: np.ndarray,
-    num_negatives: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One negatives row per distinct center of a chunk: ``(negatives, mask, row)``.
-
-    ``centers`` are the pairs' center positions in ``kept``.  The ``(C, k)``
-    draw covers the distinct positions in ascending order, with
-    :func:`sample_negatives`' one collision redraw against each center's
-    word; ``row[j]`` is pair ``j``'s center among them, so every pair of a
-    center shares its row and mask.  With ``k = 0`` nothing is drawn and
-    ``table`` may be ``None`` (hierarchical softmax).
-    """
-    seen = np.zeros(len(kept), dtype=bool)
-    seen[centers] = True
-    negatives, mask = sample_negatives(table, kept[seen], num_negatives, rng)
-    return negatives, mask, (np.cumsum(seen) - 1)[centers]
-
-
 def build_training_batch(
     sentences: list[np.ndarray],
     *,
@@ -216,20 +288,10 @@ def build_training_batch(
     positive edges from windows, negative edges from the noise distribution,
     regenerated fresh every epoch from the worklist.  The center is the
     output and its neighbour the input (word2vec.c's convention); pairs
-    come in :func:`_window_pairs` order and the negatives are drawn last,
-    one row per center (:func:`sample_center_negatives`) shared by all its
-    pairs.
+    come in :func:`_chunk_pairs` order and the negatives are drawn last,
+    one row per center shared by all its pairs.  A batch of one chunk.
     """
-    kept, centers, contexts = _window_pairs(sentences, window, keep_prob, rng)
-    negatives, mask, row = sample_center_negatives(
-        table, kept, centers, num_negatives, rng
-    )
-    return TrainingBatch(
-        inputs=kept[contexts],
-        outputs=kept[centers],
-        negatives=negatives[row],
-        negative_mask=mask[row],
-    )
+    return _chunk_pairs([(sentences, rng)], window, keep_prob, table, num_negatives).skipgram()[0]
 
 
 def sgns_update(

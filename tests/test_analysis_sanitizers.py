@@ -299,6 +299,38 @@ class TestGluonSyncChecker:
         assert checker.findings == []
         assert checker.rounds_observed == 2
 
+    @pytest.mark.parametrize("host0_stores", [True, False])
+    def test_landing_rebases_the_shadow(self, host0_stores):
+        """The shadow takes what a landing stored, not the receiver's
+        replica: rounds whose receivers store what they get stay clean,
+        and a host that stores nothing of what it received is flagged at
+        the next fold."""
+        checker = GluonSyncChecker()
+        sync, field, bases = make_sync(checker=checker)
+
+        def land(host, ids, vals):
+            if host == 0 and not host0_stores:
+                return vals  # claims the rows, stores none of them
+            bases[host][ids] = vals
+            return field.land(host, ids, vals)
+
+        # Round 1: host 1 updates its own master row 5, which RepModel-Opt
+        # broadcasts to host 0.  Round 2 writes nothing.
+        field.arrays[1][5] += 1.0
+        for touched in ([], [5]), ([], []):
+            touched = [np.array(ids, dtype=np.int64) for ids in touched]
+            deltas = [a[t].astype(np.float64) - b[t] for a, b, t in zip(field.arrays, bases, touched)]
+            sync.fold(
+                field, touched, deltas, get_combiner("mc"), get_plan("opt"),
+                canonical=bases, land=land,
+            )
+        if host0_stores:
+            assert checker.findings == []
+        else:
+            [finding] = checker.findings
+            assert finding.kind == "dropped-write"
+            assert finding.details == {"field": "f", "host": 0, "rows": [5]}
+
     def test_unwatched_field_is_rejected_before_any_phase(self):
         checker = GluonSyncChecker()
         sync, field, bases = make_sync(checker=checker)

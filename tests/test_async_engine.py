@@ -114,7 +114,7 @@ def lockstep_oracle(plan):
     pairs = 0
 
     def work_of(slot):
-        return [t._build_work(*slot, h)[0] for h in range(HOSTS)]
+        return [work for work, _s in t._build_works([(*slot, h) for h in range(HOSTS)])]
 
     for fold, slot in enumerate(slots):
         works = work_of(slot)
@@ -453,11 +453,11 @@ def test_each_round_work_is_built_once(monkeypatch, plan, staleness):
     import repro.w2v.distributed as distributed
 
     builds = []
-    real = distributed.build_round_work
+    real = distributed.build_round_works
     monkeypatch.setattr(
         distributed,
-        "build_round_work",
-        lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs),
+        "build_round_works",
+        lambda slots, **kwargs: builds.extend(slots) or real(slots, **kwargs),
     )
     trainer = GraphWord2Vec(
         corpus(),

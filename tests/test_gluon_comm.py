@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import TransientFaultInjector
-from repro.gluon.comm import HEADER_BYTES, MessageStats, PhaseRecord, SimulatedNetwork
+from repro.gluon.comm import HEADER_BYTES, MessageStats, PhaseRecord, SimulatedNetwork, Slices
 
 
 class TestSend:
@@ -107,16 +107,20 @@ def _network(H, faulty):
     return SimulatedNetwork(H, fault_injector=injector)
 
 
-def _state(net):
-    """Everything a batch of messages can change, comparable with ==."""
+def _charges(net):
+    """What a batch of messages charges: records, stats, injector draws."""
     injector = net.fault_injector
     return (
         [(r.name, r.sent.tolist(), r.recv.tolist(), r.messages, r.resent_bytes)
          for r in net.phase_records],
         net.stats,
         None if injector is None else injector.snapshot(),
-        [net.drain(h) for h in range(net.num_hosts)],
     )
+
+
+def _state(net):
+    """Everything a batch of messages can change, comparable with ==."""
+    return (*_charges(net), [net.drain(h) for h in range(net.num_hosts)])
 
 
 @st.composite
@@ -148,6 +152,43 @@ class TestExchange:
                             net.send(*args)
         assert _state(many) == _state(one)
 
+    @settings(max_examples=150, deadline=None)
+    @given(batch=batches(), faulty=st.booleans(), data=st.data())
+    def test_sliced_exchange_equals_the_loop_of_sends(self, batch, faulty, data):
+        """A batch whose payloads are row ranges of shared arrays charges,
+        draws and delivers exactly what sending each range's slices one
+        message at a time does; a delivery read whole is its messages'
+        slices concatenated in arrival order."""
+        H, src, dst, nbytes = batch
+        n = len(src)
+        bases = [(np.arange(12) + 100 * b, np.arange(24.0).reshape(12, 2) + b) for b in range(3)]
+        base = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        lo = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        hi = [data.draw(st.integers(a, 12)) for a in lo]
+        slices = Slices(bases, base, lo, hi)
+        cut = [tuple(a[l:h] for a in bases[b]) for b, l, h in zip(base, lo, hi)]
+        one, many, whole = (_network(H, faulty) for _ in range(3))
+        for name in ("reduce", "broadcast"):
+            with one.phase(name), many.phase(name), whole.phase(name):
+                for args in zip(src, dst, nbytes, cut):
+                    one.send(*args)
+                many.exchange(src, dst, nbytes, slices)
+                whole.exchange(src, dst, nbytes, slices)
+        sent = [one.drain(h) for h in range(H)]
+        assert _charges(many) == _charges(one) == _charges(whole)
+        for h in range(H):
+            got = many.drain(h)
+            assert [s for s, _ in got] == [s for s, _ in sent[h]]
+            for (_, mine), (_, theirs) in zip(got, sent[h]):
+                assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+            deliveries = whole.receive(h)
+            assert [s for d in deliveries for s in d.src.tolist()] == [s for s, _ in sent[h]]
+            for k in range(2):
+                assert np.array_equal(
+                    np.concatenate([bases[0][k][:0]] + [d.rows(k) for d in deliveries]),
+                    np.concatenate([bases[0][k][:0]] + [p[k] for _, p in sent[h]]),
+                )
+
     def test_payloads_default_to_none(self):
         net = SimulatedNetwork(3)
         net.exchange([0, 1], [2, 2], [4, 8])
@@ -175,6 +216,9 @@ class TestExchange:
             (([0, 1], [1], [1, 1]), "dst"),
             (([0, 1], [1, 0], [1, 1], ["only one"]), "payloads"),
             (([[0, 1]], [[1, 0]], [[1, 1]]), "src"),
+            (([0, 1], [1, 0], [1, 1], Slices([(np.arange(3),)], [0], [0], [1])), "payloads.base"),
+            (([0, 1], [1, 0], [1, 1], Slices([(np.arange(3),)], [0, 1], [0, 0], [1, 1])), r"payloads\[1\]"),
+            (([0, 1], [1, 0], [1, 1], Slices([(np.arange(3),)], [0, 0], [0, 2], [1, 1])), r"payloads\[1\]"),
         ],
     )
     def test_bad_entry_rejected_before_anything_is_charged(self, args, field):

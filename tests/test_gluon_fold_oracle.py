@@ -76,8 +76,8 @@ def lockstep_sync(sync, field, bases, updated, combiner, plan, accessed_next=Non
     deltas = [a[t].astype(np.float64) - b[t] for a, b, t in zip(field.arrays, bases, touched)]
 
     def land(host, ids, vals):
-        field.land(host, ids, vals)
         bases[host][ids] = vals
+        return field.land(host, ids, vals)
 
     return sync.fold(
         field, touched, deltas, combiner, plan, canonical=bases, land=land,

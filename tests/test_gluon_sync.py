@@ -155,6 +155,32 @@ class TestReplicatedSync:
         assert net.phase_records == [] and net.total_bytes == 0
         assert all(np.array_equal(a, b) for a, b in zip(field.arrays, before))
 
+    def test_only_rows_that_arrived_fold(self):
+        """Masters fold what reached them: a plan that prices a reduce
+        message at 0 bytes suppresses it, and its rows stay unfolded while
+        the same source's delivered rows and own part fold."""
+
+        class OddMessagesDropped(type(get_plan("opt"))):
+            def reduce_wire_bytes(self, num_updated, dim, block_size):
+                wire = super().reduce_wire_bytes(num_updated, dim, block_size)
+                return np.where(num_updated % 2 == 1, 0, wire)
+
+        _, net, sync, field, bases = make_replicated(V=8, D=2, H=2)
+        # Host 1 sends master 0 one row (suppressed) and keeps rows 5, 6 of
+        # its own block; host 0 keeps rows 1, 2 and sends master 1 rows 4, 5.
+        writes = {0: [1, 2, 4, 5], 1: [0, 5, 6]}
+        before = bases[0].copy()
+        for h, rows in writes.items():
+            field.arrays[h][rows] += 1.0
+        upd = [BitVector(8), BitVector(8)]
+        for h, rows in writes.items():
+            upd[h].set_many(np.array(rows))
+        result = lockstep_sync(sync, field, bases, upd, get_combiner("sum"), OddMessagesDropped())
+        assert [rows.tolist() for rows in result.changed_per_master] == [[1, 2], [4, 5, 6]]
+        assert net.phase_records[0].messages == 1  # host 0 -> master 1 only
+        assert np.array_equal(bases[0][0], before[0])
+        assert np.array_equal(bases[1][5], before[5] + 2.0)
+
     def test_requires_fully_replicated(self):
         parts = partition_edges(np.array([0, 1]), np.array([1, 2]), 4, 2, policy="oec")
         net = SimulatedNetwork(2)

@@ -5,16 +5,22 @@ import pytest
 from repro.text.negative_sampling import UnigramTable
 from repro.w2v.cbow import (
     CbowBatch,
-    build_cbow_batch,
+    cbow_batches,
     cbow_hs_update,
     cbow_ns_update,
 )
-from repro.w2v.hs import hs_pairs_access, hs_update
+from repro.w2v.hs import hs_path_points, hs_update
 from repro.w2v.huffman import HuffmanTree
 from repro.w2v.params import Word2VecParams
-from repro.w2v.sgd import sample_negatives
+from repro.w2v.sgd import _chunk_pairs, sample_negatives
 from repro.w2v.steps import build_round_work, output_rows_for
 from tests.test_w2v_sgd import chunks, flat_draws, keep_modes, keep_probabilities
+
+
+def build_cbow_batch(sentences, *, window, keep_prob, table, num_negatives, rng):
+    """One chunk's CBOW batch: `cbow_batches` of a batch of one."""
+    pairs = _chunk_pairs([(sentences, rng)], window, keep_prob, table, num_negatives)
+    return cbow_batches(pairs)[0]
 
 
 def small_tree(V=8):
@@ -61,12 +67,13 @@ class TestHsUpdate:
 
     def test_pairs_access(self):
         tree = small_tree()
-        ids = hs_pairs_access(np.array([2, 5]), tree)
-        expected = np.unique(np.concatenate([tree.points[2], tree.points[5]]))
-        assert np.array_equal(ids, expected)
+        points, lengths = hs_path_points(np.array([2, 5]), tree)
+        assert np.array_equal(points, np.concatenate([tree.points[2], tree.points[5]]))
+        assert lengths.tolist() == [len(tree.points[2]), len(tree.points[5])]
 
     def test_pairs_access_empty(self):
-        assert hs_pairs_access(np.empty(0, dtype=np.int64), small_tree()).size == 0
+        points, lengths = hs_path_points(np.empty(0, dtype=np.int64), small_tree())
+        assert points.size == 0 and lengths.size == 0
 
 
 class TestCbowBatch:

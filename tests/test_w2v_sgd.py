@@ -4,10 +4,10 @@ import pytest
 from scipy.special import expit
 
 from repro.text.negative_sampling import UnigramTable
-from repro.w2v.cbow import build_cbow_batch
+from repro.w2v.cbow import cbow_batches
 from repro.w2v.sgd import (
     TrainingBatch,
-    _window_pairs,
+    _chunk_pairs,
     apply_in_slices,
     build_training_batch,
     sample_negatives,
@@ -276,7 +276,7 @@ def flat_draws(sentences, window, keep_prob, rng):
     """The chunk's draws, cut per sentence: ``[(kept, spans), ...]``.
 
     One uniform per token, then one span per kept token — the layout
-    ``build_training_batch`` and ``build_cbow_batch`` consume.
+    ``build_training_batch`` and ``cbow_batches`` consume.
     """
     tokens = np.concatenate([np.empty(0, dtype=np.int64), *sentences])
     keep = rng.random(len(tokens)) < keep_prob[tokens]
@@ -393,10 +393,8 @@ def test_negatives_are_shared_per_center(sentences, window, mode, k, seed):
     table = UnigramTable(np.arange(V, 0, -1, dtype=float) ** 3)
     kwargs = dict(window=window, keep_prob=keep_prob, table=table, num_negatives=k)
     batch = build_training_batch(sentences, **kwargs, rng=np.random.default_rng(seed))
-    cbow = build_cbow_batch(sentences, **kwargs, rng=np.random.default_rng(seed))
-    _kept, centers, _contexts = _window_pairs(
-        sentences, window, keep_prob, np.random.default_rng(seed)
-    )
+    pairs = _chunk_pairs([(sentences, np.random.default_rng(seed))], window, keep_prob, table, k)
+    cbow, centers = cbow_batches(pairs)[0], pairs.centers
 
     assert batch.negatives.shape == batch.negative_mask.shape == (len(batch), k)
     example_of = np.searchsorted(np.unique(centers), centers)
