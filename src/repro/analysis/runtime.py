@@ -602,10 +602,14 @@ class GluonSyncChecker:
                 )
         self.rounds_observed += 1
 
-    def after_restore(self, field_sync: Any, host: int) -> None:
-        """Crash recovery rebuilt ``host``'s replica: everything is fresh,
-        for the steps it has already noted too."""
-        np.copyto(self._shadow[field_sync.name][host], field_sync.arrays[host])
+    def after_restore(self, field_sync: Any, host: int, rows: slice, values: np.ndarray) -> None:
+        """Crash recovery restored ``host``'s ``rows`` to the canonical
+        ``values`` (a surviving master's block, or the host's own from
+        stable storage).  The shadow takes ``values`` — what the restore
+        was meant to land, not the replica — so a restore that never
+        stores them differs from its shadow at the next fold.  Everything
+        is fresh, for the steps the host has already noted too."""
+        self._shadow[field_sync.name][host][rows] = values
         self._residual[(field_sync.name, host)] = _empty_ids()
         self._stale[(field_sync.name, host)] = _empty_ids()
         for key in self._stale_at_start:

@@ -152,12 +152,13 @@ class VerticalPartitionWord2Vec:
         params = self.params
         for epoch in range(params.epochs):
             lr = params.learning_rate_for_epoch(epoch)
-            rng = self._seeds.subtree("epoch", epoch).child("train")
+            epoch_seeds = self._seeds.subtree("epoch", epoch)
             sentences = list(self.corpus.sentences)
             if params.shuffle_each_epoch and len(sentences) > 1:
-                order = rng.permutation(len(sentences))
+                order = epoch_seeds.child("train").permutation(len(sentences))
                 sentences = [sentences[i] for i in order]
-            # Generate the epoch's pairs in sentence chunks, then train in
+            # Generate the epoch's pairs in sentence chunks, each from its
+            # own stream as SharedMemoryWord2Vec draws them, then train in
             # fixed-size mini-batches (the CIKM system's dataflow).
             for start in range(0, len(sentences), 32):
                 chunk = sentences[start : start + 32]
@@ -167,7 +168,7 @@ class VerticalPartitionWord2Vec:
                     keep_prob=self._keep_prob,
                     table=self._table,
                     num_negatives=params.negatives,
-                    rng=rng,
+                    rng=epoch_seeds.child("chunk", start // 32),
                 )
                 for piece_start in range(0, len(batch), self.batch_pairs):
                     piece = batch.slice(

@@ -323,13 +323,14 @@ def _cmd_train(args) -> int:
         if report.faults is not None:
             print(f"faults: {report.faults.summary()}")
         if args.trace is not None:
+            from repro.cluster.network import SCALED_DEFAULT
             from repro.cluster.trace import trace_json
 
             args.trace.write_text(
                 trace_json(
                     trainer.async_timeline,
                     trainer.network.phase_records,
-                    trainer.network_model,
+                    SCALED_DEFAULT,
                 )
             )
             print(f"trace written to {args.trace}")

@@ -18,8 +18,10 @@ deployment must survive, while keeping the reproduction's core contract —
   is therefore unaffected; the fault surfaces as re-sent bytes and backoff
   time.
 - **Stragglers**: a host runs slower than its peers for one round,
-  stretching the round's barrier.  Like ``host_speed_factors``, stragglers
-  scale the *modeled* wall clock only.
+  stretching the round's barrier.  Stragglers scale the *modeled* wall
+  clock only; a schedule built with explicit ``stragglers`` on every slot
+  of a host is a heterogeneous cluster, the one slow-host model the
+  trainer has.
 
 Determinism contract.  A :class:`FaultSchedule` is generated by
 :meth:`FaultSchedule.generate` from ``(config, seed, topology)`` alone:
@@ -134,8 +136,11 @@ class FaultSchedule:
     """All faults of one run, materialized up front from a seed.
 
     Use :meth:`generate` (or :meth:`empty` for the explicit fault-free
-    schedule).  Instances are immutable in practice and safe to share
-    across the components that consult them.
+    schedule), or construct one with explicit ``crashes`` and
+    ``stragglers`` — ``(epoch, round, host)`` -> slowdown factor, finite
+    and >= 1, like :attr:`FaultConfig.straggler_factor`.  Instances are
+    immutable in practice and safe to share across the components that
+    consult them.
     """
 
     def __init__(
@@ -150,6 +155,13 @@ class FaultSchedule:
     ):
         if num_hosts <= 0:
             raise ValueError(f"num_hosts must be positive, got {num_hosts}")
+        for (_epoch, _round, host), factor in sorted(stragglers.items()):
+            if not 0 <= host < num_hosts:
+                raise ValueError(f"straggler host {host} out of range [0, {num_hosts})")
+            if not (math.isfinite(factor) and factor >= 1.0):
+                raise ValueError(
+                    f"straggler factor of host {host} must be finite and >= 1, got {factor}"
+                )
         self.config = config
         self.num_hosts = int(num_hosts)
         self.epochs = int(epochs)

@@ -65,18 +65,21 @@ class DistributedRunReport:
         regular = [r for r in network.phase_records if not r.name.startswith(RECOVERY_PHASE)]
         restore = [r for r in network.phase_records if r.name.startswith(RECOVERY_PHASE)]
         comm_s = model.total_time(regular)
-        # Recovery = barrier stalls recorded per round (crash detection,
-        # restore, replay) plus restore traffic and retransmission backoff.
-        recovery_s = metrics.modeled_recovery_s() + model.total_time(restore)
+        # Concurrent hosts overlap: a round's inspection and recovery stalls
+        # cost their slowest host.  Recovery adds restore traffic and
+        # retransmission backoff to the ledger's stalls.
+        compute = metrics.table("compute")
+        recovery_s = float(sum(r.max() for r in metrics.table("recovery")))
+        recovery_s += model.total_time(restore)
         if fault_report is not None:
             recovery_s += fault_report.backoff_s
         # Split the compute critical path into busy time (mean over hosts)
         # and barrier/staleness wait, so straggler slack is attributable.
-        busy_s = metrics.modeled_busy_s()
+        busy_s = float(sum(r.mean() for r in compute))
         breakdown = TimeBreakdown(
             compute_s=busy_s,
             communication_s=comm_s,
-            inspection_s=metrics.modeled_inspection_s(),
+            inspection_s=float(sum(r.max() for r in metrics.table("inspection"))),
             recovery_s=recovery_s,
             wait_s=max(0.0, makespan_s - busy_s),
         )
@@ -96,7 +99,7 @@ class DistributedRunReport:
             comm_bytes=network.total_bytes,
             comm_messages=network.total_messages,
             bytes_by_phase=by_phase,
-            sequential_compute_s=metrics.sequential_compute_s(),
+            sequential_compute_s=float(sum(r.sum() for r in compute)),
             pairs_processed=pairs_processed,
             peak_replica_rows=peak_replica_rows,
             faults=fault_report,

@@ -36,13 +36,16 @@ fold broadcasts and PullModel refreshes overwrite rows with canonical
 values *plus* the host's still-unfolded buffered deltas on those rows
 (read-my-writes), and per-(field, host) pending-stale row marks drive an
 extra ``refresh``/``refresh-request`` phase pair so a host never computes
-on a row whose master changed without a broadcast reaching it.  Fold
-order across fields is priority-scheduled dirtiest-first (rows touched by
-buffered, unfolded rounds, a per-row count that buffering and folding
-keep up to date) through the galois
-:class:`~repro.galois.worklist.OrderedByIntegerMetric` worklist (only
-when ``s > 0``; at ``s = 0`` the declaration order is kept so the
-transient-fault injector sees one fixed send sequence).
+on a row whose master changed without a broadcast reaching it.  Every
+fold syncs the embedding field, then the training field, at every
+staleness: one send sequence, so one draw order for the transient-fault
+injector.
+
+Time accounting.  Each executed step books its compute, inspection and
+recovery seconds once, into the trainer's
+:class:`~repro.cluster.metrics.ClusterMetrics` ledger; the fold's
+straggler accounting, the measured replay, the Chrome trace timeline and
+the run report all read them from there.
 
 Work generation is one batch per wave: before a wave runs, every slot it
 steps — and, under PullModel, the next slot each step's inspection reads —
@@ -62,7 +65,6 @@ import numpy as np
 from repro.analysis.runtime import SanitizeError, note_write
 from repro.dgraph.engine import TrainingEngine, compensate_delta
 from repro.galois.do_all import do_all
-from repro.galois.worklist import OrderedByIntegerMetric
 from repro.util.rng import keyed_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,9 +80,9 @@ __all__ = [
     "build_interleaving",
 ]
 
-#: The lock-step schedule synchronizes embedding before training: a fixed
-#: order fixes the per-round message sequence, and hence the
-#: transient-fault injector's draw order.
+#: Every fold synchronizes embedding before training: a fixed order fixes
+#: the per-round message sequence, and hence the transient-fault
+#: injector's draw order.
 _FIELD_ORDER = ("embedding", "training")
 
 
@@ -189,11 +191,12 @@ def build_interleaving(
 # ----------------------------------------------------------------------
 @dataclass
 class AsyncTimeline:
-    """Measured-replay timeline of a run, for the Chrome trace.
+    """Measured-replay timeline of a run, for the Chrome trace: the
+    ledger's (``trainer.metrics``) step seconds laid on the schedule.
 
     ``steps``: ``(host, round, start_s, dur_s)`` compute slices;
     ``inspections``: the same shape, PullModel inspection of the next slot
-    following each step; ``folds``: ``(round, time_s, rec_lo, rec_hi)``
+    following each step that booked some; ``folds``: ``(round, time_s, rec_lo, rec_hi)``
     where the record range indexes ``network.phase_records`` emitted since
     the previous fold (wave refresh/recovery phases included);
     ``recoveries``: ``(host, round, start_s, dur_s)`` modeled recovery
@@ -210,7 +213,8 @@ class AsyncTimeline:
 
 
 class _RunState:
-    """Per-``run()`` buffers: everything folds drain, keyed by round."""
+    """Per-``run()`` buffers: everything folds drain, keyed by round.
+    Step seconds are not among them: they go to ``trainer.metrics``."""
 
     def __init__(self, trainer: "GraphWord2Vec", start_fold: int) -> None:
         self.folds_done = start_fold
@@ -219,40 +223,9 @@ class _RunState:
             name: {} for name in _FIELD_ORDER
         }
         self.lr_of: dict[int, float] = {}
-        self.compute_buf: dict[int, np.ndarray] = {}
-        self.inspect_buf: dict[int, np.ndarray] = {}
-        self.recovery_buf: dict[int, np.ndarray] = {}
-        self.base_times: dict[int, list[float]] = {}
-        self.slow_times: dict[int, list[float]] = {}
         self.pairs_buf: dict[int, int] = {}
-        # (host, round) -> modeled compute seconds, for the measured replay.
-        self.measured: dict[tuple[int, int], float] = {}
-        # (host, round, seconds) spans for the timeline, in wave order.
-        self.inspect_spans: list[tuple[int, int, float]] = []
-        self.recovery_spans: list[tuple[int, int, float]] = []
         self.fold_records: dict[int, tuple[int, int]] = {}
         self.rec_cursor = len(trainer.network.phase_records)
-        # field -> per row, the buffered (unfolded) captures touching it,
-        # and the rows where that count is nonzero: the fold priority
-        # (kept at s > 0 only, its one reader).
-        self.row_refs: dict[str, np.ndarray] = {}
-        self.dirty: dict[str, int] = {name: 0 for name in _FIELD_ORDER}
-
-    def count_dirty(self, fname: str, ids: np.ndarray, num_nodes: int, step: int) -> None:
-        """A capture on the strictly ascending ``ids`` is buffered
-        (``step=+1``) or folded (``-1``)."""
-        refs = self.row_refs.get(fname)
-        if refs is None:
-            refs = self.row_refs[fname] = np.zeros(num_nodes, dtype=np.int64)
-        refs[ids] += step
-        edge = 1 if step > 0 else 0  # the count a row reaches as it turns dirty / clean
-        self.dirty[fname] += step * int(np.count_nonzero(refs[ids] == edge))
-
-    def round_array(self, table: dict[int, np.ndarray], g: int, H: int) -> np.ndarray:
-        arr = table.get(g)
-        if arr is None:
-            arr = table[g] = np.zeros(H)
-        return arr
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +438,6 @@ class SSPTrainingEngine(TrainingEngine):
                     out_field.arrays[host],
                     run.lr_of[g],
                     trainer.params.batch_pairs,
-                    compute_loss=trainer.compute_loss,
                 )
                 measured = time.thread_time() - start
                 # Shadow access records for the race sanitizer (no-ops
@@ -488,7 +460,7 @@ class SSPTrainingEngine(TrainingEngine):
 
         do_all(order, run_chain, executor=trainer.executor)
 
-        # Serial post-pass in wave order: fold buffers, metrics,
+        # Serial post-pass in wave order: fold buffers, the ledger,
         # inspection bookkeeping.
         for ev in batch:
             entry = slots[ev.host].pop(0)
@@ -521,31 +493,20 @@ class SSPTrainingEngine(TrainingEngine):
         pairs: int,
         captures: list[tuple],
         inspected: "tuple[RoundWork, float] | None",
-        lost_s: float | None = None,
+        recovery_s: float = 0.0,
     ) -> None:
-        """Serial bookkeeping of one executed step.  ``lost_s`` marks a
-        crashed-and-replayed step: the modeled compute its doomed attempt
-        burned, charged instead of ``measured`` (the replay itself is
-        recovery time, and a dead host is no straggler sample)."""
-        H = trainer.num_hosts
+        """Serial bookkeeping of one executed step: its captures into the
+        fold buffers, its seconds into the ledger, its inspection into the
+        next access sets.  The slot's slow-host factor scales ``measured``
+        into modeled compute.  A crashed-and-replayed step books its
+        ``recovery_s`` stall, and ``measured`` is then the compute its
+        doomed attempt burned (the replay itself is recovery time)."""
         e, s = divmod(g, trainer.sync_rounds)
         del trainer._work_cache[(e, s, host)]
-        if lost_s is None:
-            factor = trainer._time_factor(e, s, host)
-            compute_s = measured * factor
-            run.base_times.setdefault(g, []).append(
-                measured * trainer.host_speed_factors[host]
-            )
-            run.slow_times.setdefault(g, []).append(compute_s)
-        else:
-            compute_s = lost_s
-        run.round_array(run.compute_buf, g, H)[host] += compute_s
-        run.measured[(host, g)] = run.measured.get((host, g), 0.0) + compute_s
         run.pairs_buf[g] = run.pairs_buf.get(g, 0) + pairs
         for fname, capture in zip(_FIELD_ORDER, captures):
             run.contrib[fname].setdefault(g, {})[host] = capture
-            if self.staleness:
-                run.count_dirty(fname, capture[0], trainer._fields[fname].num_nodes, +1)
+        inspect_s = 0.0
         if trainer.plan.requires_access_sets:
             state = trainer._async_state
             if inspected is None:
@@ -553,14 +514,19 @@ class SSPTrainingEngine(TrainingEngine):
                 state["next_access"][("training", host)] = _empty_ids()
             else:
                 next_work, inspect_s = inspected
-                run.round_array(run.inspect_buf, g, H)[host] += inspect_s
-                run.inspect_spans.append((host, g, inspect_s))
                 state["next_access"][("embedding", host)] = next_work.embedding_access
                 state["next_access"][("training", host)] = next_work.output_access
                 trainer._peak_access_rows = max(
                     trainer._peak_access_rows,
                     int(next_work.embedding_access.size + next_work.output_access.size),
                 )
+        trainer.metrics.record(
+            g, host,
+            compute=measured * trainer._time_factor(e, s, host),
+            measured=measured,
+            inspection=inspect_s,
+            recovery=recovery_s,
+        )
 
     def _capture(
         self,
@@ -610,7 +576,8 @@ class SSPTrainingEngine(TrainingEngine):
 
         The trainer's recovery body restores the replica from the
         canonical store and replays the lost chunk; here the replay is
-        captured and booked like any other step.
+        captured and booked like any other step, with the burned compute
+        and the recovery stall as its seconds.
         """
         e, s = divmod(g, trainer.sync_rounds)
         work, before, pairs, lost_s, recovery_s = trainer._recover_host(
@@ -623,11 +590,9 @@ class SSPTrainingEngine(TrainingEngine):
             if stale is not None:
                 stale[host] = False
         captures = self._capture(trainer, host, work, before)
-        run.round_array(run.recovery_buf, g, trainer.num_hosts)[host] += recovery_s
-        run.recovery_spans.append((host, g, recovery_s))
         self._post_step(
-            trainer, run, host, g, 0.0, pairs, captures,
-            self._inspect_next(trainer, host, g), lost_s=lost_s,
+            trainer, run, host, g, lost_s, pairs, captures,
+            self._inspect_next(trainer, host, g), recovery_s,
         )
 
     def _refresh(
@@ -725,7 +690,8 @@ class SSPTrainingEngine(TrainingEngine):
         g: int,
         epoch_callback,
     ) -> None:
-        """Fold global round ``g``: metrics, gluon sync, round bookkeeping.
+        """Fold global round ``g``: straggler accounting, gluon sync, round
+        bookkeeping.
 
         The sync frontier only ever advances to a round every host has
         finished, so folds fire in global-round order; each one is a round
@@ -735,47 +701,24 @@ class SSPTrainingEngine(TrainingEngine):
         e, s = divmod(g, S)
         metrics = trainer.metrics
         network = trainer.network
-        H = trainer.num_hosts
 
-        metrics.begin_round()
-        for table, record in (
-            (run.compute_buf, metrics.record_compute),
-            (run.inspect_buf, metrics.record_inspection),
-            (run.recovery_buf, metrics.record_recovery),
-        ):
-            buf = table.pop(g, None)
-            if buf is not None:
-                for h in range(H):
-                    if buf[h]:
-                        record(h, float(buf[h]))
-        base = run.base_times.pop(g, [])
-        slow = run.slow_times.pop(g, [])
+        # Stragglers: how far the slow-host factors stretched the round's
+        # slowest live step past its measured time.  A crashed host is no
+        # straggler sample: its compute is what the doomed attempt burned.
         report = trainer.fault_report
-        if report is not None and slow and slow != base:
-            report.straggler_rounds += 1
-            report.straggler_extra_s += max(slow) - max(base)
-
-        # Priority-schedule the fields: dirtiest mirror state syncs first
-        # (galois worklist; the metric is "rows still clean", so the
-        # field with more dirty rows pops first).  At s=0 the declaration
-        # order is kept: the lock-step schedule syncs embedding before
-        # training, and reordering would permute the fault injector's
-        # draw sequence, changing which faults a seed's BSP run sees.
-        if self.staleness == 0:
-            order = list(_FIELD_ORDER)
-        else:
-            M = max(trainer._fields[name].num_nodes for name in _FIELD_ORDER)
-            worklist = OrderedByIntegerMetric(
-                lambda fname: M - run.dirty[fname]
-            )
-            for fname in _FIELD_ORDER:
-                worklist.push(fname)
-            order = [worklist.pop() for _ in _FIELD_ORDER]
+        if report is not None:
+            crashed = {ev.host for ev in trainer.fault_schedule.crashes_at(e, s)}
+            live = [h for h in range(trainer.num_hosts) if h not in crashed]
+            slow = metrics.seconds(g, "compute")[live]
+            base = metrics.seconds(g, "measured")[live]
+            if (slow != base).any():
+                report.straggler_rounds += 1
+                report.straggler_extra_s += float(slow.max() - base.max())
 
         lr = run.lr_of[g]
-        for fname in order:
+        for fname in _FIELD_ORDER:
             self._fold_field(trainer, run, fname, g, lr)
-        metrics.end_round()
+        metrics.num_rounds += 1
         run.fold_records[g] = (run.rec_cursor, len(network.phase_records))
         run.rec_cursor = len(network.phase_records)
 
@@ -828,8 +771,6 @@ class SSPTrainingEngine(TrainingEngine):
         deltas: list[np.ndarray] = []
         for h in range(H):
             ids, delta, drift_base = contribs[h]
-            if self.staleness:
-                run.count_dirty(fname, ids, field.num_nodes, -1)
             if lam > 0 and ids.size:
                 # Drift = how far canon moved since this delta was
                 # captured; zero exactly when the contribution is fresh.
@@ -878,7 +819,7 @@ class SSPTrainingEngine(TrainingEngine):
         """Replay the interleaving with measured durations -> makespan.
 
         The schedule's virtual durations fixed the *order* of events; the
-        modeled wall-clock replays that order with the actual modeled
+        modeled wall-clock replays that order with the ledger's modeled
         per-step compute times: a host starts its next round as soon as
         its previous one ends, except that a fold is a causal barrier —
         the schedule only starts a round once the staleness bound allows
@@ -888,6 +829,11 @@ class SSPTrainingEngine(TrainingEngine):
         the barrier makespan, wait bucket included.
         """
         H = trainer.num_hosts
+        rounds = dict.fromkeys(ev.round_index for ev in schedule.events)
+        booked = {
+            kind: {g: trainer.metrics.seconds(g, kind).tolist() for g in rounds}
+            for kind in ("compute", "inspection", "recovery")
+        }
         avail = [0.0] * H
         start_m: dict[tuple[int, int], float] = {}
         end_m: dict[tuple[int, int], float] = {}
@@ -900,7 +846,7 @@ class SSPTrainingEngine(TrainingEngine):
             if ev.kind == "start":
                 start_m[(h, g)] = max(avail[h], last_fold)
             elif ev.kind == "end":
-                dur = run.measured.get((h, g), 0.0)
+                dur = booked["compute"][g][h]
                 end = start_m[(h, g)] + dur
                 end_m[(h, g)] = end
                 avail[h] = end
@@ -911,13 +857,16 @@ class SSPTrainingEngine(TrainingEngine):
                 last_fold = fold_t
                 rec_lo, rec_hi = run.fold_records[g]
                 timeline.folds.append((g, offset + fold_t, rec_lo, rec_hi))
-        # Inspection and recovery follow the step they belong to.
-        for spans, out in (
-            (run.inspect_spans, timeline.inspections),
-            (run.recovery_spans, timeline.recoveries),
+        # Inspection and recovery follow the step they belong to, in the
+        # order the steps started.
+        for kind, out in (
+            ("inspection", timeline.inspections),
+            ("recovery", timeline.recoveries),
         ):
-            for host, g, dur in spans:
-                out.append((host, g, offset + end_m[(host, g)], dur))
+            for h, g in start_m:
+                dur = booked[kind][g][h]
+                if dur > 0:
+                    out.append((h, g, offset + end_m[(h, g)], dur))
         makespan = max(max(avail), last_fold)
         timeline.makespan_s = offset + makespan
         return makespan

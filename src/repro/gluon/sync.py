@@ -491,7 +491,8 @@ class GluonSynchronizer:
         from stable storage, which is the only surviving copy.
 
         Returns the wire bytes charged to the ``recovery:{field}`` record.
-        With a checker attached the field must be watched.
+        With a checker attached the field must be watched, and the host's
+        shadow takes the streamed canonical blocks.
         """
         if not 0 <= host < self.num_hosts:
             raise ValueError(f"host {host} out of range [0, {self.num_hosts})")
@@ -512,7 +513,8 @@ class GluonSynchronizer:
             for _src, (ids, vals) in self.network.drain(host):
                 field.land(host, ids, vals)
         if self.checker is not None:
-            self.checker.after_restore(field, host)
+            for m, block in zip(masters, blocks):
+                self.checker.after_restore(field, host, block, canonical[m][block])
         return record.total_bytes
 
     # ------------------------------------------------------------------

@@ -46,6 +46,13 @@ surviving hosts — consistent with how the simulation treats all wall-clock
 (values come from the sequential execution, time from the concurrency
 model).  The schedule itself is a pure function of the seed, so faulty runs
 are exactly as reproducible as fault-free ones.
+
+Timing.  Each host step's thread-time compute, scaled by the schedule's
+slow-host factor for its slot (stragglers; a heterogeneous cluster is a
+schedule that slows a host in every slot), is booked once with its
+inspection and recovery seconds in the ``metrics`` ledger
+(:class:`~repro.cluster.metrics.ClusterMetrics`); communication is priced
+by :data:`~repro.cluster.network.SCALED_DEFAULT`.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from repro.analysis.runtime import (
 )
 from repro.cluster.faults import FaultConfig, FaultReport, FaultSchedule
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.network import NetworkModel, SCALED_DEFAULT
+from repro.cluster.network import SCALED_DEFAULT
 from repro.cluster.simulator import DistributedRunReport
 from repro.core.combiners import GradientCombiner, get_combiner
 from repro.dgraph.engine import TrainingEngine, resolve_training_engine
@@ -124,9 +131,6 @@ class GraphWord2Vec:
         combiner: str | GradientCombiner = "mc",
         plan: str | CommPlan = "opt",
         seed: int | None = None,
-        network_model: NetworkModel = SCALED_DEFAULT,
-        compute_loss: bool = False,
-        host_speed_factors: list[float] | None = None,
         faults: FaultConfig | FaultSchedule | None = None,
         executor: DoAllExecutor | None = None,
         workers: int | None = None,
@@ -147,19 +151,19 @@ class GraphWord2Vec:
         (per-host compute is measured with ``time.thread_time``, which is
         contention-independent).
 
-        ``host_speed_factors`` models a heterogeneous cluster: host h's
-        measured compute time is scaled by factor[h] (>1 = slower host)
-        before entering the timing model, where the slowest host of each
-        fold shows the straggler effect.  Training results are unaffected
-        — only the modeled wall-clock changes.
-
         ``faults`` enables fault injection: pass a
         :class:`~repro.cluster.faults.FaultConfig` (a schedule is
         materialized from this trainer's seed tree) or a pre-built
         :class:`~repro.cluster.faults.FaultSchedule`.  ``None`` (default)
         leaves every fault hook disengaged — byte accounting, timing and
         the final model are bit-identical to a build without the fault
-        subsystem.
+        subsystem.  A heterogeneous cluster is a schedule built with
+        explicit ``stragglers``: a slow host's measured compute is scaled
+        by its factor before entering the timing model, where the slowest
+        host of each fold shows the straggler effect.  Training results
+        are unaffected — only the modeled wall-clock changes.  Modeled
+        communication is priced with
+        :data:`~repro.cluster.network.SCALED_DEFAULT`.
 
         ``sanitize`` enables the :mod:`repro.analysis.runtime` sanitizers:
         compute loops run under a :class:`SanitizedExecutor` (cross-host
@@ -172,13 +176,6 @@ class GraphWord2Vec:
         hold_heap()
         if num_hosts <= 0:
             raise ValueError(f"num_hosts must be positive, got {num_hosts}")
-        if host_speed_factors is not None:
-            if len(host_speed_factors) != num_hosts:
-                raise ValueError(
-                    f"need {num_hosts} speed factors, got {len(host_speed_factors)}"
-                )
-            if any(f <= 0 for f in host_speed_factors):
-                raise ValueError("speed factors must be positive")
         vocab_size = len(corpus.vocabulary)
         output_rows = output_rows_for(params, vocab_size)
         if min(vocab_size, output_rows) < num_hosts:
@@ -206,11 +203,6 @@ class GraphWord2Vec:
         # TrainingEngine seam only.
         self.engine = resolve_training_engine(
             engine, staleness=staleness, delay_compensation=delay_compensation
-        )
-        self.network_model = network_model
-        self.compute_loss = compute_loss
-        self.host_speed_factors = (
-            [1.0] * num_hosts if host_speed_factors is None else list(host_speed_factors)
         )
         resolved = resolve_executor(executor, workers)
         if resolved is None:
@@ -471,7 +463,7 @@ class GraphWord2Vec:
             combiner=self.combiner.name,
             metrics=self.metrics,
             network=self.network,
-            model=self.network_model,
+            model=SCALED_DEFAULT,
             pairs_processed=self._pairs_total + self._partial_pairs,
             peak_replica_rows=self._peak_access_rows,
             fault_report=self.fault_report,
@@ -513,13 +505,10 @@ class GraphWord2Vec:
         return findings
 
     def _time_factor(self, epoch: int, s: int, host: int) -> float:
-        """Combined compute-time scaling: static speed x scheduled straggler."""
-        factor = self.host_speed_factors[host]
-        if self.fault_schedule is not None:
-            straggler = self.fault_schedule.straggler_factor(epoch, s, host)
-            if straggler != 1.0:
-                factor *= straggler
-        return factor
+        """The slow-host factor of one slot: the fault schedule's, else 1."""
+        if self.fault_schedule is None:
+            return 1.0
+        return self.fault_schedule.straggler_factor(epoch, s, host)
 
     def _recover_host(
         self,
@@ -540,13 +529,15 @@ class GraphWord2Vec:
         carry its own unfolded local view, which is not what recovery must
         rebuild.
 
-        Returns ``(work, before, pairs, lost_compute_s, recovery_s)``: the
-        replayed work, its access rows as restored (what the replay's
-        deltas are measured against), the modeled compute the doomed
-        attempt burned on the dead host, and the modeled detect + restore
-        + replay stall.  The replay is redistributed across the survivors
-        (values come from the sequential execution, wall-clock from the
-        concurrency model, as everywhere in this simulation).
+        Returns ``(work, before, pairs, lost_s, recovery_s)``: the replayed
+        work, its access rows as restored (what the replay's deltas are
+        measured against), the measured compute the doomed attempt burned
+        on the dead host (before its slow-host factor), and the modeled
+        detect + restore + replay stall.  The replay is redistributed
+        across the survivors (values come from the sequential execution,
+        wall-clock from the concurrency model, as everywhere in this
+        simulation).  With a sync checker attached, the restored own
+        block rebases its shadow, as ``restore_host`` rebases the rest.
         """
         assert self.fault_schedule is not None and self.fault_report is not None
         config = self.fault_schedule.config
@@ -565,6 +556,8 @@ class GraphWord2Vec:
             canon = self._canonical[name]
             block = master_block_slice(sync.bounds, h)
             field_obj.land(h, block, canon[block])
+            if self.sync_checker is not None:
+                self.sync_checker.after_restore(field_obj, h, block, canon[block])
             storage_bytes += (block.stop - block.start) * field_obj.dim * VALUE_BYTES
             net_bytes += sync.restore_host(field_obj, h, [canon] * self.num_hosts)
         report.checkpoint_restore_bytes += storage_bytes
@@ -581,11 +574,9 @@ class GraphWord2Vec:
             self._fields["training"].arrays[h],
             lr,
             self.params.batch_pairs,
-            compute_loss=self.compute_loss,
         )
         replay_measured = time.thread_time() - start
 
-        own_factor = self._time_factor(epoch, s, h)
         crashed = {ev.host for ev in self.fault_schedule.crashes_at(epoch, s)}
         survivors = [sv for sv in range(self.num_hosts) if sv not in crashed]
         if survivors:
@@ -595,14 +586,14 @@ class GraphWord2Vec:
                 / len(survivors)
             )
         else:
-            replay_s = replay_measured * own_factor
+            replay_s = replay_measured * self._time_factor(epoch, s, h)
         report.replay_s += replay_s
         report.restore_s += storage_s
         return (
             work,
             before,
             pairs,
-            crash.loss_fraction * replay_measured * own_factor,
+            crash.loss_fraction * replay_measured,
             config.detect_timeout_s + storage_s + replay_s,
         )
 

@@ -7,6 +7,11 @@ Figure 6, the per-host compute of :class:`~repro.w2v.distributed.GraphWord2Vec`
 (which reuses the same kernels), and the reference the baselines in
 :mod:`repro.baselines` are compared against.
 
+One epoch loop: each worklist chunk generates its examples from its own
+seed-tree stream (``epoch/chunk/i``) and applies them to the shared model,
+one ``do_all`` item per chunk — serially in worklist order without an
+executor, Hogwild-style with one.
+
 All four Word2Vec configurations are supported through
 :mod:`repro.w2v.steps`: Skip-Gram / CBOW x negative sampling / hierarchical
 softmax (the paper evaluates Skip-Gram with negative sampling).
@@ -64,10 +69,10 @@ class SharedMemoryWord2Vec:
         example generation is deterministic (per-chunk seed-tree streams) —
         so *pair counts* are exact regardless of executor — but concurrent
         scatter-adds race benignly on the shared model, so the trained
-        vectors are *not* bit-reproducible across runs.  ``workers=1`` runs
-        the same chunk-scheduled path serially (deterministic, and
-        pair-count-identical to any worker count); the default (no executor,
-        ``workers=None``) is the classic fully sequential path."""
+        vectors are *not* bit-reproducible across runs.  Without one (or
+        with ``workers=1``) the same chunks run serially in worklist order:
+        deterministic, and pair-count-identical to any worker count.  The
+        ``REPRO_WORKERS`` environment variable is not consulted."""
         hold_heap()
         self.corpus = corpus.split_long_sentences(params.max_sentence_length)
         self.params = params
@@ -100,18 +105,13 @@ class SharedMemoryWord2Vec:
         params = self.params
         for epoch in range(params.epochs):
             lr = params.learning_rate_for_epoch(epoch)
-            rng = self._seeds.subtree("epoch", epoch).child("train")
             sentences = list(self.corpus.sentences)
             if params.shuffle_each_epoch:
+                rng = self._seeds.subtree("epoch", epoch).child("train")
                 order = rng.permutation(len(sentences))
                 sentences = [sentences[i] for i in order]
             worklist = ChunkedWorklist(sentences, chunk_size=_SENTENCES_PER_CHUNK)
-            if self.executor is None:
-                epoch_loss, epoch_pairs = self._train_epoch_sequential(worklist, rng, lr)
-            else:
-                epoch_loss, epoch_pairs = self._train_epoch_hogwild(
-                    worklist, epoch, lr
-                )
+            epoch_loss, epoch_pairs = self._train_epoch(worklist, epoch, lr)
             self.epoch_stats.append(
                 EpochStats(epoch=epoch, learning_rate=lr, pairs=epoch_pairs, loss=epoch_loss)
             )
@@ -120,36 +120,11 @@ class SharedMemoryWord2Vec:
         return self.model
 
     # ------------------------------------------------------------------
-    def _train_epoch_sequential(
-        self, worklist: ChunkedWorklist, rng, lr: float
-    ) -> tuple[float, int]:
-        epoch_loss = 0.0
-        epoch_pairs = 0
-        while not worklist.empty():
-            chunk = worklist.pop_chunk()
-            work = build_round_work(
-                chunk,
-                params=self.params,
-                keep_prob=self._keep_prob,
-                table=self._table,
-                tree=self._tree,
-                rng=rng,
-            )
-            loss, pairs = work.apply(
-                self.model.embedding,
-                self.model.training,
-                lr,
-                self.params.batch_pairs,
-                compute_loss=self.compute_loss,
-            )
-            epoch_loss += loss
-            epoch_pairs += pairs
-        return epoch_loss, epoch_pairs
-
-    def _train_epoch_hogwild(
+    def _train_epoch(
         self, worklist: ChunkedWorklist, epoch: int, lr: float
     ) -> tuple[float, int]:
-        """Chunks processed by the executor; racy shared-model updates."""
+        """One ``do_all`` item per chunk; under a parallel executor the
+        chunks' shared-model updates race (Hogwild)."""
         chunks: list[tuple[int, list]] = []
         index = 0
         while not worklist.empty():

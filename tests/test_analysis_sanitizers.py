@@ -331,6 +331,37 @@ class TestGluonSyncChecker:
             assert finding.kind == "dropped-write"
             assert finding.details == {"field": "f", "host": 0, "rows": [5]}
 
+    @pytest.mark.parametrize("host1_stores", [True, False])
+    def test_restore_rebases_the_shadow(self, host1_stores):
+        """A crash restore is audited against what it was meant to land —
+        the surviving masters' canonical blocks — not against the rebuilt
+        replica: a restore that stores none of them is flagged at the next
+        fold."""
+        checker = GluonSyncChecker()
+        sync, field, bases = make_sync(checker=checker)
+        # Host 1 crashes and loses its replica; the caller restores its own
+        # master block (rows 4-7) from stable storage, the restore streams
+        # host 0's block (rows 0-3).  ``bases`` is the canonical store.
+        field.arrays[1][:] = -1.0
+        own = slice(4, 8)
+        field.land(1, own, bases[1][own])
+        real_land = field.land
+        if not host1_stores:
+            field.land = lambda host, ids, vals: vals  # stores none of them
+        sync.restore_host(field, 1, bases)
+        field.land = real_land
+        empty = np.empty(0, dtype=np.int64)
+        sync.fold(
+            field, [empty, empty], [np.empty((0, 2))] * 2, get_combiner("mc"),
+            get_plan("opt"), canonical=bases, land=field.land,
+        )
+        if host1_stores:
+            assert checker.findings == []
+        else:
+            [finding] = checker.findings
+            assert finding.kind == "dropped-write"
+            assert finding.details == {"field": "f", "host": 1, "rows": [0, 1, 2, 3]}
+
     def test_unwatched_field_is_rejected_before_any_phase(self):
         checker = GluonSyncChecker()
         sync, field, bases = make_sync(checker=checker)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.analysis.runtime import GluonSyncChecker, SanitizeError
 from repro.cluster.faults import FaultConfig
+from repro.cluster.network import SCALED_DEFAULT
 from repro.dgraph.async_engine import SSPTrainingEngine, build_interleaving
 from repro.dgraph.engine import TrainingEngine, compensate_delta, resolve_training_engine
 from repro.gluon.bitvector import BitVector
@@ -27,10 +28,11 @@ from repro.gluon.comm import SimulatedNetwork
 from repro.gluon.proxies import master_block_slice
 from repro.gluon.sync import FieldSync, GluonSynchronizer
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
-from repro.w2v.distributed import GraphWord2Vec
+from repro.w2v.distributed import GraphWord2Vec, default_sync_rounds
 from repro.w2v.model import Word2VecModel
 from repro.w2v.params import Word2VecParams
 from repro.w2v.steps import RoundWork
+from tests.test_cluster import slow_hosts
 from tests.test_gluon_fold_oracle import lockstep_sync
 
 SPEC = SyntheticCorpusSpec(
@@ -604,14 +606,13 @@ class TestWaitAccounting:
             PARAMS,
             num_hosts=HOSTS,
             seed=SEED,
-            host_speed_factors=[1.0, 3.0, 1.5],
+            faults=slow_hosts([1.0, 3.0, 1.5], PARAMS.epochs, default_sync_rounds(HOSTS)),
         )
         b = trainer.train().report.breakdown
+        compute = trainer.metrics.table("compute")
         assert b.wait_s > 0
-        assert b.compute_s == pytest.approx(trainer.metrics.modeled_busy_s())
-        assert b.compute_s + b.wait_s == pytest.approx(
-            trainer.metrics.modeled_compute_s()
-        )
+        assert b.compute_s == pytest.approx(sum(r.mean() for r in compute))
+        assert b.compute_s + b.wait_s == pytest.approx(sum(r.max() for r in compute))
 
     def test_ssp_slack_shrinks_under_stragglers(self):
         # Bounded staleness exists to absorb straggler slack: under a
@@ -645,7 +646,7 @@ class TestWaitAccounting:
         from repro.cluster.trace import build_chrome_trace
 
         events = build_chrome_trace(
-            timeline, trainer.network.phase_records, trainer.network_model
+            timeline, trainer.network.phase_records, SCALED_DEFAULT
         )
         tids = {e["tid"] for e in events}
         assert set(range(HOSTS + 1)) <= tids

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster.faults import FaultConfig, FaultSchedule
 from repro.cluster.metrics import ClusterMetrics, TimeBreakdown
 from repro.cluster.network import INFINIBAND_56G, NetworkModel
 from repro.cluster.simulator import DistributedRunReport
@@ -66,121 +67,131 @@ class TestTimeBreakdown:
         b = TimeBreakdown(compute_s=1.0, communication_s=2.0, inspection_s=0.5, recovery_s=0.25)
         assert b.total_s == pytest.approx(3.75)
 
-    def test_add(self):
-        a = TimeBreakdown(1.0, 2.0, 3.0)
-        b = TimeBreakdown(0.5, 0.5, 0.5)
-        c = a + b
-        assert (c.compute_s, c.communication_s, c.inspection_s) == (1.5, 2.5, 3.5)
-
-    def test_add_carries_recovery(self):
-        c = TimeBreakdown(recovery_s=1.0) + TimeBreakdown(recovery_s=0.5)
-        assert c.recovery_s == pytest.approx(1.5)
-
     def test_recovery_defaults_to_zero(self):
         # Fault-free breakdowns must be unchanged by the recovery field.
         assert TimeBreakdown(1.0, 2.0, 0.5).recovery_s == 0.0
 
 
+def book(metrics: ClusterMetrics, round_index: int, host: int, compute=0.0, **kinds) -> None:
+    """One full-speed step: modeled compute equals measured."""
+    metrics.record(round_index, host, compute=compute, measured=compute, **kinds)
+
+
+def build_report(metrics: ClusterMetrics, makespan_s: float = 0.0) -> DistributedRunReport:
+    return DistributedRunReport.build(
+        num_hosts=metrics.num_hosts, sync_rounds_per_epoch=1, epochs=1, plan="opt",
+        combiner="mc", metrics=metrics, network=SimulatedNetwork(metrics.num_hosts),
+        model=NetworkModel(), makespan_s=makespan_s,
+    )
+
+
 class TestClusterMetrics:
     def test_round_max_semantics(self):
         m = ClusterMetrics(3)
-        m.begin_round()
-        m.record_compute(0, 1.0)
-        m.record_compute(1, 3.0)
-        m.record_compute(2, 2.0)
-        m.end_round()
-        m.begin_round()
-        m.record_compute(0, 5.0)
-        m.end_round()
-        assert m.modeled_compute_s() == pytest.approx(8.0)  # 3 + 5
-        assert m.sequential_compute_s() == pytest.approx(11.0)
-        assert m.num_rounds == 2
+        for host, seconds in enumerate((1.0, 3.0, 2.0)):
+            book(m, 0, host, seconds)
+        book(m, 1, 0, 5.0)
+        compute = m.table("compute")
+        assert compute.tolist() == [[1.0, 3.0, 2.0], [5.0, 0.0, 0.0]]
+        assert sum(r.max() for r in compute) == pytest.approx(8.0)  # 3 + 5
+        assert build_report(m).sequential_compute_s == pytest.approx(11.0)
+        # Folds are the engine's to count: booking steps folds nothing.
+        assert m.num_rounds == 0
 
     def test_inspection_tracked_separately(self):
         m = ClusterMetrics(2)
-        m.begin_round()
-        m.record_inspection(0, 0.5)
-        m.record_compute(0, 1.0)
-        m.end_round()
-        assert m.modeled_inspection_s() == pytest.approx(0.5)
-        assert m.modeled_compute_s() == pytest.approx(1.0)
+        book(m, 0, 0, 1.0, inspection=0.5)
+        report = build_report(m)
+        assert report.breakdown.inspection_s == pytest.approx(0.5)
+        assert report.breakdown.compute_s == pytest.approx(0.5)  # mean of [1, 0]
 
     def test_per_host(self):
         m = ClusterMetrics(2)
-        m.begin_round()
-        m.record_compute(0, 1.0)
-        m.record_compute(1, 2.0)
-        m.end_round()
-        assert m.per_host_compute_s().tolist() == [1.0, 2.0]
+        m.record(0, 0, compute=3.0, measured=1.0)
+        book(m, 0, 1, 2.0)
+        assert m.seconds(0, "compute").tolist() == [3.0, 2.0]
+        assert m.seconds(0, "measured").tolist() == [1.0, 2.0]
 
-    def test_lifecycle_errors(self):
+    def test_rejects_negative_seconds(self):
         m = ClusterMetrics(2)
-        with pytest.raises(RuntimeError):
-            m.end_round()
-        with pytest.raises(RuntimeError):
-            m.record_compute(0, 1.0)
-        m.begin_round()
-        with pytest.raises(RuntimeError):
-            m.begin_round()
-        with pytest.raises(ValueError):
-            m.record_compute(0, -1.0)
-        with pytest.raises(ValueError):
-            m.record_recovery(0, -1.0)
-        m.end_round()
-        with pytest.raises(RuntimeError):
-            m.record_recovery(0, 1.0)
+        for kinds in (
+            dict(compute=-1.0, measured=1.0),
+            dict(compute=1.0, measured=-1.0),
+            dict(compute=1.0, measured=1.0, inspection=-1.0),
+            dict(compute=1.0, measured=1.0, recovery=-1.0),
+        ):
+            with pytest.raises(ValueError, match="negative time"):
+                m.record(0, 0, **kinds)
+        assert m.table("compute").shape == (0, 2)
+
+    def test_a_step_books_once(self):
+        # Booking a (round, host) again replaces its entry: the ledger
+        # holds each step's seconds once.
+        m = ClusterMetrics(2)
+        book(m, 0, 1, 1.0, recovery=2.0)
+        book(m, 0, 1, 4.0)
+        assert m.seconds(0, "compute").tolist() == [0.0, 4.0]
+        assert m.seconds(0, "recovery").tolist() == [0.0, 0.0]
 
     def test_recovery_round_max_semantics(self):
         m = ClusterMetrics(3)
-        m.begin_round()
-        m.record_recovery(0, 1.0)
-        m.record_recovery(1, 3.0)
-        m.end_round()
-        m.begin_round()
-        m.record_recovery(2, 2.0)
-        m.end_round()
-        assert m.modeled_recovery_s() == pytest.approx(5.0)  # 3 + 2
-        assert m.modeled_compute_s() == 0.0
+        book(m, 0, 0, recovery=1.0)
+        book(m, 0, 1, recovery=3.0)
+        book(m, 1, 2, recovery=2.0)
+        report = build_report(m)
+        assert report.breakdown.recovery_s == pytest.approx(5.0)  # 3 + 2
+        assert report.breakdown.compute_s == 0.0
 
     def test_public_round_accessors_are_readonly_views(self):
         m = ClusterMetrics(2)
-        m.begin_round()
-        m.record_compute(0, 1.0)
-        m.record_inspection(1, 0.5)
-        m.record_recovery(0, 0.25)
-        m.end_round()
-        for rounds, expect in (
-            (m.compute_rounds, [1.0, 0.0]),
-            (m.inspection_rounds, [0.0, 0.5]),
-            (m.recovery_rounds, [0.25, 0.0]),
+        book(m, 0, 0, 1.0, recovery=0.25)
+        book(m, 0, 1, inspection=0.5)
+        for kind, expect in (
+            ("compute", [1.0, 0.0]),
+            ("inspection", [0.0, 0.5]),
+            ("recovery", [0.25, 0.0]),
         ):
-            assert len(rounds) == 1
-            assert rounds[0].tolist() == expect
-            assert not rounds[0].flags.writeable
-            with pytest.raises(ValueError):
-                rounds[0][0] = 9.0
+            for rows in (m.table(kind), m.seconds(0, kind)[None]):
+                assert rows.tolist() == [expect]
+            for view in (m.table(kind), m.seconds(0, kind)):
+                assert not view.flags.writeable
+                with pytest.raises(ValueError):
+                    view[0] = 9.0
+        assert m.seconds(0, "compute").tolist() == [1.0, 0.0]
 
     def test_accessors_agree_with_aggregates(self):
         m = ClusterMetrics(2)
-        for compute in ([1.0, 2.0], [4.0, 3.0]):
-            m.begin_round()
+        # Rounds booked out of order read back ascending.
+        for g, compute in ((1, [4.0, 3.0]), (0, [1.0, 2.0])):
             for host, sec in enumerate(compute):
-                m.record_compute(host, sec)
-            m.end_round()
-        assert m.modeled_compute_s() == pytest.approx(
-            sum(r.max() for r in m.compute_rounds)
-        )
-        assert m.sequential_compute_s() == pytest.approx(
-            sum(r.sum() for r in m.compute_rounds)
-        )
+                book(m, g, host, sec)
+        assert m.table("compute").tolist() == [[1.0, 2.0], [4.0, 3.0]]
+        report = build_report(m, makespan_s=6.0)
+        assert report.breakdown.compute_s == pytest.approx(5.0)  # 1.5 + 3.5
+        assert report.breakdown.wait_s == pytest.approx(1.0)
+        assert report.sequential_compute_s == pytest.approx(10.0)
+
+
+def slow_hosts(factors: list[float], epochs: int, rounds: int) -> FaultSchedule:
+    """A heterogeneous cluster: host h runs factors[h] times slower in every
+    slot."""
+    return FaultSchedule(
+        FaultConfig(), len(factors), epochs, rounds, crashes={},
+        stragglers={
+            (e, s, h): f
+            for e in range(epochs) for s in range(rounds) for h, f in enumerate(factors)
+            if f != 1.0
+        },
+        message_seed=0,
+    )
 
 
 class TestStragglerAccounting:
     """With heterogeneous hosts each round prices at the slowest host."""
 
-    def test_host_speed_factors_round_max(self):
+    def test_slow_host_schedule_round_max(self):
         from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
-        from repro.w2v.distributed import GraphWord2Vec
+        from repro.w2v.distributed import GraphWord2Vec, default_sync_rounds
         from repro.w2v.params import Word2VecParams
 
         spec = SyntheticCorpusSpec(
@@ -188,32 +199,31 @@ class TestStragglerAccounting:
         )
         corpus = generate_corpus(spec, seed=1)[0]
         params = Word2VecParams(dim=8, epochs=1, negatives=3, window=3)
-        factors = [1.0, 4.0, 1.5]
         trainer = GraphWord2Vec(
-            corpus, params, num_hosts=3, seed=5, host_speed_factors=factors
+            corpus, params, num_hosts=3, seed=5,
+            faults=slow_hosts([1.0, 4.0, 1.5], 1, default_sync_rounds(3)),
         )
         result = trainer.train()
-        rounds = trainer.metrics.compute_rounds
-        assert len(rounds) == trainer.sync_rounds
-        # Each round's modeled compute is the per-round max over hosts...
-        per_round_max = [float(r.max()) for r in rounds]
-        assert trainer.metrics.modeled_compute_s() == pytest.approx(sum(per_round_max))
-        # ...and the breakdown's buckets add up to the total.
+        compute = trainer.metrics.table("compute")
+        assert len(compute) == trainer.metrics.num_rounds == trainer.sync_rounds
+        # Each round's modeled compute is the measured one times the
+        # host's factor, and every round straggles.
+        assert np.array_equal(compute, trainer.metrics.table("measured") * [1.0, 4.0, 1.5])
+        assert result.report.faults.straggler_rounds == trainer.sync_rounds
+        # The breakdown's buckets add up to the total...
         b = result.report.breakdown
         assert b.total_s == pytest.approx(
             b.compute_s + b.communication_s + b.inspection_s + b.recovery_s + b.wait_s
         )
-        # Busy compute + barrier wait spans the compute critical path: the
-        # heterogeneous factors make the wait bucket strictly positive.
-        assert b.compute_s == pytest.approx(trainer.metrics.modeled_busy_s())
-        assert b.compute_s + b.wait_s == pytest.approx(
-            trainer.metrics.modeled_compute_s()
-        )
+        # ...and busy compute + barrier wait spans the compute critical
+        # path, the per-round max: the slow hosts make the wait strictly
+        # positive.
+        assert b.compute_s == pytest.approx(sum(r.mean() for r in compute))
+        assert b.compute_s + b.wait_s == pytest.approx(sum(r.max() for r in compute))
         assert b.wait_s > 0.0
         assert b.recovery_s == 0.0
 
     def test_scheduled_straggler_stretches_round_max(self):
-        from repro.cluster.faults import FaultConfig
         from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
         from repro.w2v.distributed import GraphWord2Vec
         from repro.w2v.params import Word2VecParams
@@ -230,23 +240,22 @@ class TestStragglerAccounting:
         result = faulty.train()
         faults = result.report.faults
         assert faults.straggler_rounds > 0
-        schedule = faulty.fault_schedule
-        # Recorded times are measured * factor; dividing the factor back out
-        # recovers the un-straggled round max, and the report's extra_s is
-        # exactly the sum of the per-round differences.
+        # The ledger keeps each step's measured seconds beside the modeled
+        # ones, so the report's extra_s is exactly the sum over rounds of
+        # the modeled round max minus the measured one.
         extra = 0.0
-        for s, recorded in enumerate(faulty.metrics.compute_rounds):
-            factors = np.array([schedule.straggler_factor(0, s, h) for h in range(3)])
-            extra += float(recorded.max() - (recorded / factors).max())
-        assert faults.straggler_extra_s == pytest.approx(extra, rel=1e-9)
+        for recorded, measured in zip(
+            faulty.metrics.table("compute"), faulty.metrics.table("measured")
+        ):
+            if (recorded != measured).any():
+                extra += float(recorded.max() - measured.max())
+        assert faults.straggler_extra_s == extra
 
 
 class TestDistributedRunReport:
     def test_build_groups_phases(self):
         metrics = ClusterMetrics(2)
-        metrics.begin_round()
-        metrics.record_compute(0, 1.0)
-        metrics.end_round()
+        book(metrics, 0, 0, 1.0)
         net = SimulatedNetwork(2)
         with net.phase("reduce:embedding"):
             net.send(0, 1, 100)

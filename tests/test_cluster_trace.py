@@ -3,7 +3,7 @@ import json
 import pytest
 
 from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.network import NetworkModel
+from repro.cluster.network import SCALED_DEFAULT, NetworkModel
 from repro.cluster.trace import build_chrome_trace, trace_json
 from repro.dgraph.async_engine import AsyncTimeline
 from repro.gluon.comm import SimulatedNetwork
@@ -112,22 +112,16 @@ class TestTraceMetricsContract:
 
     def test_accessors_expose_round_history(self):
         metrics = ClusterMetrics(2)
-        metrics.begin_round()
-        metrics.record_compute(0, 0.1)
-        metrics.record_inspection(1, 0.05)
-        metrics.record_recovery(0, 0.2)
-        metrics.end_round()
-        assert len(metrics.compute_rounds) == 1
-        assert metrics.compute_rounds[0].tolist() == [0.1, 0.0]
-        assert metrics.inspection_rounds[0].tolist() == [0.0, 0.05]
-        assert metrics.recovery_rounds[0].tolist() == [0.2, 0.0]
-        # Views are read-only: a consumer cannot corrupt the metrics.
-        for rounds in (
-            metrics.compute_rounds,
-            metrics.inspection_rounds,
-            metrics.recovery_rounds,
-        ):
-            assert not rounds[0].flags.writeable
+        metrics.record(0, 0, compute=0.1, measured=0.1, recovery=0.2)
+        metrics.record(0, 1, compute=0.0, measured=0.0, inspection=0.05)
+        assert len(metrics.table("compute")) == 1
+        assert metrics.table("compute")[0].tolist() == [0.1, 0.0]
+        assert metrics.table("inspection")[0].tolist() == [0.0, 0.05]
+        assert metrics.table("recovery")[0].tolist() == [0.2, 0.0]
+        # Views are read-only: a consumer cannot corrupt the ledger.
+        for kind in ("compute", "inspection", "recovery"):
+            assert not metrics.table(kind).flags.writeable
+            assert not metrics.seconds(0, kind).flags.writeable
 
     def test_trace_matches_accessor_data(self):
         # On a real run every compute / inspect / recover slice is the
@@ -138,13 +132,14 @@ class TestTraceMetricsContract:
         result = trainer.train()
         assert result.report.faults.crashes > 0
         events = build_chrome_trace(
-            trainer.async_timeline, trainer.network.phase_records, trainer.network_model
+            trainer.async_timeline, trainer.network.phase_records, SCALED_DEFAULT
         )
-        for cat, prefix, rounds in (
-            ("compute", "compute", trainer.metrics.compute_rounds),
-            ("inspection", "inspect", trainer.metrics.inspection_rounds),
-            ("recovery", "recover", trainer.metrics.recovery_rounds),
+        for cat, prefix, kind in (
+            ("compute", "compute", "compute"),
+            ("inspection", "inspect", "inspection"),
+            ("recovery", "recover", "recovery"),
         ):
+            rounds = trainer.metrics.table(kind)
             drawn = {
                 (int(e["name"].removeprefix(f"{prefix} r")), e["tid"]): e["dur"]
                 for e in events
@@ -219,9 +214,7 @@ class TestTraceJson:
     def test_trace_from_real_training(self):
         trainer = small_trainer()
         result = trainer.train()
-        blob = trace_json(
-            trainer.async_timeline, trainer.network.phase_records, trainer.network_model
-        )
+        blob = trace_json(trainer.async_timeline, trainer.network.phase_records, SCALED_DEFAULT)
         parsed = json.loads(blob)
         cats = {e.get("cat") for e in parsed["traceEvents"] if e["ph"] == "X"}
         assert "compute" in cats and "communication" in cats

@@ -25,11 +25,15 @@ import hashlib
 import json
 from pathlib import Path
 import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.cluster.faults import FaultConfig
+from repro.cluster.network import SCALED_DEFAULT
+from repro.cluster.trace import trace_json
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec
 from repro.w2v.params import Word2VecParams
@@ -53,8 +57,9 @@ FAULTS = {
 FAULT_COUNTERS = (
     "crashes", "recovery_bytes", "checkpoint_restore_bytes", "messages_dropped",
     "messages_corrupted", "retransmissions", "escalations", "resent_bytes",
-    "nack_bytes", "straggler_rounds",
+    "nack_bytes", "straggler_rounds", "straggler_extra_s",
 )
+BREAKDOWN = ("compute_s", "communication_s", "inspection_s", "recovery_s", "wait_s")
 #: (plan, staleness, model, combiner, hosts, faults)
 CONFIGS = [
     ("opt", 0, "sg-ns", "mc", 4, "none"),
@@ -77,6 +82,25 @@ def config_id(config) -> str:
     return f"{plan}-s{staleness}-{model}-{combiner}-h{hosts}-{faults}"
 
 
+class StepClock:
+    """Stands in for ``time.thread_time``: every call advances the calling
+    thread's clock by :attr:`STEP_S`.  Each measured interval is then a
+    whole number of steps, whichever thread measured it and whatever it
+    measured before, so the timing outputs are the same under every
+    executor.  The step has more than one significant bit, so products with
+    the fault schedule's slowdown factors round as real measurements do."""
+
+    STEP_S = 5 * 2.0**-12
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def __call__(self) -> float:
+        calls = getattr(self._local, "calls", 0)
+        self._local.calls = calls + 1
+        return calls * self.STEP_S
+
+
 def run(config, corpus) -> dict:
     """Train one configuration; everything the sweep pins."""
     plan, staleness, model, combiner, hosts, faults = config
@@ -87,7 +111,8 @@ def run(config, corpus) -> dict:
         corpus, params, num_hosts=hosts, seed=5, plan=plan, combiner=combiner,
         faults=FAULTS[faults], engine="async", staleness=staleness,
     )
-    result = trainer.train()
+    with mock.patch("time.thread_time", StepClock()):
+        result = trainer.train()
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(result.model.embedding).tobytes())
     digest.update(np.ascontiguousarray(result.model.training).tobytes())
@@ -99,6 +124,16 @@ def run(config, corpus) -> dict:
         "messages": report.comm_messages,
         "faults": None if report.faults is None else {
             name: getattr(report.faults, name) for name in FAULT_COUNTERS
+        },
+        "timing": {
+            "breakdown": {name: getattr(report.breakdown, name) for name in BREAKDOWN},
+            "sequential_compute_s": report.sequential_compute_s,
+            "folded_rounds": trainer.metrics.num_rounds,
+            "trace_sha256": hashlib.sha256(
+                trace_json(
+                    trainer.async_timeline, trainer.network.phase_records, SCALED_DEFAULT
+                ).encode()
+            ).hexdigest(),
         },
     }
 

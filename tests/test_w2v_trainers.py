@@ -3,11 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.cluster.faults import FaultConfig, FaultSchedule
 from repro.text.corpus import Corpus
 from repro.text.synthetic import SyntheticCorpusSpec, generate_corpus
 from repro.w2v.distributed import GraphWord2Vec, default_sync_rounds
 from repro.w2v.params import Word2VecParams
 from repro.w2v.shared_memory import _SENTENCES_PER_CHUNK, SharedMemoryWord2Vec
+from tests.test_cluster import slow_hosts
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +262,7 @@ class TestGraphWord2Vec:
         res_uniform = uniform.train()
         straggler = GraphWord2Vec(
             corpus, fast_params, num_hosts=4, seed=5,
-            host_speed_factors=[1.0, 1.0, 1.0, 10.0],
+            faults=slow_hosts([1.0, 1.0, 1.0, 10.0], 1, default_sync_rounds(4)),
         )
         res_straggler = straggler.train()
         # The model is unaffected; only the modeled wall-clock grows
@@ -271,14 +273,20 @@ class TestGraphWord2Vec:
             > 2 * res_uniform.report.breakdown.compute_s
         )
 
-    def test_speed_factor_validation(self, corpus_and_questions):
-        corpus, _ = corpus_and_questions
-        with pytest.raises(ValueError, match="speed factors"):
-            GraphWord2Vec(corpus, FAST, num_hosts=3, host_speed_factors=[1.0])
-        with pytest.raises(ValueError, match="positive"):
-            GraphWord2Vec(
-                corpus, FAST, num_hosts=2, host_speed_factors=[1.0, 0.0]
+    def test_speed_factor_validation(self):
+        # A heterogeneous cluster is a FaultSchedule: its constructor
+        # checks the slow hosts and their factors.
+        def schedule(host: int, factor: float) -> FaultSchedule:
+            return FaultSchedule(
+                FaultConfig(), 3, 1, 1, crashes={}, stragglers={(0, 0, host): factor},
+                message_seed=0,
             )
+
+        with pytest.raises(ValueError, match="host 3 out of range"):
+            schedule(3, 2.0)
+        for factor in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                schedule(1, factor)
 
     def test_instance_and_name_give_same_model(self, corpus_and_questions):
         from repro.core.combiners import ModelCombiner
